@@ -20,6 +20,7 @@ defaults; the default seed comes from ``COHEXP_SEED`` when set.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -39,14 +40,6 @@ _EXIT_OK = 0
 _EXIT_INPUT = 2
 _EXIT_CONTRACT = 3
 
-_CONFIGURABLE = {
-    "alpha", "quantize", "identity", "grid", "random", "witness_limit", "seed",
-    "gamma", "simplify", "names", "ascii", "format",
-    "setting", "epochs", "learning_rate", "weight_decay", "coherence_lambda",
-    "batch_size", "hidden_sizes", "early_stopping_patience",
-    "train_size", "val_size", "test_size",
-}
-
 
 def _env_seed() -> int:
     raw = os.environ.get("COHEXP_SEED", "0")
@@ -65,17 +58,15 @@ def _preload_config(argv: list[str]) -> dict:
             path = argv[i + 1]
         elif arg.startswith("--config="):
             path = arg.split("=", 1)[1]
-    if path is None:
-        return {}
-    doc = load_json(path)
-    unknown = set(doc) - _CONFIGURABLE
-    if unknown:
-        raise ValidationError(f"config file sets unknown options: {sorted(unknown)}")
-    return doc
+    return load_json(path) if path is not None else {}
 
 
 def _build_parser(config: dict) -> argparse.ArgumentParser:
+    """Parser with ``config`` values as defaults; rejects keys no option reads."""
+    configurable = set()
+
     def dflt(name: str, builtin):
+        configurable.add(name)
         return config.get(name, builtin)
 
     parser = argparse.ArgumentParser(
@@ -166,7 +157,8 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p_law.set_defaults(func=_cmd_law)
 
     p_exp = sub.add_parser("experiment", help="run a built-in experiment")
-    p_exp.add_argument("--setting", required=True,
+    p_exp.add_argument("--setting", default=dflt("setting", None),
+                       required="setting" not in config,
                        choices=("xor", "fuzzy-or", "fuzzy_or"))
     p_exp.add_argument("--outdir", required=True, metavar="DIR")
     p_exp.add_argument("--epochs", type=int, default=dflt("epochs", None))
@@ -186,6 +178,9 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     add_common(p_exp)
     p_exp.set_defaults(func=_cmd_experiment)
 
+    unknown = set(config) - configurable
+    if unknown:
+        raise ValidationError(f"config file sets unknown options: {sorted(unknown)}")
     return parser
 
 
@@ -351,27 +346,16 @@ def _cmd_law(args) -> int:
 def _cmd_experiment(args) -> int:
     setting = experiments.canonical_setting(args.setting)
     cfg = experiments.default_train_config(setting, seed=args.seed)
-    overrides = {}
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
-    if args.learning_rate is not None:
-        overrides["learning_rate"] = args.learning_rate
-    if args.coherence_lambda is not None:
-        overrides["coherence_lambda"] = args.coherence_lambda
-    if args.batch_size is not None:
-        overrides["batch_size"] = args.batch_size
-    if args.weight_decay is not None:
-        overrides["weight_decay"] = args.weight_decay
-    if args.early_stopping_patience is not None:
-        overrides["early_stopping_patience"] = args.early_stopping_patience
+    if isinstance(args.hidden_sizes, str):
+        args.hidden_sizes = args.hidden_sizes.split(",")
     if args.hidden_sizes is not None:
-        raw = args.hidden_sizes
-        parts = raw.split(",") if isinstance(raw, str) else list(raw)
-        overrides["hidden_sizes"] = tuple(int(v) for v in parts)
-    if overrides:
-        import dataclasses
-
-        cfg = dataclasses.replace(cfg, **overrides)
+        args.hidden_sizes = tuple(int(v) for v in args.hidden_sizes)
+    overrides = {
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(cfg)
+        if getattr(args, field.name, None) is not None
+    }
+    cfg = dataclasses.replace(cfg, **overrides)
     report, model, datasets = experiments.run_experiment(
         setting,
         seed=args.seed,

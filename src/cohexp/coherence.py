@@ -15,6 +15,9 @@ clean sample only certifies coherence *on that sample*.
 Projected values are compared exactly; both sides of the comparison
 are produced by the same projection code path, so equal projected
 values are bit-identical floats.
+
+With no more fibers ``d(x)`` than sampled points, the baseline
+``d(f(d(x)))`` is evaluated once per fiber and gathered by fiber code.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FuzzyExpr, Point, Projection
+from .core import FuzzyExpr, Point, Projection, fiber_codes, fiber_digits
 from .errors import CapacityError, ValidationError
 
 __all__ = [
@@ -34,6 +37,8 @@ __all__ = [
     "ComponentReport",
     "CoherenceReport",
     "default_sampling",
+    "fiber_table",
+    "projected_outputs",
     "coherence_masks",
     "is_coherent_at",
     "check_coherence",
@@ -46,6 +51,9 @@ DEFAULT_WITNESS_CAP = 100
 
 # Grid sampling refuses to materialise more points than this.
 _MAX_SAMPLE_POINTS = 4_194_304
+
+# Fiber representatives are evaluated in batches of at most this many rows.
+EVAL_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -208,12 +216,42 @@ class CoherenceReport:
         }
 
 
+def fiber_table(f: FuzzyExpr, projection: Projection, codes: np.ndarray) -> np.ndarray:
+    """``d(f(r))`` at the point ``r`` of each fiber code, one row per
+    code; the projection must have a finite image."""
+    k = len(projection.level_values)  # type: ignore[arg-type]
+    table = np.empty((len(codes), f.out_arity), dtype=np.float64)
+    for lo in range(0, len(codes), EVAL_CHUNK):
+        points = fiber_digits(codes[lo : lo + EVAL_CHUNK], k, f.in_arity) / (k - 1)
+        table[lo : lo + EVAL_CHUNK] = projection.apply(f.eval_batch(points))
+    return table
+
+
+def projected_outputs(
+    f: FuzzyExpr, projection: Projection, xs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(f(x), d(f(x)), d(f(d(x))))`` per row of ``xs``.  With at most
+    ``len(xs)`` fibers the baseline is tabulated for the fibers present
+    in ``xs``, else ``f`` is evaluated at every projected row."""
+    fx = f.eval_batch(xs)
+    levels = projection.level_values
+    fibers = len(levels) ** f.in_arity if levels is not None else None
+    if fibers is not None and fibers <= len(xs):
+        codes = fiber_codes(projection, xs)
+        present = np.flatnonzero(np.bincount(codes, minlength=fibers))
+        table = np.empty((fibers, f.out_arity), dtype=np.float64)
+        table[present] = fiber_table(f, projection, present)
+        baseline = table[codes]
+    else:
+        baseline = projection.apply(f.eval_batch(projection.apply(xs)))
+    return fx, projection.apply(fx), baseline
+
+
 def coherence_masks(f: FuzzyExpr, projection: Projection, xs: np.ndarray) -> np.ndarray:
     """Boolean array of shape ``(N, out_arity)``: True where component
     ``i`` of ``f`` is coherent at the sampled point."""
-    fx = f.eval_batch(xs)
-    fdx = f.eval_batch(projection.apply(xs))
-    return projection.apply(fx) == projection.apply(fdx)
+    _, direct, baseline = projected_outputs(f, projection, xs)
+    return direct == baseline
 
 
 def is_coherent_at(
@@ -257,10 +295,7 @@ def check_coherence(
     if sampling is None:
         sampling = default_sampling(f.in_arity)
     xs = sampling.sample(f.in_arity)
-    fx = f.eval_batch(xs)
-    fdx = f.eval_batch(projection.apply(xs))
-    proj_direct = projection.apply(fx)
-    proj_via_levels = projection.apply(fdx)
+    fx, proj_direct, proj_via_levels = projected_outputs(f, projection, xs)
     ok = proj_direct == proj_via_levels
 
     components = []

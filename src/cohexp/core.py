@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -53,6 +54,8 @@ __all__ = [
     "Piecewise",
     "TruthTable",
     "all_vertices",
+    "fiber_codes",
+    "fiber_digits",
     "vertex_index",
     "identity",
     "eval_expr",
@@ -110,10 +113,10 @@ class Projection:
         elif self.kind == "quantize":
             if self.alpha is not None:
                 raise ValidationError("quantize projection takes no alpha")
-            if self.levels is None or int(self.levels) < 2:
-                raise ValidationError(
-                    f"quantize projection needs levels >= 2, got {self.levels!r}"
-                )
+            k = self.levels
+            if isinstance(k, bool) or not isinstance(k, Real) or k % 1 or k < 2:
+                raise ValidationError(f"quantize levels must be an integer >= 2, got {k!r}")
+            object.__setattr__(self, "levels", int(k))
         else:
             raise ValidationError(f"unknown projection kind {self.kind!r}")
 
@@ -127,7 +130,7 @@ class Projection:
 
     @staticmethod
     def quantize(levels: int) -> "Projection":
-        return Projection("quantize", levels=int(levels))
+        return Projection("quantize", levels=levels)
 
     @property
     def is_boolean(self) -> bool:
@@ -140,7 +143,7 @@ class Projection:
         if self.kind == "threshold":
             return (0.0, 1.0)
         if self.kind == "quantize":
-            k = int(self.levels)  # type: ignore[arg-type]
+            k = self.levels
             return tuple(i / (k - 1) for i in range(k))
         return None
 
@@ -150,7 +153,7 @@ class Projection:
         if self.kind == "threshold":
             return (arr >= self.alpha).astype(np.float64)
         if self.kind == "quantize":
-            k = int(self.levels)  # type: ignore[arg-type]
+            k = self.levels
             return np.round(arr * (k - 1)) / (k - 1)
         return arr.copy()
 
@@ -726,7 +729,7 @@ def from_dict(doc: dict, decode: Callable[[dict], FuzzyExpr] | None = None) -> F
     dec = decode if decode is not None else from_dict
     try:
         expr = NODE_TYPES[name].from_payload(doc, dec)
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise SerializationError(f"malformed {name!r} node: {exc}") from exc
     except ValidationError as exc:
         raise SerializationError(f"invalid {name!r} node: {exc}") from exc
@@ -743,6 +746,31 @@ def from_dict(doc: dict, decode: Callable[[dict], FuzzyExpr] | None = None) -> F
 # ---------------------------------------------------------------------------
 
 
+def _place_values(k: int, n: int) -> np.ndarray:
+    return k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
+def fiber_codes(projection: Projection, xs: np.ndarray) -> np.ndarray:
+    """Encode the fiber ``d(x)`` of each row as one integer: the level
+    indices of ``d(x)`` as base-``k`` digits, axis 0 most significant
+    (so a Boolean vertex's code is its truth-table row)."""
+    levels = projection.level_values
+    if levels is None:
+        raise ValidationError("fiber tracking needs a projection with finite image")
+    k = len(levels)
+    n = np.shape(xs)[1]
+    if k**n > (1 << 62):
+        raise CapacityError(f"cannot index {k}^{n} projection fibers")
+    digits = np.round(projection.apply(xs) * (k - 1)).astype(np.int64)
+    return digits @ _place_values(k, n)
+
+
+def fiber_digits(codes: np.ndarray, k: int, n: int) -> np.ndarray:
+    """Inverse of :func:`fiber_codes`: the ``(N, n)`` level indices of
+    each code; divided by ``k - 1`` they are the fiber's projected point."""
+    return np.asarray(codes, dtype=np.int64).reshape(-1, 1) // _place_values(k, n) % k
+
+
 def all_vertices(n: int) -> np.ndarray:
     """All Boolean vertices of ``[0,1]^n`` as float rows in lexicographic
     order with input 0 most significant: row ``i`` encodes ``i`` in binary."""
@@ -752,21 +780,15 @@ def all_vertices(n: int) -> np.ndarray:
         raise CapacityError(
             f"vertex enumeration capped at {MAX_TABLE_INPUTS} inputs, got {n}"
         )
-    if n == 0:
-        return np.zeros((1, 0), dtype=np.float64)
-    codes = np.arange(2**n, dtype=np.int64)
-    cols = [(codes >> (n - 1 - i)) & 1 for i in range(n)]
-    return np.stack(cols, axis=1).astype(np.float64)
+    return fiber_digits(np.arange(2**n), 2, n).astype(np.float64)
 
 
 def vertex_index(bits: Sequence[int]) -> int:
     """Row index of a Boolean vertex (input 0 most significant)."""
-    idx = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValidationError(f"vertex components must be 0 or 1, got {bits!r}")
-        idx = (idx << 1) | int(b)
-    return idx
+    if any(b not in (0, 1) for b in bits):
+        raise ValidationError(f"vertex components must be 0 or 1, got {bits!r}")
+    row = np.asarray(bits, dtype=np.float64).reshape(1, -1)
+    return int(fiber_codes(Projection.threshold(0.5), row)[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coherence import coherence_masks
+from .coherence import coherence_masks, projected_outputs
 from .core import FuzzyExpr, Projection, TruthTable, to_dict
 from .errors import ValidationError
 from .functor import DnfFormula, booleanize, default_var_names, table_to_dnf
@@ -291,9 +291,9 @@ def extract_and_score(
     xs = dataset.features
     n = model.in_arity
     proj_feats = projection.apply(xs)
-    proj_out = projection.apply(model.eval_batch(xs))
+    _, proj_out, baseline = projected_outputs(model, projection, xs)
     model_class = proj_out[:, 0]
-    coherent = coherence_masks(model, projection, xs).all(axis=1)
+    coherent = (proj_out == baseline).all(axis=1)
 
     base_names = default_var_names(n)
     naive_table = booleanize(model, projection)

@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .coherence import fiber_table
 from .core import (
     MAX_TABLE_INPUTS,
     Compose,
@@ -29,6 +30,8 @@ from .core import (
     Projection,
     TruthTable,
     all_vertices,
+    fiber_codes,
+    fiber_digits,
 )
 from .errors import CapacityError, ValidationError
 
@@ -47,8 +50,6 @@ __all__ = [
 # Exact minimisation is capped here; larger tables must use the
 # verbatim minterm mode.
 MAX_SIMPLIFY_INPUTS = 12
-
-_EVAL_CHUNK = 1 << 16
 
 Literal = tuple[int, bool]  # (variable index, negated?)
 Term = tuple[Literal, ...]
@@ -199,12 +200,8 @@ def booleanize(f: FuzzyExpr, projection: Projection) -> TruthTable:
         raise CapacityError(
             f"booleanize capped at {MAX_TABLE_INPUTS} inputs, got {n}"
         )
-    vertices = all_vertices(n)
-    chunks = []
-    for lo in range(0, vertices.shape[0], _EVAL_CHUNK):
-        out = f.eval_batch(vertices[lo : lo + _EVAL_CHUNK])
-        chunks.append(projection.apply(out).astype(np.uint8))
-    return TruthTable(n, f.out_arity, np.concatenate(chunks, axis=0))
+    rows = fiber_table(f, projection, np.arange(2**n)).astype(np.uint8)
+    return TruthTable(n, f.out_arity, rows)
 
 
 def identity_table(n: int) -> TruthTable:
@@ -219,9 +216,7 @@ def bool_compose(outer: TruthTable, inner: TruthTable) -> TruthTable:
             f"cannot compose tables: inner produces {inner.n_outputs} bits, "
             f"outer consumes {outer.n_inputs}"
         )
-    n = outer.n_inputs
-    powers = (1 << np.arange(n - 1, -1, -1, dtype=np.int64)) if n else np.zeros(0, dtype=np.int64)
-    idx = inner.rows.astype(np.int64) @ powers
+    idx = fiber_codes(Projection.threshold(0.5), inner.rows)
     return TruthTable(inner.n_inputs, outer.n_outputs, outer.rows[idx])
 
 
@@ -264,8 +259,7 @@ def verify_functor_law(f: FuzzyExpr, g: FuzzyExpr, projection: Projection) -> Fu
     if diff.size == 0:
         return FunctorLawReport(True, None, None, None, lhs, rhs)
     i = int(diff[0])
-    n = lhs.n_inputs
-    witness = tuple((i >> (n - 1 - k)) & 1 for k in range(n))
+    witness = tuple(int(b) for b in fiber_digits([i], 2, lhs.n_inputs)[0])
     return FunctorLawReport(
         False,
         witness,

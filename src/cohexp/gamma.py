@@ -54,6 +54,7 @@ from .coherence import (
     coherence_masks,
     default_sampling,
     incoherent_components,
+    projected_outputs,
 )
 from .core import (
     RAW_TOL,
@@ -65,10 +66,12 @@ from .core import (
     Piece,
     Piecewise,
     Projection,
+    fiber_codes,
+    fiber_digits,
     from_dict,
     to_dict,
 )
-from .errors import CapacityError, ContractError, SerializationError, ValidationError
+from .errors import ContractError, SerializationError, ValidationError
 from .functor import DnfFormula, booleanize, default_var_names, table_to_dnf
 
 __all__ = [
@@ -151,38 +154,12 @@ class GammaSpec:
 # ---------------------------------------------------------------------------
 
 
-def _fiber_codes(projection: Projection, xs: np.ndarray) -> np.ndarray:
-    """Encode the projection class of each row as a single integer.
-
-    Requires a projection with a finite image; digits are the level
-    indices, composed positionally with axis 0 most significant.
-    """
-    levels = projection.level_values
-    if levels is None:
-        raise ValidationError("fiber tracking needs a projection with finite image")
-    k = len(levels)
-    n = xs.shape[1]
-    if k**n > (1 << 62):
-        raise CapacityError(f"cannot index {k}^{n} projection fibers")
-    digits = np.round(projection.apply(xs) * (k - 1)).astype(np.int64)
-    weights = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return digits @ weights
-
-
-def _code_to_digits(code: int, k: int, n: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(n):
-        code, d = divmod(code, k)
-        digits.append(int(d))
-    return tuple(reversed(digits))
-
-
 @dataclass(frozen=True)
 class ExtendedExpr(FuzzyExpr):
     """Domain-extension repair: original inputs plus one control input
     per repaired component, appended in component order.
 
-    ``contaminated[j]`` holds the fiber codes (see ``_fiber_codes``) on
+    ``contaminated[j]`` holds the fiber codes (see ``fiber_codes``) on
     which component ``components[j]`` defers to its control input.
     """
 
@@ -225,7 +202,7 @@ class ExtendedExpr(FuzzyExpr):
         nb = self.base.in_arity
         x = xs[:, :nb]
         out = self.base._eval(x).copy()
-        codes = _fiber_codes(self.projection, x)
+        codes = fiber_codes(self.projection, x)
         for j, comp in enumerate(self.components):
             hit = np.isin(codes, self._contaminated_arrays[j])
             if hit.any():
@@ -239,9 +216,7 @@ class ExtendedExpr(FuzzyExpr):
             "base": to_dict(self.base),
             "projection": self.projection.to_dict(),
             "extended_components": list(self.components),
-            "contaminated": [
-                [list(_code_to_digits(code, k, n)) for code in s] for s in self.contaminated
-            ],
+            "contaminated": [fiber_digits(s, k, n).tolist() for s in self.contaminated],
         }
 
     @classmethod
@@ -253,11 +228,13 @@ class ExtendedExpr(FuzzyExpr):
             raise SerializationError("extended node needs a finite-image projection")
         k = len(levels)
         n = base.in_arity
-        weights = [k**i for i in range(n - 1, -1, -1)]
-        contaminated = tuple(
-            tuple(sum(w * int(d) for w, d in zip(weights, digits)) for digits in fiber_set)
-            for fiber_set in doc["contaminated"]
-        )
+        contaminated = []
+        for fiber_set in doc["contaminated"]:
+            digits = np.asarray(fiber_set, dtype=np.int64).reshape(len(fiber_set), n)
+            codes = fiber_codes(projection, digits / (k - 1))
+            if not np.array_equal(fiber_digits(codes, k, n), digits):
+                raise ValidationError(f"contaminated fiber digits must lie in [0, {k})")
+            contaminated.append(codes)
         return ExtendedExpr(base, projection, tuple(doc["extended_components"]), contaminated)
 
 
@@ -273,13 +250,11 @@ class OutputModExpr(FuzzyExpr):
     projection: Projection
 
     def __post_init__(self) -> None:
-        if (self.fallback.in_arity, self.fallback.out_arity) != (
-            self.base.in_arity,
-            self.base.out_arity,
-        ):
+        fb, base = self.fallback, self.base
+        if (fb.in_arity, fb.out_arity) != (base.in_arity, base.out_arity):
             raise ValidationError(
-                "fallback signature must match the repaired function "
-                f"({self.base.in_arity} -> {self.base.out_arity})"
+                f"fallback signature ({fb.in_arity} -> {fb.out_arity}) does not match "
+                f"the repaired function ({base.in_arity} -> {base.out_arity})"
             )
 
     @property
@@ -291,11 +266,9 @@ class OutputModExpr(FuzzyExpr):
         return self.base.out_arity
 
     def _eval(self, xs: np.ndarray) -> np.ndarray:
-        y = self.base._eval(xs)
-        y_fix = self.base._eval(self.projection.apply(xs))
-        coherent = (self.projection.apply(y) == self.projection.apply(y_fix)).all(axis=1)
+        y, direct, baseline = projected_outputs(self.base, self.projection, xs)
         out = y.copy()
-        bad = ~coherent
+        bad = ~(direct == baseline).all(axis=1)
         if bad.any():
             out[bad] = self.fallback._eval(xs[bad])
         return out
@@ -335,10 +308,8 @@ def gamma_extend(f: FuzzyExpr, spec: GammaSpec) -> FuzzyExpr:
     bad_components = [i for i in range(f.out_arity) if not ok[:, i].all()]
     if not bad_components:
         return f
-    codes = _fiber_codes(spec.projection, xs)
-    contaminated = tuple(
-        tuple(int(c) for c in np.unique(codes[~ok[:, i]])) for i in bad_components
-    )
+    codes = fiber_codes(spec.projection, xs)
+    contaminated = [np.unique(codes[~ok[:, i]]) for i in bad_components]
     return ExtendedExpr(f, spec.projection, tuple(bad_components), contaminated)
 
 
@@ -354,26 +325,19 @@ def gamma_output_mod(f: FuzzyExpr, spec: GammaSpec) -> FuzzyExpr:
     if spec.kind != "output_mod":
         raise ValidationError(f"gamma_output_mod called with kind {spec.kind!r}")
     sampling = spec.sampling_for(f.in_arity)
+    fallback = spec.fallback or Compose(f, LiftedProjection(spec.projection, f.in_arity))
+    repaired = OutputModExpr(f, fallback, spec.projection)
     if spec.fallback is not None:
-        fallback = spec.fallback
-        if (fallback.in_arity, fallback.out_arity) != (f.in_arity, f.out_arity):
-            raise ValidationError(
-                f"fallback signature ({fallback.in_arity} -> {fallback.out_arity}) does not "
-                f"match the function ({f.in_arity} -> {f.out_arity})"
-            )
         fb_report = check_coherence(fallback, spec.projection, sampling)
         if incoherent_components(fb_report):
             raise ContractError(
                 "output modification needs a coherent fallback; the supplied one is "
                 f"incoherent on components {incoherent_components(fb_report)}"
             )
-    else:
-        fallback = Compose(f, LiftedProjection(spec.projection, f.in_arity))
 
     xs = sampling.sample(f.in_arity)
     if coherence_masks(f, spec.projection, xs).all():
         return f
-    repaired = OutputModExpr(f, fallback, spec.projection)
     ok = coherence_masks(repaired, spec.projection, xs)
     if not ok.all():
         j = int(np.flatnonzero(~ok.all(axis=1))[0])

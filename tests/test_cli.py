@@ -124,6 +124,17 @@ class TestConfigPrecedence:
         assert run(["check", "--expr", or_file, "--config", str(cfg)]) == BAD_INPUT
         assert "unknown options" in capsys.readouterr().err
 
+    def test_config_supplies_the_setting(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"setting": "xor", "epochs": 1}))
+        assert run([
+            "experiment", "--config", str(cfg), "--outdir", str(tmp_path / "exp"),
+            "--train-size", "32", "--val-size", "16", "--test-size", "16",
+            "--format", "structured", "--out", str(tmp_path / "doc.json"),
+        ]) == OK
+        doc = json.loads((tmp_path / "doc.json").read_text())
+        assert doc["setting"] == "xor"
+
 
 class TestExplain:
     def test_extend(self, or_file, capsys):
@@ -278,12 +289,20 @@ class TestExperiment:
         outdir = tmp_path / "exp"
         assert run([
             "experiment", "--setting", "fuzzy-or", "--outdir", str(outdir),
-            "--epochs", "1", "--hidden-sizes", "3,2",
+            "--epochs", "1", "--hidden-sizes", "3,2", "--learning-rate", "0.05",
+            "--coherence-lambda", "0.5", "--batch-size", "8", "--weight-decay", "0.001",
+            "--early-stopping-patience", "7",
             "--train-size", "32", "--val-size", "16", "--test-size", "16",
             "--format", "structured", "--out", str(tmp_path / "doc.json"),
         ]) == OK
         doc = json.loads((tmp_path / "doc.json").read_text())
         assert doc["config"]["hidden_sizes"] == [3, 2]
+        assert doc["config"]["epochs"] == 1
+        assert doc["config"]["learning_rate"] == 0.05
+        assert doc["config"]["coherence_lambda"] == 0.5
+        assert doc["config"]["batch_size"] == 8
+        assert doc["config"]["weight_decay"] == 0.001
+        assert doc["config"]["early_stopping_patience"] == 7
 
     def test_unknown_setting_rejected_by_parser(self, tmp_path, capsys):
         assert run(["experiment", "--setting", "parity", "--outdir", str(tmp_path)]) == BAD_INPUT

@@ -15,11 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohexp import (
+    Affine,
     CapacityError,
     CoherenceReport,
+    Condition,
     Const,
     LiftedProjection,
+    MlpExpr,
     Parallel,
+    Piece,
+    Piecewise,
     Projection,
     SamplingSpec,
     TConorm,
@@ -29,8 +34,10 @@ from cohexp import (
     default_sampling,
     identity,
     incoherent_components,
+    init_model,
     is_coherent_at,
 )
+from cohexp.coherence import projected_outputs
 
 # 101-point grid: the incoherent triangle holds 1225 of 10201 points.
 GRID_101_COHERENT_FRACTION = 1.0 - 1225 / 10201
@@ -210,3 +217,35 @@ def test_report_fields_round_trip_through_dict(luk_or, threshold):
     assert doc["coherent_fraction"] == report.coherent_fraction
     assert Projection.from_dict(doc["projection"]) == threshold
     assert isinstance(report, CoherenceReport)
+
+
+def _mlp(n: int):
+    return MlpExpr(init_model(n, (5,), 2, np.random.default_rng(n)))
+
+
+def _piecewise(n: int):
+    """A clamped affine sum where the last input is at least 0.3, a
+    constant elsewhere."""
+    ramp = Affine(((0.6,) * n,), (0.1,))
+    return Piecewise((Piece((Condition(n - 1, "ge", 0.3),), ramp),), Const((0.7,), in_arity=n))
+
+
+@pytest.mark.parametrize(
+    "projection",
+    [Projection.threshold(0.5), Projection.quantize(3), Projection.quantize(4)],
+    ids=["threshold", "quantize3", "quantize4"],
+)
+@pytest.mark.parametrize("make", [_mlp, _piecewise], ids=["mlp", "piecewise"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("extra", [-1, 0, 37], ids=["below", "equal", "above"])
+def test_projected_outputs_match_direct_evaluation(projection, make, n, extra):
+    """Below ``k**n`` points the baseline is evaluated per point, from
+    ``k**n`` on it is tabulated per fiber; both must give exactly the
+    values of evaluating ``f`` at every projected point."""
+    f = make(n)
+    k = len(projection.level_values)
+    xs = SamplingSpec.random(k**n + extra, seed=n).sample(n)
+    fx, direct, baseline = projected_outputs(f, projection, xs)
+    assert np.array_equal(fx, f.eval_batch(xs))
+    assert np.array_equal(direct, projection.apply(f.eval_batch(xs)))
+    assert np.array_equal(baseline, projection.apply(f.eval_batch(projection.apply(xs))))

@@ -87,6 +87,8 @@ class TestProjection:
             lambda: Projection.quantize(1),
             lambda: Projection("nope"),
             lambda: Projection("threshold", alpha=0.5, levels=2),
+            lambda: Projection("quantize", levels=2.5),
+            lambda: Projection("quantize", levels=True),
         ],
     )
     def test_invalid_parameters_rejected(self, bad):
@@ -102,6 +104,9 @@ class TestProjection:
             Projection.from_dict({"kind": "threshold", "alpha": 0.5, "extra": 1})
         with pytest.raises(SerializationError):
             Projection.from_dict({"alpha": 0.5})
+        for levels in (2.5, True):
+            with pytest.raises(SerializationError):
+                Projection.from_dict({"kind": "quantize", "levels": levels})
 
     def test_apply_projection_helper(self):
         assert apply_projection(Projection.threshold(0.5), (0.2, 0.8)) == (0.0, 1.0)
@@ -294,6 +299,10 @@ class TestSerialisation:
             from_dict({"node": "coord", "in_arity": 2, "out_arity": 1})
         with pytest.raises(SerializationError):
             from_dict({"node": "const", "values": [1.5], "in_arity": 0, "out_arity": 1})
+        with pytest.raises(SerializationError):
+            from_dict({"node": "coord", "indices": [0], "in_arity": "abc", "out_arity": 1})
+        with pytest.raises(SerializationError):
+            from_dict({"node": "const", "values": "ab", "in_arity": 0, "out_arity": 2})
 
     def test_non_object_rejected(self):
         with pytest.raises(SerializationError):

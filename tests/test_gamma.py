@@ -20,6 +20,7 @@ from cohexp import (
     Parallel,
     Projection,
     SamplingSpec,
+    SerializationError,
     ValidationError,
     apply_gamma,
     bool_compose,
@@ -146,13 +147,27 @@ class TestDomainExtension:
         assert report.coherent_fraction == 1.0
 
     def test_serialisation_round_trip(self, luk_or):
-        ext = gamma_extend(luk_or, extend_spec())
-        doc = to_dict(ext)
-        assert doc["node"] == "extended"
-        assert doc["contaminated"] == [[[0, 0]]]  # digit form of the fiber
-        clone = from_dict(doc)
-        xs = SamplingSpec.random(500, seed=3).sample(3)
-        assert np.array_equal(clone.eval_batch(xs), ext.eval_batch(xs))
+        cases = [
+            (D, [[[0, 0]]]),  # digit form of the fiber
+            # three levels: the fibers (0, 0), (0, 1), (1, 0), (1, 1)
+            (Projection.quantize(3), [[[0, 0], [0, 1], [1, 0], [1, 1]]]),
+        ]
+        for projection, digits in cases:
+            ext = gamma_extend(luk_or, GammaSpec("extend", projection, sampling=GRID))
+            doc = to_dict(ext)
+            assert doc["node"] == "extended"
+            assert doc["contaminated"] == digits
+            clone = from_dict(doc)
+            assert clone.contaminated == ext.contaminated
+            xs = SamplingSpec.random(500, seed=3).sample(3)
+            assert np.array_equal(clone.eval_batch(xs), ext.eval_batch(xs))
+
+    @pytest.mark.parametrize("digits", [[[0, 2]], [[0, -1]], [[0]], [[0, 0, 0]]])
+    def test_malformed_fiber_digits_rejected(self, luk_or, digits):
+        doc = to_dict(gamma_extend(luk_or, extend_spec()))
+        doc["contaminated"] = [digits]
+        with pytest.raises(SerializationError):
+            from_dict(doc)
 
     def test_validation(self, luk_or):
         with pytest.raises(ValidationError):
