@@ -18,12 +18,17 @@ values are bit-identical floats.
 
 With no more fibers ``d(x)`` than sampled points, the baseline
 ``d(f(d(x)))`` is evaluated once per fiber and gathered by fiber code.
+
+Expressions are evaluated over a sample in slices of ``EVAL_CHUNK``
+rows (:func:`eval_chunked`), so the memory an evaluation needs beyond
+the sample and its output arrays is bounded by the chunk, not by the
+sample size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,6 +42,7 @@ __all__ = [
     "ComponentReport",
     "CoherenceReport",
     "default_sampling",
+    "eval_chunked",
     "fiber_table",
     "projected_outputs",
     "coherence_masks",
@@ -52,8 +58,14 @@ DEFAULT_WITNESS_CAP = 100
 # Grid sampling refuses to materialise more points than this.
 _MAX_SAMPLE_POINTS = 4_194_304
 
-# Fiber representatives are evaluated in batches of at most this many rows.
-EVAL_CHUNK = 1 << 16
+# Expressions are evaluated in slices of at most this many rows, small
+# enough that an MLP's hidden activations stay in cache.  It must stay a
+# power of two: BLAS kernels can round a row differently when it sits in
+# a batch of 1, 3 or 7 rows than when it sits in a larger one, and slice
+# boundaries at a power of two leave the last partial slice with the
+# same row blocks as the whole batch, so chunked results are
+# bit-identical to a single eval_batch call.
+EVAL_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -216,15 +228,26 @@ class CoherenceReport:
         }
 
 
+def eval_chunked(
+    f: FuzzyExpr, xs: np.ndarray, rows: Callable[[np.ndarray], np.ndarray] | None = None
+) -> np.ndarray:
+    """``f.eval_batch`` over ``xs`` in slices of ``EVAL_CHUNK`` rows,
+    written into one ``(len(xs), out_arity)`` array.  ``rows`` maps each
+    slice of ``xs`` to the points ``f`` is evaluated at (default: the
+    slice itself)."""
+    out = np.empty((len(xs), f.out_arity), dtype=np.float64)
+    for lo in range(0, len(xs), EVAL_CHUNK):
+        chunk = xs[lo : lo + EVAL_CHUNK]
+        out[lo : lo + EVAL_CHUNK] = f.eval_batch(chunk if rows is None else rows(chunk))
+    return out
+
+
 def fiber_table(f: FuzzyExpr, projection: Projection, codes: np.ndarray) -> np.ndarray:
     """``d(f(r))`` at the point ``r`` of each fiber code, one row per
     code; the projection must have a finite image."""
     k = len(projection.level_values)  # type: ignore[arg-type]
-    table = np.empty((len(codes), f.out_arity), dtype=np.float64)
-    for lo in range(0, len(codes), EVAL_CHUNK):
-        points = fiber_digits(codes[lo : lo + EVAL_CHUNK], k, f.in_arity) / (k - 1)
-        table[lo : lo + EVAL_CHUNK] = projection.apply(f.eval_batch(points))
-    return table
+    n = f.in_arity
+    return projection.apply(eval_chunked(f, codes, lambda c: fiber_digits(c, k, n) / (k - 1)))
 
 
 def projected_outputs(
@@ -233,7 +256,7 @@ def projected_outputs(
     """``(f(x), d(f(x)), d(f(d(x))))`` per row of ``xs``.  With at most
     ``len(xs)`` fibers the baseline is tabulated for the fibers present
     in ``xs``, else ``f`` is evaluated at every projected row."""
-    fx = f.eval_batch(xs)
+    fx = eval_chunked(f, xs)
     levels = projection.level_values
     fibers = len(levels) ** f.in_arity if levels is not None else None
     if fibers is not None and fibers <= len(xs):
@@ -243,7 +266,7 @@ def projected_outputs(
         table[present] = fiber_table(f, projection, present)
         baseline = table[codes]
     else:
-        baseline = projection.apply(f.eval_batch(projection.apply(xs)))
+        baseline = projection.apply(eval_chunked(f, xs, projection.apply))
     return fx, projection.apply(fx), baseline
 
 

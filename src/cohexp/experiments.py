@@ -40,7 +40,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .coherence import coherence_masks, projected_outputs
+# coherence_masks stays importable from here: bench/tracing.py wraps it in this namespace
+from .coherence import coherence_masks, projected_outputs  # noqa: F401
 from .core import FuzzyExpr, Projection, TruthTable, to_dict
 from .errors import ValidationError
 from .functor import DnfFormula, booleanize, default_var_names, table_to_dnf
@@ -190,10 +191,9 @@ def evaluate(model: FuzzyExpr, dataset: Dataset, projection: Projection) -> Spli
     fraction of samples at which the model is coherent."""
     if model.in_arity != dataset.features.shape[1] or model.out_arity != 1:
         raise ValidationError("evaluate expects a single-output model matching the features")
-    xs = dataset.features
-    preds = projection.apply(model.eval_batch(xs))[:, 0]
-    accuracy = float((preds == dataset.labels).mean())
-    coherency = float(coherence_masks(model, projection, xs).all(axis=1).mean())
+    _, preds, baseline = projected_outputs(model, projection, dataset.features)
+    accuracy = float((preds[:, 0] == dataset.labels).mean())
+    coherency = float((preds == baseline).all(axis=1).mean())
     return SplitMetrics(accuracy=accuracy, coherency=coherency)
 
 

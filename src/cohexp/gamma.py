@@ -53,6 +53,7 @@ from .coherence import (
     check_coherence,
     coherence_masks,
     default_sampling,
+    eval_chunked,
     incoherent_components,
     projected_outputs,
 )
@@ -196,6 +197,7 @@ class ExtendedExpr(FuzzyExpr):
 
     @cached_property
     def _contaminated_arrays(self) -> tuple[np.ndarray, ...]:
+        # sorted by __post_init__, so membership is a binary search
         return tuple(np.asarray(s, dtype=np.int64) for s in self.contaminated)
 
     def _eval(self, xs: np.ndarray) -> np.ndarray:
@@ -204,8 +206,9 @@ class ExtendedExpr(FuzzyExpr):
         out = self.base._eval(x).copy()
         codes = fiber_codes(self.projection, x)
         for j, comp in enumerate(self.components):
-            hit = np.isin(codes, self._contaminated_arrays[j])
-            if hit.any():
+            fibers = self._contaminated_arrays[j]
+            if fibers.size:
+                hit = fibers.take(np.searchsorted(fibers, codes), mode="clip") == codes
                 out[hit, comp] = xs[hit, nb + j]
         return out
 
@@ -423,7 +426,7 @@ def extensionally_equal(
         return False
     xs = SamplingSpec.random(count, seed=seed).sample(f.in_arity)
     return bool(
-        np.array_equal(projection.apply(f.eval_batch(xs)), projection.apply(g.eval_batch(xs)))
+        np.array_equal(projection.apply(eval_chunked(f, xs)), projection.apply(eval_chunked(g, xs)))
     )
 
 

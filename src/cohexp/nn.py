@@ -101,6 +101,13 @@ class MlpModel:
             weights = [np.asarray(l["weights"], dtype=np.float64) for l in layers]
             biases = [np.asarray(l["bias"], dtype=np.float64) for l in layers]
             slopes = np.asarray([float(l.get("slope", 0.25)) for l in layers[:-1]])
+            for i, layer in enumerate(layers):
+                expected = "prelu" if i < len(layers) - 1 else "sigmoid"
+                if layer.get("activation", expected) != expected:
+                    raise SerializationError(
+                        f"layer {i}: activation {layer['activation']!r} is not supported; "
+                        "hidden layers are 'prelu' and the output layer is 'sigmoid'"
+                    )
         except (KeyError, TypeError) as exc:
             raise SerializationError(f"malformed model document: {exc}") from exc
         try:

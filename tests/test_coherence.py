@@ -18,8 +18,11 @@ from cohexp import (
     Affine,
     CapacityError,
     CoherenceReport,
+    Compose,
     Condition,
     Const,
+    ExtendedExpr,
+    FuzzyExpr,
     LiftedProjection,
     MlpExpr,
     Parallel,
@@ -28,6 +31,7 @@ from cohexp import (
     Projection,
     SamplingSpec,
     TConorm,
+    TNorm,
     ValidationError,
     check_coherence,
     coherence_masks,
@@ -37,7 +41,8 @@ from cohexp import (
     init_model,
     is_coherent_at,
 )
-from cohexp.coherence import projected_outputs
+from cohexp.coherence import EVAL_CHUNK, fiber_table, projected_outputs
+from cohexp.core import fiber_digits
 
 # 101-point grid: the incoherent triangle holds 1225 of 10201 points.
 GRID_101_COHERENT_FRACTION = 1.0 - 1225 / 10201
@@ -249,3 +254,94 @@ def test_projected_outputs_match_direct_evaluation(projection, make, n, extra):
     assert np.array_equal(fx, f.eval_batch(xs))
     assert np.array_equal(direct, projection.apply(f.eval_batch(xs)))
     assert np.array_equal(baseline, projection.apply(f.eval_batch(projection.apply(xs))))
+
+
+def _mlp16(n: int, m: int):
+    return MlpExpr(init_model(n, (16, 16), m, np.random.default_rng(10 * n + m)))
+
+
+CHUNK_EXPRS = {
+    "mlp1x1": _mlp16(1, 1),
+    "mlp2x2": _mlp16(2, 2),
+    "mlp4x1": _mlp16(4, 1),
+    "mlp4x2": _mlp16(4, 2),
+    "affine": Affine(((0.3, 0.5, -0.2), (0.1, 0.1, 0.7)), (0.2, -0.1)),
+    "piecewise": _piecewise(2),
+    "norms": Compose(TConorm("lukasiewicz"), Parallel((TNorm("product"), TConorm("prob_sum")))),
+    "extended": ExtendedExpr(TConorm("lukasiewicz"), Projection.quantize(3), (0,), ((0, 1, 4),)),
+}
+
+CHUNK_ROWS = {
+    "1": 1,
+    "3": 3,
+    "7": 7,
+    "chunk-1": EVAL_CHUNK - 1,
+    "chunk": EVAL_CHUNK,
+    "chunk+1": EVAL_CHUNK + 1,
+    "2chunks+3": 2 * EVAL_CHUNK + 3,
+    "101sq": 101**2,
+}
+
+
+@pytest.mark.parametrize(
+    "projection",
+    [Projection.threshold(0.5), Projection.quantize(3)],
+    ids=["threshold", "quantize3"],
+)
+@pytest.mark.parametrize("rows", CHUNK_ROWS.values(), ids=CHUNK_ROWS.keys())
+@pytest.mark.parametrize("name", CHUNK_EXPRS.keys())
+def test_chunked_evaluation_is_bit_identical(name, rows, projection):
+    """Slicing a sample into ``EVAL_CHUNK`` rows changes no bit of any
+    output: ``projected_outputs`` and ``fiber_table`` equal a single
+    whole-batch ``eval_batch``."""
+    f = CHUNK_EXPRS[name]
+    n = f.in_arity
+    rng = np.random.default_rng(rows)
+    xs = rng.random((rows, n))
+    fx, direct, baseline = projected_outputs(f, projection, xs)
+    whole = f.eval_batch(xs)
+    assert np.array_equal(fx, whole)
+    assert np.array_equal(direct, projection.apply(whole))
+    assert np.array_equal(baseline, projection.apply(f.eval_batch(projection.apply(xs))))
+
+    k = len(projection.level_values)
+    codes = rng.integers(0, k**n, rows)
+    points = fiber_digits(codes, k, n) / (k - 1)
+    assert np.array_equal(
+        fiber_table(f, projection, codes), projection.apply(f.eval_batch(points))
+    )
+
+
+class _BatchRecorder(FuzzyExpr):
+    """Wraps an expression and records the size of every batch it is
+    evaluated on."""
+
+    def __init__(self, inner: FuzzyExpr) -> None:
+        self.inner = inner
+        self.sizes: list[int] = []
+
+    @property
+    def in_arity(self) -> int:
+        return self.inner.in_arity
+
+    @property
+    def out_arity(self) -> int:
+        return self.inner.out_arity
+
+    def _eval(self, xs: np.ndarray) -> np.ndarray:
+        self.sizes.append(len(xs))
+        return self.inner._eval(xs)
+
+
+@pytest.mark.parametrize(
+    "projection", [Projection.threshold(0.5), Projection.identity()], ids=["table", "direct"]
+)
+def test_check_evaluates_at_most_a_chunk_at_a_time(luk_or, projection):
+    f = _BatchRecorder(luk_or)
+    sampling = SamplingSpec.grid(101)
+    assert 101**2 > EVAL_CHUNK
+    report = check_coherence(f, projection, sampling)
+    assert report.n_points == 101**2
+    assert max(f.sizes) <= EVAL_CHUNK
+    # f(x) on every point, then the baseline: per fiber or per point
+    assert sum(f.sizes) == 101**2 + (4 if projection.is_boolean else 101**2)

@@ -39,6 +39,7 @@ from cohexp import (
     quotient_of,
     to_dict,
 )
+from cohexp.core import fiber_digits
 from conftest import jump_high, jump_low
 
 D = Projection.threshold(0.5)
@@ -168,6 +169,23 @@ class TestDomainExtension:
         doc["contaminated"] = [digits]
         with pytest.raises(SerializationError):
             from_dict(doc)
+
+    @pytest.mark.parametrize("size", [20, 1, 0], ids=["many", "one", "empty"])
+    def test_contaminated_membership_matches_isin(self, size):
+        """A control input is used exactly on the codes ``np.isin``
+        finds in the contaminated set, also for codes below its smallest
+        and above its largest member, and for an empty set."""
+        k, n = 4, 3
+        rng = np.random.default_rng(size)
+        fibers = sorted(rng.choice(np.arange(8, k**n - 8), size=size, replace=False).tolist())
+        ext = ExtendedExpr(Const((0.25,), in_arity=n), Projection.quantize(k), (0,), (fibers,))
+        doc = to_dict(ext)
+        assert len(doc["contaminated"]) == 1
+        codes = np.concatenate([np.arange(k**n), rng.integers(0, k**n, 500)])
+        xs = np.column_stack([fiber_digits(codes, k, n) / (k - 1), np.ones(len(codes))])
+        for expr in (ext, from_dict(doc)):
+            hit = expr.eval_batch(xs)[:, 0] == 1.0
+            assert np.array_equal(hit, np.isin(codes, fibers))
 
     def test_validation(self, luk_or):
         with pytest.raises(ValidationError):

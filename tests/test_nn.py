@@ -228,6 +228,30 @@ class TestMlpExpr:
         with pytest.raises(SerializationError, match="weights_ref"):
             from_dict({"node": "mlp", "in_arity": 2, "out_arity": 1, "weights_ref": "w.json"})
 
+    @pytest.mark.parametrize(
+        "layer, activation",
+        [(0, "relu"), (0, "tanh"), (0, "sigmoid"), (1, "relu"), (1, "tanh"), (1, "prelu")],
+    )
+    def test_unsupported_activation_rejected(self, layer, activation):
+        """Hidden layers are PReLU and the output layer is sigmoid; a
+        document declaring anything else is refused, not evaluated as
+        PReLU/sigmoid under another name."""
+        doc = init_model(1, (1,), 1, np.random.default_rng(3)).to_dict()
+        doc["layers"][layer]["activation"] = activation
+        with pytest.raises(SerializationError, match="activation") as exc:
+            MlpModel.from_dict(doc)
+        assert exc.value.code == "E_FORMAT"
+        with pytest.raises(SerializationError, match="activation"):
+            from_dict({"node": "mlp", "in_arity": 1, "out_arity": 1, "model": doc})
+
+    def test_activation_key_is_optional(self):
+        model = init_model(2, (3, 2), 1, np.random.default_rng(4))
+        doc = model.to_dict()
+        for layer in doc["layers"]:
+            del layer["activation"]
+        xs = np.random.default_rng(5).random((8, 2))
+        assert np.array_equal(forward(MlpModel.from_dict(doc), xs), forward(model, xs))
+
     def test_model_document_shape(self):
         model = init_model(2, (3,), 1, np.random.default_rng(1))
         doc = model.to_dict()
