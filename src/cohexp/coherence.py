@@ -126,8 +126,11 @@ class SamplingSpec:
                     f"grid of {k}^{arity} points exceeds the cap of {_MAX_SAMPLE_POINTS}"
                 )
             axis = np.linspace(0.0, 1.0, k)
-            mesh = np.meshgrid(*([axis] * arity), indexing="ij")
-            return np.stack(mesh, axis=-1).reshape(-1, arity)
+            out = np.empty((total, arity))
+            for j in range(arity):
+                # column j repeats each level k**(arity-j-1) times, k**j times over
+                out.reshape(k**j, k, -1, arity)[:, :, :, j] = axis[:, None]
+            return out
         rng = np.random.default_rng(self.seed)
         return rng.random((int(self.count), arity))  # type: ignore[arg-type]
 

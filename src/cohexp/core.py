@@ -425,6 +425,8 @@ class Affine(FuzzyExpr):
             raise ValidationError("affine matrix rows must have equal length")
         if len(self.bias) != len(mat):
             raise ValidationError("affine bias length must match the row count")
+        if not np.all(np.isfinite(mat)) or not np.all(np.isfinite(self.bias)):
+            raise ValidationError("affine matrix and bias must be finite")
 
     @property
     def in_arity(self) -> int:
@@ -719,14 +721,23 @@ def from_dict(doc: dict, decode: Callable[[dict], FuzzyExpr] | None = None) -> F
     """Rebuild an expression from its dict form.
 
     ``decode`` is the recursion hook used for nested nodes; external
-    callers normally leave it unset.
+    callers normally leave it unset.  A document nested too deeply for
+    the interpreter's recursion limit is a :class:`SerializationError`.
     """
+    # caught once, where the stack has unwound, rather than in every node
+    try:
+        return _decode_node(doc, decode)
+    except RecursionError as exc:
+        raise SerializationError("expression document is nested too deeply to decode") from exc
+
+
+def _decode_node(doc: dict, decode: Callable[[dict], FuzzyExpr] | None = None) -> FuzzyExpr:
     if not isinstance(doc, dict):
         raise SerializationError(f"expression document must be an object, got {type(doc).__name__}")
     name = doc.get("node")
     if name not in NODE_TYPES:
         raise SerializationError(f"unknown expression node {name!r}")
-    dec = decode if decode is not None else from_dict
+    dec = decode if decode is not None else _decode_node
     try:
         expr = NODE_TYPES[name].from_payload(doc, dec)
     except (KeyError, TypeError, IndexError, ValueError) as exc:

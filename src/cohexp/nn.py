@@ -15,6 +15,9 @@ optional *coherence penalty*::
 
 The last term pulls the network's value at ``x`` towards its value at
 the projected point ``d(x)``, i.e. towards being coherent under ``d``.
+A penalised step makes one forward pass over the stacked batch
+``[x; d(x)]`` and, backpropagation being linear in the logit gradient,
+one backward pass from both halves' stacked logit gradients.
 
 Backpropagation is hand-written; ``gradient_check`` compares it
 against central finite differences and returns the worst discrepancy,
@@ -101,6 +104,8 @@ class MlpModel:
             weights = [np.asarray(l["weights"], dtype=np.float64) for l in layers]
             biases = [np.asarray(l["bias"], dtype=np.float64) for l in layers]
             slopes = np.asarray([float(l.get("slope", 0.25)) for l in layers[:-1]])
+            if not all(np.isfinite(a).all() for a in (*weights, *biases, slopes)):
+                raise SerializationError("model weights, biases and slopes must be finite")
             for i, layer in enumerate(layers):
                 expected = "prelu" if i < len(layers) - 1 else "sigmoid"
                 if layer.get("activation", expected) != expected:
@@ -166,12 +171,8 @@ def init_model(
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    e = np.exp(z[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _forward_cache(model: MlpModel, xs: np.ndarray) -> tuple[np.ndarray, list]:
@@ -212,7 +213,7 @@ def _backward(model: MlpModel, cache: list, d_logits: np.ndarray) -> list[np.nda
     for i in range(n_hidden - 1, -1, -1):
         a_prev, z = cache[i]
         neg = z <= 0
-        dslope[i] = np.sum(da * np.where(neg, z, 0.0))
+        dslope[i] = (da * np.where(neg, z, 0.0)).sum()
         dz = da * np.where(neg, model.slopes[i], 1.0)
         dW[i] = dz.T @ a_prev
         db[i] = dz.sum(axis=0)
@@ -233,32 +234,30 @@ def loss_and_grads(
     ys = np.asarray(ys, dtype=np.float64)
     if ys.ndim == 1:
         ys = ys.reshape(-1, 1)
-    n_items = ys.size
+    n, n_items = xs.shape[0], ys.size
+    penalised = cfg.coherence_lambda > 0.0
 
     # divergence shows up as non-finite values that the caller checks;
     # the intermediate overflow itself is expected there, not a bug
     with np.errstate(over="ignore", invalid="ignore"):
-        out, cache = _forward_cache(model, xs)
-        logits = cache[-1][1]
-        bce = float(np.mean(np.logaddexp(0.0, logits) - ys * logits))
+        batch = np.concatenate([xs, cfg.projection.apply(xs)]) if penalised else xs
+        out_all, cache = _forward_cache(model, batch)
+        out, logits = out_all[:n], cache[-1][1][:n]
+        total = float(np.mean(np.logaddexp(0.0, logits) - ys * logits))
         d_logits = (out - ys) / n_items
-        grads = _backward(model, cache, d_logits)
-
-        total = bce
-        if cfg.coherence_lambda > 0.0:
-            xs_fix = cfg.projection.apply(xs)
-            out_fix, cache_fix = _forward_cache(model, xs_fix)
+        if penalised:
+            out_fix = out_all[n:]
             diff = out - out_fix
             total += cfg.coherence_lambda * float(np.mean(np.abs(diff)))
             s = cfg.coherence_lambda * np.sign(diff) / n_items
-            g_main = _backward(model, cache, s * out * (1.0 - out))
-            g_fix = _backward(model, cache_fix, -s * out_fix * (1.0 - out_fix))
-            for acc, g1, g2 in zip(grads, g_main, g_fix):
-                acc += g1 + g2
+            d_logits = np.concatenate(
+                [d_logits + s * out * (1.0 - out), -s * out_fix * (1.0 - out_fix)]
+            )
+        grads = _backward(model, cache, d_logits)
 
         if cfg.weight_decay > 0.0:
             for i, w in enumerate(model.weights):
-                total += cfg.weight_decay * float(np.sum(w * w))
+                total += cfg.weight_decay * float((w * w).sum())
                 grads[i] += 2.0 * cfg.weight_decay * w
 
     return total, grads

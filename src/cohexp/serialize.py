@@ -27,6 +27,8 @@ def load_json(path: str | Path) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SerializationError(f"{p} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SerializationError(f"{p} is nested too deeply to parse") from exc
     if not isinstance(doc, dict):
         raise SerializationError(f"{p} must hold a JSON object")
     return doc
@@ -54,7 +56,11 @@ def load_expr(path: str | Path) -> FuzzyExpr:
     """Load an expression document, resolving ``weights_ref`` entries
     relative to the file's directory."""
     p = Path(path)
-    doc = _resolve_weight_refs(load_json(p), p.parent)
+    doc = load_json(p)
+    try:
+        doc = _resolve_weight_refs(doc, p.parent)
+    except RecursionError as exc:
+        raise SerializationError(f"{p} is nested too deeply to resolve") from exc
     return from_dict(doc)
 
 

@@ -87,6 +87,26 @@ class TestCheck:
         assert run(["check", "--expr", str(tmp_path / "nope.json")]) == BAD_INPUT
         assert "error[E_FORMAT]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", [
+        '{"node": "const", "in_arity": 1, "values": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        '{"node": "compose", "outer": {"node": "coord", "indices": [0], "in_arity": 1}, '
+        '"inner": ' * 3000 + '{"node": "coord", "indices": [0], "in_arity": 1}' + "}" * 3000,
+    ], ids=["deep-value", "compose-chain"])
+    def test_deeply_nested_document(self, body, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(body)
+        assert run(["check", "--expr", str(path)]) == BAD_INPUT
+        err = capsys.readouterr().err
+        assert "error[E_FORMAT]" in err and "Traceback" not in err
+
+    def test_non_finite_affine_weight(self, tmp_path, capsys):
+        """A NaN weight used to be reported coherent_on_sample with
+        fraction 1.0, because NaN >= alpha is false on both sides."""
+        path = tmp_path / "nan.json"
+        path.write_text('{"node": "affine", "matrix": [[NaN, 0.5]], "bias": [0.0]}')
+        assert run(["check", "--expr", str(path)]) == BAD_INPUT
+        assert "error[E_FORMAT]" in capsys.readouterr().err
+
     def test_quantize_projection_flag(self, or_file, capsys):
         assert run([
             "check", "--expr", or_file, "--quantize", "3",

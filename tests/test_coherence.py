@@ -57,6 +57,15 @@ class TestSamplingSpec:
             [1.0, 0.0], [1.0, 0.5], [1.0, 1.0],
         ]
 
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    @pytest.mark.parametrize("k", [2, 3, 17])
+    def test_grid_matches_meshgrid(self, arity, k):
+        axis = np.linspace(0.0, 1.0, k)
+        expected = np.stack(np.meshgrid(*([axis] * arity), indexing="ij"), -1).reshape(-1, arity)
+        xs = SamplingSpec.grid(k).sample(arity)
+        assert xs.shape == expected.shape and xs.dtype == expected.dtype
+        assert xs.tobytes() == expected.tobytes()
+
     def test_grid_includes_endpoints(self):
         xs = SamplingSpec.grid(101).sample(1)
         assert xs[0, 0] == 0.0 and xs[-1, 0] == 1.0

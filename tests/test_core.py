@@ -171,6 +171,20 @@ class TestEvaluation:
         with pytest.raises(ValidationError):
             f((0.7,))
 
+    @pytest.mark.parametrize("matrix, bias", [
+        (((float("nan"), 0.0),), (0.0,)),
+        (((1.0, float("inf")),), (0.0,)),
+        (((1.0, 0.0),), (float("nan"),)),
+        (((1.0, 0.0),), (float("-inf"),)),
+    ])
+    def test_affine_rejects_non_finite_parameters(self, matrix, bias):
+        with pytest.raises(ValidationError, match="finite"):
+            Affine(matrix, bias)
+        doc = {"node": "affine", "matrix": [list(r) for r in matrix], "bias": list(bias)}
+        with pytest.raises(SerializationError, match="finite") as exc:
+            from_dict(doc)
+        assert exc.value.code == "E_FORMAT"
+
     def test_lifted_projection(self):
         f = LiftedProjection(Projection.threshold(0.5), 2)
         assert f((0.2, 0.8)) == (0.0, 1.0)
@@ -307,6 +321,15 @@ class TestSerialisation:
     def test_non_object_rejected(self):
         with pytest.raises(SerializationError):
             from_dict([1, 2, 3])
+
+    def test_deeply_nested_document_rejected(self):
+        doc = {"node": "coord", "indices": [0], "in_arity": 1}
+        for _ in range(5000):
+            doc = {"node": "compose", "outer": {"node": "coord", "indices": [0], "in_arity": 1},
+                   "inner": doc}
+        with pytest.raises(SerializationError, match="nested too deeply") as exc:
+            from_dict(doc)
+        assert exc.value.code == "E_FORMAT"
 
 
 # ---------------------------------------------------------------------------

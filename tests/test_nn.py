@@ -27,6 +27,7 @@ from cohexp import (
     to_dict,
     train,
 )
+from cohexp import nn
 from cohexp.experiments import make_dataset
 
 
@@ -136,6 +137,112 @@ class TestGradients:
         assert shapes == expected
 
 
+def three_pass_loss_and_grads(model, xs, ys, cfg):
+    """The penalised step as it was first written: separate forward
+    passes on ``x`` and ``d(x)`` and three backward passes (BCE, penalty
+    at ``x``, penalty at ``d(x)``) summed per parameter.  Kept as the
+    reference the one-pass step is checked against."""
+    n_items = ys.size
+    out, cache = nn._forward_cache(model, xs)
+    logits = cache[-1][1]
+    total = float(np.mean(np.logaddexp(0.0, logits) - ys * logits))
+    grads = nn._backward(model, cache, (out - ys) / n_items)
+    out_fix, cache_fix = nn._forward_cache(model, cfg.projection.apply(xs))
+    diff = out - out_fix
+    total += cfg.coherence_lambda * float(np.mean(np.abs(diff)))
+    s = cfg.coherence_lambda * np.sign(diff) / n_items
+    g_main = nn._backward(model, cache, s * out * (1.0 - out))
+    g_fix = nn._backward(model, cache_fix, -s * out_fix * (1.0 - out_fix))
+    for acc, g1, g2 in zip(grads, g_main, g_fix):
+        acc += g1 + g2
+    for i, w in enumerate(model.weights):
+        total += cfg.weight_decay * float(np.sum(w * w))
+        grads[i] += 2.0 * cfg.weight_decay * w
+    return total, grads
+
+
+def masked_sigmoid(z):
+    """The two-branch sigmoid with a boolean gather and scatter."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    e = np.exp(z[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+class TestPenalisedStep:
+    @pytest.mark.parametrize("hidden", [(16, 16), (3,), (4, 3)])
+    @pytest.mark.parametrize("count", [1, 7, 32])
+    @pytest.mark.parametrize("out_arity", [1, 2])
+    @pytest.mark.parametrize(
+        "projection", [Projection.threshold(0.5), Projection.quantize(3)], ids=["thr", "q3"]
+    )
+    def test_matches_three_pass_reference(self, hidden, count, out_arity, projection):
+        rng = np.random.default_rng(31)
+        model = random_model(rng, hidden=hidden, out_arity=out_arity)
+        xs = rng.random((count, 2))
+        ys = rng.integers(0, 2, (count, out_arity)).astype(np.float64)
+        cfg = TrainConfig(
+            hidden_sizes=hidden, weight_decay=1e-3, coherence_lambda=0.7, projection=projection
+        )
+        value, grads = loss_and_grads(model, xs, ys, cfg)
+        ref_value, ref_grads = three_pass_loss_and_grads(model, xs, ys, cfg)
+        assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+        assert [g.shape for g in grads] == [g.shape for g in ref_grads]
+        for got, ref in zip(grads, ref_grads):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("out_arity", [1, 2])
+    def test_unpenalised_step_is_one_plain_pass(self, out_arity):
+        rng = np.random.default_rng(32)
+        model = random_model(rng, hidden=(16, 16), out_arity=out_arity)
+        xs = rng.random((32, 2))
+        ys = rng.integers(0, 2, (32, out_arity)).astype(np.float64)
+        value, grads = loss_and_grads(model, xs, ys, TrainConfig(weight_decay=0.0))
+        out, cache = nn._forward_cache(model, xs)
+        logits = cache[-1][1]
+        expected = nn._backward(model, cache, (out - ys) / ys.size)
+        assert value == float(np.mean(np.logaddexp(0.0, logits) - ys * logits))
+        for got, ref in zip(grads, expected):
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    def test_one_forward_and_one_backward_per_call(self, lam, monkeypatch):
+        calls = {"forward": 0, "backward": 0}
+        forward_cache, backward = nn._forward_cache, nn._backward
+
+        def counted_forward(*args):
+            calls["forward"] += 1
+            return forward_cache(*args)
+
+        def counted_backward(*args):
+            calls["backward"] += 1
+            return backward(*args)
+
+        monkeypatch.setattr(nn, "_forward_cache", counted_forward)
+        monkeypatch.setattr(nn, "_backward", counted_backward)
+        rng = np.random.default_rng(33)
+        xs, ys = small_batch(rng)
+        loss_and_grads(random_model(rng), xs, ys, TrainConfig(coherence_lambda=lam))
+        assert calls == {"forward": 1, "backward": 1}
+
+    def test_sigmoid_matches_masked_two_branch_formula(self):
+        tiny = np.finfo(np.float64).tiny
+        special = np.array([
+            0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, tiny / 2, -tiny / 2, tiny, -tiny,
+            745.0, -745.0, 746.0, -746.0, 709.8, -709.8, 36.0, -36.0, 1e308, -1e308,
+        ])
+        rng = np.random.default_rng(34)
+        finite = np.concatenate([
+            rng.normal(0.0, 4.0, 4000), rng.normal(0.0, 300.0, 4000), rng.uniform(-1e-300, 1e-300, 100)
+        ])
+        for z in (special, finite, finite.reshape(-1, 2), special.reshape(-1, 4)):
+            got = nn._sigmoid(z)
+            assert got.shape == z.shape and got.dtype == z.dtype
+            assert got.tobytes() == masked_sigmoid(z).tobytes()
+
+
 class TestTrain:
     def test_zero_learning_rate_returns_initialisation(self):
         train_set = make_dataset("xor", "train", 64, seed=0)
@@ -243,6 +350,22 @@ class TestMlpExpr:
         assert exc.value.code == "E_FORMAT"
         with pytest.raises(SerializationError, match="activation"):
             from_dict({"node": "mlp", "in_arity": 1, "out_arity": 1, "model": doc})
+
+    @pytest.mark.parametrize("key", ["weights", "bias", "slope"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameters_rejected(self, key, value):
+        doc = init_model(2, (3,), 1, np.random.default_rng(6)).to_dict()
+        if key == "weights":
+            doc["layers"][1]["weights"][0][2] = value
+        elif key == "bias":
+            doc["layers"][0]["bias"][1] = value
+        else:
+            doc["layers"][0]["slope"] = value
+        with pytest.raises(SerializationError, match="finite") as exc:
+            MlpModel.from_dict(doc)
+        assert exc.value.code == "E_FORMAT"
+        with pytest.raises(SerializationError, match="finite"):
+            from_dict({"node": "mlp", "in_arity": 2, "out_arity": 1, "model": doc})
 
     def test_activation_key_is_optional(self):
         model = init_model(2, (3, 2), 1, np.random.default_rng(4))

@@ -43,6 +43,12 @@ class TestJsonFiles:
         with pytest.raises(SerializationError, match="not valid JSON"):
             load_json(path)
 
+    def test_deeply_nested_json_rejected(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"node": "const", "values": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        with pytest.raises(SerializationError, match="nested too deeply"):
+            load_json(path)
+
     def test_non_object_rejected(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
@@ -103,6 +109,16 @@ class TestExprFiles:
         save_json(doc, tmp_path / "net.json")
         loaded = load_expr(tmp_path / "net.json")
         assert loaded.in_arity == 2
+
+    @pytest.mark.parametrize("depth", [600, 3000])
+    def test_deeply_nested_expression_rejected(self, tmp_path, depth):
+        """Past the JSON parser's depth limit, or within it but too deep
+        to resolve references or decode, loading is a coded error."""
+        leaf = '{"node": "coord", "indices": [0], "in_arity": 1}'
+        path = tmp_path / "chain.json"
+        path.write_text(f'{{"node": "compose", "outer": {leaf}, "inner": ' * depth + leaf + "}" * depth)
+        with pytest.raises(SerializationError, match="nested too deeply"):
+            load_expr(path)
 
     def test_saved_expr_is_plain_json(self, tmp_path):
         path = tmp_path / "expr.json"
