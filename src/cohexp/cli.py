@@ -96,12 +96,12 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
                        default=dflt("identity", False),
                        help="use the identity projection")
 
-    def add_sampling(p: argparse.ArgumentParser) -> None:
+    def add_sampling(p: argparse.ArgumentParser, scope: str = "") -> None:
         g = p.add_mutually_exclusive_group()
         g.add_argument("--grid", type=int, default=dflt("grid", None),
-                       metavar="K", help="grid sampling with K points per axis")
+                       metavar="K", help=f"grid sampling with K points per axis{scope}")
         g.add_argument("--random", type=int, default=dflt("random", None),
-                       metavar="N", help="random sampling with N points")
+                       metavar="N", help=f"random sampling with N points{scope}")
 
     p_check = sub.add_parser("check", help="sampled coherence report")
     p_check.add_argument("--expr", required=True, metavar="FILE")
@@ -115,7 +115,7 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p_explain = sub.add_parser("explain", help="extract a DNF explanation")
     p_explain.add_argument("--expr", required=True, metavar="FILE")
     add_projection(p_explain)
-    add_sampling(p_explain)
+    add_sampling(p_explain, "; used only by --gamma extend or output-mod:FILE")
     p_explain.add_argument("--gamma", default=dflt("gamma", None),
                            metavar="KIND", help="extend | output-mod[:fallback-file]")
     p_explain.add_argument("--no-simplify", dest="simplify", action="store_false",

@@ -55,7 +55,8 @@ __all__ = [
 # coherent fractions always count every sampled point.
 DEFAULT_WITNESS_CAP = 100
 
-# Grid sampling refuses to materialise more points than this.
+# Sampling, on a grid or at random, refuses to materialise more points
+# than this; the check comes before anything is allocated or drawn.
 _MAX_SAMPLE_POINTS = 4_194_304
 
 # Expressions are evaluated in slices of at most this many rows, small
@@ -118,21 +119,20 @@ class SamplingSpec:
             raise ValidationError("arity must be >= 0")
         if arity == 0:
             return np.zeros((1, 0), dtype=np.float64)
-        if self.mode == "grid":
-            k = int(self.points_per_axis)  # type: ignore[arg-type]
-            total = k**arity
-            if total > _MAX_SAMPLE_POINTS:
-                raise CapacityError(
-                    f"grid of {k}^{arity} points exceeds the cap of {_MAX_SAMPLE_POINTS}"
-                )
-            axis = np.linspace(0.0, 1.0, k)
-            out = np.empty((total, arity))
-            for j in range(arity):
-                # column j repeats each level k**(arity-j-1) times, k**j times over
-                out.reshape(k**j, k, -1, arity)[:, :, :, j] = axis[:, None]
-            return out
-        rng = np.random.default_rng(self.seed)
-        return rng.random((int(self.count), arity))  # type: ignore[arg-type]
+        k = int(self.points_per_axis or 0)
+        total = k**arity if self.mode == "grid" else int(self.count)  # type: ignore[arg-type]
+        if total > _MAX_SAMPLE_POINTS:
+            raise CapacityError(
+                f"{self.mode} sample of {total} points exceeds the cap of {_MAX_SAMPLE_POINTS}"
+            )
+        if self.mode == "random":
+            return np.random.default_rng(self.seed).random((total, arity))
+        axis = np.linspace(0.0, 1.0, k)
+        out = np.empty((total, arity))
+        for j in range(arity):
+            # column j repeats each level k**(arity-j-1) times, k**j times over
+            out.reshape(k**j, k, -1, arity)[:, :, :, j] = axis[:, None]
+        return out
 
     def to_dict(self) -> dict:
         doc: dict = {"mode": self.mode}

@@ -740,12 +740,13 @@ def _decode_node(doc: dict, decode: Callable[[dict], FuzzyExpr] | None = None) -
     dec = decode if decode is not None else _decode_node
     try:
         expr = NODE_TYPES[name].from_payload(doc, dec)
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        declared = {key: int(doc[key]) for key in ("in_arity", "out_arity") if key in doc}
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise SerializationError(f"malformed {name!r} node: {exc}") from exc
     except ValidationError as exc:
         raise SerializationError(f"invalid {name!r} node: {exc}") from exc
     for key, got in (("in_arity", expr.in_arity), ("out_arity", expr.out_arity)):
-        if key in doc and int(doc[key]) != got:
+        if declared.get(key, got) != got:
             raise SerializationError(
                 f"declared {key}={doc[key]} does not match reconstructed {got}"
             )

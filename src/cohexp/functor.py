@@ -8,17 +8,17 @@ with composition (``verify_functor_law`` checks the latter on concrete
 pairs and reports the first violating vertex otherwise).
 
 ``table_to_dnf`` turns a truth table into a disjunctive normal form,
-either verbatim (one conjunction per true row) or minimised exactly
-with Quine-McCluskey prime implicants plus Petrick's method for the
-covering step.  Minimisation never changes semantics: the DNF agrees
-with the source table on every vertex.
+either verbatim (one conjunction per true row) or minimised exactly:
+prime cubes come from a ternary cube table (digit 2 is "either"), and
+the cover from a branch and bound over primes held as int bitsets.
+Minimisation never changes semantics: the DNF agrees with the source
+table on every vertex.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -271,136 +271,132 @@ def verify_functor_law(f: FuzzyExpr, g: FuzzyExpr, projection: Projection) -> Fu
 
 
 # ---------------------------------------------------------------------------
-# Quine-McCluskey with Petrick's method
+# exact minimisation: prime cubes and covers as bitsets
 # ---------------------------------------------------------------------------
 
 
-def _prime_implicants(minterms: Sequence[int], n: int) -> list[tuple[int, int]]:
-    """All prime implicant cubes of the on-set, as ``(value, mask)``
-    pairs where mask bits are don't-cares and value has them zeroed."""
-    current = {(m, 0) for m in minterms}
-    primes: set[tuple[int, int]] = set()
-    while current:
-        merged: set[tuple[int, int]] = set()
-        next_level: set[tuple[int, int]] = set()
-        by_mask: dict[int, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
-        for value, mask in current:
-            by_mask[mask][bin(value).count("1")].append(value)
-        for mask, groups in by_mask.items():
-            for ones, values in groups.items():
-                partners = groups.get(ones + 1, [])
-                for a in values:
-                    for b in partners:
-                        d = a ^ b
-                        if d & (d - 1) == 0:  # single differing bit
-                            next_level.add((a & ~d, mask | d))
-                            merged.add((a, mask))
-                            merged.add((b, mask))
-        primes |= current - merged
-        current = next_level
-    return sorted(primes, key=lambda c: (c[1], c[0]))
+def _bits(x: int) -> Iterator[int]:
+    """Indices of the set bits of ``x``, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
-def _cube_cost(cube: tuple[int, int], n: int) -> int:
-    """Number of literals the cube contributes."""
-    return n - bin(cube[1]).count("1")
+def _packed(hits: np.ndarray) -> list[int]:
+    """Each row of a bool matrix as one int, column ``j`` at bit ``j``."""
+    return [int.from_bytes(r.tobytes(), "little") for r in np.packbits(hits, 1, bitorder="little")]
 
 
-def _petrick_min_cover(
-    remaining: list[int],
-    cover_sets: dict[int, list[tuple[int, int]]],
-    n: int,
-) -> list[tuple[int, int]]:
-    """Exact minimum cover of the remaining minterms.
+def _prime_cubes(column: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Prime implicants of the on-set as ``(value, mask)`` arrays in
+    ``(mask, value)`` order, read off a ternary cube table (digit 2 is
+    "either"): a cube is prime when no 0/1 digit widens to 2."""
+    t = np.zeros((3,) * n, dtype=bool)
+    t[(slice(0, 2),) * n] = column.reshape((2,) * n)
+    axes = [(slice(None),) * a for a in range(n)]
+    for ax in axes:
+        t[ax + (2,)] = t[ax + (0,)] & t[ax + (1,)]
+    prime = t.copy()
+    for ax in axes:
+        prime[ax + (slice(2),)] &= ~t[ax + (slice(2, 3),)]
+    digits = fiber_digits(np.flatnonzero(prime), 3, n)
+    weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int16)  # n <= MAX_SIMPLIFY_INPUTS
+    value, mask = ((digits == d) @ weights for d in (1, 2))
+    order = np.lexsort((value, mask))
+    return value[order], mask[order]
 
-    Depth-first branch and bound over the cyclic core: branch on the
-    minterm with the fewest candidate cubes, cut branches that cannot
-    reach the best cover size found so far, and among minimum-size
-    covers prefer the fewest literals, then canonical cube order.
-    """
-    covers = {m: tuple(cover_sets[m]) for m in remaining}
-    coverage: dict[tuple[int, int], set[int]] = {}
-    for m, primes in covers.items():
-        for p in primes:
-            coverage.setdefault(p, set()).add(m)
-    frozen = {p: frozenset(ms) for p, ms in coverage.items()}
 
-    best_key: tuple | None = None
+def _cheapest_cover(left: int, allowed: int, rows: list[int], cols: list[int], cost: list[int],
+                    cubes: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The cover of the ``left`` minterm bits by ``allowed`` prime bits
+    with the least ``(cube count, literal count, cube list)``, by branch
+    and bound.  Each node takes essential primes, drops minterms whose
+    primes include another's and primes that a strictly cheaper prime
+    contains (none of which can lose a tie), bounds by a greedy set of
+    minterms no two of which share a prime, and branches on the minterm
+    with the fewest primes, later siblings excluding those tried."""
+    best: tuple = (float("inf"),)
 
-    def search(uncovered: frozenset, chosen: tuple[tuple[int, int], ...]) -> None:
-        nonlocal best_key
-        if not uncovered:
-            cubes = sorted(chosen, key=lambda c: (c[1], c[0]))
-            key = (len(cubes), sum(_cube_cost(c, n) for c in cubes), cubes)
-            if best_key is None or key < best_key:
-                best_key = key
-            return
-        gains = {p: len(frozen[p] & uncovered) for m in uncovered for p in covers[m]}
-        if best_key is not None:
-            lower = len(chosen) + -(-len(uncovered) // max(gains.values()))
-            if lower > best_key[0]:
+    def search(left: int, allowed: int, chosen: tuple[int, ...]) -> None:
+        nonlocal best
+        while True:
+            opts = {j: cols[j] & allowed for j in _bits(left)}
+            if not all(opts.values()):
                 return
-        target = min(uncovered, key=lambda m: (len(covers[m]), m))
-        # try high-coverage cubes first so the incumbent tightens early
-        options = sorted(covers[target], key=lambda p: (-gains[p], p[1], p[0]))
-        for p in options:
-            search(uncovered - frozen[p], chosen + (p,))
-
-    search(frozenset(remaining), ())
-    assert best_key is not None
-    return best_key[2]
-
-
-def _minimum_cover(minterms: list[int], n: int) -> list[tuple[int, int]]:
-    """Quine-McCluskey: prime implicants, essential-prime extraction
-    with dominance reductions, Petrick's method on the cyclic core."""
-    primes = _prime_implicants(minterms, n)
-    covers: dict[tuple[int, int], set[int]] = {
-        p: {m for m in minterms if (m & ~p[1]) == p[0]} for p in primes
-    }
-    uncovered = set(minterms)
-    chosen: list[tuple[int, int]] = []
-    active = list(primes)
-
-    changed = True
-    while changed and uncovered:
-        changed = False
-        # essential primes: a minterm with a single remaining cover
-        for m in sorted(uncovered):
-            cands = [p for p in active if m in covers[p]]
-            if len(cands) == 1:
-                p = cands[0]
-                chosen.append(p)
-                uncovered -= covers[p]
-                active.remove(p)
-                changed = True
-                break
-        if changed:
-            continue
-        # prime dominance: drop primes whose remaining coverage is
-        # contained in a no-more-expensive competitor
-        for p in list(active):
-            pm = covers[p] & uncovered
-            if not pm:
-                active.remove(p)
-                changed = True
+            single = next((o for o in opts.values() if not o & (o - 1)), 0)
+            if single:
+                p = single.bit_length() - 1
+                chosen, left, allowed = chosen + (p,), left & ~rows[p], allowed & ~single
                 continue
-            for q in active:
-                if q == p:
-                    continue
-                if pm <= (covers[q] & uncovered) and _cube_cost(q, n) <= _cube_cost(p, n):
-                    if (covers[q] & uncovered) == pm and _cube_cost(q, n) == _cube_cost(p, n):
-                        # symmetric: keep the canonically smaller cube
-                        if (q[1], q[0]) > (p[1], p[0]):
-                            continue
-                    active.remove(p)
-                    changed = True
-                    break
+            rest, kept = 0, []
+            for j in sorted(opts, key=lambda j: opts[j].bit_count()):
+                if all(o & ~opts[j] for o in kept):
+                    rest, kept = rest | 1 << j, kept + [opts[j]]
+            reach = {p: rows[p] & rest for p in _bits(allowed)}
+            useful = sum(1 << p for p, pm in reach.items() if pm and all(
+                cost[q] >= cost[p] or pm & ~qm for q, qm in reach.items()))
+            if (rest, useful) == (left, allowed):
+                break
+            left, allowed = rest, useful
+        lits = sum(cost[p] for p in chosen)
+        if not left:
+            best = min(best, (len(chosen), lits, [cubes[p] for p in sorted(chosen)]))
+            return
+        size, used = len(chosen), 0
+        for o in sorted(opts.values(), key=int.bit_count):
+            if not o & used:
+                size, lits, used = size + 1, lits + min(cost[p] for p in _bits(o)), used | o
+        if (size, lits) > best[:2]:
+            return
+        target = min(opts.values(), key=int.bit_count)
+        for p in sorted(_bits(target), key=lambda p: (-(rows[p] & left).bit_count(), cost[p], p)):
+            search(left & ~rows[p], allowed & ~(1 << p), chosen + (p,))
+            allowed &= ~(1 << p)
 
+    search(left, allowed, ())
+    return best[2]
+
+
+def _minimum_cover(column: np.ndarray, n: int) -> list[tuple[int, int]]:
+    """Exact minimum cover of the on-set by ``(value, mask)`` cubes in ``(mask, value)``
+    order: essential primes and dominance, then the cyclic core's cheapest cover."""
+    value, mask = _prime_cubes(column, n)
+    hits = (np.flatnonzero(column).astype(np.int16) & ~mask[:, None]) == value[:, None]
+    rows, cols = _packed(hits), _packed(hits.T)
+    cost = [n - int(m).bit_count() for m in mask]
+    cubes = [(int(v), int(m)) for v, m in zip(value, mask)]
+    cover: list[tuple[int, int]] = []
+    uncovered, active = (1 << hits.shape[1]) - 1, list(range(len(cubes)))
+    while uncovered:
+        # essential primes: the lowest minterm with a single remaining cover
+        once = twice = 0
+        for p in active:
+            once, twice = once | rows[p], twice | (once & rows[p])
+        single = once & ~twice & uncovered
+        if single:
+            p = next(p for p in active if rows[p] & (single & -single))
+            cover.append(cubes[p])
+            active.remove(p)
+            uncovered &= ~rows[p]
+            continue
+        # prime dominance, in (mask, value) order: drop primes whose
+        # remaining coverage a no-more-expensive competitor contains;
+        # on a symmetric tie keep the canonically smaller cube
+        before = len(active)
+        for p in list(active):
+            pm = rows[p] & uncovered
+            if not pm or any(
+                q != p and not pm & ~(rows[q] & uncovered) and cost[q] <= cost[p]
+                and (q < p or rows[q] & uncovered != pm or cost[q] < cost[p])
+                for q in active
+            ):
+                active.remove(p)
+        if len(active) == before:
+            break
     if uncovered:
-        cover_sets = {m: [p for p in active if m in covers[p]] for m in sorted(uncovered)}
-        chosen.extend(_petrick_min_cover(sorted(uncovered), cover_sets, n))
-    return sorted(set(chosen), key=lambda c: (c[1], c[0]))
+        cover += _cheapest_cover(uncovered, sum(1 << p for p in active), rows, cols, cost, cubes)
+    return sorted(cover, key=lambda c: (c[1], c[0]))
 
 
 def _cube_to_term(cube: tuple[int, int], n: int) -> Term:
@@ -441,7 +437,7 @@ def table_to_dnf(
             outputs.append(((),))
             continue
         if simplify:
-            cubes = _minimum_cover(ons, n)
+            cubes = _minimum_cover(table.column(o).astype(bool), n)
         else:
             cubes = [(m, 0) for m in ons]
         outputs.append(tuple(_cube_to_term(c, n) for c in cubes))

@@ -443,12 +443,15 @@ def explain(
 ) -> DnfFormula:
     """Repair, booleanize, and extract a DNF explanation.
 
-    Control inputs added by domain extension are named ``nc`` (or
-    ``nc1``, ``nc2``, ... when several) unless names are supplied.
+    Output modification with the canonical fallback ``f . d`` is skipped:
+    it cannot fail, and leaves ``f`` alone on the Boolean vertices (fixed
+    points of ``d``).  Control inputs added by domain extension are named
+    ``nc`` (or ``nc1``, ``nc2``, ... when several) unless names are supplied.
     """
     if not spec.projection.is_boolean:
         raise ValidationError("explanations need a projection with image {0, 1}")
-    repaired = apply_gamma(f, spec)
+    canonical = spec.kind == "output_mod" and spec.fallback is None
+    repaired = f if canonical else apply_gamma(f, spec)
     names: tuple[str, ...] | None = tuple(var_names) if var_names is not None else None
     if names is None and isinstance(repaired, ExtendedExpr):
         p = len(repaired.components)

@@ -107,6 +107,20 @@ class TestCheck:
         assert run(["check", "--expr", str(path)]) == BAD_INPUT
         assert "error[E_FORMAT]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["in_arity", "out_arity"])
+    def test_non_integer_declared_arity(self, key, tmp_path, capsys):
+        path = tmp_path / "arity.json"
+        doc = {"node": "tnorm", "kind": "min", "in_arity": 2, "out_arity": 1, key: "abc"}
+        path.write_text(json.dumps(doc))
+        assert run(["check", "--expr", str(path)]) == BAD_INPUT
+        err = capsys.readouterr().err
+        assert "error[E_FORMAT]" in err and "Traceback" not in err
+
+    def test_random_sample_over_the_cap(self, or_file, capsys):
+        assert run(["check", "--expr", or_file, "--random", "1000000000000"]) == BAD_INPUT
+        err = capsys.readouterr().err
+        assert "error[E_CAPACITY]" in err and "Traceback" not in err
+
     def test_quantize_projection_flag(self, or_file, capsys):
         assert run([
             "check", "--expr", or_file, "--quantize", "3",
@@ -182,6 +196,17 @@ class TestExplain:
         doc = json.loads(capsys.readouterr().out)
         assert doc["formula"]["rendered"] == ["x ∨ y"]
         assert doc["gamma"]["kind"] == "output_mod"
+
+    def test_default_gamma_ignores_the_sample(self, or_file, capsys):
+        """The default repair is not run, so its sample is never drawn."""
+        assert run(["explain", "--expr", or_file, "--random", "1000000000000"]) == OK
+        assert capsys.readouterr().out == "output 0: x ∨ y\n"
+
+    def test_disagreeing_fallback_exits_3(self, or_file, const_one_file, capsys):
+        assert run([
+            "explain", "--expr", or_file, "--gamma", f"output-mod:{const_one_file}",
+        ]) == BAD_CONTRACT
+        assert "error[E_CONTRACT]" in capsys.readouterr().err
 
     def test_unknown_gamma(self, or_file, capsys):
         assert run(["explain", "--expr", or_file, "--gamma", "patch"]) == BAD_INPUT

@@ -9,6 +9,8 @@ the 0.5 threshold, which pins the expected grid fractions exactly:
   ``{x >= 0.5, y >= 0.5, x+y < 1.5}``.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,7 +43,7 @@ from cohexp import (
     init_model,
     is_coherent_at,
 )
-from cohexp.coherence import EVAL_CHUNK, fiber_table, projected_outputs
+from cohexp.coherence import _MAX_SAMPLE_POINTS, EVAL_CHUNK, fiber_table, projected_outputs
 from cohexp.core import fiber_digits
 
 # 101-point grid: the incoherent triangle holds 1225 of 10201 points.
@@ -81,6 +83,20 @@ class TestSamplingSpec:
     def test_grid_capacity_cap(self):
         with pytest.raises(CapacityError):
             SamplingSpec.grid(101).sample(4)
+
+    @pytest.mark.parametrize("count", [_MAX_SAMPLE_POINTS + 1, 10**12])
+    def test_random_capacity_cap(self, count):
+        spec = SamplingSpec.random(count, seed=3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                spec.sample(3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert SamplingSpec.random(_MAX_SAMPLE_POINTS, seed=3).sample(1).shape == (
+            _MAX_SAMPLE_POINTS, 1)
 
     def test_validation(self):
         with pytest.raises(ValidationError):

@@ -317,6 +317,12 @@ class TestSerialisation:
             from_dict({"node": "coord", "indices": [0], "in_arity": "abc", "out_arity": 1})
         with pytest.raises(SerializationError):
             from_dict({"node": "const", "values": "ab", "in_arity": 0, "out_arity": 2})
+        # the declared arities of a node that does not read them
+        for key in ("in_arity", "out_arity"):
+            for bad in ("abc", [], None):
+                doc = {"node": "tnorm", "kind": "min", "in_arity": 2, "out_arity": 1, key: bad}
+                with pytest.raises(SerializationError):
+                    from_dict(doc)
 
     def test_non_object_rejected(self):
         with pytest.raises(SerializationError):

@@ -33,6 +33,7 @@ from cohexp import (
     table_to_dnf,
     verify_functor_law,
 )
+from cohexp.functor import _prime_cubes
 from conftest import jump_low, step_at
 
 D = Projection.threshold(0.5)
@@ -56,11 +57,9 @@ def _cube_vertices(spec, n):
     )
 
 
-def brute_minimum_cover(column, n):
-    """(min number of terms, min total literals among such covers)."""
+def brute_primes(column, n):
+    """Maximal implicants as ``{vertex set: literal count}``."""
     ons = frozenset(i for i, v in enumerate(column) if v)
-    if not ons:
-        return 0, 0
     implicants = {}
     for spec in itertools.product((0, 1, None), repeat=n):
         covered = _cube_vertices(spec, n)
@@ -68,12 +67,20 @@ def brute_minimum_cover(column, n):
             cost = sum(1 for s in spec if s is not None)
             if covered not in implicants or cost < implicants[covered]:
                 implicants[covered] = cost
-    # only maximal implicants can appear in some minimum cover
-    primes = [
-        (cells, cost)
+    return {
+        cells: cost
         for cells, cost in implicants.items()
         if not any(cells < other for other in implicants)
-    ]
+    }
+
+
+def brute_minimum_cover(column, n):
+    """(min number of terms, min total literals among such covers)."""
+    ons = frozenset(i for i, v in enumerate(column) if v)
+    if not ons:
+        return 0, 0
+    # only maximal implicants can appear in some minimum cover
+    primes = list(brute_primes(column, n).items())
     for k in range(1, len(ons) + 1):
         best_literals = None
         for combo in itertools.combinations(primes, k):
@@ -273,6 +280,35 @@ class TestTableToDnf:
                 want_terms, want_literals = brute_minimum_cover(t.column(0), n)
                 assert len(got) == want_terms
                 assert sum(len(term) for term in got) == want_literals
+
+    def test_prime_cubes_match_the_oracle(self):
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            n = int(rng.integers(1, 6))
+            column = (rng.random(2**n) < rng.uniform(0.1, 0.9)).astype(np.uint8)
+            value, mask = _prime_cubes(column.astype(bool), n)
+            cubes = list(zip(value.tolist(), mask.tolist()))
+            assert cubes == sorted(cubes, key=lambda c: (c[1], c[0]))
+            got = {
+                frozenset(v for v in range(2**n) if v & ~m == val): n - bin(m).count("1")
+                for val, m in cubes
+            }
+            assert len(got) == len(cubes)
+            assert got == brute_primes(column, n)
+
+    def test_tie_break_between_minimum_covers(self):
+        """Several covers share the least term and literal counts here;
+        the canonically least cube list wins.  In the first table the
+        top-level dominance pass already decides the tie."""
+        column = np.isin(np.arange(8), (0, 2, 3, 4, 5)).astype(np.uint8)
+        assert table_to_dnf(table(*column)).render() == "(x ∧ ¬y) ∨ (¬x ∧ y) ∨ (¬x ∧ ¬z)"
+        column = np.isin(np.arange(8), (0, 1, 2, 5, 6, 7)).astype(np.uint8)
+        assert table_to_dnf(table(*column)).render() == "(x ∧ z) ∨ (¬x ∧ ¬y) ∨ (y ∧ ¬z)"
+        column = np.isin(np.arange(16), (1, 3, 4, 7, 8, 9, 10, 13, 14, 15)).astype(np.uint8)
+        assert table_to_dnf(table(*column)).render() == (
+            "(x ∧ ¬y ∧ ¬x4) ∨ (x ∧ z ∧ ¬x4) ∨ (x ∧ ¬z ∧ x4) ∨ (¬x ∧ ¬y ∧ x4) ∨ "
+            "(y ∧ z ∧ x4) ∨ (¬x ∧ y ∧ ¬z ∧ ¬x4)"
+        )
 
     def test_multi_output_handled_per_column(self):
         t = TruthTable(2, 2, [[0, 1], [1, 1], [1, 1], [1, 1]])

@@ -16,6 +16,7 @@ from cohexp import (
     ExtendedExpr,
     GammaSpec,
     LiftedProjection,
+    MlpExpr,
     OutputModExpr,
     Parallel,
     Projection,
@@ -35,10 +36,13 @@ from cohexp import (
     gamma_extend,
     gamma_output_mod,
     identity,
+    init_model,
     quotient_compose,
     quotient_of,
+    table_to_dnf,
     to_dict,
 )
+from cohexp import gamma as gamma_module
 from cohexp.core import fiber_digits
 from conftest import jump_high, jump_low
 
@@ -278,6 +282,28 @@ class TestExplain:
     def test_needs_boolean_projection(self, luk_or):
         with pytest.raises(ValidationError):
             explain(luk_or, GammaSpec("output_mod", Projection.quantize(3)))
+
+    def test_canonical_output_mod_runs_no_repair(self, luk_or, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gamma_module, "apply_gamma", lambda f, spec: calls.append(spec) or f)
+        assert explain(luk_or, output_mod_spec()).render() == "x ∨ y"
+        assert calls == []
+        explain(luk_or, extend_spec())
+        explain(luk_or, output_mod_spec(fallback=luk_or))
+        assert [spec.kind for spec in calls] == ["extend", "output_mod"]
+
+    def test_canonical_output_mod_keeps_the_table_of_f(self):
+        spec = output_mod_spec(sampling=SamplingSpec.random(20_000, seed=5))
+        xs = spec.sampling.sample(4)
+        model = init_model(4, (8, 8), 1, np.random.default_rng(12))
+        median = float(np.median(MlpExpr(model).eval_batch(xs)))
+        model.biases[-1] -= np.log(median / (1.0 - median))  # half the points above 0.5
+        f = MlpExpr(model)
+        assert not coherence_masks(f, D, xs).all()
+        repaired = apply_gamma(f, spec)
+        assert isinstance(repaired, OutputModExpr)
+        assert booleanize(repaired, D) == booleanize(f, D)
+        assert explain(f, spec) == table_to_dnf(booleanize(f, D))
 
     def test_multi_control_names(self, luk_or, luk_and):
         from cohexp import Coord
