@@ -263,7 +263,9 @@ def projected_outputs(
     levels = projection.level_values
     fibers = len(levels) ** f.in_arity if levels is not None else None
     if fibers is not None and fibers <= len(xs):
-        codes = fiber_codes(projection, xs)
+        codes = np.empty(len(xs), dtype=np.int64)
+        for lo in range(0, len(xs), EVAL_CHUNK):
+            codes[lo : lo + EVAL_CHUNK] = fiber_codes(projection, xs[lo : lo + EVAL_CHUNK])
         present = np.flatnonzero(np.bincount(codes, minlength=fibers))
         table = np.empty((fibers, f.out_arity), dtype=np.float64)
         table[present] = fiber_table(f, projection, present)

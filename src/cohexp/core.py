@@ -231,8 +231,14 @@ class FuzzyExpr:
 
     def eval_batch(self, xs: np.ndarray | Sequence[Sequence[float]]) -> np.ndarray:
         """Evaluate on a batch of points; shape ``(N, in_arity)`` in,
-        shape ``(N, out_arity)`` out."""
-        return self._eval(_check_batch(xs, self.in_arity))
+        shape ``(N, out_arity)`` out.  Non-finite outputs (an overflowing
+        network, say) are rejected here, once, rather than in every node."""
+        out = self._eval(_check_batch(xs, self.in_arity))
+        if not np.isfinite(out).all():
+            raise ValidationError(
+                f"{self.node_name or 'expression'} produced non-finite outputs (nan or inf)"
+            )
+        return out
 
     def __call__(self, x: Sequence[float]) -> Point:
         arr = np.asarray(x, dtype=np.float64)

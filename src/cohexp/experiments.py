@@ -307,17 +307,9 @@ def extract_and_score(
             n_controls = len(repaired.components)
             controls = proj_out[:, list(repaired.components)]
             ext_vertices = np.concatenate([proj_feats, controls], axis=1)
-            suffix = (
-                ("nc",) if n_controls == 1 else tuple(f"nc{j+1}" for j in range(n_controls))
-            )
             ext_table = booleanize(repaired, projection)
             extended = _score_table(
-                ext_table,
-                "extended",
-                ext_vertices,
-                model_class,
-                simplify,
-                base_names + suffix,
+                ext_table, "extended", ext_vertices, model_class, simplify, repaired.var_names
             )
 
     return ExtractionResult(

@@ -10,22 +10,21 @@ Domain extension (``gamma_extend``)
     the set of *contaminated fibers*: projection classes ``d(x)`` that
     contain at least one incoherent point.  On those fibers the
     extended function returns the control input; everywhere else it
-    passes the original output through.  Because the branch depends on
-    the input only through ``d(x)``, the result is coherent everywhere
-    by construction, whatever the quality of the scan: on a
-    contaminated fiber both ``f~(x, c)`` and ``f~(d(x), c)`` return
-    ``c``, and on a clean fiber both sides reduce to the original
-    function evaluated inside one fiber of a coherent region.  The
-    price is that *every* point of a contaminated fiber defers to the
-    control input, including the coherent ones; the scan only decides
-    which fibers pay that price.
+    passes the original output through.  The result is coherent at
+    every scanned point, whatever the control values: on a
+    contaminated fiber ``f~(x, c) = c`` and ``f~(d(x), d(c)) = d(c)``
+    project alike, and a clean fiber holds only coherent scanned points.
+    It is *not* coherent everywhere: a fiber whose incoherent points
+    all fall between scanned points stays unmarked.  The price of a
+    marked fiber is that *every* point of it defers to the control
+    input, including the coherent ones.
 
 Output modification (``gamma_output_mod``)
     Keeps the signature and replaces the output at incoherent points
     with a fallback ``g``.  The repair is coherent exactly when the
     fallback matches the projected baseline at every incoherent point:
-    ``d(g(x)) == d(f(d(x)))`` there.  This is verified on the
-    configured sample after construction and a violation raises
+    ``d(g(x)) == d(f(d(x)))`` there.  This is checked on the configured
+    sample's scans of ``f`` and ``g`` and a violation raises
     :class:`ContractError` (the guarantee is conditional, not free).
     When no fallback is supplied the canonical choice ``g = f . d`` is
     used; it satisfies the condition identically and is always sound.
@@ -50,11 +49,9 @@ import numpy as np
 
 from .coherence import (
     SamplingSpec,
-    check_coherence,
     coherence_masks,
     default_sampling,
     eval_chunked,
-    incoherent_components,
     projected_outputs,
 )
 from .core import (
@@ -63,7 +60,6 @@ from .core import (
     Const,
     Condition,
     FuzzyExpr,
-    LiftedProjection,
     Piece,
     Piecewise,
     Projection,
@@ -142,7 +138,7 @@ class GammaSpec:
                 doc["kind"],
                 Projection.from_dict(doc["projection"]),
                 sampling=SamplingSpec.from_dict(doc["sampling"]) if "sampling" in doc else None,
-                fallback=from_dict(doc["fallback"]) if "fallback" in doc else None,
+                fallback=from_dict(doc["fallback"]) if doc.get("fallback") is not None else None,
             )
         except (KeyError, TypeError) as exc:
             raise SerializationError(f"malformed gamma document: {exc}") from exc
@@ -195,6 +191,13 @@ class ExtendedExpr(FuzzyExpr):
     def out_arity(self) -> int:
         return self.base.out_arity
 
+    @property
+    def var_names(self) -> tuple[str, ...]:
+        """Default input names: the base's, then ``nc`` or ``nc1``, ``nc2``, ..."""
+        p = len(self.components)
+        controls = ("nc",) if p == 1 else tuple(f"nc{j + 1}" for j in range(p))
+        return default_var_names(self.base.in_arity) + controls
+
     @cached_property
     def _contaminated_arrays(self) -> tuple[np.ndarray, ...]:
         # sorted by __post_init__, so membership is a binary search
@@ -244,17 +247,18 @@ class ExtendedExpr(FuzzyExpr):
 @dataclass(frozen=True)
 class OutputModExpr(FuzzyExpr):
     """Output-modification repair: same signature as the base function,
-    fallback output at points where the base is incoherent."""
+    fallback output at points where the base is incoherent; ``None``
+    stands for the canonical fallback ``f . d``."""
 
     node_name: ClassVar[str] = "output_mod"
 
     base: FuzzyExpr
-    fallback: FuzzyExpr
+    fallback: FuzzyExpr | None
     projection: Projection
 
     def __post_init__(self) -> None:
         fb, base = self.fallback, self.base
-        if (fb.in_arity, fb.out_arity) != (base.in_arity, base.out_arity):
+        if fb is not None and (fb.in_arity, fb.out_arity) != (base.in_arity, base.out_arity):
             raise ValidationError(
                 f"fallback signature ({fb.in_arity} -> {fb.out_arity}) does not match "
                 f"the repaired function ({base.in_arity} -> {base.out_arity})"
@@ -273,21 +277,22 @@ class OutputModExpr(FuzzyExpr):
         out = y.copy()
         bad = ~(direct == baseline).all(axis=1)
         if bad.any():
-            out[bad] = self.fallback._eval(xs[bad])
+            fb, rows = self.fallback, xs[bad]
+            out[bad] = self.base._eval(self.projection.apply(rows)) if fb is None else fb._eval(rows)
         return out
 
     def to_payload(self) -> dict:
         return {
             "base": to_dict(self.base),
-            "fallback": to_dict(self.fallback),
+            "fallback": None if self.fallback is None else to_dict(self.fallback),
             "projection": self.projection.to_dict(),
         }
 
     @classmethod
     def from_payload(cls, doc, decode):
-        return OutputModExpr(
-            decode(doc["base"]), decode(doc["fallback"]), Projection.from_dict(doc["projection"])
-        )
+        base, fb = decode(doc["base"]), doc["fallback"]
+        fallback = None if fb is None else decode(fb)
+        return OutputModExpr(base, fallback, Projection.from_dict(doc["projection"]))
 
 
 # ---------------------------------------------------------------------------
@@ -301,56 +306,53 @@ def gamma_extend(f: FuzzyExpr, spec: GammaSpec) -> FuzzyExpr:
     Returns ``f`` itself when the scan finds no incoherent component
     (the repair is the identity on coherent functions); otherwise an
     :class:`ExtendedExpr` with one control input per incoherent
-    component.  The result is coherent everywhere by construction.
+    component.  The result is coherent at every scanned point, but a
+    fiber whose incoherence the scan misses stays unmarked.
     """
     if spec.kind != "extend":
         raise ValidationError(f"gamma_extend called with kind {spec.kind!r}")
-    sampling = spec.sampling_for(f.in_arity)
-    xs = sampling.sample(f.in_arity)
+    xs = spec.sampling_for(f.in_arity).sample(f.in_arity)
     ok = coherence_masks(f, spec.projection, xs)
     bad_components = [i for i in range(f.out_arity) if not ok[:, i].all()]
     if not bad_components:
         return f
-    codes = fiber_codes(spec.projection, xs)
-    contaminated = [np.unique(codes[~ok[:, i]]) for i in bad_components]
+    contaminated = [np.unique(fiber_codes(spec.projection, xs[~ok[:, i]])) for i in bad_components]
     return ExtendedExpr(f, spec.projection, tuple(bad_components), contaminated)
 
 
 def gamma_output_mod(f: FuzzyExpr, spec: GammaSpec) -> FuzzyExpr:
     """Output-modification repair of ``f`` under ``spec``.
 
-    The fallback (``spec.fallback`` or the canonical ``f . d``) must be
-    coherent itself and must agree, after projection, with the
-    projected baseline ``f . d`` at the incoherent points; otherwise
-    the construction cannot be coherent and a :class:`ContractError`
-    is raised.  Coherence of the repair is re-checked on the sample.
+    A supplied fallback ``g`` must be coherent itself and must agree,
+    after projection, with the projected baseline ``f . d`` at the
+    incoherent points of ``f``; both are checked on one scan each of
+    ``f`` and ``g`` over the sample, and a violation raises
+    :class:`ContractError`.  The canonical fallback ``f . d`` meets
+    both conditions by definition and is not checked.
     """
     if spec.kind != "output_mod":
         raise ValidationError(f"gamma_output_mod called with kind {spec.kind!r}")
-    sampling = spec.sampling_for(f.in_arity)
-    fallback = spec.fallback or Compose(f, LiftedProjection(spec.projection, f.in_arity))
-    repaired = OutputModExpr(f, fallback, spec.projection)
+    repaired = OutputModExpr(f, spec.fallback, spec.projection)
+    xs = spec.sampling_for(f.in_arity).sample(f.in_arity)
+    _, direct, baseline = projected_outputs(f, spec.projection, xs)
+    bad = ~(direct == baseline).all(axis=1)
     if spec.fallback is not None:
-        fb_report = check_coherence(fallback, spec.projection, sampling)
-        if incoherent_components(fb_report):
+        _, g_direct, g_baseline = projected_outputs(spec.fallback, spec.projection, xs)
+        g_bad = np.flatnonzero(~(g_direct == g_baseline).all(axis=0)).tolist()
+        if g_bad:
             raise ContractError(
                 "output modification needs a coherent fallback; the supplied one is "
-                f"incoherent on components {incoherent_components(fb_report)}"
+                f"incoherent on components {g_bad}"
             )
-
-    xs = sampling.sample(f.in_arity)
-    if coherence_masks(f, spec.projection, xs).all():
-        return f
-    ok = coherence_masks(repaired, spec.projection, xs)
-    if not ok.all():
-        j = int(np.flatnonzero(~ok.all(axis=1))[0])
-        point = tuple(float(v) for v in xs[j])
-        raise ContractError(
-            "output modification with this fallback is still incoherent (the fallback "
-            "disagrees with the projected baseline at incoherent points); first "
-            f"witness: {point}"
-        )
-    return repaired
+        misses = np.flatnonzero(bad & ~(g_direct == baseline).all(axis=1))
+        if misses.size:
+            point = tuple(float(v) for v in xs[misses[0]])
+            raise ContractError(
+                "output modification with this fallback is still incoherent (the fallback "
+                "disagrees with the projected baseline at incoherent points); first "
+                f"witness: {point}"
+            )
+    return repaired if bad.any() else f
 
 
 def apply_gamma(f: FuzzyExpr, spec: GammaSpec) -> FuzzyExpr:
@@ -452,13 +454,10 @@ def explain(
         raise ValidationError("explanations need a projection with image {0, 1}")
     canonical = spec.kind == "output_mod" and spec.fallback is None
     repaired = f if canonical else apply_gamma(f, spec)
-    names: tuple[str, ...] | None = tuple(var_names) if var_names is not None else None
-    if names is None and isinstance(repaired, ExtendedExpr):
-        p = len(repaired.components)
-        extra = ("nc",) if p == 1 else tuple(f"nc{j + 1}" for j in range(p))
-        names = default_var_names(repaired.base.in_arity) + extra
+    if var_names is None and isinstance(repaired, ExtendedExpr):
+        var_names = repaired.var_names
     table = booleanize(repaired, spec.projection)
-    return table_to_dnf(table, simplify=simplify, var_names=names)
+    return table_to_dnf(table, simplify=simplify, var_names=var_names)
 
 
 # ---------------------------------------------------------------------------

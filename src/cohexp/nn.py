@@ -402,7 +402,9 @@ class MlpExpr(FuzzyExpr):
         return self.model.out_arity
 
     def _eval(self, xs: np.ndarray) -> np.ndarray:
-        return forward(self.model, xs)
+        # overflow surfaces as non-finite outputs, which eval_batch rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            return forward(self.model, xs)
 
     def to_payload(self) -> dict:
         return {"model": self.model.to_dict()}

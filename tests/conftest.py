@@ -11,6 +11,7 @@ import pytest
 from cohexp import (
     Condition,
     Const,
+    FuzzyExpr,
     Piece,
     Piecewise,
     Projection,
@@ -113,6 +114,27 @@ def functor_law_violating_pair():
         default=Const((0.9,), in_arity=1),
     )
     return f_step, g_jump
+
+
+class BatchRecorder(FuzzyExpr):
+    """Wraps an expression and records the size of every batch it is
+    evaluated on."""
+
+    def __init__(self, inner: FuzzyExpr) -> None:
+        self.inner = inner
+        self.sizes: list[int] = []
+
+    @property
+    def in_arity(self) -> int:
+        return self.inner.in_arity
+
+    @property
+    def out_arity(self) -> int:
+        return self.inner.out_arity
+
+    def _eval(self, xs: np.ndarray) -> np.ndarray:
+        self.sizes.append(len(xs))
+        return self.inner._eval(xs)
 
 
 def grid_points(k: int, arity: int) -> np.ndarray:

@@ -107,6 +107,20 @@ class TestCheck:
         assert run(["check", "--expr", str(path)]) == BAD_INPUT
         assert "error[E_FORMAT]" in capsys.readouterr().err
 
+    def test_overflowing_network(self, tmp_path, capsys):
+        """Finite weights near 1e308 overflow to nan inside the network;
+        that used to print a verdict with f(x)=(nan,) and exit 0."""
+        path = tmp_path / "huge.json"
+        hidden = {"weights": [[1e308, 1e308], [1e308, -1e308]], "bias": [0.0, 0.0]}
+        output = {"weights": [[1e308, -1e308]], "bias": [0.0]}
+        path.write_text(json.dumps({"node": "mlp", "model": {"layers": [hidden, output]}}))
+        assert run(["check", "--expr", str(path)]) == BAD_INPUT
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[E_INPUT]")
+        assert "non-finite" in lines[0] and "Traceback" not in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("key", ["in_arity", "out_arity"])
     def test_non_integer_declared_arity(self, key, tmp_path, capsys):
         path = tmp_path / "arity.json"

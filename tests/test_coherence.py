@@ -24,7 +24,6 @@ from cohexp import (
     Condition,
     Const,
     ExtendedExpr,
-    FuzzyExpr,
     LiftedProjection,
     MlpExpr,
     Parallel,
@@ -43,8 +42,10 @@ from cohexp import (
     init_model,
     is_coherent_at,
 )
+from cohexp import coherence as coherence_module
 from cohexp.coherence import _MAX_SAMPLE_POINTS, EVAL_CHUNK, fiber_table, projected_outputs
-from cohexp.core import fiber_digits
+from cohexp.core import fiber_codes, fiber_digits
+from conftest import BatchRecorder
 
 # 101-point grid: the incoherent triangle holds 1225 of 10201 points.
 GRID_101_COHERENT_FRACTION = 1.0 - 1225 / 10201
@@ -337,36 +338,24 @@ def test_chunked_evaluation_is_bit_identical(name, rows, projection):
     )
 
 
-class _BatchRecorder(FuzzyExpr):
-    """Wraps an expression and records the size of every batch it is
-    evaluated on."""
-
-    def __init__(self, inner: FuzzyExpr) -> None:
-        self.inner = inner
-        self.sizes: list[int] = []
-
-    @property
-    def in_arity(self) -> int:
-        return self.inner.in_arity
-
-    @property
-    def out_arity(self) -> int:
-        return self.inner.out_arity
-
-    def _eval(self, xs: np.ndarray) -> np.ndarray:
-        self.sizes.append(len(xs))
-        return self.inner._eval(xs)
-
-
 @pytest.mark.parametrize(
     "projection", [Projection.threshold(0.5), Projection.identity()], ids=["table", "direct"]
 )
-def test_check_evaluates_at_most_a_chunk_at_a_time(luk_or, projection):
-    f = _BatchRecorder(luk_or)
+def test_check_evaluates_at_most_a_chunk_at_a_time(luk_or, projection, monkeypatch):
+    f = BatchRecorder(luk_or)
+    encoded = []
+    monkeypatch.setattr(
+        coherence_module, "fiber_codes", lambda p, xs: encoded.append(len(xs)) or fiber_codes(p, xs)
+    )
     sampling = SamplingSpec.grid(101)
     assert 101**2 > EVAL_CHUNK
     report = check_coherence(f, projection, sampling)
     assert report.n_points == 101**2
     assert max(f.sizes) <= EVAL_CHUNK
+    # fibers are encoded a chunk at a time too, and only on the table path
+    if projection.is_boolean:
+        assert max(encoded) <= EVAL_CHUNK and sum(encoded) == 101**2
+    else:
+        assert encoded == []
     # f(x) on every point, then the baseline: per fiber or per point
     assert sum(f.sizes) == 101**2 + (4 if projection.is_boolean else 101**2)

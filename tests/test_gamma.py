@@ -11,6 +11,7 @@ import pytest
 
 from cohexp import (
     Compose,
+    Condition,
     Const,
     ContractError,
     ExtendedExpr,
@@ -19,6 +20,8 @@ from cohexp import (
     MlpExpr,
     OutputModExpr,
     Parallel,
+    Piece,
+    Piecewise,
     Projection,
     SamplingSpec,
     SerializationError,
@@ -37,6 +40,7 @@ from cohexp import (
     gamma_output_mod,
     identity,
     init_model,
+    is_coherent_at,
     quotient_compose,
     quotient_of,
     table_to_dnf,
@@ -44,7 +48,7 @@ from cohexp import (
 )
 from cohexp import gamma as gamma_module
 from cohexp.core import fiber_digits
-from conftest import jump_high, jump_low
+from conftest import BatchRecorder, jump_high, jump_low
 
 D = Projection.threshold(0.5)
 GRID = SamplingSpec.grid(101)
@@ -84,6 +88,10 @@ class TestGammaSpec:
             else:
                 assert to_dict(again.fallback) == to_dict(spec.fallback)
 
+    def test_null_fallback_is_canonical(self):
+        doc = dict(output_mod_spec().to_dict(), fallback=None)
+        assert GammaSpec.from_dict(doc).fallback is None
+
     def test_same_family(self):
         assert extend_spec().same_family(GammaSpec("extend", D))
         assert not extend_spec().same_family(output_mod_spec())
@@ -119,6 +127,27 @@ class TestDomainExtension:
     def test_coherent_function_returned_unchanged(self):
         f = LiftedProjection(D, 2)
         assert gamma_extend(f, extend_spec()) is f
+
+    def test_coherent_at_every_scanned_point_not_everywhere(self):
+        """The 101-point grid misses the sliver 0.201 < x < 0.209, so only
+        the fiber (1, 0) is marked: the repair is coherent on the grid for
+        any control value, but not at a point inside the sliver."""
+        one = Const((1.0,), in_arity=2)
+        sliver = (Condition(0, "gt", 0.201), Condition(0, "lt", 0.209), Condition(1, "le", 0.1))
+        block = (Condition(0, "ge", 0.5), Condition(0, "lt", 0.8), Condition(1, "lt", 0.5))
+        f = Piecewise((Piece(sliver, one), Piece(block, one)), Const((0.0,), in_arity=2))
+        ext = gamma_extend(f, extend_spec())
+        assert ext.contaminated == ((2,),)  # fiber code of (1, 0)
+        xs = GRID.sample(2)
+        for c in (0.0, 1.0, 0.3):
+            points = np.column_stack([xs, np.full(len(xs), c)])
+            assert coherence_masks(ext, D, points).all()
+        assert not is_coherent_at(ext, D, (0.205, 0.05, 0.3))
+
+    def test_var_names_name_the_controls(self, luk_or, luk_and):
+        assert gamma_extend(luk_or, extend_spec()).var_names == ("x", "y", "nc")
+        ext = ExtendedExpr(Parallel((luk_or, luk_and)), D, (0, 1), ((0,), (3,)))
+        assert ext.var_names == ("x", "y", "z", "x4", "nc1", "nc2")
 
     def test_idempotent(self, luk_or):
         once = apply_gamma(luk_or, extend_spec())
@@ -248,6 +277,39 @@ class TestOutputModification:
     def test_incoherent_fallback_rejected(self, luk_or, luk_and):
         with pytest.raises(ContractError, match="coherent fallback"):
             gamma_output_mod(luk_or, output_mod_spec(fallback=luk_and))
+
+    def test_incoherent_fallback_rejected_for_coherent_f(self, luk_and):
+        with pytest.raises(ContractError, match="coherent fallback"):
+            gamma_output_mod(Const((0.3,), in_arity=2), output_mod_spec(fallback=luk_and))
+
+    def test_first_witness_of_an_incompatible_fallback(self, luk_or):
+        # the first grid point of the triangle in lexicographic order
+        with pytest.raises(ContractError, match=r"first witness: \(0\.01, 0\.49\)"):
+            gamma_output_mod(luk_or, output_mod_spec(fallback=Const((1.0,), in_arity=2)))
+
+    @pytest.mark.parametrize("with_fallback", [False, True], ids=["canonical", "fallback"])
+    def test_one_scan_of_f_and_of_the_fallback(self, luk_or, with_fallback):
+        """``f``, and a supplied fallback, are evaluated on the sample once
+        plus once per fiber present: at most N + 4 rows on the 101 grid."""
+        f = BatchRecorder(luk_or)
+        g = BatchRecorder(Compose(luk_or, LiftedProjection(D, 2))) if with_fallback else None
+        assert isinstance(gamma_output_mod(f, output_mod_spec(fallback=g)), OutputModExpr)
+        assert sum(f.sizes) <= 101**2 + 4
+        if g is not None:
+            assert sum(g.sizes) <= 101**2 + 4
+
+    def test_canonical_document_holds_f_once(self):
+        f = MlpExpr(init_model(2, (16, 16), 1, np.random.default_rng(3)))
+        repaired = gamma_output_mod(f, output_mod_spec())
+        doc = to_dict(repaired)
+        assert doc["fallback"] is None and doc["base"] == to_dict(f)
+        # the explicit f . d that canonical documents used to carry
+        explicit = Compose(f, LiftedProjection(D, 2))
+        xs = SamplingSpec.random(20_000, seed=21).sample(2)
+        want = OutputModExpr(f, explicit, D).eval_batch(xs)
+        assert not np.array_equal(want, f.eval_batch(xs))
+        for document in (doc, dict(doc, fallback=to_dict(explicit))):
+            assert np.array_equal(from_dict(document).eval_batch(xs), want)
 
     def test_fallback_arity_checked(self, luk_or):
         with pytest.raises(ValidationError):

@@ -331,6 +331,18 @@ class TestMlpExpr:
         xs = rng.random((32, 2))
         assert np.array_equal(clone.eval_batch(xs), expr.eval_batch(xs))
 
+    def test_overflow_is_a_coded_error_without_warnings(self):
+        """The network overflows silently; ``eval_batch`` refuses the
+        non-finite outputs (RuntimeWarnings fail the suite)."""
+        model = nn.MlpModel(
+            [np.array([[1e308, 1e308], [1e308, -1e308]]), np.array([[1e308, -1e308]])],
+            [np.zeros(2), np.zeros(1)],
+            np.array([0.25]),
+        )
+        expr = MlpExpr.from_model(model)
+        with pytest.raises(ValidationError, match="non-finite"):
+            expr.eval_batch(np.array([[0.5, 0.5], [0.9, 0.9]]))
+
     def test_weights_ref_must_be_resolved_first(self):
         with pytest.raises(SerializationError, match="weights_ref"):
             from_dict({"node": "mlp", "in_arity": 2, "out_arity": 1, "weights_ref": "w.json"})
