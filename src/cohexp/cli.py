@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
@@ -32,7 +31,7 @@ from .core import Projection, to_dict
 from .errors import CohexpError, ContractError, ValidationError
 from .functor import verify_functor_law
 from .gamma import GammaSpec, apply_gamma, demo_noncompositional, explain
-from .serialize import load_expr, load_json, save_json
+from .serialize import dumps, load_expr, load_json, save_json
 
 __all__ = ["run", "main"]
 
@@ -49,25 +48,21 @@ def _env_seed() -> int:
         raise ValidationError(f"COHEXP_SEED must be an integer, got {raw!r}") from exc
 
 
-def _preload_config(argv: list[str]) -> dict:
-    """Fish --config out of argv before the real parse so its values
-    can serve as parser defaults (explicit flags then win)."""
-    path = None
-    for i, arg in enumerate(argv):
-        if arg == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif arg.startswith("--config="):
-            path = arg.split("=", 1)[1]
-    return load_json(path) if path is not None else {}
+def _widths(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
 
 
-def _build_parser(config: dict) -> argparse.ArgumentParser:
-    """Parser with ``config`` values as defaults; rejects keys no option reads."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser.  An option a config file may set is left unset by the
+    parse unless it is given on the command line; ``settings`` lists the
+    chosen subcommand's such options with their built-in defaults, and
+    ``configurable`` names those of every subcommand."""
     configurable = set()
 
-    def dflt(name: str, builtin):
-        configurable.add(name)
-        return config.get(name, builtin)
+    def option(p, *flags, default=None, group=None, **kw) -> None:
+        action = (group or p).add_argument(*flags, default=argparse.SUPPRESS, **kw)
+        p.get_default("settings").append((action, default, group))
+        configurable.add(action.dest)
 
     parser = argparse.ArgumentParser(
         prog="cohexp",
@@ -75,60 +70,57 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, settings=[])
+        return p
+
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("text", "structured"),
-                       default=dflt("format", "text"),
-                       help="text report or structured JSON document")
+        option(p, "--format", choices=("text", "structured"), default="text",
+               help="text report or structured JSON document")
         p.add_argument("--out", metavar="FILE", default=None,
                        help="write the report there instead of stdout")
         p.add_argument("--config", metavar="FILE", default=None,
                        help="JSON file with default option values")
-        p.add_argument("--seed", type=int, default=dflt("seed", _env_seed()),
-                       help="seed for sampled checks (default: COHEXP_SEED or 0)")
+        option(p, "--seed", type=int, default=_env_seed(),
+               help="seed for sampled checks (default: COHEXP_SEED or 0)")
 
     def add_projection(p: argparse.ArgumentParser) -> None:
         g = p.add_mutually_exclusive_group()
-        g.add_argument("--alpha", type=float, default=dflt("alpha", 0.5),
-                       help="threshold projection parameter (default 0.5)")
-        g.add_argument("--quantize", type=int, default=dflt("quantize", None),
-                       metavar="LEVELS", help="use a quantizing projection instead")
-        g.add_argument("--identity", action="store_true",
-                       default=dflt("identity", False),
-                       help="use the identity projection")
+        option(p, "--alpha", type=float, default=0.5, group=g,
+               help="threshold projection parameter (default 0.5)")
+        option(p, "--quantize", type=int, group=g,
+               metavar="LEVELS", help="use a quantizing projection instead")
+        option(p, "--identity", action="store_true", default=False, group=g,
+               help="use the identity projection")
 
     def add_sampling(p: argparse.ArgumentParser, scope: str = "") -> None:
         g = p.add_mutually_exclusive_group()
-        g.add_argument("--grid", type=int, default=dflt("grid", None),
-                       metavar="K", help=f"grid sampling with K points per axis{scope}")
-        g.add_argument("--random", type=int, default=dflt("random", None),
-                       metavar="N", help=f"random sampling with N points{scope}")
+        option(p, "--grid", type=int, group=g,
+               metavar="K", help=f"grid sampling with K points per axis{scope}")
+        option(p, "--random", type=int, group=g,
+               metavar="N", help=f"random sampling with N points{scope}")
 
-    p_check = sub.add_parser("check", help="sampled coherence report")
+    p_check = command("check", _cmd_check, "sampled coherence report")
     p_check.add_argument("--expr", required=True, metavar="FILE")
     add_projection(p_check)
     add_sampling(p_check)
-    p_check.add_argument("--witness-limit", type=int,
-                         default=dflt("witness_limit", 100))
+    option(p_check, "--witness-limit", type=int, default=100)
     add_common(p_check)
-    p_check.set_defaults(func=_cmd_check)
 
-    p_explain = sub.add_parser("explain", help="extract a DNF explanation")
+    p_explain = command("explain", _cmd_explain, "extract a DNF explanation")
     p_explain.add_argument("--expr", required=True, metavar="FILE")
     add_projection(p_explain)
     add_sampling(p_explain, "; used only by --gamma extend or output-mod:FILE")
-    p_explain.add_argument("--gamma", default=dflt("gamma", None),
-                           metavar="KIND", help="extend | output-mod[:fallback-file]")
-    p_explain.add_argument("--no-simplify", dest="simplify", action="store_false",
-                           default=dflt("simplify", True))
-    p_explain.add_argument("--names", default=dflt("names", None),
-                           help="comma-separated variable names")
-    p_explain.add_argument("--ascii", action="store_true",
-                           default=dflt("ascii", False),
-                           help="render with & | ! instead of unicode")
+    option(p_explain, "--gamma", default="output-mod",
+           metavar="KIND", help="extend | output-mod[:fallback-file]")
+    option(p_explain, "--no-simplify", dest="simplify", action="store_false", default=True)
+    option(p_explain, "--names", help="comma-separated variable names")
+    option(p_explain, "--ascii", action="store_true", default=False,
+           help="render with & | ! instead of unicode")
     add_common(p_explain)
-    p_explain.set_defaults(func=_cmd_explain)
 
-    p_repair = sub.add_parser("repair", help="write the repaired expression")
+    p_repair = command("repair", _cmd_repair, "write the repaired expression")
     p_repair.add_argument("--expr", required=True, metavar="FILE")
     add_projection(p_repair)
     add_sampling(p_repair)
@@ -137,51 +129,68 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p_repair.add_argument("--out-expr", required=True, metavar="FILE",
                           help="where to write the repaired expression")
     add_common(p_repair)
-    p_repair.set_defaults(func=_cmd_repair)
 
-    p_demo = sub.add_parser("demo-noncomp",
-                            help="show that the repair is not compositional")
-    p_demo.add_argument("--gamma", default=dflt("gamma", "output-mod"),
-                        metavar="KIND", help="extend | output-mod[:fallback-file]")
+    p_demo = command("demo-noncomp", _cmd_demo, "show that the repair is not compositional")
+    option(p_demo, "--gamma", default="output-mod",
+           metavar="KIND", help="extend | output-mod[:fallback-file]")
     p_demo.add_argument("--g-expr", default=None, metavar="FILE",
                         help="use this unary function instead of the built-ins")
     add_common(p_demo)
-    p_demo.set_defaults(func=_cmd_demo)
 
-    p_law = sub.add_parser("functor-law",
-                           help="check booleanize(g . f) == booleanize(g) . booleanize(f)")
+    p_law = command("functor-law", _cmd_law,
+                    "check booleanize(g . f) == booleanize(g) . booleanize(f)")
     p_law.add_argument("--inner", required=True, metavar="FILE", help="f (runs first)")
     p_law.add_argument("--outer", required=True, metavar="FILE", help="g")
     add_projection(p_law)
     add_common(p_law)
-    p_law.set_defaults(func=_cmd_law)
 
-    p_exp = sub.add_parser("experiment", help="run a built-in experiment")
-    p_exp.add_argument("--setting", default=dflt("setting", None),
-                       required="setting" not in config,
-                       choices=("xor", "fuzzy-or", "fuzzy_or"))
+    p_exp = command("experiment", _cmd_experiment, "run a built-in experiment")
+    option(p_exp, "--setting", choices=("xor", "fuzzy-or", "fuzzy_or"))
     p_exp.add_argument("--outdir", required=True, metavar="DIR")
-    p_exp.add_argument("--epochs", type=int, default=dflt("epochs", None))
-    p_exp.add_argument("--learning-rate", type=float,
-                       default=dflt("learning_rate", None))
-    p_exp.add_argument("--coherence-lambda", type=float,
-                       default=dflt("coherence_lambda", None))
-    p_exp.add_argument("--batch-size", type=int, default=dflt("batch_size", None))
-    p_exp.add_argument("--weight-decay", type=float, default=dflt("weight_decay", None))
-    p_exp.add_argument("--hidden-sizes", default=dflt("hidden_sizes", None),
-                       help="comma-separated layer widths")
-    p_exp.add_argument("--early-stopping-patience", type=int,
-                       default=dflt("early_stopping_patience", None))
-    p_exp.add_argument("--train-size", type=int, default=dflt("train_size", 1000))
-    p_exp.add_argument("--val-size", type=int, default=dflt("val_size", 250))
-    p_exp.add_argument("--test-size", type=int, default=dflt("test_size", 1000))
+    option(p_exp, "--epochs", type=int)
+    option(p_exp, "--learning-rate", type=float)
+    option(p_exp, "--coherence-lambda", type=float)
+    option(p_exp, "--batch-size", type=int)
+    option(p_exp, "--weight-decay", type=float)
+    option(p_exp, "--hidden-sizes", type=_widths, help="comma-separated layer widths")
+    option(p_exp, "--early-stopping-patience", type=int)
+    option(p_exp, "--train-size", type=int, default=1000)
+    option(p_exp, "--val-size", type=int, default=250)
+    option(p_exp, "--test-size", type=int, default=1000)
     add_common(p_exp)
-    p_exp.set_defaults(func=_cmd_experiment)
+    parser.set_defaults(configurable=configurable)
+    return parser
 
-    unknown = set(config) - configurable
+
+def _settle(args) -> None:
+    """Give each option the command line left unset its ``--config``
+    value, converted and checked as the flag's text would be, else its
+    built-in default.  A flag on the command line also overrides the
+    config values of the other options in its mutually exclusive group."""
+    config = load_json(args.config) if args.config else {}
+    unknown = set(config) - args.configurable
     if unknown:
         raise ValidationError(f"config file sets unknown options: {sorted(unknown)}")
-    return parser
+    flagged = {g for action, _, g in args.settings if g is not None and hasattr(args, action.dest)}
+    for action, default, group in args.settings:
+        if hasattr(args, action.dest):
+            continue
+        key, value = action.dest, config.get(action.dest)
+        if key not in config or group in flagged:
+            value = default
+        elif action.nargs == 0:  # an on/off flag
+            if not isinstance(value, bool):
+                raise ValidationError(f"config key {key!r} takes true or false, got {value!r}")
+        else:
+            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                raise ValidationError(f"config key {key!r} takes a string or number, got {value!r}")
+            try:
+                value = (action.type or str)(str(value))
+            except ValueError as exc:
+                raise ValidationError(f"config key {key!r}: invalid value {value!r}") from exc
+            if action.choices is not None and value not in action.choices:
+                raise ValidationError(f"config key {key!r} must be one of {list(action.choices)}")
+        setattr(args, key, value)
 
 
 # ---------------------------------------------------------------------------
@@ -206,26 +215,18 @@ def _sampling_from(args, arity: int) -> SamplingSpec:
 
 
 def _gamma_from(args, projection: Projection, sampling: SamplingSpec | None) -> GammaSpec:
-    raw = args.gamma
-    if raw is None:
-        raise ValidationError("this operation needs --gamma")
-    if raw == "extend":
-        return GammaSpec("extend", projection, sampling=sampling)
-    if raw == "output-mod" or raw == "output_mod":
-        return GammaSpec("output_mod", projection, sampling=sampling)
-    for prefix in ("output-mod:", "output_mod:"):
-        if raw.startswith(prefix):
-            fallback = load_expr(raw[len(prefix):])
-            return GammaSpec("output_mod", projection, sampling=sampling, fallback=fallback)
+    head, colon, path = args.gamma.partition(":")
+    kind = head.replace("-", "_")
+    if kind == "output_mod" or (kind == "extend" and not colon):
+        fallback = load_expr(path) if colon else None
+        return GammaSpec(kind, projection, sampling=sampling, fallback=fallback)
     raise ValidationError(
-        f"unknown gamma {raw!r}; expected extend or output-mod[:fallback-file]"
+        f"unknown gamma {args.gamma!r}; expected extend or output-mod[:fallback-file]"
     )
 
 
 def _emit(args, text: str, document: dict) -> None:
-    payload = (
-        text if args.format == "text" else json.dumps(document, indent=2, sort_keys=True) + "\n"
-    )
+    payload = text if args.format == "text" else dumps(document)
     if args.out:
         Path(args.out).write_text(payload)
     else:
@@ -268,10 +269,7 @@ def _cmd_explain(args) -> int:
     expr = load_expr(args.expr)
     projection = _projection_from(args)
     sampling = _sampling_from(args, expr.in_arity)
-    if args.gamma is None:
-        gamma = GammaSpec("output_mod", projection, sampling=sampling)
-    else:
-        gamma = _gamma_from(args, projection, sampling)
+    gamma = _gamma_from(args, projection, sampling)
     names = args.names.split(",") if args.names else None
     formula = explain(expr, gamma, simplify=args.simplify, var_names=names)
     rendered = formula.render_all(ascii_ops=args.ascii)
@@ -288,7 +286,8 @@ def _cmd_repair(args) -> int:
     sampling = _sampling_from(args, expr.in_arity)
     gamma = _gamma_from(args, projection, sampling)
     repaired = apply_gamma(expr, gamma)
-    save_json(to_dict(repaired), args.out_expr)
+    repaired_doc = to_dict(repaired)
+    save_json(repaired_doc, args.out_expr)
     verification = check_coherence(repaired, projection, sampling)
     changed = repaired is not expr
     text = (
@@ -303,7 +302,7 @@ def _cmd_repair(args) -> int:
     _emit(args, text, {
         "gamma": gamma.to_dict(),
         "already_coherent": not changed,
-        "expr": to_dict(repaired),
+        "expr": repaired_doc,
         "verification": verification.to_dict(),
         "written": str(args.out_expr),
     })
@@ -344,12 +343,10 @@ def _cmd_law(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.setting is None:
+        raise ValidationError("experiment needs --setting, or a 'setting' in the config file")
     setting = experiments.canonical_setting(args.setting)
     cfg = experiments.default_train_config(setting, seed=args.seed)
-    if isinstance(args.hidden_sizes, str):
-        args.hidden_sizes = args.hidden_sizes.split(",")
-    if args.hidden_sizes is not None:
-        args.hidden_sizes = tuple(int(v) for v in args.hidden_sizes)
     overrides = {
         field.name: getattr(args, field.name)
         for field in dataclasses.fields(cfg)
@@ -379,18 +376,14 @@ def run(argv: list[str] | None = None) -> int:
     """Parse and execute; returns the process exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        config = _preload_config(argv)
-        parser = _build_parser(config)
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        _settle(args)
         return args.func(args)
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
-    except ContractError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return _EXIT_CONTRACT
     except CohexpError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return _EXIT_INPUT
+        return _EXIT_CONTRACT if isinstance(exc, ContractError) else _EXIT_INPUT
     except OSError as exc:
         print(f"error[E_IO]: {exc}", file=sys.stderr)
         return _EXIT_INPUT

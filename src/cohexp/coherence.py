@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import FuzzyExpr, Point, Projection, fiber_codes, fiber_digits
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, malformed
 
 __all__ = [
     "DEFAULT_WITNESS_CAP",
@@ -55,9 +55,10 @@ __all__ = [
 # coherent fractions always count every sampled point.
 DEFAULT_WITNESS_CAP = 100
 
-# Sampling, on a grid or at random, refuses to materialise more points
-# than this; the check comes before anything is allocated or drawn.
+# Sampling refuses to materialise more points, or more coordinates
+# (points times arity: 512 MiB), than these, before anything is drawn.
 _MAX_SAMPLE_POINTS = 4_194_304
+_MAX_SAMPLE_COORDS = 16 * _MAX_SAMPLE_POINTS
 
 # Expressions are evaluated in slices of at most this many rows, small
 # enough that an MLP's hidden activations stay in cache.  It must stay a
@@ -120,10 +121,20 @@ class SamplingSpec:
         if arity == 0:
             return np.zeros((1, 0), dtype=np.float64)
         k = int(self.points_per_axis or 0)
+        # k >= 2, so a grid over 23 or more axes is over the cap: k**arity is not computed
+        if self.mode == "grid" and arity >= _MAX_SAMPLE_POINTS.bit_length():
+            raise CapacityError(
+                f"grid sample of {k}**{arity} points exceeds the cap of {_MAX_SAMPLE_POINTS}"
+            )
         total = k**arity if self.mode == "grid" else int(self.count)  # type: ignore[arg-type]
         if total > _MAX_SAMPLE_POINTS:
             raise CapacityError(
                 f"{self.mode} sample of {total} points exceeds the cap of {_MAX_SAMPLE_POINTS}"
+            )
+        if total * arity > _MAX_SAMPLE_COORDS:
+            raise CapacityError(
+                f"{self.mode} sample of {total} points over {arity} inputs exceeds the cap "
+                f"of {_MAX_SAMPLE_COORDS} coordinates"
             )
         if self.mode == "random":
             return np.random.default_rng(self.seed).random((total, arity))
@@ -146,12 +157,8 @@ class SamplingSpec:
 
     @staticmethod
     def from_dict(doc: dict) -> "SamplingSpec":
-        return SamplingSpec(
-            doc.get("mode", ""),
-            points_per_axis=doc.get("points_per_axis"),
-            count=doc.get("count"),
-            seed=doc.get("seed"),
-        )
+        with malformed("sampling document"):
+            return SamplingSpec(**doc)
 
 
 def default_sampling(arity: int, seed: int = 0) -> SamplingSpec:

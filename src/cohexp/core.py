@@ -33,7 +33,7 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, SerializationError, ValidationError
+from .errors import CapacityError, SerializationError, ValidationError, malformed
 
 __all__ = [
     "RAW_TOL",
@@ -73,6 +73,10 @@ RAW_TOL = 1e-12
 # Hard cap on vertex enumeration: 2**20 rows is the largest truth table
 # this package will materialise.
 MAX_TABLE_INPUTS = 20
+
+# A quantizing projection's image is enumerated in full (level values,
+# fiber codes), so its level count is capped at 16 bits of resolution.
+_MAX_LEVELS = 1 << 16
 
 Point = tuple[float, ...]
 
@@ -114,8 +118,10 @@ class Projection:
             if self.alpha is not None:
                 raise ValidationError("quantize projection takes no alpha")
             k = self.levels
-            if isinstance(k, bool) or not isinstance(k, Real) or k % 1 or k < 2:
-                raise ValidationError(f"quantize levels must be an integer >= 2, got {k!r}")
+            if isinstance(k, bool) or not isinstance(k, Real) or k % 1 or not 2 <= k <= _MAX_LEVELS:
+                raise ValidationError(
+                    f"quantize levels must be an integer in [2, {_MAX_LEVELS}], got {k!r}"
+                )
             object.__setattr__(self, "levels", int(k))
         else:
             raise ValidationError(f"unknown projection kind {self.kind!r}")
@@ -176,10 +182,8 @@ class Projection:
         extra = set(doc) - known
         if extra:
             raise SerializationError(f"unknown projection fields: {sorted(extra)}")
-        try:
+        with malformed("projection document"):
             return Projection(doc["kind"], alpha=doc.get("alpha"), levels=doc.get("levels"))
-        except ValidationError as exc:
-            raise SerializationError(str(exc)) from exc
 
 
 def apply_projection(projection: Projection, x: Sequence[float]) -> Point:
@@ -723,34 +727,26 @@ def to_dict(expr: FuzzyExpr) -> dict:
     return doc
 
 
-def from_dict(doc: dict, decode: Callable[[dict], FuzzyExpr] | None = None) -> FuzzyExpr:
-    """Rebuild an expression from its dict form.
-
-    ``decode`` is the recursion hook used for nested nodes; external
-    callers normally leave it unset.  A document nested too deeply for
-    the interpreter's recursion limit is a :class:`SerializationError`.
-    """
+def from_dict(doc: dict) -> FuzzyExpr:
+    """Rebuild an expression from its dict form.  A document nested too
+    deeply for the interpreter's recursion limit is a
+    :class:`SerializationError`."""
     # caught once, where the stack has unwound, rather than in every node
     try:
-        return _decode_node(doc, decode)
+        return _decode_node(doc)
     except RecursionError as exc:
         raise SerializationError("expression document is nested too deeply to decode") from exc
 
 
-def _decode_node(doc: dict, decode: Callable[[dict], FuzzyExpr] | None = None) -> FuzzyExpr:
+def _decode_node(doc: dict) -> FuzzyExpr:
     if not isinstance(doc, dict):
         raise SerializationError(f"expression document must be an object, got {type(doc).__name__}")
     name = doc.get("node")
-    if name not in NODE_TYPES:
+    if not isinstance(name, str) or name not in NODE_TYPES:
         raise SerializationError(f"unknown expression node {name!r}")
-    dec = decode if decode is not None else _decode_node
-    try:
-        expr = NODE_TYPES[name].from_payload(doc, dec)
+    with malformed(f"{name!r} node", prefix_invalid=True):
+        expr = NODE_TYPES[name].from_payload(doc, _decode_node)
         declared = {key: int(doc[key]) for key in ("in_arity", "out_arity") if key in doc}
-    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
-        raise SerializationError(f"malformed {name!r} node: {exc}") from exc
-    except ValidationError as exc:
-        raise SerializationError(f"invalid {name!r} node: {exc}") from exc
     for key, got in (("in_arity", expr.in_arity), ("out_arity", expr.out_arity)):
         if declared.get(key, got) != got:
             raise SerializationError(
@@ -867,9 +863,5 @@ class TruthTable:
 
     @staticmethod
     def from_dict(doc: dict) -> "TruthTable":
-        try:
+        with malformed("truth table document"):
             return TruthTable(int(doc["n_inputs"]), int(doc["n_outputs"]), np.asarray(doc["rows"]))
-        except (KeyError, TypeError) as exc:
-            raise SerializationError(f"malformed truth table document: {exc}") from exc
-        except ValidationError as exc:
-            raise SerializationError(str(exc)) from exc

@@ -8,6 +8,9 @@ mathematical contracts exit 3).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
 
 class CohexpError(Exception):
     """Base class for all errors raised by this package."""
@@ -45,3 +48,25 @@ class TrainingError(ContractError):
     """Training diverged or otherwise failed to produce a usable model."""
 
     code = "E_TRAINING"
+
+
+# what decoding a wrong-shaped document raises: a missing key, a wrong type
+_MALFORMED = (KeyError, TypeError, IndexError, ValueError, OverflowError, AttributeError)
+
+
+@contextmanager
+def malformed(what: str, *, prefix_invalid: bool = False) -> Iterator[None]:
+    """The one error policy for decoding a document: a built-in error of
+    a wrong-shaped one is ``malformed <what>``, and a ``ValidationError``
+    keeps its message, restated as ``invalid <what>`` with
+    ``prefix_invalid``; every one leaves as a ``SerializationError``."""
+    try:
+        yield
+    except ValidationError as exc:
+        if prefix_invalid:
+            raise SerializationError(f"invalid {what}: {exc}") from exc
+        if isinstance(exc, SerializationError):
+            raise
+        raise SerializationError(str(exc)) from exc
+    except _MALFORMED as exc:
+        raise SerializationError(f"malformed {what}: {exc}") from exc

@@ -34,7 +34,6 @@ samples so plots can be reproduced externally.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,6 +46,7 @@ from .errors import ValidationError
 from .functor import DnfFormula, booleanize, default_var_names, table_to_dnf
 from .gamma import ExtendedExpr, GammaSpec, gamma_extend
 from .nn import MlpExpr, TrainConfig, TrainResult, train
+from .serialize import dumps
 
 __all__ = [
     "SETTINGS",
@@ -494,8 +494,8 @@ def write_artifacts(
         written.append(path)
 
     _put("report.txt", report.render_text())
-    _put("report.json", json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-    _put("model.json", json.dumps(to_dict(model), indent=2, sort_keys=True) + "\n")
+    _put("report.json", dumps(report.to_dict()))
+    _put("model.json", dumps(to_dict(model)))
     for split, ds in datasets.items():
         _put(f"{split}.csv", ds.csv_text())
     return written

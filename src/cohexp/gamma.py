@@ -68,7 +68,7 @@ from .core import (
     from_dict,
     to_dict,
 )
-from .errors import ContractError, SerializationError, ValidationError
+from .errors import ContractError, SerializationError, ValidationError, malformed
 from .functor import DnfFormula, booleanize, default_var_names, table_to_dnf
 
 __all__ = [
@@ -133,17 +133,13 @@ class GammaSpec:
 
     @staticmethod
     def from_dict(doc: dict) -> "GammaSpec":
-        try:
+        with malformed("gamma document"):
             return GammaSpec(
                 doc["kind"],
                 Projection.from_dict(doc["projection"]),
                 sampling=SamplingSpec.from_dict(doc["sampling"]) if "sampling" in doc else None,
                 fallback=from_dict(doc["fallback"]) if doc.get("fallback") is not None else None,
             )
-        except (KeyError, TypeError) as exc:
-            raise SerializationError(f"malformed gamma document: {exc}") from exc
-        except ValidationError as exc:
-            raise SerializationError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

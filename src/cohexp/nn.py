@@ -32,7 +32,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .core import FuzzyExpr, Projection
-from .errors import SerializationError, TrainingError, ValidationError
+from .errors import SerializationError, TrainingError, ValidationError, malformed
 
 __all__ = [
     "MlpModel",
@@ -61,6 +61,8 @@ class MlpModel:
     def __post_init__(self) -> None:
         if len(self.weights) != len(self.biases) or len(self.weights) < 1:
             raise ValidationError("weights and biases must pair up, one layer minimum")
+        if any(w.ndim != 2 for w in self.weights):
+            raise ValidationError("layer weights must be (fan_out, fan_in) matrices")
         if self.slopes.shape != (len(self.weights) - 1,):
             raise ValidationError("one PReLU slope per hidden layer")
         for i in range(1, len(self.weights)):
@@ -99,7 +101,7 @@ class MlpModel:
 
     @staticmethod
     def from_dict(doc: dict) -> "MlpModel":
-        try:
+        with malformed("model document"):
             layers = doc["layers"]
             weights = [np.asarray(l["weights"], dtype=np.float64) for l in layers]
             biases = [np.asarray(l["bias"], dtype=np.float64) for l in layers]
@@ -113,12 +115,7 @@ class MlpModel:
                         f"layer {i}: activation {layer['activation']!r} is not supported; "
                         "hidden layers are 'prelu' and the output layer is 'sigmoid'"
                     )
-        except (KeyError, TypeError) as exc:
-            raise SerializationError(f"malformed model document: {exc}") from exc
-        try:
             return MlpModel(weights, biases, slopes)
-        except ValidationError as exc:
-            raise SerializationError(str(exc)) from exc
 
 
 @dataclass(frozen=True)

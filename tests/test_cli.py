@@ -6,17 +6,44 @@ the source tree under test, the way pip's generated wrapper would, and
 checks that it behaves exactly like ``cli.run``.
 """
 
+import copy
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import cohexp
-from cohexp import Const, TConorm, from_dict, load_expr, save_json, to_dict
+from cohexp import (
+    Affine,
+    Compose,
+    Const,
+    Coord,
+    GammaSpec,
+    LiftedProjection,
+    MlpExpr,
+    OutputModExpr,
+    Parallel,
+    Projection,
+    SamplingSpec,
+    TConorm,
+    TNorm,
+    apply_gamma,
+    from_dict,
+    init_model,
+    load_expr,
+    save_json,
+    to_dict,
+)
 from cohexp.cli import run
 from conftest import jump_low
 
@@ -130,6 +157,13 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "error[E_FORMAT]" in err and "Traceback" not in err
 
+    def test_non_string_node(self, tmp_path, capsys):
+        path = tmp_path / "node.json"
+        path.write_text('{"node": ["tconorm"], "kind": "max"}')
+        assert run(["check", "--expr", str(path)]) == BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error[E_FORMAT]") and "Traceback" not in err
+
     def test_random_sample_over_the_cap(self, or_file, capsys):
         assert run(["check", "--expr", or_file, "--random", "1000000000000"]) == BAD_INPUT
         err = capsys.readouterr().err
@@ -171,6 +205,33 @@ class TestConfigPrecedence:
         cfg.write_text(json.dumps({"gird": 13}))
         assert run(["check", "--expr", or_file, "--config", str(cfg)]) == BAD_INPUT
         assert "unknown options" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, flags, key, expected", [
+        ({"grid": 3}, ["--random", "5"], "sampling", {"mode": "random", "count": 5, "seed": 0}),
+        ({"quantize": 3}, ["--alpha", "0.3"], "projection", {"kind": "threshold", "alpha": 0.3}),
+        ({"identity": True}, ["--quantize", "4"], "projection", {"kind": "quantize", "levels": 4}),
+    ], ids=["random-over-grid", "alpha-over-quantize", "quantize-over-identity"])
+    def test_flag_overrides_its_exclusive_group(self, config, flags, key, expected,
+                                                or_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run([
+            "check", "--expr", or_file, "--config", str(cfg), *flags, "--format", "structured",
+        ]) == OK
+        assert json.loads(capsys.readouterr().out)[key] == expected
+
+    @pytest.mark.parametrize("body", [
+        '{"grid": [3]}', '{"alpha": [0.5]}', '{"witness_limit": null}', '{"grid": 1e400}',
+        '{"random": 1.5}', '{"identity": "no"}', '{"format": "xml"}',
+    ])
+    def test_invalid_config_value(self, body, or_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(body)
+        assert run(["check", "--expr", or_file, "--config", str(cfg)]) == BAD_INPUT
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[E_INPUT]: config key")
+        assert captured.out == ""
 
     def test_config_supplies_the_setting(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -403,3 +464,106 @@ def test_installed_entry_point_matches(tmp_path, capsys):
     proc = cohexp_script("check", "--expr", str(tmp_path / "missing.json"))
     assert proc.returncode == BAD_INPUT
     assert re.search(rb"^error\[E_[A-Z]+\]: ", proc.stderr, re.MULTILINE)
+
+
+# ---------------------------------------------------------------------------
+# hostile documents
+# ---------------------------------------------------------------------------
+
+
+def _run_quietly(argv: list[str]) -> tuple[int, str, float]:
+    err = io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = run(argv)
+    return code, err.getvalue(), time.perf_counter() - start
+
+
+class TestHostileDocuments:
+    @pytest.mark.parametrize("doc, flags", [
+        ({"node": "const", "values": [0.5], "in_arity": 10**20}, ["--grid", "5"]),
+        ({"node": "const", "values": [0.5], "in_arity": 10**20}, ["--random", "5"]),
+        ({"node": "const", "values": [0.5], "in_arity": 10**20}, []),
+        ({"node": "tconorm", "kind": "max"}, ["--quantize", "100000000000"]),
+        ({"node": "output_mod", "base": {"node": "tconorm", "kind": "max"}, "fallback": None,
+          "projection": {"kind": "quantize", "levels": 1e308}}, []),
+    ], ids=["arity-grid", "arity-random", "arity-default", "quantize-flag", "quantize-node"])
+    def test_refused_at_once(self, doc, flags, tmp_path):
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(doc))
+        code, err, seconds = _run_quietly(["check", "--expr", str(path), *flags])
+        assert code == BAD_INPUT and re.fullmatch(r"error\[E_[A-Z]+\]: [^\n]*\n", err)
+        # a hang here never returns; this bound catches a slow refusal
+        assert seconds < 1.0
+
+
+def _seed_documents() -> list[dict]:
+    lor, threshold = TConorm("lukasiewicz"), Projection.threshold(0.5)
+    exprs = [
+        lor,
+        Compose(lor, Parallel((TConorm("max"), TNorm("product")))),
+        jump_low(),
+        Affine(((0.5, 0.5),), (0.0,)),
+        apply_gamma(lor, GammaSpec("extend", threshold, sampling=SamplingSpec.grid(5))),
+        OutputModExpr(lor, None, threshold),
+        OutputModExpr(lor, Const((1.0,), in_arity=2), Projection.quantize(3)),
+        MlpExpr.from_model(init_model(2, (3,), 1, np.random.default_rng(0))),
+        Compose(Coord((0, 0), 1), LiftedProjection(Projection.quantize(4), 1)),
+    ]
+    return [to_dict(e) for e in exprs]
+
+
+_SEEDS = _seed_documents()
+# Replacement values: wrong types, out-of-range and huge numbers.  No
+# mid-sized arity or level count, which would be valid but slow.
+_HOSTILE = st.sampled_from([
+    None, True, 0, 1, 2, 3, -1, 0.5, 1.5, -0.5, 1e308, 10**20, 2**64,
+    "", "x", "mlp", "const", [], [0], [[0]], [1, 2], {}, {"node": "const", "values": [1.0]},
+])
+
+
+def _slots(doc):
+    """Every (container, key) pair inside a document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield doc, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+@st.composite
+def _mutated_documents(draw) -> dict:
+    doc = copy.deepcopy(draw(st.sampled_from(_SEEDS)))
+    for _ in range(draw(st.integers(1, 3))):
+        container, key = draw(st.sampled_from(list(_slots(doc))))
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "add" and isinstance(container, dict):
+            key = draw(st.sampled_from(["node", "in_arity", "out_arity", "levels", "model"]))
+        if action == "delete" and isinstance(container, dict):
+            del container[key]
+        else:
+            container[key] = copy.deepcopy(draw(_HOSTILE))
+        if not doc:
+            break
+    return doc
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_mutated_documents())
+def test_mutated_documents_never_raise(tmp_path_factory, doc):
+    """ROADMAP aim 3: every mutated document gives exit 0 or a coded error."""
+    work = tmp_path_factory.mktemp("fuzz")
+    path = work / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = str(work / "repaired.json")
+    for command in (
+        ["check", "--grid", "5"],
+        ["explain"],
+        ["repair", "--gamma", "extend", "--grid", "5", "--out-expr", out],
+        ["repair", "--gamma", "output-mod", "--grid", "5", "--out-expr", out],
+    ):
+        code, err, _ = _run_quietly([command[0], "--expr", str(path), *command[1:]])
+        assert code == OK or (
+            code in (BAD_INPUT, BAD_CONTRACT) and re.fullmatch(r"error\[E_[A-Z]+\]: [^\n]*\n", err)
+        ), (command, code, err)

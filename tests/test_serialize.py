@@ -7,10 +7,17 @@ import pytest
 
 from cohexp import (
     Compose,
+    GammaSpec,
     MlpExpr,
+    MlpModel,
     Parallel,
+    Projection,
+    SamplingSpec,
     SerializationError,
     TConorm,
+    TruthTable,
+    check_coherence,
+    from_dict,
     init_model,
     load_expr,
     load_json,
@@ -18,6 +25,7 @@ from cohexp import (
     save_json,
     to_dict,
 )
+from cohexp.serialize import dumps
 
 
 class TestJsonFiles:
@@ -125,3 +133,95 @@ class TestExprFiles:
         save_expr(TConorm("prob_sum"), path)
         doc = json.loads(path.read_text())
         assert doc["node"] == "tconorm"
+
+    def test_referenced_file_is_not_resolved_in_turn(self, tmp_path):
+        model = init_model(2, (2,), 1, np.random.default_rng(3))
+        weights = model.to_dict()
+        weights["note"] = {"node": "mlp", "weights_ref": "gone.json"}
+        save_json(weights, tmp_path / "w.json")
+        doc = {"node": "mlp", "in_arity": 2, "out_arity": 1, "weights_ref": "w.json"}
+        save_json(doc, tmp_path / "net.json")
+        assert load_expr(tmp_path / "net.json").in_arity == 2
+
+
+class TestDumps:
+    """The bytes of every written document; a faster writer must keep them."""
+
+    def test_readme_extended_example(self):
+        doc = {
+            "node": "extended", "in_arity": 3, "out_arity": 1,
+            "base": {"node": "tconorm", "in_arity": 2, "out_arity": 1, "kind": "lukasiewicz"},
+            "projection": {"kind": "threshold", "alpha": 0.5},
+            "extended_components": [0],
+            "contaminated": [[[0, 0]]],
+        }
+        assert dumps(doc) == (
+            '{\n  "base": {\n    "in_arity": 2,\n    "kind": "lukasiewicz",\n'
+            '    "node": "tconorm",\n    "out_arity": 1\n  },\n'
+            '  "contaminated": [\n    [\n      [\n        0,\n        0\n      ]\n    ]\n  ],\n'
+            '  "extended_components": [\n    0\n  ],\n  "in_arity": 3,\n'
+            '  "node": "extended",\n  "out_arity": 1,\n'
+            '  "projection": {\n    "alpha": 0.5,\n    "kind": "threshold"\n  }\n}\n'
+        )
+
+    def test_small_report(self):
+        report = check_coherence(
+            TConorm("lukasiewicz"), Projection.threshold(0.5), SamplingSpec.grid(5), witness_cap=1
+        )
+        assert dumps(report.to_dict()) == (
+            '{\n  "coherent_fraction": 0.96,\n  "components": [\n    {\n'
+            '      "coherent_fraction": 0.96,\n      "component": 0,\n      "witnesses": [\n'
+            '        {\n          "output": [\n            0.5\n          ],\n'
+            '          "point": [\n            0.25,\n            0.25\n          ],\n'
+            '          "projected_direct": 1.0,\n'
+            '          "projected_via_projected_inputs": 0.0\n        }\n      ]\n    }\n  ],\n'
+            '  "in_arity": 2,\n  "n_points": 25,\n  "out_arity": 1,\n'
+            '  "projection": {\n    "alpha": 0.5,\n    "kind": "threshold"\n  },\n'
+            '  "sampling": {\n    "mode": "grid",\n    "points_per_axis": 5\n  },\n'
+            '  "verdict": "incoherent_with_witnesses"\n}\n'
+        )
+
+
+_LAYER = {"weights": [[0.5, -0.5]], "bias": [0.0]}
+
+
+@pytest.mark.parametrize("decode, doc", [
+    (TruthTable.from_dict, {"n_inputs": "x", "n_outputs": 1, "rows": [[0], [1]]}),
+    (TruthTable.from_dict, {"n_inputs": 0, "n_outputs": 1, "rows": [["a"]]}),
+    (Projection.from_dict, {"kind": "threshold", "alpha": "x"}),
+    (Projection.from_dict, {"kind": "threshold", "alpha": [1]}),
+    (GammaSpec.from_dict, {"kind": "extend", "projection": {"kind": "threshold", "alpha": 0.5},
+                           "sampling": {"mode": "grid", "points_per_axis": "abc"}}),
+    (GammaSpec.from_dict, {"kind": "extend", "projection": {"kind": "threshold", "alpha": 0.5},
+                           "sampling": [1]}),
+    (SamplingSpec.from_dict, {"mode": "grid", "points_per_axis": "abc"}),
+    (MlpModel.from_dict, {"layers": [{"weights": "abc", "bias": [0.0]}]}),
+    (MlpModel.from_dict, {"layers": [{**_LAYER, "weights": [[0.5], [0.5]], "bias": [0.0, 0.0],
+                                      "slope": "q"}, _LAYER]}),
+    (from_dict, {"node": [1]}),
+], ids=[
+    "table-n_inputs", "table-row", "projection-alpha-str", "projection-alpha-list",
+    "gamma-points", "gamma-sampling-list", "sampling-points", "model-weights", "model-slope",
+    "node-list",
+])
+def test_malformed_documents_are_serialization_errors(decode, doc):
+    with pytest.raises(SerializationError):
+        decode(doc)
+
+
+_TNORM_MEDIAN = {"node": "tnorm", "kind": "median"}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"node": "coord", "in_arity": 1}, "malformed 'coord' node: 'indices'"),
+    (_TNORM_MEDIAN, "invalid 'tnorm' node: unknown t-norm kind 'median'"),
+    ({"node": "compose", "outer": _TNORM_MEDIAN,
+      "inner": {"node": "coord", "indices": [0, 0], "in_arity": 1}},
+     "invalid 'compose' node: invalid 'tnorm' node: unknown t-norm kind 'median'"),
+    ({"node": "lifted_projection", "in_arity": 1, "projection": {"kind": "threshold", "alpha": 2}},
+     "invalid 'lifted_projection' node: threshold projection needs alpha in (0, 1], got 2"),
+], ids=["missing-field", "bad-kind", "nested", "bad-projection"])
+def test_node_errors_name_every_enclosing_node(doc, message):
+    with pytest.raises(SerializationError) as info:
+        from_dict(doc)
+    assert str(info.value) == message
