@@ -14,7 +14,8 @@ mathematical contract fails (incompatible fallback, diverged training).
 Errors print one line ``error[CODE]: message`` on stderr.
 
 Flag values beat ``--config`` file values, which beat built-in
-defaults; the default seed comes from ``COHEXP_SEED`` when set.
+defaults; the default seed comes from ``COHEXP_SEED`` when set, and the
+variable is read only when neither a flag nor the config sets the seed.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write the report there instead of stdout")
         p.add_argument("--config", metavar="FILE", default=None,
                        help="JSON file with default option values")
-        option(p, "--seed", type=int, default=_env_seed(),
+        option(p, "--seed", type=int, default=_env_seed,
                help="seed for sampled checks (default: COHEXP_SEED or 0)")
 
     def add_projection(p: argparse.ArgumentParser) -> None:
@@ -165,19 +166,29 @@ def _build_parser() -> argparse.ArgumentParser:
 def _settle(args) -> None:
     """Give each option the command line left unset its ``--config``
     value, converted and checked as the flag's text would be, else its
-    built-in default.  A flag on the command line also overrides the
-    config values of the other options in its mutually exclusive group."""
+    built-in default (a callable default is called only then).  A flag on
+    the command line also overrides the config values of the other
+    options in its mutually exclusive group; without such a flag, the
+    config may set at most one option of the group (an on/off option set
+    to false counts as unset)."""
     config = load_json(args.config) if args.config else {}
     unknown = set(config) - args.configurable
     if unknown:
         raise ValidationError(f"config file sets unknown options: {sorted(unknown)}")
     flagged = {g for action, _, g in args.settings if g is not None and hasattr(args, action.dest)}
+    chosen: dict = {}
+    for action, _, group in args.settings:
+        if group is not None and group not in flagged and config.get(action.dest, False) is not False:
+            chosen.setdefault(group, []).append(action.dest)
+    for keys in chosen.values():
+        if len(keys) > 1:
+            raise ValidationError(f"config file sets mutually exclusive options: {keys}")
     for action, default, group in args.settings:
         if hasattr(args, action.dest):
             continue
         key, value = action.dest, config.get(action.dest)
         if key not in config or group in flagged:
-            value = default
+            value = default() if callable(default) else default
         elif action.nargs == 0:  # an on/off flag
             if not isinstance(value, bool):
                 raise ValidationError(f"config key {key!r} takes true or false, got {value!r}")

@@ -4,12 +4,23 @@ An expression file holds a single node object (see the schema in the
 README).  ``mlp`` nodes may inline their parameters under ``model`` or
 point at a separate parameter file via ``weights_ref``; references are
 resolved here, relative to the referencing file, while it is parsed.
-Every document the package writes is formatted by :func:`dumps`.
+Files are read as UTF-8.
+
+Every document the package writes is formatted by :func:`dumps`, whose
+text is byte for byte that of ``json.dumps(doc, indent=2,
+sort_keys=True)`` plus a newline.  The standard library formats an
+indented document with its pure-Python encoder; :func:`dumps` gets the
+same bytes with the C encoder instead.  It walks dicts and lists of dicts
+or strings itself, but hands each list of numbers (or of non-empty lists
+of numbers) to the C encoder whole and re-indents that compact text with
+``str.replace``, which is exact because the text holds no string: every
+``", "``, ``"["`` and ``"]"`` in it is a separator or a bracket.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Callable
 
@@ -19,10 +30,94 @@ from .errors import SerializationError
 __all__ = ["dumps", "load_json", "save_json", "load_expr", "save_expr"]
 
 
+_encode = json.JSONEncoder(sort_keys=True).encode  # the C encoder, compact
+_ARRAY = (list, tuple)
+
+
 def dumps(doc: dict) -> str:
     """The text of a JSON document: two-space indent, sorted keys and a
-    trailing newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    trailing newline.
+
+    The result equals ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``
+    for every document; a value or key JSON cannot hold raises
+    ``TypeError``, as it does there."""
+    out: list[str] = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, newline: str, out: list[str]) -> None:
+    """Append the text of ``value``; ``newline`` is a line break followed
+    by the indent of the line ``value`` starts on."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError(
+                        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+                    )
+                key = _encode(key)
+            out.append(sep + _quote(key) + ": ")
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, _ARRAY):
+        if not value:
+            out.append("[]")
+            return
+        text = _number_array(value, newline, inner)
+        if text is not None:
+            out.append(text)
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(_encode(value))
+
+
+def _number_array(value, newline: str, inner: str) -> str | None:
+    """The indented text of a non-empty list of scalars other than strings,
+    or of non-empty such lists, from one call of the C encoder; ``None``
+    for any other list.
+
+    Only the first element is looked at before encoding; the rest is
+    checked on the compact text.  With no ``'"'`` in it the text holds no
+    string and no dict other than ``{}``, which both encoders write
+    alike, so every ``"["`` opens a list and every ``", "`` separates two
+    items.  A flat list holds one ``"["``.  A list of ``n`` elements is
+    ``n`` flat lists exactly when it holds ``n + 1`` of ``"["`` and
+    ``n - 1`` of ``"], ["``: with ``k > 0`` elements that are not lists,
+    the ``"["`` count needs ``k`` lists nested inside others, and then
+    at most ``(n - 1 - k) + (k - 1)`` pairs of adjacent sibling lists
+    give a ``"], ["``.
+    """
+    head = value[0]
+    rows = isinstance(head, _ARRAY)
+    if isinstance(head, (dict, str)) or (rows and (not head or isinstance(head[0], _ARRAY))):
+        return None
+    text = _encode(value)
+    if '"' in text:
+        return None
+    if not rows:
+        if text.count("[") != 1:
+            return None
+        return "[" + inner + text[1:-1].replace(", ", "," + inner) + newline + "]"
+    n = len(value)
+    if "[]" in text or text.count("[") != n + 1 or text.count("], [") != n - 1:
+        return None
+    row = inner + "  "
+    body = text[2:-2].replace("], [", inner + "]," + inner + "[" + row).replace(", ", "," + row)
+    return "[" + inner + "[" + row + body + inner + "]" + newline + "]"
 
 
 def load_json(path: str | Path, object_hook: Callable[[dict], dict] | None = None) -> dict:
@@ -30,9 +125,11 @@ def load_json(path: str | Path, object_hook: Callable[[dict], dict] | None = Non
     :func:`json.loads`, which calls it on every object, innermost first."""
     p = Path(path)
     try:
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise SerializationError(f"cannot read {p}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SerializationError(f"{p} is not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(text, object_hook=object_hook)
     except json.JSONDecodeError as exc:

@@ -110,6 +110,32 @@ class TestCheck:
         assert run(["check", "--expr", or_file]) == BAD_INPUT
         assert "error[E_INPUT]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_invalid_env_seed_unused_when_the_seed_is_set(self, source, or_file, tmp_path,
+                                                          capsys, monkeypatch):
+        """The variable is read only when neither a flag nor the config
+        sets the seed, so an invalid value there is not an error."""
+        monkeypatch.setenv("COHEXP_SEED", "many")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 4}))
+        flags = ["--seed", "4"] if source == "flag" else ["--config", str(cfg)]
+        assert run([
+            "check", "--expr", or_file, "--random", "5", *flags, "--format", "structured",
+        ]) == OK
+        assert json.loads(capsys.readouterr().out)["sampling"]["seed"] == 4
+
+    @pytest.mark.parametrize("which", ["expr", "config"])
+    def test_file_not_utf8(self, which, or_file, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"node":"tconorm","kind":"max"\xff}')
+        files = ["--expr", str(bad)] if which == "expr" else ["--expr", or_file, "--config", str(bad)]
+        assert run(["check", *files, "--grid", "3"]) == BAD_INPUT
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[E_FORMAT]: ")
+        assert "not UTF-8" in lines[0] and "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_missing_file(self, tmp_path, capsys):
         assert run(["check", "--expr", str(tmp_path / "nope.json")]) == BAD_INPUT
         assert "error[E_FORMAT]" in capsys.readouterr().err
@@ -219,6 +245,44 @@ class TestConfigPrecedence:
             "check", "--expr", or_file, "--config", str(cfg), *flags, "--format", "structured",
         ]) == OK
         assert json.loads(capsys.readouterr().out)[key] == expected
+
+    @pytest.mark.parametrize("config", [
+        {"grid": 3, "random": 5},
+        {"alpha": 0.3, "quantize": 4},
+        {"quantize": 4, "identity": True},
+    ], ids=["grid-and-random", "alpha-and-quantize", "quantize-and-identity"])
+    def test_config_sets_two_of_one_exclusive_group(self, config, or_file, tmp_path, capsys):
+        """Argparse refuses such a pair of flags; the config file may not
+        pick one of them silently either."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run(["check", "--expr", or_file, "--config", str(cfg)]) == BAD_INPUT
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[E_INPUT]: config file sets ")
+        assert all(key in lines[0] for key in config)
+        assert captured.out == ""
+
+    def test_exclusive_pair_in_config_overridden_by_a_flag(self, or_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": 3, "random": 5, "alpha": 0.3, "quantize": 4}))
+        assert run([
+            "check", "--expr", or_file, "--config", str(cfg), "--grid", "4", "--identity",
+            "--format", "structured",
+        ]) == OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["sampling"] == {"mode": "grid", "points_per_axis": 4}
+        assert doc["projection"] == {"kind": "identity"}
+
+    def test_false_on_off_option_does_not_count_as_set(self, or_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"identity": False, "alpha": 0.3, "grid": 3}))
+        assert run([
+            "check", "--expr", or_file, "--config", str(cfg), "--format", "structured",
+        ]) == OK
+        assert json.loads(capsys.readouterr().out)["projection"] == {
+            "kind": "threshold", "alpha": 0.3,
+        }
 
     @pytest.mark.parametrize("body", [
         '{"grid": [3]}', '{"alpha": [0.5]}', '{"witness_limit": null}', '{"grid": 1e400}',

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohexp import (
     Compose,
@@ -15,7 +17,9 @@ from cohexp import (
     SamplingSpec,
     SerializationError,
     TConorm,
+    TNorm,
     TruthTable,
+    apply_gamma,
     check_coherence,
     from_dict,
     init_model,
@@ -24,6 +28,7 @@ from cohexp import (
     save_expr,
     save_json,
     to_dict,
+    verify_functor_law,
 )
 from cohexp.serialize import dumps
 
@@ -144,6 +149,22 @@ class TestExprFiles:
         assert load_expr(tmp_path / "net.json").in_arity == 2
 
 
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.floats(allow_infinity=False, allow_nan=False).map(np.float64)
+)
+_NUMBER_ROWS = st.lists(st.lists(_SCALARS, max_size=4), max_size=5)
+
+
+def _documents():
+    leaves = _SCALARS | st.text(max_size=6) | _NUMBER_ROWS
+    return st.recursive(leaves, lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=4), children, max_size=4)
+    ), max_leaves=30)
+
+
 class TestDumps:
     """The bytes of every written document; a faster writer must keep them."""
 
@@ -180,6 +201,78 @@ class TestDumps:
             '  "sampling": {\n    "mode": "grid",\n    "points_per_axis": 5\n  },\n'
             '  "verdict": "incoherent_with_witnesses"\n}\n'
         )
+
+    # The stdlib's indented encoder is the reference for every document.
+
+    @staticmethod
+    def _stdlib(doc) -> str:
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("doc", [
+        pytest.param({}, id="empty-dict"),
+        pytest.param({"a": {}, "b": [], "c": [[], []]}, id="empty-members"),
+        pytest.param({"rows": [[1], []]}, id="empty-last-row"),
+        pytest.param({"rows": [[], [1]]}, id="empty-first-row"),
+        pytest.param({"x": [[1, 2], [3], [4, 5, 6]]}, id="ragged-rows"),
+        pytest.param({"x": [[1], [2, [3]], 4]}, id="rows-with-nested-list"),
+        pytest.param({"x": [[1, [2]], [3]]}, id="list-nested-in-a-row"),
+        pytest.param({"x": [[1], 5, [2]]}, id="scalar-between-rows"),
+        pytest.param({"x": [1, [2, 3]], "y": [[1, 2], 3]}, id="scalar-and-row"),
+        pytest.param({"x": [[[1, 2], [3]], [[4]], []]}, id="three-deep"),
+        pytest.param({"x": [-0.0, 1e-07, 1e308, -1e308, 5e-324, 0.1, 2**64, -(2**70)]},
+                     id="float-edges"),
+        pytest.param({"x": [float("nan"), float("inf"), -float("inf")]}, id="non-finite"),
+        pytest.param({"x": [1, True, 0, False, None, 2.5], "y": [[True, 1], [None, 0.0]]},
+                     id="bools-in-ints"),
+        pytest.param({"naïve": "Straße ✓ 漢字 \u2028 \U0001f600", "é": ["ü", 1, "\n\t\"\\"]},
+                     id="non-ascii"),
+        pytest.param({"x": ["[1, 2]", ", ", "]"], "y": [[1], ["a"]], "z": [{"a": [1, 2]}, 3]},
+                     id="strings-like-syntax"),
+        pytest.param({"x": [1, "a, b", "[c]"], "y": [[1, "x, y"]], "z": [[1], [", "]]},
+                     id="strings-after-numbers"),
+        pytest.param({"x": [1, {}], "y": [[{}, 2], [3]], "z": [[1], {}, [2]], "w": [{}, [1]]},
+                     id="empty-dicts"),
+        pytest.param({"t": (1, 2, 3), "u": ((1, 2), (3,)), "v": [(1.5, 2.5), [3.5]], "w": ()},
+                     id="tuples"),
+        pytest.param({"f": np.float64(0.1), "g": [np.float64(1e-07), np.float64(-0.0)],
+                      "h": [[np.float64(2.0)], [np.float64(np.inf)]]}, id="numpy-floats"),
+        pytest.param({1: "int key", 10: "ten", 9: "nine"}, id="int-keys"),
+        pytest.param({"a": {True: 1, 2.5: 2}, "b": {None: 3}}, id="scalar-keys"),
+        pytest.param({"x": [{"a": 1}, {"b": [1, 2]}]}, id="dicts-in-list"),
+    ])
+    def test_same_bytes_as_the_stdlib_encoder(self, doc):
+        assert dumps(doc) == self._stdlib(doc)
+
+    def test_three_deep_number_array(self):
+        cube = np.arange(24).reshape(2, 3, 4)
+        doc = {"cube": cube.tolist(), "cube_f": (cube / 7).tolist(), "slab": [cube.tolist()] * 2}
+        assert dumps(doc) == self._stdlib(doc)
+
+    def test_functor_law_report_of_sixteen_inputs(self):
+        inner = MlpExpr.from_model(init_model(16, (4,), 2, np.random.default_rng(5)))
+        report = verify_functor_law(inner, TConorm("lukasiewicz"), Projection.threshold(0.5))
+        doc = report.to_dict()
+        assert len(doc["lhs"]["rows"]) == 2**16 and doc["witness"] is not None
+        assert dumps(doc) == self._stdlib(doc)
+
+    def test_extended_document_with_contaminated_fibers(self):
+        base = Parallel((TConorm("lukasiewicz"), TNorm("product")))
+        spec = GammaSpec("extend", Projection.quantize(5), sampling=SamplingSpec.grid(9))
+        doc = to_dict(apply_gamma(base, spec))
+        assert [len(s) > 1 for s in doc["contaminated"]] == [True, True]
+        assert dumps(doc) == self._stdlib(doc)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.dictionaries(st.text(max_size=4), _documents(), max_size=5))
+    def test_generated_documents(self, doc):
+        assert dumps(doc) == self._stdlib(doc)
+
+    def test_unencodable_values_and_keys_raise_type_error(self):
+        for doc in ({"x": np.int64(1)}, {"x": [1, {2}]}, {(1, 2): 0}, {"x": [[1], [object()]]}):
+            with pytest.raises(TypeError):
+                self._stdlib(doc)
+            with pytest.raises(TypeError):
+                dumps(doc)
 
 
 _LAYER = {"weights": [[0.5, -0.5]], "bias": [0.0]}
