@@ -97,8 +97,12 @@ class SamplingSpec:
                 raise ValidationError("random sampling needs a positive count")
             if self.points_per_axis is not None:
                 raise ValidationError("random sampling takes no points_per_axis")
-            if self.seed is None:
-                object.__setattr__(self, "seed", 0)
+            seed = 0 if self.seed is None else self.seed
+            if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+                raise ValidationError(
+                    f"random sampling needs a non-negative integer seed, got {self.seed!r}"
+                )
+            object.__setattr__(self, "seed", seed)
         else:
             raise ValidationError(f"unknown sampling mode {self.mode!r}")
 

@@ -58,10 +58,6 @@ __all__ = [
     "fiber_digits",
     "vertex_index",
     "identity",
-    "eval_expr",
-    "apply_projection",
-    "compose",
-    "parallel",
     "to_dict",
     "from_dict",
     "NODE_TYPES",
@@ -143,9 +139,10 @@ class Projection:
         """True when the image is exactly ``{0.0, 1.0}``."""
         return self.kind == "threshold"
 
-    @property
+    @cached_property
     def level_values(self) -> tuple[float, ...] | None:
-        """The finite image, or None when the image is infinite."""
+        """The finite image, or None when the image is infinite.  Built
+        once per projection: fiber coding reads it on every slice."""
         if self.kind == "threshold":
             return (0.0, 1.0)
         if self.kind == "quantize":
@@ -184,11 +181,6 @@ class Projection:
             raise SerializationError(f"unknown projection fields: {sorted(extra)}")
         with malformed("projection document"):
             return Projection(doc["kind"], alpha=doc.get("alpha"), levels=doc.get("levels"))
-
-
-def apply_projection(projection: Projection, x: Sequence[float]) -> Point:
-    """Project a fuzzy point componentwise."""
-    return projection.apply_point(x)
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +255,6 @@ class FuzzyExpr:
         raise NotImplementedError
 
 
-def eval_expr(f: FuzzyExpr, x: Sequence[float]) -> Point:
-    """Evaluate a fuzzy expression at a single point."""
-    return f(x)
-
-
 @dataclass(frozen=True)
 class Const(FuzzyExpr):
     """Constant function; ignores its input."""
@@ -339,76 +326,62 @@ def identity(n: int) -> Coord:
     return Coord(tuple(range(n)), n)
 
 
-T_NORM_KINDS = ("min", "product", "lukasiewicz")
-T_CONORM_KINDS = ("max", "prob_sum", "lukasiewicz")
-
-
 @dataclass(frozen=True)
-class TNorm(FuzzyExpr):
+class _Connective(FuzzyExpr):
+    """Binary fuzzy connective ``[0,1]^2 -> [0,1]``; ``kind`` picks its
+    function from the subclass's ``functions`` table."""
+
+    label: ClassVar[str] = ""
+    functions: ClassVar[dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]]] = {}
+
+    kind: str
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.kind, str) or self.kind not in self.functions:
+            raise ValidationError(f"unknown {self.label} kind {self.kind!r}")
+
+    in_arity: ClassVar[int] = 2  # type: ignore[misc]
+    out_arity: ClassVar[int] = 1  # type: ignore[misc]
+
+    def _eval(self, xs: np.ndarray) -> np.ndarray:
+        return self.functions[self.kind](xs[:, 0], xs[:, 1]).reshape(-1, 1)
+
+    def to_payload(self) -> dict:
+        return {"kind": self.kind}
+
+    @classmethod
+    def from_payload(cls, doc, decode):
+        return cls(doc["kind"])
+
+
+class TNorm(_Connective):
     """Binary t-norm: ``min``, ``product`` or ``lukasiewicz``
     (``max(0, x + y - 1)``)."""
 
     node_name: ClassVar[str] = "tnorm"
-
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in T_NORM_KINDS:
-            raise ValidationError(f"unknown t-norm kind {self.kind!r}")
-
-    in_arity: ClassVar[int] = 2  # type: ignore[misc]
-    out_arity: ClassVar[int] = 1  # type: ignore[misc]
-
-    def _eval(self, xs: np.ndarray) -> np.ndarray:
-        x, y = xs[:, 0], xs[:, 1]
-        if self.kind == "min":
-            out = np.minimum(x, y)
-        elif self.kind == "product":
-            out = x * y
-        else:
-            out = np.maximum(0.0, x + y - 1.0)
-        return out.reshape(-1, 1)
-
-    def to_payload(self) -> dict:
-        return {"kind": self.kind}
-
-    @classmethod
-    def from_payload(cls, doc, decode):
-        return TNorm(doc["kind"])
+    label: ClassVar[str] = "t-norm"
+    functions: ClassVar[dict] = {
+        "min": np.minimum,
+        "product": lambda x, y: x * y,
+        "lukasiewicz": lambda x, y: np.maximum(0.0, x + y - 1.0),
+    }
 
 
-@dataclass(frozen=True)
-class TConorm(FuzzyExpr):
+class TConorm(_Connective):
     """Binary t-conorm: ``max``, ``prob_sum`` (``x + y - xy``) or
     ``lukasiewicz`` (``min(1, x + y)``)."""
 
     node_name: ClassVar[str] = "tconorm"
+    label: ClassVar[str] = "t-conorm"
+    functions: ClassVar[dict] = {
+        "max": np.maximum,
+        "prob_sum": lambda x, y: x + y - x * y,
+        "lukasiewicz": lambda x, y: np.minimum(1.0, x + y),
+    }
 
-    kind: str
 
-    def __post_init__(self) -> None:
-        if self.kind not in T_CONORM_KINDS:
-            raise ValidationError(f"unknown t-conorm kind {self.kind!r}")
-
-    in_arity: ClassVar[int] = 2  # type: ignore[misc]
-    out_arity: ClassVar[int] = 1  # type: ignore[misc]
-
-    def _eval(self, xs: np.ndarray) -> np.ndarray:
-        x, y = xs[:, 0], xs[:, 1]
-        if self.kind == "max":
-            out = np.maximum(x, y)
-        elif self.kind == "prob_sum":
-            out = x + y - x * y
-        else:
-            out = np.minimum(1.0, x + y)
-        return out.reshape(-1, 1)
-
-    def to_payload(self) -> dict:
-        return {"kind": self.kind}
-
-    @classmethod
-    def from_payload(cls, doc, decode):
-        return TConorm(doc["kind"])
+T_NORM_KINDS = tuple(TNorm.functions)
+T_CONORM_KINDS = tuple(TConorm.functions)
 
 
 @dataclass(frozen=True)
@@ -545,11 +518,6 @@ class Compose(FuzzyExpr):
         return Compose(decode(doc["outer"]), decode(doc["inner"]))
 
 
-def compose(outer: FuzzyExpr, inner: FuzzyExpr) -> Compose:
-    """``compose(g, f)`` is the function ``x -> g(f(x))``."""
-    return Compose(outer, inner)
-
-
 @dataclass(frozen=True)
 class Parallel(FuzzyExpr):
     """Juxtaposition: runs each part on its own slice of the input."""
@@ -586,10 +554,6 @@ class Parallel(FuzzyExpr):
     @classmethod
     def from_payload(cls, doc, decode):
         return Parallel(tuple(decode(p) for p in doc["parts"]))
-
-
-def parallel(*parts: FuzzyExpr) -> Parallel:
-    return Parallel(tuple(parts))
 
 
 _CONDITION_OPS = ("lt", "le", "gt", "ge")

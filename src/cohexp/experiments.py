@@ -157,6 +157,8 @@ def make_dataset(setting: str, split: str, size: int, seed: int = 0) -> Dataset:
         raise ValidationError(f"unknown split {split!r}; choose from {SPLITS}")
     if size < 1:
         raise ValidationError("dataset size must be positive")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng([int(seed), _SETTING_CODE[setting], _SPLIT_CODE[split]])
 
     if split != "test":
@@ -256,13 +258,12 @@ def _score_table(
     variant: str,
     vertices: np.ndarray,
     model_class: np.ndarray,
-    simplify: bool,
     var_names: tuple[str, ...],
 ) -> ExplanationReport:
     scores = []
     for target in (1, 0):
         source = table if target == 1 else _complement(table)
-        formula = table_to_dnf(source, simplify=simplify, var_names=var_names)
+        formula = table_to_dnf(source, var_names=var_names)
         values = formula.evaluate_batch(vertices)[:, 0].astype(bool)
         fidelity = float((values == (model_class == target)).mean())
         scores.append(FormulaScore(target, formula.render(), fidelity, formula))
@@ -274,7 +275,6 @@ def extract_and_score(
     dataset: Dataset,
     projection: Projection,
     gamma: GammaSpec | None = None,
-    simplify: bool = True,
 ) -> ExtractionResult:
     """Extract per-class DNF explanations and score their fidelity.
 
@@ -297,7 +297,7 @@ def extract_and_score(
 
     base_names = default_var_names(n)
     naive_table = booleanize(model, projection)
-    naive = _score_table(naive_table, "raw", proj_feats, model_class, simplify, base_names)
+    naive = _score_table(naive_table, "raw", proj_feats, model_class, base_names)
 
     extended = None
     n_controls = 0
@@ -309,7 +309,7 @@ def extract_and_score(
             ext_vertices = np.concatenate([proj_feats, controls], axis=1)
             ext_table = booleanize(repaired, projection)
             extended = _score_table(
-                ext_table, "extended", ext_vertices, model_class, simplify, repaired.var_names
+                ext_table, "extended", ext_vertices, model_class, repaired.var_names
             )
 
     return ExtractionResult(
@@ -458,7 +458,7 @@ def run_experiment(
         for split, size in zip(SPLITS, sizes)
     }
     result = train(cfg, datasets["train"], datasets["val"])
-    model = MlpExpr.from_model(result.model)
+    model = MlpExpr(result.model)
 
     metrics = {split: evaluate(model, datasets[split], projection) for split in SPLITS}
     extraction = extract_and_score(

@@ -374,7 +374,6 @@ class QuotientMorphism:
 
     canonical: FuzzyExpr
     gamma: GammaSpec
-    origin: FuzzyExpr | None = None
 
     @property
     def in_arity(self) -> int:
@@ -387,7 +386,7 @@ class QuotientMorphism:
 
 def quotient_of(f: FuzzyExpr, spec: GammaSpec) -> QuotientMorphism:
     """The class of ``f`` under the repair ``spec``."""
-    return QuotientMorphism(canonical=apply_gamma(f, spec), gamma=spec, origin=f)
+    return QuotientMorphism(canonical=apply_gamma(f, spec), gamma=spec)
 
 
 def quotient_compose(g: QuotientMorphism, f: QuotientMorphism) -> QuotientMorphism:
@@ -401,9 +400,7 @@ def quotient_compose(g: QuotientMorphism, f: QuotientMorphism) -> QuotientMorphi
             f"cannot compose: inner class produces {f.canonical.out_arity} values, "
             f"outer consumes {g.canonical.in_arity}"
         )
-    return QuotientMorphism(
-        canonical=Compose(g.canonical, f.canonical), gamma=g.gamma, origin=None
-    )
+    return QuotientMorphism(canonical=Compose(g.canonical, f.canonical), gamma=g.gamma)
 
 
 def functor_gamma(q: QuotientMorphism) -> FuzzyExpr:
@@ -411,18 +408,12 @@ def functor_gamma(q: QuotientMorphism) -> FuzzyExpr:
     return q.canonical
 
 
-def extensionally_equal(
-    f: FuzzyExpr,
-    g: FuzzyExpr,
-    projection: Projection,
-    count: int = _EXT_EQ_COUNT,
-    seed: int = _EXT_EQ_SEED,
-) -> bool:
+def extensionally_equal(f: FuzzyExpr, g: FuzzyExpr, projection: Projection) -> bool:
     """Sampled extensional equality: same signature, same projected
-    outputs on ``count`` seeded uniform points (compared exactly)."""
+    outputs on ``_EXT_EQ_COUNT`` seeded uniform points (compared exactly)."""
     if (f.in_arity, f.out_arity) != (g.in_arity, g.out_arity):
         return False
-    xs = SamplingSpec.random(count, seed=seed).sample(f.in_arity)
+    xs = SamplingSpec.random(_EXT_EQ_COUNT, seed=_EXT_EQ_SEED).sample(f.in_arity)
     return bool(
         np.array_equal(projection.apply(eval_chunked(f, xs)), projection.apply(eval_chunked(g, xs)))
     )

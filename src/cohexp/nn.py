@@ -41,11 +41,13 @@ __all__ = [
     "MlpExpr",
     "init_model",
     "forward",
-    "loss",
     "loss_and_grads",
     "gradient_check",
     "train",
 ]
+
+# Central-difference step of gradient_check.
+_FD_STEP = 1e-5
 
 
 @dataclass
@@ -139,6 +141,8 @@ class TrainConfig:
             raise ValidationError("rates and penalties must be non-negative")
         if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
             raise ValidationError("hidden_sizes must be positive")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -260,19 +264,9 @@ def loss_and_grads(
     return total, grads
 
 
-def loss(model: MlpModel, xs: np.ndarray, ys: np.ndarray, cfg: TrainConfig) -> float:
-    return loss_and_grads(model, xs, ys, cfg)[0]
-
-
-def gradient_check(
-    model: MlpModel,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    cfg: TrainConfig,
-    step: float = 1e-5,
-) -> float:
+def gradient_check(model: MlpModel, xs: np.ndarray, ys: np.ndarray, cfg: TrainConfig) -> float:
     """Worst discrepancy between backprop and central finite
-    differences over every parameter, scaled by
+    differences of step ``_FD_STEP`` over every parameter, scaled by
     ``max(1, |analytic|, |numeric|)``."""
     work = model.copy()
     _, grads = loss_and_grads(work, xs, ys, cfg)
@@ -283,12 +277,12 @@ def gradient_check(
         flat_g = grad.reshape(-1)
         for j in range(flat_v.size):
             keep = flat_v[j]
-            flat_v[j] = keep + step
-            up = loss(work, xs, ys, cfg)
-            flat_v[j] = keep - step
-            down = loss(work, xs, ys, cfg)
+            flat_v[j] = keep + _FD_STEP
+            up = loss_and_grads(work, xs, ys, cfg)[0]
+            flat_v[j] = keep - _FD_STEP
+            down = loss_and_grads(work, xs, ys, cfg)[0]
             flat_v[j] = keep
-            numeric = (up - down) / (2.0 * step)
+            numeric = (up - down) / (2.0 * _FD_STEP)
             analytic = flat_g[j]
             err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
             worst = max(worst, err)
@@ -296,14 +290,10 @@ def gradient_check(
 
 
 def _as_xy(data) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(data, (tuple, list)) and len(data) == 2:
-        xs, ys = data
-    elif hasattr(data, "features") and hasattr(data, "labels"):
-        xs, ys = data.features, data.labels
-    else:
-        raise ValidationError("expected an (X, y) pair or an object with features/labels")
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
+    if not (hasattr(data, "features") and hasattr(data, "labels")):
+        raise ValidationError("expected a dataset with features and labels")
+    xs = np.asarray(data.features, dtype=np.float64)
+    ys = np.asarray(data.labels, dtype=np.float64)
     if ys.ndim == 1:
         ys = ys.reshape(-1, 1)
     if xs.ndim != 2 or xs.shape[0] != ys.shape[0]:
@@ -385,10 +375,6 @@ class MlpExpr(FuzzyExpr):
         for arr in _param_views(frozen):
             arr.setflags(write=False)
         object.__setattr__(self, "model", frozen)
-
-    @staticmethod
-    def from_model(model: MlpModel) -> "MlpExpr":
-        return MlpExpr(model)
 
     @property
     def in_arity(self) -> int:

@@ -271,7 +271,7 @@ def test_criterion_6_quotient():
             xs = SamplingSpec.random(1000, seed=5).sample(1)
             assert not np.array_equal(a.eval_batch(xs), b.eval_batch(xs))
         for other in canonicals[1:]:
-            assert extensionally_equal(canonicals[0], other, D, count=10_000)
+            assert extensionally_equal(canonicals[0], other, D)
 
     inners = [jump_low(1.0), jump_high(0.2), step_at(0.3, 0.1, 0.9)]
     outers = [jump_high(0.4), jump_low(0.6), step_at(0.7, 0.4, 1.0)]

@@ -124,6 +124,33 @@ class TestCheck:
         ]) == OK
         assert json.loads(capsys.readouterr().out)["sampling"]["seed"] == 4
 
+    @pytest.mark.parametrize("command, source", [
+        (["check", "--random", "3"], "flag"),
+        (["explain", "--gamma", "extend", "--random", "5"], "flag"),
+        (["repair", "--gamma", "output-mod", "--random", "5", "--out-expr", "OUT"], "flag"),
+        (["experiment", "--setting", "xor", "--outdir", "OUT"], "flag"),
+        (["check", "--random", "3"], "config"),
+        (["check", "--random", "3"], "env"),
+    ], ids=["check", "explain-extend", "repair-output-mod", "experiment", "config", "env"])
+    def test_negative_seed_is_a_coded_error(self, command, source, or_file, tmp_path,
+                                            capsys, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -2}))
+        seed = {"flag": ["--seed", "-1"], "config": ["--config", str(cfg)], "env": []}[source]
+        monkeypatch.setenv("COHEXP_SEED", "-3")
+        argv = [command[0], *([] if command[0] == "experiment" else ["--expr", or_file])]
+        argv += [str(tmp_path / "out") if a == "OUT" else a for a in command[1:]]
+        assert run([*argv, *seed]) == BAD_INPUT
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[E_INPUT]: ")
+        assert "seed" in lines[0] and "Traceback" not in captured.err
+
+    def test_negative_seed_unused_by_a_grid(self, or_file, capsys):
+        """A grid sample takes no seed, so the seed is not read."""
+        assert run(["check", "--expr", or_file, "--grid", "3", "--seed", "-1"]) == OK
+        assert run(["check", "--expr", or_file, "--seed", "-1"]) == OK
+
     @pytest.mark.parametrize("which", ["expr", "config"])
     def test_file_not_utf8(self, which, or_file, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -571,7 +598,7 @@ def _seed_documents() -> list[dict]:
         apply_gamma(lor, GammaSpec("extend", threshold, sampling=SamplingSpec.grid(5))),
         OutputModExpr(lor, None, threshold),
         OutputModExpr(lor, Const((1.0,), in_arity=2), Projection.quantize(3)),
-        MlpExpr.from_model(init_model(2, (3,), 1, np.random.default_rng(0))),
+        MlpExpr(init_model(2, (3,), 1, np.random.default_rng(0))),
         Compose(Coord((0, 0), 1), LiftedProjection(Projection.quantize(4), 1)),
     ]
     return [to_dict(e) for e in exprs]
@@ -631,3 +658,70 @@ def test_mutated_documents_never_raise(tmp_path_factory, doc):
         assert code == OK or (
             code in (BAD_INPUT, BAD_CONTRACT) and re.fullmatch(r"error\[E_[A-Z]+\]: [^\n]*\n", err)
         ), (command, code, err)
+
+
+# ---------------------------------------------------------------------------
+# fuzzed config files, flags and COHEXP_SEED
+# ---------------------------------------------------------------------------
+
+# every option a config file may set for check, explain or repair
+_CONFIG_KEYS = [
+    "format", "seed", "alpha", "quantize", "identity", "grid", "random",
+    "witness_limit", "gamma", "simplify", "names", "ascii",
+]
+# JSON scalars and short lists; no size over 5 that a sample would accept
+_CONFIG_VALUES = st.sampled_from([
+    None, True, False, 0, 1, 2, 3, 5, -1, -2, 0.0, 0.3, 1.5, -0.5, 1e308, 10**20, 2**64,
+    "", "x", "3", "-1", "0.5", "a,b", "text", "structured", "extend", "output-mod",
+    "output-mod:", [], [3], [0.5, 1], ["x"],
+])
+# one flag or none from each group, so argparse itself never refuses the line
+_FLAG_GROUPS = [
+    [[], ["--grid", "3"], ["--random", "5"], ["--random", "50"]],
+    [[], ["--alpha", "0.3"], ["--quantize", "4"], ["--identity"]],
+    [[], ["--seed", "0"], ["--seed", "7"], ["--seed", "-1"], ["--seed", "99999999999999999999"]],
+]
+_ENV_SEEDS = [None, "0", "5", "-3", "x", "1.5", "99999999999999999999"]
+
+
+@st.composite
+def _cli_settings(draw) -> tuple[dict, list[str], str | None]:
+    keys = draw(st.lists(st.sampled_from(_CONFIG_KEYS), max_size=4, unique=True))
+    config = {key: draw(_CONFIG_VALUES) for key in keys}
+    flags = [flag for group in _FLAG_GROUPS for flag in draw(st.sampled_from(group))]
+    return config, flags, draw(st.sampled_from(_ENV_SEEDS))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_cli_settings())
+def test_fuzzed_settings_never_raise(tmp_path_factory, case):
+    """ROADMAP aim 3: every config file, flag set and COHEXP_SEED gives
+    exit 0 or one coded error line."""
+    config, flags, env_seed = case
+    work = tmp_path_factory.mktemp("settings")
+    expr, cfg, out = work / "or.json", work / "cfg.json", str(work / "repaired.json")
+    save_json(to_dict(TConorm("lukasiewicz")), expr)
+    cfg.write_text(json.dumps(config))
+    if not {"grid", "random"} & set(config) and not {"--grid", "--random"} & set(flags):
+        flags = [*flags, "--grid", "5"]  # the default 101-point grid is slow to repair
+    saved = os.environ.pop("COHEXP_SEED", None)
+    if env_seed is not None:
+        os.environ["COHEXP_SEED"] = env_seed
+    try:
+        for command in (
+            ["check"],
+            ["explain"],
+            ["repair", "--gamma", "extend", "--out-expr", out],
+            ["repair", "--gamma", "output-mod", "--out-expr", out],
+        ):
+            argv = [*command, "--expr", str(expr), "--config", str(cfg), *flags]
+            code, err, _ = _run_quietly(argv)
+            assert code == OK or (
+                code in (BAD_INPUT, BAD_CONTRACT)
+                and re.fullmatch(r"error\[E_[A-Z]+\]: [^\n]*\n", err)
+            ), (argv, config, env_seed, code, err)
+    finally:
+        os.environ.pop("COHEXP_SEED", None)
+        if saved is not None:
+            os.environ["COHEXP_SEED"] = saved

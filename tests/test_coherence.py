@@ -31,6 +31,7 @@ from cohexp import (
     Piecewise,
     Projection,
     SamplingSpec,
+    SerializationError,
     TConorm,
     TNorm,
     ValidationError,
@@ -98,6 +99,14 @@ class TestSamplingSpec:
         assert peak < 64 * 1024
         assert SamplingSpec.random(_MAX_SAMPLE_POINTS, seed=3).sample(1).shape == (
             _MAX_SAMPLE_POINTS, 1)
+
+    @pytest.mark.parametrize("seed", ["x", -1, 1.5, True])
+    def test_random_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(SerializationError) as exc:
+            SamplingSpec.from_dict({"mode": "random", "count": 5, "seed": seed})
+        assert exc.value.code == "E_FORMAT" and "non-negative integer seed" in str(exc.value)
+        with pytest.raises(ValidationError):
+            SamplingSpec("random", count=5, seed=seed)
 
     def test_validation(self):
         with pytest.raises(ValidationError):

@@ -1,10 +1,14 @@
 """Projections, expression evaluation, serialisation, truth tables."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cohexp
 from cohexp import (
     Affine,
     CapacityError,
@@ -23,15 +27,12 @@ from cohexp import (
     TruthTable,
     ValidationError,
     all_vertices,
-    apply_projection,
-    compose,
-    eval_expr,
     from_dict,
     identity,
-    parallel,
     to_dict,
     vertex_index,
 )
+from cohexp.core import T_CONORM_KINDS, T_NORM_KINDS
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -108,8 +109,17 @@ class TestProjection:
             with pytest.raises(SerializationError):
                 Projection.from_dict({"kind": "quantize", "levels": levels})
 
+    def test_level_values_built_once(self):
+        for d in (Projection.threshold(0.5), Projection.quantize(5), Projection.identity()):
+            assert d.level_values is d.level_values
+        d = Projection.quantize(5)
+        assert d.level_values == (0.0, 0.25, 0.5, 0.75, 1.0)
+        fresh = Projection.quantize(5)
+        assert d == fresh and hash(d) == hash(fresh) and {d, fresh} == {d}
+        assert repr(d) == repr(fresh) == "Projection(kind='quantize', alpha=None, levels=5)"
+
     def test_apply_projection_helper(self):
-        assert apply_projection(Projection.threshold(0.5), (0.2, 0.8)) == (0.0, 1.0)
+        assert Projection.threshold(0.5).apply_point((0.2, 0.8)) == (0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +170,27 @@ class TestEvaluation:
         for kind in ("lukasiewicz",):
             assert TNorm(kind)((x, y))[0] <= TConorm(kind)((x, y))[0]
 
+    def test_connectives_match_their_formulas_bit_for_bit(self):
+        x, y = np.random.default_rng(3).random((2, 1000))
+        reference = [
+            (TNorm("min"), np.minimum(x, y)),
+            (TNorm("product"), x * y),
+            (TNorm("lukasiewicz"), np.maximum(0.0, x + y - 1.0)),
+            (TConorm("max"), np.maximum(x, y)),
+            (TConorm("prob_sum"), x + y - x * y),
+            (TConorm("lukasiewicz"), np.minimum(1.0, x + y)),
+        ]
+        for f, want in reference:
+            assert f.eval_batch(np.stack([x, y], axis=1)).tobytes() == want.tobytes()
+        assert [f.kind for f, _ in reference] == [*T_NORM_KINDS, *T_CONORM_KINDS]
+        assert TNorm("lukasiewicz") != TConorm("lukasiewicz")
+
+    @pytest.mark.parametrize("cls, label", [(TNorm, "t-norm"), (TConorm, "t-conorm")])
+    def test_unknown_connective_kind(self, cls, label):
+        for kind in ("median", ["min"], None):
+            with pytest.raises(ValidationError, match=f"unknown {label} kind"):
+                cls(kind)
+
     def test_affine_clamps(self):
         f = Affine(((2.0,),), (0.0,))
         assert f((0.7,)) == (1.0,)
@@ -190,7 +221,7 @@ class TestEvaluation:
         assert f((0.2, 0.8)) == (0.0, 1.0)
 
     def test_compose_runs_inner_first(self):
-        f = compose(TConorm("lukasiewicz"), Parallel((Const((0.3,), in_arity=1), identity(1))))
+        f = Compose(TConorm("lukasiewicz"), Parallel((Const((0.3,), in_arity=1), identity(1))))
         assert f((0.9, 0.4)) == pytest.approx((0.7,))
 
     def test_compose_arity_mismatch(self):
@@ -198,7 +229,7 @@ class TestEvaluation:
             Compose(TNorm("min"), identity(3))
 
     def test_parallel_splits_input(self):
-        f = parallel(TNorm("min"), identity(1))
+        f = Parallel((TNorm("min"), identity(1)))
         assert f.in_arity == 3 and f.out_arity == 2
         assert f((0.4, 0.9, 0.5)) == (0.4, 0.5)
 
@@ -249,7 +280,7 @@ class TestEvaluation:
             TNorm("min")((0.5,))
 
     def test_eval_expr_helper(self):
-        assert eval_expr(TNorm("min"), (0.4, 0.6)) == (0.4,)
+        assert TNorm("min")((0.4, 0.6)) == (0.4,)
 
     @given(st.lists(unit, min_size=2, max_size=2))
     def test_outputs_stay_in_unit_interval(self, point):
@@ -404,3 +435,13 @@ def test_projection_after_eval_lands_on_levels(n, rnd):
     xs = np.array([[rnd.random() for _ in range(n)] for _ in range(16)])
     out = f.eval_batch(xs)
     assert np.isin(out, np.asarray(d.level_values)).all()
+
+
+def test_every_export_resolves():
+    """No stale name in the package's ``__all__`` or in a module's."""
+    modules = [cohexp] + [
+        importlib.import_module(f"cohexp.{info.name}") for info in pkgutil.iter_modules(cohexp.__path__)
+    ]
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)

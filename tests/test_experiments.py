@@ -87,6 +87,8 @@ class TestDatasets:
             make_dataset("xor", "holdout", 10)
         with pytest.raises(ValidationError):
             make_dataset("xor", "train", 0)
+        with pytest.raises(ValidationError, match="seed"):
+            make_dataset("xor", "train", 10, seed=-1)
 
     def test_features_are_read_only(self):
         ds = make_dataset("xor", "train", 10, seed=0)

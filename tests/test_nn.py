@@ -22,7 +22,6 @@ from cohexp import (
     from_dict,
     gradient_check,
     init_model,
-    loss,
     loss_and_grads,
     to_dict,
     train,
@@ -108,8 +107,8 @@ class TestGradients:
         rng = np.random.default_rng(13)
         model = random_model(rng)
         xs, ys = small_batch(rng)
-        bare = loss(model, xs, ys, TrainConfig(hidden_sizes=(4, 3), weight_decay=0.0))
-        with_wd = loss(model, xs, ys, TrainConfig(hidden_sizes=(4, 3), weight_decay=0.1))
+        bare = loss_and_grads(model, xs, ys, TrainConfig(hidden_sizes=(4, 3), weight_decay=0.0))[0]
+        with_wd = loss_and_grads(model, xs, ys, TrainConfig(hidden_sizes=(4, 3), weight_decay=0.1))[0]
         penalty = 0.1 * sum(float(np.sum(w * w)) for w in model.weights)
         assert with_wd == pytest.approx(bare + penalty)
 
@@ -119,11 +118,11 @@ class TestGradients:
         d = Projection.threshold(0.5)
         xs = d.apply(rng.random((16, 2)))
         ys = rng.integers(0, 2, (16, 1)).astype(np.float64)
-        without = loss(model, xs, ys, TrainConfig(hidden_sizes=(4, 3), weight_decay=0.0))
-        with_pen = loss(
+        without = loss_and_grads(model, xs, ys, TrainConfig(hidden_sizes=(4, 3), weight_decay=0.0))[0]
+        with_pen = loss_and_grads(
             model, xs, ys,
             TrainConfig(hidden_sizes=(4, 3), weight_decay=0.0, coherence_lambda=5.0),
-        )
+        )[0]
         assert with_pen == pytest.approx(without)
 
     def test_grads_cover_every_parameter(self):
@@ -304,13 +303,23 @@ class TestTrain:
             TrainConfig(learning_rate=-0.1)
         with pytest.raises(ValidationError):
             TrainConfig(hidden_sizes=())
+        with pytest.raises(ValidationError, match="seed"):
+            TrainConfig(seed=-1)
+
+    def test_features_and_labels_required(self):
+        """``train`` reads a dataset's ``features`` and ``labels``; any
+        other input, such as a bare ``(X, y)`` pair, is refused."""
+        val_set = make_dataset("xor", "val", 8, seed=0)
+        pair = (np.zeros((8, 2)), np.zeros(8))
+        with pytest.raises(ValidationError, match="features and labels"):
+            train(TrainConfig(hidden_sizes=(2,), epochs=1), pair, val_set)
 
 
 class TestMlpExpr:
     def test_wraps_and_freezes_parameters(self):
         rng = np.random.default_rng(21)
         model = random_model(rng)
-        expr = MlpExpr.from_model(model)
+        expr = MlpExpr(model)
         with pytest.raises(ValueError):
             expr.model.weights[0][0, 0] = 1.0
         # later mutation of the source does not leak into the wrapper
@@ -321,12 +330,12 @@ class TestMlpExpr:
 
     def test_signature_matches_model(self):
         model = init_model(3, (4,), 2, np.random.default_rng(0))
-        expr = MlpExpr.from_model(model)
+        expr = MlpExpr(model)
         assert expr.in_arity == 3 and expr.out_arity == 2
 
     def test_serialisation_round_trip(self):
         rng = np.random.default_rng(22)
-        expr = MlpExpr.from_model(random_model(rng))
+        expr = MlpExpr(random_model(rng))
         clone = from_dict(to_dict(expr))
         xs = rng.random((32, 2))
         assert np.array_equal(clone.eval_batch(xs), expr.eval_batch(xs))
@@ -339,7 +348,7 @@ class TestMlpExpr:
             [np.zeros(2), np.zeros(1)],
             np.array([0.25]),
         )
-        expr = MlpExpr.from_model(model)
+        expr = MlpExpr(model)
         with pytest.raises(ValidationError, match="non-finite"):
             expr.eval_batch(np.array([[0.5, 0.5], [0.9, 0.9]]))
 

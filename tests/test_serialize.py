@@ -86,7 +86,7 @@ class TestExprFiles:
         save_json(doc, nested / "net.json")
 
         loaded = load_expr(nested / "net.json")
-        direct = MlpExpr.from_model(model)
+        direct = MlpExpr(model)
         xs = np.random.default_rng(9).random((16, 2))
         assert np.array_equal(loaded.eval_batch(xs), direct.eval_batch(xs))
 
@@ -249,7 +249,7 @@ class TestDumps:
         assert dumps(doc) == self._stdlib(doc)
 
     def test_functor_law_report_of_sixteen_inputs(self):
-        inner = MlpExpr.from_model(init_model(16, (4,), 2, np.random.default_rng(5)))
+        inner = MlpExpr(init_model(16, (4,), 2, np.random.default_rng(5)))
         report = verify_functor_law(inner, TConorm("lukasiewicz"), Projection.threshold(0.5))
         doc = report.to_dict()
         assert len(doc["lhs"]["rows"]) == 2**16 and doc["witness"] is not None
