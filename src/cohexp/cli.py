@@ -14,15 +14,13 @@ mathematical contract fails (incompatible fallback, diverged training).
 Errors print one line ``error[CODE]: message`` on stderr.
 
 Flag values beat ``--config`` file values, which beat built-in
-defaults; the default seed comes from ``COHEXP_SEED`` when set, and the
-variable is read only when neither a flag nor the config sets the seed.
+defaults (the seed's is 0).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -39,14 +37,6 @@ __all__ = ["run", "main"]
 _EXIT_OK = 0
 _EXIT_INPUT = 2
 _EXIT_CONTRACT = 3
-
-
-def _env_seed() -> int:
-    raw = os.environ.get("COHEXP_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"COHEXP_SEED must be an integer, got {raw!r}") from exc
 
 
 def _widths(text: str) -> tuple[int, ...]:
@@ -83,8 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write the report there instead of stdout")
         p.add_argument("--config", metavar="FILE", default=None,
                        help="JSON file with default option values")
-        option(p, "--seed", type=int, default=_env_seed,
-               help="seed for sampled checks (default: COHEXP_SEED or 0)")
+        option(p, "--seed", type=int, default=0, help="seed for sampled checks (default 0)")
 
     def add_projection(p: argparse.ArgumentParser) -> None:
         g = p.add_mutually_exclusive_group()
@@ -92,8 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
                help="threshold projection parameter (default 0.5)")
         option(p, "--quantize", type=int, group=g,
                metavar="LEVELS", help="use a quantizing projection instead")
-        option(p, "--identity", action="store_true", default=False, group=g,
-               help="use the identity projection")
 
     def add_sampling(p: argparse.ArgumentParser, scope: str = "") -> None:
         g = p.add_mutually_exclusive_group()
@@ -166,11 +153,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _settle(args) -> None:
     """Give each option the command line left unset its ``--config``
     value, converted and checked as the flag's text would be, else its
-    built-in default (a callable default is called only then).  A flag on
-    the command line also overrides the config values of the other
-    options in its mutually exclusive group; without such a flag, the
-    config may set at most one option of the group (an on/off option set
-    to false counts as unset)."""
+    built-in default.  A flag on the command line also overrides the
+    config values of the other options in its mutually exclusive group;
+    without such a flag, the config may set at most one option of the
+    group."""
     config = load_json(args.config) if args.config else {}
     unknown = set(config) - args.configurable
     if unknown:
@@ -178,7 +164,7 @@ def _settle(args) -> None:
     flagged = {g for action, _, g in args.settings if g is not None and hasattr(args, action.dest)}
     chosen: dict = {}
     for action, _, group in args.settings:
-        if group is not None and group not in flagged and config.get(action.dest, False) is not False:
+        if group is not None and group not in flagged and action.dest in config:
             chosen.setdefault(group, []).append(action.dest)
     for keys in chosen.values():
         if len(keys) > 1:
@@ -188,7 +174,7 @@ def _settle(args) -> None:
             continue
         key, value = action.dest, config.get(action.dest)
         if key not in config or group in flagged:
-            value = default() if callable(default) else default
+            value = default
         elif action.nargs == 0:  # an on/off flag
             if not isinstance(value, bool):
                 raise ValidationError(f"config key {key!r} takes true or false, got {value!r}")
@@ -210,8 +196,6 @@ def _settle(args) -> None:
 
 
 def _projection_from(args) -> Projection:
-    if getattr(args, "identity", False):
-        return Projection.identity()
     if getattr(args, "quantize", None) is not None:
         return Projection.quantize(args.quantize)
     return Projection.threshold(args.alpha)
@@ -297,9 +281,9 @@ def _cmd_repair(args) -> int:
     sampling = _sampling_from(args, expr.in_arity)
     gamma = _gamma_from(args, projection, sampling)
     repaired = apply_gamma(expr, gamma)
+    verification = check_coherence(repaired, projection, sampling)
     repaired_doc = to_dict(repaired)
     save_json(repaired_doc, args.out_expr)
-    verification = check_coherence(repaired, projection, sampling)
     changed = repaired is not expr
     text = (
         f"gamma: {gamma.kind}\n"

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import FuzzyExpr, Point, Projection, fiber_codes, fiber_digits
-from .errors import CapacityError, ValidationError, malformed
+from .errors import CapacityError, ValidationError, _checked, malformed
 
 __all__ = [
     "DEFAULT_WITNESS_CAP",
@@ -88,31 +88,28 @@ class SamplingSpec:
 
     def __post_init__(self) -> None:
         if self.mode == "grid":
-            if self.points_per_axis is None or int(self.points_per_axis) < 2:
-                raise ValidationError("grid sampling needs points_per_axis >= 2")
             if self.count is not None or self.seed is not None:
                 raise ValidationError("grid sampling takes only points_per_axis")
+            need = "grid sampling needs an integer points_per_axis >= 2"
+            object.__setattr__(self, "points_per_axis", _checked(self.points_per_axis, int, need, 2))
         elif self.mode == "random":
-            if self.count is None or int(self.count) < 1:
-                raise ValidationError("random sampling needs a positive count")
             if self.points_per_axis is not None:
                 raise ValidationError("random sampling takes no points_per_axis")
+            need = "random sampling needs a positive integer count"
+            object.__setattr__(self, "count", _checked(self.count, int, need, 1))
+            need = "random sampling needs a non-negative integer seed"
             seed = 0 if self.seed is None else self.seed
-            if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-                raise ValidationError(
-                    f"random sampling needs a non-negative integer seed, got {self.seed!r}"
-                )
-            object.__setattr__(self, "seed", seed)
+            object.__setattr__(self, "seed", _checked(seed, int, need, 0))
         else:
             raise ValidationError(f"unknown sampling mode {self.mode!r}")
 
     @staticmethod
     def grid(points_per_axis: int) -> "SamplingSpec":
-        return SamplingSpec("grid", points_per_axis=int(points_per_axis))
+        return SamplingSpec("grid", points_per_axis=points_per_axis)
 
     @staticmethod
     def random(count: int, seed: int = 0) -> "SamplingSpec":
-        return SamplingSpec("random", count=int(count), seed=int(seed))
+        return SamplingSpec("random", count=count, seed=seed)
 
     def sample(self, arity: int) -> np.ndarray:
         """Materialise the sample as a ``(N, arity)`` float64 array.
@@ -124,13 +121,13 @@ class SamplingSpec:
             raise ValidationError("arity must be >= 0")
         if arity == 0:
             return np.zeros((1, 0), dtype=np.float64)
-        k = int(self.points_per_axis or 0)
+        k = self.points_per_axis or 0
         # k >= 2, so a grid over 23 or more axes is over the cap: k**arity is not computed
         if self.mode == "grid" and arity >= _MAX_SAMPLE_POINTS.bit_length():
             raise CapacityError(
                 f"grid sample of {k}**{arity} points exceeds the cap of {_MAX_SAMPLE_POINTS}"
             )
-        total = k**arity if self.mode == "grid" else int(self.count)  # type: ignore[arg-type]
+        total = k**arity if self.mode == "grid" else self.count or 0
         if total > _MAX_SAMPLE_POINTS:
             raise CapacityError(
                 f"{self.mode} sample of {total} points exceeds the cap of {_MAX_SAMPLE_POINTS}"
@@ -258,8 +255,8 @@ def eval_chunked(
 
 def fiber_table(f: FuzzyExpr, projection: Projection, codes: np.ndarray) -> np.ndarray:
     """``d(f(r))`` at the point ``r`` of each fiber code, one row per
-    code; the projection must have a finite image."""
-    k = len(projection.level_values)  # type: ignore[arg-type]
+    code."""
+    k = len(projection.level_values)
     n = f.in_arity
     return projection.apply(eval_chunked(f, codes, lambda c: fiber_digits(c, k, n) / (k - 1)))
 
@@ -271,9 +268,8 @@ def projected_outputs(
     ``len(xs)`` fibers the baseline is tabulated for the fibers present
     in ``xs``, else ``f`` is evaluated at every projected row."""
     fx = eval_chunked(f, xs)
-    levels = projection.level_values
-    fibers = len(levels) ** f.in_arity if levels is not None else None
-    if fibers is not None and fibers <= len(xs):
+    fibers = len(projection.level_values) ** f.in_arity
+    if fibers <= len(xs):
         codes = np.empty(len(xs), dtype=np.int64)
         for lo in range(0, len(xs), EVAL_CHUNK):
             codes[lo : lo + EVAL_CHUNK] = fiber_codes(projection, xs[lo : lo + EVAL_CHUNK])

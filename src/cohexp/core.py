@@ -9,10 +9,10 @@ Conventions used throughout the package
   :class:`FuzzyExpr` tree.  Expressions are immutable; evaluation is
   vectorised over the batch axis.
 * A *projection* ``d : [0,1] -> S`` is an idempotent map onto a finite
-  or infinite subset ``S`` of the unit interval, applied componentwise
-  to points.  The threshold projection with parameter ``alpha`` sends
-  ``x`` to ``1.0`` exactly when ``x >= alpha`` (ties map up), so its
-  image is the Boolean pair ``{0.0, 1.0}``.
+  subset ``S`` of the unit interval, applied componentwise to points.
+  The threshold projection with parameter ``alpha`` sends ``x`` to
+  ``1.0`` exactly when ``x >= alpha`` (ties map up), so its image is
+  the Boolean pair ``{0.0, 1.0}``.
 * Raw fuzzy values are compared with absolute tolerance ``RAW_TOL``;
   projected values live on a finite grid and are compared exactly.
 
@@ -28,12 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Real
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, SerializationError, ValidationError, malformed
+from .errors import CapacityError, SerializationError, ValidationError, _checked, malformed
 
 __all__ = [
     "RAW_TOL",
@@ -86,11 +85,10 @@ Point = tuple[float, ...]
 class Projection:
     """Idempotent componentwise map from ``[0, 1]`` onto a subset of it.
 
-    Three kinds are supported:
+    Two kinds are supported:
 
     * ``threshold``: ``x -> 1.0 if x >= alpha else 0.0`` with
       ``alpha in (0, 1]``.  Boolean image ``{0.0, 1.0}``.
-    * ``identity``: ``x -> x``.  Image is all of ``[0, 1]``.
     * ``quantize``: snap to the nearest of ``levels`` uniformly spaced
       values ``0, 1/(levels-1), ..., 1``.
     """
@@ -101,34 +99,24 @@ class Projection:
 
     def __post_init__(self) -> None:
         if self.kind == "threshold":
-            if self.alpha is None or not (0.0 < float(self.alpha) <= 1.0):
-                raise ValidationError(
-                    f"threshold projection needs alpha in (0, 1], got {self.alpha!r}"
-                )
             if self.levels is not None:
                 raise ValidationError("threshold projection takes no levels")
-        elif self.kind == "identity":
-            if self.alpha is not None or self.levels is not None:
-                raise ValidationError("identity projection takes no parameters")
+            need = "threshold projection needs alpha in (0, 1]"
+            alpha = _checked(self.alpha, float, need)
+            if not 0.0 < alpha <= 1.0:
+                raise ValidationError(f"{need}, got {self.alpha!r}")
+            object.__setattr__(self, "alpha", alpha)
         elif self.kind == "quantize":
             if self.alpha is not None:
                 raise ValidationError("quantize projection takes no alpha")
-            k = self.levels
-            if isinstance(k, bool) or not isinstance(k, Real) or k % 1 or not 2 <= k <= _MAX_LEVELS:
-                raise ValidationError(
-                    f"quantize levels must be an integer in [2, {_MAX_LEVELS}], got {k!r}"
-                )
-            object.__setattr__(self, "levels", int(k))
+            need = f"quantize levels must be an integer in [2, {_MAX_LEVELS}]"
+            object.__setattr__(self, "levels", _checked(self.levels, int, need, 2, _MAX_LEVELS))
         else:
             raise ValidationError(f"unknown projection kind {self.kind!r}")
 
     @staticmethod
     def threshold(alpha: float) -> "Projection":
-        return Projection("threshold", alpha=float(alpha))
-
-    @staticmethod
-    def identity() -> "Projection":
-        return Projection("identity")
+        return Projection("threshold", alpha=alpha)
 
     @staticmethod
     def quantize(levels: int) -> "Projection":
@@ -140,25 +128,21 @@ class Projection:
         return self.kind == "threshold"
 
     @cached_property
-    def level_values(self) -> tuple[float, ...] | None:
-        """The finite image, or None when the image is infinite.  Built
-        once per projection: fiber coding reads it on every slice."""
+    def level_values(self) -> tuple[float, ...]:
+        """The finite image.  Built once per projection: fiber coding
+        reads it on every slice."""
         if self.kind == "threshold":
             return (0.0, 1.0)
-        if self.kind == "quantize":
-            k = self.levels
-            return tuple(i / (k - 1) for i in range(k))
-        return None
+        k = self.levels
+        return tuple(i / (k - 1) for i in range(k))
 
     def apply(self, values: np.ndarray | Sequence[float]) -> np.ndarray:
         """Apply the projection componentwise to an array of values."""
         arr = np.asarray(values, dtype=np.float64)
         if self.kind == "threshold":
             return (arr >= self.alpha).astype(np.float64)
-        if self.kind == "quantize":
-            k = self.levels
-            return np.round(arr * (k - 1)) / (k - 1)
-        return arr.copy()
+        k = self.levels
+        return np.round(arr * (k - 1)) / (k - 1)
 
     def apply_point(self, x: Sequence[float]) -> Point:
         return tuple(float(v) for v in self.apply(np.asarray(x, dtype=np.float64)))
@@ -265,13 +249,13 @@ class Const(FuzzyExpr):
     in_arity: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        need = "constant values must be numbers in [0, 1]"
+        values = tuple(_checked(v, float, need, 0, 1) for v in self.values)
+        object.__setattr__(self, "values", values)
+        in_arity = _checked(self.in_arity, int, "in_arity must be an integer >= 0", 0)
+        object.__setattr__(self, "in_arity", in_arity)
         if not self.values:
             raise ValidationError("constant needs at least one output value")
-        if any(not (0.0 <= v <= 1.0) for v in self.values):
-            raise ValidationError(f"constant values must lie in [0, 1]: {self.values}")
-        if self.in_arity < 0:
-            raise ValidationError("in_arity must be >= 0")
 
     @property
     def out_arity(self) -> int:
@@ -285,7 +269,7 @@ class Const(FuzzyExpr):
 
     @classmethod
     def from_payload(cls, doc, decode):
-        return Const(tuple(doc["values"]), in_arity=int(doc.get("in_arity", 0)))
+        return Const(tuple(doc["values"]), in_arity=doc.get("in_arity", 0))
 
 
 @dataclass(frozen=True)
@@ -298,7 +282,10 @@ class Coord(FuzzyExpr):
     in_arity: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
+        indices = tuple(_checked(i, int, "coord indices must be integers") for i in self.indices)
+        object.__setattr__(self, "indices", indices)
+        in_arity = _checked(self.in_arity, int, "in_arity must be an integer")
+        object.__setattr__(self, "in_arity", in_arity)
         if not self.indices:
             raise ValidationError("coord needs at least one index")
         if any(i < 0 or i >= self.in_arity for i in self.indices):
@@ -318,7 +305,7 @@ class Coord(FuzzyExpr):
 
     @classmethod
     def from_payload(cls, doc, decode):
-        return Coord(tuple(doc["indices"]), in_arity=int(doc["in_arity"]))
+        return Coord(tuple(doc["indices"]), in_arity=doc["in_arity"])
 
 
 def identity(n: int) -> Coord:
@@ -399,9 +386,11 @@ class Affine(FuzzyExpr):
     clamp: bool = True
 
     def __post_init__(self) -> None:
-        mat = tuple(tuple(float(v) for v in row) for row in self.matrix)
+        need = "affine matrix and bias entries must be numbers"
+        mat = tuple(tuple(_checked(v, float, need) for v in row) for row in self.matrix)
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "bias", tuple(float(v) for v in self.bias))
+        object.__setattr__(self, "bias", tuple(_checked(v, float, need) for v in self.bias))
+        object.__setattr__(self, "clamp", _checked(self.clamp, bool, "clamp takes true or false"))
         if not mat or not mat[0]:
             raise ValidationError("affine matrix must be non-empty")
         if any(len(row) != len(mat[0]) for row in mat):
@@ -447,7 +436,7 @@ class Affine(FuzzyExpr):
         return Affine(
             tuple(tuple(row) for row in doc["matrix"]),
             tuple(doc["bias"]),
-            clamp=bool(doc.get("clamp", True)),
+            clamp=doc.get("clamp", True),
         )
 
 
@@ -461,8 +450,8 @@ class LiftedProjection(FuzzyExpr):
     arity: int
 
     def __post_init__(self) -> None:
-        if self.arity < 1:
-            raise ValidationError("lifted projection needs arity >= 1")
+        need = "lifted projection needs an integer arity >= 1"
+        object.__setattr__(self, "arity", _checked(self.arity, int, need, 1))
 
     @property
     def in_arity(self) -> int:
@@ -480,7 +469,7 @@ class LiftedProjection(FuzzyExpr):
 
     @classmethod
     def from_payload(cls, doc, decode):
-        return LiftedProjection(Projection.from_dict(doc["projection"]), int(doc["in_arity"]))
+        return LiftedProjection(Projection.from_dict(doc["projection"]), doc["in_arity"])
 
 
 @dataclass(frozen=True)
@@ -571,8 +560,10 @@ class Condition:
     def __post_init__(self) -> None:
         if self.op not in _CONDITION_OPS:
             raise ValidationError(f"unknown condition op {self.op!r}")
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "index", int(self.index))
+        index = _checked(self.index, int, "a condition index must be an integer")
+        value = _checked(self.value, float, "a condition value must be a number")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "value", value)
 
     def mask(self, xs: np.ndarray) -> np.ndarray:
         col = xs[:, self.index]
@@ -589,7 +580,7 @@ class Condition:
 
     @staticmethod
     def from_dict(doc: dict) -> "Condition":
-        return Condition(int(doc["index"]), doc["op"], float(doc["value"]))
+        return Condition(doc["index"], doc["op"], doc["value"])
 
 
 @dataclass(frozen=True)
@@ -710,7 +701,8 @@ def _decode_node(doc: dict) -> FuzzyExpr:
         raise SerializationError(f"unknown expression node {name!r}")
     with malformed(f"{name!r} node", prefix_invalid=True):
         expr = NODE_TYPES[name].from_payload(doc, _decode_node)
-        declared = {key: int(doc[key]) for key in ("in_arity", "out_arity") if key in doc}
+        keys = [key for key in ("in_arity", "out_arity") if key in doc]
+        declared = {key: _checked(doc[key], int, f"{key} must be an integer") for key in keys}
     for key, got in (("in_arity", expr.in_arity), ("out_arity", expr.out_arity)):
         if declared.get(key, got) != got:
             raise SerializationError(
@@ -732,10 +724,7 @@ def fiber_codes(projection: Projection, xs: np.ndarray) -> np.ndarray:
     """Encode the fiber ``d(x)`` of each row as one integer: the level
     indices of ``d(x)`` as base-``k`` digits, axis 0 most significant
     (so a Boolean vertex's code is its truth-table row)."""
-    levels = projection.level_values
-    if levels is None:
-        raise ValidationError("fiber tracking needs a projection with finite image")
-    k = len(levels)
+    k = len(projection.level_values)
     n = np.shape(xs)[1]
     if k**n > (1 << 62):
         raise CapacityError(f"cannot index {k}^{n} projection fibers")
@@ -782,20 +771,18 @@ class TruthTable:
     rows: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n_inputs < 0 or self.n_inputs > MAX_TABLE_INPUTS:
-            raise ValidationError(
-                f"truth table inputs must lie in [0, {MAX_TABLE_INPUTS}]"
-            )
-        if self.n_outputs < 1:
-            raise ValidationError("truth table needs at least one output")
-        rows = np.ascontiguousarray(np.asarray(self.rows), dtype=np.uint8)
+        need = f"truth table inputs must be an integer in [0, {MAX_TABLE_INPUTS}]"
+        n_inputs = _checked(self.n_inputs, int, need, 0, MAX_TABLE_INPUTS)
+        object.__setattr__(self, "n_inputs", n_inputs)
+        need = "truth table needs an integer output count >= 1"
+        object.__setattr__(self, "n_outputs", _checked(self.n_outputs, int, need, 1))
+        rows = _checked(np.asarray(self.rows), int, "truth table entries must be 0 or 1", 0, 1)
         if rows.shape != (2**self.n_inputs, self.n_outputs):
             raise ValidationError(
                 f"truth table rows must have shape {(2**self.n_inputs, self.n_outputs)}, "
                 f"got {rows.shape}"
             )
-        if rows.size and rows.max() > 1:
-            raise ValidationError("truth table entries must be 0 or 1")
+        rows = np.ascontiguousarray(rows, dtype=np.uint8)
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
 
@@ -828,4 +815,4 @@ class TruthTable:
     @staticmethod
     def from_dict(doc: dict) -> "TruthTable":
         with malformed("truth table document"):
-            return TruthTable(int(doc["n_inputs"]), int(doc["n_outputs"]), np.asarray(doc["rows"]))
+            return TruthTable(doc["n_inputs"], doc["n_outputs"], doc["rows"])

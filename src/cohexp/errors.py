@@ -11,6 +11,10 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator
 
+from numbers import Integral, Real
+
+import numpy as np
+
 
 class CohexpError(Exception):
     """Base class for all errors raised by this package."""
@@ -70,3 +74,29 @@ def malformed(what: str, *, prefix_invalid: bool = False) -> Iterator[None]:
         raise SerializationError(str(exc)) from exc
     except _MALFORMED as exc:
         raise SerializationError(f"malformed {what}: {exc}") from exc
+
+
+# per field kind: the Python types and the numpy dtype kinds it takes
+_TAKES = {bool: ((bool, np.bool_), "b"), int: (Integral, "iu"), float: (Real, "iuf")}
+
+
+def _checked(value, kind: type, need: str, low=None, high=None):
+    """``value`` as a ``kind`` (``bool``, ``int`` or ``float``) within
+    ``[low, high]``, else a ``ValidationError`` that states ``need``:
+    nothing is parsed from a string or truncated, and only a ``bool``
+    field takes a bool.  A numpy array is checked once, by dtype and
+    range, and returned as it is."""
+    types, dtypes = _TAKES[kind]
+    if isinstance(value, np.ndarray):
+        if not value.size:
+            return value
+        if value.dtype.kind not in dtypes:
+            raise ValidationError(f"{need}, got dtype {value.dtype}")
+        lo, hi = value.min(), value.max()
+    elif isinstance(value, types) and (kind is bool or not isinstance(value, bool)):
+        value = lo = hi = kind(value)
+    else:
+        raise ValidationError(f"{need}, got {value!r}")
+    if (low is not None and not lo >= low) or (high is not None and not hi <= high):
+        raise ValidationError(f"{need}, got {lo!r}" if lo is hi else f"{need}, got {lo} to {hi}")
+    return value

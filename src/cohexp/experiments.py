@@ -42,7 +42,7 @@ import numpy as np
 # coherence_masks stays importable from here: bench/tracing.py wraps it in this namespace
 from .coherence import coherence_masks, projected_outputs  # noqa: F401
 from .core import FuzzyExpr, Projection, TruthTable, to_dict
-from .errors import ValidationError
+from .errors import ValidationError, _checked
 from .functor import DnfFormula, booleanize, default_var_names, table_to_dnf
 from .gamma import ExtendedExpr, GammaSpec, gamma_extend
 from .nn import MlpExpr, TrainConfig, TrainResult, train
@@ -90,19 +90,19 @@ def _labels(setting: str, xs: np.ndarray) -> np.ndarray:
     return (np.minimum(1.0, xs[:, 0] + xs[:, 1]) >= 0.5).astype(np.uint8)
 
 
-def xor_band_mask(xs: np.ndarray, width: float = _XOR_BAND) -> np.ndarray:
-    """Points within L-infinity distance ``width`` of either decision
+def xor_band_mask(xs: np.ndarray) -> np.ndarray:
+    """Points within L-infinity distance ``_XOR_BAND`` of either decision
     line of the xor setting."""
-    return np.minimum(np.abs(xs[:, 0] - 0.5), np.abs(xs[:, 1] - 0.5)) <= width
+    return np.minimum(np.abs(xs[:, 0] - 0.5), np.abs(xs[:, 1] - 0.5)) <= _XOR_BAND
 
 
-def near_t_mask(xs: np.ndarray, eps: float = _NEAR_T_EPS) -> np.ndarray:
-    """Points within L-infinity distance ``eps`` of the incoherence
-    triangle ``T = {x + y >= 0.5, x <= 0.5, y <= 0.5}``."""
+def near_t_mask(xs: np.ndarray) -> np.ndarray:
+    """Points within L-infinity distance ``_NEAR_T_EPS`` of the
+    incoherence triangle ``T = {x + y >= 0.5, x <= 0.5, y <= 0.5}``."""
     x, y = xs[:, 0], xs[:, 1]
-    reach_x = np.minimum(x + eps, 0.5)
-    reach_y = np.minimum(y + eps, 0.5)
-    return (x <= 0.5 + eps) & (y <= 0.5 + eps) & (reach_x + reach_y >= 0.5)
+    reach_x = np.minimum(x + _NEAR_T_EPS, 0.5)
+    reach_y = np.minimum(y + _NEAR_T_EPS, 0.5)
+    return (x <= 0.5 + _NEAR_T_EPS) & (y <= 0.5 + _NEAR_T_EPS) & (reach_x + reach_y >= 0.5)
 
 
 @dataclass(frozen=True)
@@ -155,11 +155,9 @@ def make_dataset(setting: str, split: str, size: int, seed: int = 0) -> Dataset:
     setting = canonical_setting(setting)
     if split not in SPLITS:
         raise ValidationError(f"unknown split {split!r}; choose from {SPLITS}")
-    if size < 1:
-        raise ValidationError("dataset size must be positive")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng([int(seed), _SETTING_CODE[setting], _SPLIT_CODE[split]])
+    _checked(size, int, "dataset size must be a positive integer", 1)
+    seed = _checked(seed, int, "seed must be a non-negative integer", 0)
+    rng = np.random.default_rng([seed, _SETTING_CODE[setting], _SPLIT_CODE[split]])
 
     if split != "test":
         xs = rng.random((size, 2))
@@ -171,7 +169,7 @@ def make_dataset(setting: str, split: str, size: int, seed: int = 0) -> Dataset:
         rest = rng.random((size - concentrated, 2))
         xs = np.concatenate([near, rest], axis=0)[rng.permutation(size)]
 
-    return Dataset(setting, split, int(seed), xs, _labels(setting, xs))
+    return Dataset(setting, split, seed, xs, _labels(setting, xs))
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ from .core import (
     from_dict,
     to_dict,
 )
-from .errors import ContractError, SerializationError, ValidationError, malformed
+from .errors import ContractError, ValidationError, _checked, malformed
 from .functor import DnfFormula, booleanize, default_var_names, table_to_dnf
 
 __all__ = [
@@ -164,20 +164,19 @@ class ExtendedExpr(FuzzyExpr):
     contaminated: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(int(c) for c in self.components))
-        object.__setattr__(
-            self, "contaminated", tuple(tuple(sorted(int(v) for v in s)) for s in self.contaminated)
-        )
+        need = "extended components must be output indices of the base"
+        components = _checked(np.asarray(self.components), int, need, 0, self.base.out_arity - 1)
+        object.__setattr__(self, "components", tuple(components.tolist()))
+        object.__setattr__(self, "contaminated", tuple(
+            tuple(np.sort(_checked(np.asarray(s), int, "fiber codes must be integers")).tolist())
+            for s in self.contaminated
+        ))
         if len(self.components) != len(self.contaminated):
             raise ValidationError("one contaminated fiber set per extended component")
         if not self.components:
             raise ValidationError("domain extension must repair at least one component")
         if list(self.components) != sorted(set(self.components)):
             raise ValidationError("extended components must be strictly ascending")
-        if any(c < 0 or c >= self.base.out_arity for c in self.components):
-            raise ValidationError("extended component out of range")
-        if self.projection.level_values is None:
-            raise ValidationError("domain extension needs a projection with finite image")
 
     @property
     def in_arity(self) -> int:
@@ -212,7 +211,7 @@ class ExtendedExpr(FuzzyExpr):
         return out
 
     def to_payload(self) -> dict:
-        k = len(self.projection.level_values)  # type: ignore[arg-type]
+        k = len(self.projection.level_values)
         n = self.base.in_arity
         return {
             "base": to_dict(self.base),
@@ -225,18 +224,14 @@ class ExtendedExpr(FuzzyExpr):
     def from_payload(cls, doc, decode):
         base = decode(doc["base"])
         projection = Projection.from_dict(doc["projection"])
-        levels = projection.level_values
-        if levels is None:
-            raise SerializationError("extended node needs a finite-image projection")
-        k = len(levels)
+        k = len(projection.level_values)
         n = base.in_arity
         contaminated = []
         for fiber_set in doc["contaminated"]:
-            digits = np.asarray(fiber_set, dtype=np.int64).reshape(len(fiber_set), n)
-            codes = fiber_codes(projection, digits / (k - 1))
-            if not np.array_equal(fiber_digits(codes, k, n), digits):
-                raise ValidationError(f"contaminated fiber digits must lie in [0, {k})")
-            contaminated.append(codes)
+            need = f"contaminated fiber digits must be integers in [0, {k})"
+            digits = _checked(np.asarray(fiber_set), int, need, 0, k - 1)
+            digits = digits.astype(np.int64, copy=False).reshape(len(fiber_set), n)
+            contaminated.append(fiber_codes(projection, digits / (k - 1)))
         return ExtendedExpr(base, projection, tuple(doc["extended_components"]), contaminated)
 
 

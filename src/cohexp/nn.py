@@ -32,7 +32,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .core import FuzzyExpr, Projection
-from .errors import SerializationError, TrainingError, ValidationError, malformed
+from .errors import SerializationError, TrainingError, ValidationError, _checked, malformed
 
 __all__ = [
     "MlpModel",
@@ -105,9 +105,12 @@ class MlpModel:
     def from_dict(doc: dict) -> "MlpModel":
         with malformed("model document"):
             layers = doc["layers"]
-            weights = [np.asarray(l["weights"], dtype=np.float64) for l in layers]
-            biases = [np.asarray(l["bias"], dtype=np.float64) for l in layers]
-            slopes = np.asarray([float(l.get("slope", 0.25)) for l in layers[:-1]])
+            need = "weights, biases and slopes must be numbers"
+            weights, biases = (
+                [_checked(np.asarray(l[key]), float, need).astype(np.float64) for l in layers]
+                for key in ("weights", "bias")
+            )
+            slopes = np.asarray([_checked(l.get("slope", 0.25), float, need) for l in layers[:-1]])
             if not all(np.isfinite(a).all() for a in (*weights, *biases, slopes)):
                 raise SerializationError("model weights, biases and slopes must be finite")
             for i, layer in enumerate(layers):

@@ -91,11 +91,14 @@ class TestCheck:
         doc = json.loads(capsys.readouterr().out)
         assert doc["sampling"] == {"mode": "random", "count": 100, "seed": 9}
 
-    def test_env_seed_is_the_default(self, or_file, capsys, monkeypatch):
-        monkeypatch.setenv("COHEXP_SEED", "33")
+    @pytest.mark.parametrize("env_seed", ["33", "many", "-3"])
+    def test_env_seed_is_not_read(self, env_seed, or_file, capsys, monkeypatch):
+        """The seed comes from the flag, else the config, else 0;
+        COHEXP_SEED is not a source, so no value of it is an error."""
+        monkeypatch.setenv("COHEXP_SEED", env_seed)
         assert run(["check", "--expr", or_file, "--random", "50", "--format", "structured"]) == OK
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["sampling"]["seed"] == 33
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["sampling"]["seed"] == 0 and captured.err == ""
 
     def test_flag_beats_env_seed(self, or_file, capsys, monkeypatch):
         monkeypatch.setenv("COHEXP_SEED", "33")
@@ -105,16 +108,11 @@ class TestCheck:
         ]) == OK
         assert json.loads(capsys.readouterr().out)["sampling"]["seed"] == 1
 
-    def test_invalid_env_seed_rejected(self, or_file, capsys, monkeypatch):
-        monkeypatch.setenv("COHEXP_SEED", "many")
-        assert run(["check", "--expr", or_file]) == BAD_INPUT
-        assert "error[E_INPUT]" in capsys.readouterr().err
-
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_invalid_env_seed_unused_when_the_seed_is_set(self, source, or_file, tmp_path,
                                                           capsys, monkeypatch):
-        """The variable is read only when neither a flag nor the config
-        sets the seed, so an invalid value there is not an error."""
+        """The variable is not read, so an invalid value there is not an
+        error whichever source sets the seed."""
         monkeypatch.setenv("COHEXP_SEED", "many")
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 4}))
@@ -130,14 +128,11 @@ class TestCheck:
         (["repair", "--gamma", "output-mod", "--random", "5", "--out-expr", "OUT"], "flag"),
         (["experiment", "--setting", "xor", "--outdir", "OUT"], "flag"),
         (["check", "--random", "3"], "config"),
-        (["check", "--random", "3"], "env"),
-    ], ids=["check", "explain-extend", "repair-output-mod", "experiment", "config", "env"])
-    def test_negative_seed_is_a_coded_error(self, command, source, or_file, tmp_path,
-                                            capsys, monkeypatch):
+    ], ids=["check", "explain-extend", "repair-output-mod", "experiment", "config"])
+    def test_negative_seed_is_a_coded_error(self, command, source, or_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": -2}))
-        seed = {"flag": ["--seed", "-1"], "config": ["--config", str(cfg)], "env": []}[source]
-        monkeypatch.setenv("COHEXP_SEED", "-3")
+        seed = {"flag": ["--seed", "-1"], "config": ["--config", str(cfg)]}[source]
         argv = [command[0], *([] if command[0] == "experiment" else ["--expr", or_file])]
         argv += [str(tmp_path / "out") if a == "OUT" else a for a in command[1:]]
         assert run([*argv, *seed]) == BAD_INPUT
@@ -262,8 +257,8 @@ class TestConfigPrecedence:
     @pytest.mark.parametrize("config, flags, key, expected", [
         ({"grid": 3}, ["--random", "5"], "sampling", {"mode": "random", "count": 5, "seed": 0}),
         ({"quantize": 3}, ["--alpha", "0.3"], "projection", {"kind": "threshold", "alpha": 0.3}),
-        ({"identity": True}, ["--quantize", "4"], "projection", {"kind": "quantize", "levels": 4}),
-    ], ids=["random-over-grid", "alpha-over-quantize", "quantize-over-identity"])
+        ({"alpha": 0.3}, ["--quantize", "4"], "projection", {"kind": "quantize", "levels": 4}),
+    ], ids=["random-over-grid", "alpha-over-quantize", "quantize-over-alpha"])
     def test_flag_overrides_its_exclusive_group(self, config, flags, key, expected,
                                                 or_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -276,11 +271,12 @@ class TestConfigPrecedence:
     @pytest.mark.parametrize("config", [
         {"grid": 3, "random": 5},
         {"alpha": 0.3, "quantize": 4},
-        {"quantize": 4, "identity": True},
-    ], ids=["grid-and-random", "alpha-and-quantize", "quantize-and-identity"])
+        {"quantize": None, "alpha": 0.3},
+    ], ids=["grid-and-random", "alpha-and-quantize", "null-quantize"])
     def test_config_sets_two_of_one_exclusive_group(self, config, or_file, tmp_path, capsys):
         """Argparse refuses such a pair of flags; the config file may not
-        pick one of them silently either."""
+        pick one of them silently either.  A key counts as set whatever
+        its value, null included."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         assert run(["check", "--expr", or_file, "--config", str(cfg)]) == BAD_INPUT
@@ -294,26 +290,37 @@ class TestConfigPrecedence:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"grid": 3, "random": 5, "alpha": 0.3, "quantize": 4}))
         assert run([
-            "check", "--expr", or_file, "--config", str(cfg), "--grid", "4", "--identity",
+            "check", "--expr", or_file, "--config", str(cfg), "--grid", "4", "--alpha", "0.7",
             "--format", "structured",
         ]) == OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["sampling"] == {"mode": "grid", "points_per_axis": 4}
-        assert doc["projection"] == {"kind": "identity"}
+        assert doc["projection"] == {"kind": "threshold", "alpha": 0.7}
 
-    def test_false_on_off_option_does_not_count_as_set(self, or_file, tmp_path, capsys):
+    def test_identity_projection_is_refused(self, or_file, tmp_path, capsys):
+        """The identity map has no fibers to check on, so no flag, config
+        key or document selects it."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"identity": False, "alpha": 0.3, "grid": 3}))
-        assert run([
-            "check", "--expr", or_file, "--config", str(cfg), "--format", "structured",
-        ]) == OK
-        assert json.loads(capsys.readouterr().out)["projection"] == {
-            "kind": "threshold", "alpha": 0.3,
-        }
+        assert run(["check", "--expr", or_file, "--config", str(cfg)]) == BAD_INPUT
+        assert capsys.readouterr().err == (
+            "error[E_INPUT]: config file sets unknown options: ['identity']\n"
+        )
+        assert run(["check", "--expr", or_file, "--identity"]) == BAD_INPUT  # argparse usage
+        assert "unrecognized arguments: --identity" in capsys.readouterr().err
+        doc = tmp_path / "mod.json"
+        doc.write_text(json.dumps({
+            "node": "output_mod", "base": to_dict(TConorm("max")), "fallback": None,
+            "projection": {"kind": "identity"},
+        }))
+        assert run(["check", "--expr", str(doc), "--grid", "3"]) == BAD_INPUT
+        assert re.fullmatch(
+            r"error\[E_FORMAT\]: [^\n]*unknown projection kind 'identity'\n", capsys.readouterr().err
+        )
 
     @pytest.mark.parametrize("body", [
         '{"grid": [3]}', '{"alpha": [0.5]}', '{"witness_limit": null}', '{"grid": 1e400}',
-        '{"random": 1.5}', '{"identity": "no"}', '{"format": "xml"}',
+        '{"random": 1.5}', '{"quantize": "no"}', '{"format": "xml"}',
     ])
     def test_invalid_config_value(self, body, or_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -415,6 +422,16 @@ class TestRepair:
             "--out-expr", str(tmp_path / "x.json"),
         ]) == BAD_CONTRACT
         assert "error[E_CONTRACT]" in capsys.readouterr().err
+
+    def test_failed_verification_writes_nothing(self, or_file, tmp_path, capsys):
+        """The repaired file appears only once its verification returns."""
+        out_expr = tmp_path / "big.json"
+        assert run([
+            "repair", "--expr", or_file, "--gamma", "extend", "--grid", "256",
+            "--out-expr", str(out_expr),
+        ]) == BAD_INPUT
+        assert capsys.readouterr().err.startswith("error[E_CAPACITY]: grid sample of 16777216")
+        assert not out_expr.exists()
 
     def test_already_coherent_is_reported(self, tmp_path, capsys):
         path = tmp_path / "id.json"
@@ -570,6 +587,36 @@ def _run_quietly(argv: list[str]) -> tuple[int, str, float]:
     return code, err.getvalue(), time.perf_counter() - start
 
 
+def _wrong_scalar_documents() -> dict[str, dict]:
+    """One document per scalar field, holding a value of the wrong kind."""
+    lor, d = TConorm("lukasiewicz"), Projection.threshold(0.5)
+    mod = to_dict(OutputModExpr(lor, None, d))
+    ext = to_dict(apply_gamma(lor, GammaSpec("extend", d, sampling=SamplingSpec.grid(5))))
+    mlp = to_dict(MlpExpr(init_model(2, (2,), 1, np.random.default_rng(0))))
+    step = to_dict(jump_low())
+    docs = {
+        "alpha-string": dict(mod, projection={"kind": "threshold", "alpha": "0.5"}),
+        "levels-float": dict(mod, projection={"kind": "quantize", "levels": 4.0}),
+        "clamp-string": dict(to_dict(Affine(((0.5, 0.5),), (0.0,))), clamp="false"),
+        "indices-float": {"node": "coord", "indices": [0.9, 1.2], "in_arity": 2},
+        "coord-arity-float": {"node": "coord", "indices": [0, 1], "in_arity": 2.9},
+        "const-arity-string": {"node": "const", "values": [0.5], "in_arity": "3"},
+        "components-float": dict(ext, extended_components=[0.9]),
+        "digit-float": copy.deepcopy(ext),
+        "index-float": copy.deepcopy(step),
+        "value-string": copy.deepcopy(step),
+        "weights-strings": copy.deepcopy(mlp),
+    }
+    docs["digit-float"]["contaminated"][0][0][0] = 0.7
+    docs["index-float"]["regions"][0]["conditions"][0]["index"] = 0.7
+    docs["value-string"]["regions"][0]["conditions"][0]["value"] = "0.5"
+    docs["weights-strings"]["model"]["layers"][0]["weights"][0] = ["0.5", "1"]
+    return docs
+
+
+_WRONG_SCALARS = _wrong_scalar_documents()
+
+
 class TestHostileDocuments:
     @pytest.mark.parametrize("doc, flags", [
         ({"node": "const", "values": [0.5], "in_arity": 10**20}, ["--grid", "5"]),
@@ -586,6 +633,16 @@ class TestHostileDocuments:
         assert code == BAD_INPUT and re.fullmatch(r"error\[E_[A-Z]+\]: [^\n]*\n", err)
         # a hang here never returns; this bound catches a slow refusal
         assert seconds < 1.0
+
+    @pytest.mark.parametrize("case", list(_WRONG_SCALARS))
+    def test_scalar_of_the_wrong_kind_is_refused(self, case, tmp_path):
+        """A number spelled as a string, a fraction where an integer
+        belongs or a string where true or false belongs is refused, never
+        converted."""
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_WRONG_SCALARS[case]))
+        code, err, _ = _run_quietly(["check", "--expr", str(path), "--grid", "3"])
+        assert code == BAD_INPUT and re.fullmatch(r"error\[E_FORMAT\]: [^\n]*\n", err), err
 
 
 def _seed_documents() -> list[dict]:
@@ -605,11 +662,13 @@ def _seed_documents() -> list[dict]:
 
 
 _SEEDS = _seed_documents()
-# Replacement values: wrong types, out-of-range and huge numbers.  No
-# mid-sized arity or level count, which would be valid but slow.
+# Replacement values: wrong types, numbers spelled as strings,
+# out-of-range and huge numbers.  No mid-sized arity or level count,
+# which would be valid but slow.
 _HOSTILE = st.sampled_from([
     None, True, 0, 1, 2, 3, -1, 0.5, 1.5, -0.5, 1e308, 10**20, 2**64,
-    "", "x", "mlp", "const", [], [0], [[0]], [1, 2], {}, {"node": "const", "values": [1.0]},
+    "", "x", "mlp", "const", "0.5", "1", "false",
+    [], [0], [[0]], [1, 2], {}, {"node": "const", "values": [1.0]},
 ])
 
 
@@ -661,12 +720,12 @@ def test_mutated_documents_never_raise(tmp_path_factory, doc):
 
 
 # ---------------------------------------------------------------------------
-# fuzzed config files, flags and COHEXP_SEED
+# fuzzed config files and flags, with COHEXP_SEED values the package ignores
 # ---------------------------------------------------------------------------
 
 # every option a config file may set for check, explain or repair
 _CONFIG_KEYS = [
-    "format", "seed", "alpha", "quantize", "identity", "grid", "random",
+    "format", "seed", "alpha", "quantize", "grid", "random",
     "witness_limit", "gamma", "simplify", "names", "ascii",
 ]
 # JSON scalars and short lists; no size over 5 that a sample would accept
@@ -678,7 +737,7 @@ _CONFIG_VALUES = st.sampled_from([
 # one flag or none from each group, so argparse itself never refuses the line
 _FLAG_GROUPS = [
     [[], ["--grid", "3"], ["--random", "5"], ["--random", "50"]],
-    [[], ["--alpha", "0.3"], ["--quantize", "4"], ["--identity"]],
+    [[], ["--alpha", "0.3"], ["--quantize", "4"]],
     [[], ["--seed", "0"], ["--seed", "7"], ["--seed", "-1"], ["--seed", "99999999999999999999"]],
 ]
 _ENV_SEEDS = [None, "0", "5", "-3", "x", "1.5", "99999999999999999999"]

@@ -108,6 +108,27 @@ class TestSamplingSpec:
         with pytest.raises(ValidationError):
             SamplingSpec("random", count=5, seed=seed)
 
+    @pytest.mark.parametrize("make", [
+        lambda: SamplingSpec("random", count=3.5),
+        lambda: SamplingSpec.random(2.7),
+        lambda: SamplingSpec.random(5, seed=1.5),
+        lambda: SamplingSpec.grid(3.9),
+        lambda: SamplingSpec.grid("3"),
+    ], ids=["count", "random-count", "random-seed", "grid", "grid-string"])
+    def test_sizes_and_seeds_are_not_truncated(self, make):
+        with pytest.raises(ValidationError):
+            make()
+
+    def test_fractional_grid_document_refused(self):
+        with pytest.raises(SerializationError) as exc:
+            SamplingSpec.from_dict({"mode": "grid", "points_per_axis": 2.5})
+        assert exc.value.code == "E_FORMAT"
+
+    def test_numpy_integers_accepted(self):
+        spec = SamplingSpec.random(np.int64(5), seed=np.uint8(3))
+        assert spec.to_dict() == {"mode": "random", "count": 5, "seed": 3}
+        assert type(spec.count) is int and type(spec.seed) is int
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             SamplingSpec.grid(1)
@@ -347,8 +368,9 @@ def test_chunked_evaluation_is_bit_identical(name, rows, projection):
     )
 
 
+# 128**2 fibers outnumber the 101**2 grid points, so quantize(128) takes the per-point path
 @pytest.mark.parametrize(
-    "projection", [Projection.threshold(0.5), Projection.identity()], ids=["table", "direct"]
+    "projection", [Projection.threshold(0.5), Projection.quantize(128)], ids=["table", "direct"]
 )
 def test_check_evaluates_at_most_a_chunk_at_a_time(luk_or, projection, monkeypatch):
     f = BatchRecorder(luk_or)

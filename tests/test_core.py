@@ -1,6 +1,7 @@
 """Projections, expression evaluation, serialisation, truth tables."""
 
 import importlib
+import json
 import pkgutil
 
 import numpy as np
@@ -52,7 +53,6 @@ class TestProjection:
     def test_threshold_is_boolean(self):
         assert Projection.threshold(0.3).is_boolean
         assert Projection.threshold(0.3).level_values == (0.0, 1.0)
-        assert not Projection.identity().is_boolean
         assert not Projection.quantize(3).is_boolean
 
     def test_quantize_levels(self):
@@ -60,12 +60,13 @@ class TestProjection:
         assert d.level_values == (0.0, 0.5, 1.0)
         assert d.apply_point((0.2, 0.26, 0.76)) == (0.0, 0.5, 1.0)
 
-    def test_identity_is_noop(self):
-        d = Projection.identity()
-        xs = np.array([[0.1, 0.9]])
-        out = d.apply(xs)
-        assert np.array_equal(out, xs)
-        assert out is not xs
+    def test_identity_kind_is_refused(self):
+        """A projection has fibers; the identity map has none to compare on."""
+        with pytest.raises(ValidationError, match="unknown projection kind 'identity'"):
+            Projection("identity")
+        with pytest.raises(SerializationError, match="unknown projection kind 'identity'"):
+            Projection.from_dict({"kind": "identity"})
+        assert not hasattr(Projection, "identity")
 
     @given(unit, st.sampled_from([2, 3, 5, 11]))
     def test_quantize_is_idempotent(self, v, levels):
@@ -97,7 +98,7 @@ class TestProjection:
             bad()
 
     def test_round_trip(self):
-        for d in (Projection.threshold(0.25), Projection.identity(), Projection.quantize(4)):
+        for d in (Projection.threshold(0.25), Projection.quantize(4)):
             assert Projection.from_dict(d.to_dict()) == d
 
     def test_from_dict_rejects_junk(self):
@@ -110,7 +111,7 @@ class TestProjection:
                 Projection.from_dict({"kind": "quantize", "levels": levels})
 
     def test_level_values_built_once(self):
-        for d in (Projection.threshold(0.5), Projection.quantize(5), Projection.identity()):
+        for d in (Projection.threshold(0.5), Projection.quantize(5)):
             assert d.level_values is d.level_values
         d = Projection.quantize(5)
         assert d.level_values == (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -396,6 +397,45 @@ class TestVertices:
             vertex_index([0, 2])
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Projection.quantize(4.0),
+    lambda: Projection.threshold("0.5"),
+    lambda: Projection.threshold(True),
+    lambda: Affine(((0.5, 0.5),), (0.0,), clamp="false"),
+    lambda: Affine((("0.5", 0.5),), (0.0,)),
+    lambda: Coord((0.9, 1.2), 2),
+    lambda: Coord((0, 1), 2.9),
+    lambda: Const((0.5,), in_arity="3"),
+    lambda: Const(("0.5",)),
+    lambda: Condition(0.7, "le", 0.5),
+    lambda: Condition(0, "le", "0.5"),
+    lambda: LiftedProjection(Projection.threshold(0.5), 1.5),
+    lambda: TruthTable(1, 1, [[0.7], [1.9]]),
+    lambda: TruthTable(1.0, 1, [[0], [1]]),
+], ids=[
+    "levels-float", "alpha-string", "alpha-bool", "clamp-string", "matrix-string",
+    "indices-float", "coord-arity-float", "const-arity-string", "const-string",
+    "condition-index-float", "condition-value-string", "lifted-arity-float",
+    "rows-float", "inputs-float",
+])
+def test_scalar_fields_are_checked_not_coerced(make):
+    with pytest.raises(ValidationError):
+        make()
+
+
+def test_numpy_scalars_are_stored_as_python_scalars():
+    exprs = [
+        Coord(np.array([1, 0]), np.int32(2)),
+        Const((np.float32(0.5),), in_arity=np.int64(1)),
+        Affine(((np.int64(1), 0),), (np.float64(0.0),), clamp=np.bool_(False)),
+        LiftedProjection(Projection.quantize(np.uint8(4)), np.int64(2)),
+    ]
+    for expr in exprs:
+        assert from_dict(to_dict(expr)) == expr
+        assert json.loads(json.dumps(to_dict(expr))) == to_dict(expr)
+    assert type(exprs[2].clamp) is bool and type(exprs[3].projection.levels) is int
+
+
 class TestTruthTable:
     def test_row_lookup(self):
         t = TruthTable(2, 1, [[0], [1], [1], [0]])
@@ -424,6 +464,11 @@ class TestTruthTable:
     def test_round_trip(self):
         t = TruthTable(2, 2, [[0, 1], [1, 0], [1, 1], [0, 0]])
         assert TruthTable.from_dict(t.to_dict()) == t
+
+    def test_fractional_rows_refused_in_documents(self):
+        with pytest.raises(SerializationError) as exc:
+            TruthTable.from_dict({"n_inputs": 1, "n_outputs": 1, "rows": [[0.7], [1.9]]})
+        assert exc.value.code == "E_FORMAT"
 
 
 @settings(max_examples=50)

@@ -90,6 +90,11 @@ class TestDatasets:
         with pytest.raises(ValidationError, match="seed"):
             make_dataset("xor", "train", 10, seed=-1)
 
+    @pytest.mark.parametrize("size, seed", [(10, 1.5), (2.5, 0), (10, "1")])
+    def test_size_and_seed_are_not_truncated(self, size, seed):
+        with pytest.raises(ValidationError):
+            make_dataset("xor", "train", size, seed=seed)
+
     def test_features_are_read_only(self):
         ds = make_dataset("xor", "train", 10, seed=0)
         with pytest.raises(ValueError):

@@ -119,8 +119,6 @@ class TestBooleanize:
 
     def test_needs_boolean_projection(self, luk_or):
         with pytest.raises(ValidationError):
-            booleanize(luk_or, Projection.identity())
-        with pytest.raises(ValidationError):
             booleanize(luk_or, Projection.quantize(3))
 
     def test_zero_arity(self):

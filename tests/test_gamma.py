@@ -88,6 +88,12 @@ class TestGammaSpec:
             else:
                 assert to_dict(again.fallback) == to_dict(spec.fallback)
 
+    def test_string_alpha_refused(self):
+        doc = dict(extend_spec().to_dict(), projection={"kind": "threshold", "alpha": "0.5"})
+        with pytest.raises(SerializationError) as exc:
+            GammaSpec.from_dict(doc)
+        assert exc.value.code == "E_FORMAT"
+
     def test_null_fallback_is_canonical(self):
         doc = dict(output_mod_spec().to_dict(), fallback=None)
         assert GammaSpec.from_dict(doc).fallback is None
@@ -227,10 +233,20 @@ class TestDomainExtension:
             ExtendedExpr(luk_or, D, (1,), ((0,),))
         with pytest.raises(ValidationError):
             ExtendedExpr(luk_or, D, (0,), ((0,), (1,)))
-        with pytest.raises(ValidationError):
-            ExtendedExpr(luk_or, Projection.identity(), (0,), ((0,),))
+        doc = to_dict(ExtendedExpr(luk_or, D, (0,), ((0,),)))
+        with pytest.raises(SerializationError, match="unknown projection kind 'identity'"):
+            from_dict({**doc, "projection": {"kind": "identity"}})
         with pytest.raises(ValidationError):
             gamma_extend(luk_or, output_mod_spec())
+
+    @pytest.mark.parametrize("components, contaminated", [
+        ((0.9,), ((0,),)),
+        ((0,), ((0.5, 1),)),
+        (("0",), ((0,),)),
+    ], ids=["component-float", "code-float", "component-string"])
+    def test_fractional_fields_refused(self, luk_or, components, contaminated):
+        with pytest.raises(ValidationError):
+            ExtendedExpr(luk_or, D, components, contaminated)
 
 
 class TestOutputModification:

@@ -388,6 +388,19 @@ class TestMlpExpr:
         with pytest.raises(SerializationError, match="finite"):
             from_dict({"node": "mlp", "in_arity": 2, "out_arity": 1, "model": doc})
 
+    @pytest.mark.parametrize("key", ["weights", "bias", "slope"])
+    def test_string_parameters_refused(self, key):
+        doc = init_model(2, (3,), 1, np.random.default_rng(6)).to_dict()
+        if key == "weights":
+            doc["layers"][0]["weights"][0] = ["0.5", "1"]
+        elif key == "bias":
+            doc["layers"][0]["bias"][1] = "0"
+        else:
+            doc["layers"][0]["slope"] = "0.25"
+        with pytest.raises(SerializationError) as exc:
+            MlpModel.from_dict(doc)
+        assert exc.value.code == "E_FORMAT"
+
     def test_activation_key_is_optional(self):
         model = init_model(2, (3, 2), 1, np.random.default_rng(4))
         doc = model.to_dict()
