@@ -23,6 +23,15 @@ Expressions are evaluated over a sample in slices of ``EVAL_CHUNK``
 rows (:func:`eval_chunked`), so the memory an evaluation needs beyond
 the sample and its output arrays is bounded by the chunk, not by the
 sample size.
+
+Such a grid sample (no more fibers than points) is not evaluated point
+by point when ``f`` has interval bounds (``FuzzyExpr.bounds``).  It is
+cut into one index box per fiber.  A box whose bounds project to one value in every component is
+decided whole against its fiber's baseline.  Other boxes are bisected,
+and only the points of undecided leaves are evaluated.  Verdicts taken
+near a projection boundary, and every witness, are evaluated again in
+their own ``EVAL_CHUNK`` slice, so the report equals the point-by-point
+one byte for byte (see :func:`_check_grid_boxes`).
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import FuzzyExpr, Point, Projection, fiber_codes, fiber_digits
+from .core import BOUND_PAD, FuzzyExpr, Point, Projection, fiber_codes, fiber_digits
 from .errors import CapacityError, ValidationError, _checked, malformed
 
 __all__ = [
@@ -68,6 +77,15 @@ _MAX_SAMPLE_COORDS = 16 * _MAX_SAMPLE_POINTS
 # same row blocks as the whole batch, so chunked results are
 # bit-identical to a single eval_batch call.
 EVAL_CHUNK = 1 << 13
+
+# Grid checks bisect an undecided index box until it holds at most this
+# many points, and then evaluate them.
+_LEAF_POINTS = 64
+
+# A verdict from evaluating leaf points in gathered batches is kept only
+# where every output is further than this from a projection boundary:
+# outside its own EVAL_CHUNK slice a row can round differently.
+_GATHER_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -121,6 +139,20 @@ class SamplingSpec:
             raise ValidationError("arity must be >= 0")
         if arity == 0:
             return np.zeros((1, 0), dtype=np.float64)
+        total = self._size(arity)
+        if self.mode == "random":
+            return np.random.default_rng(self.seed).random((total, arity))
+        k = self.points_per_axis
+        axis = np.linspace(0.0, 1.0, k)
+        out = np.empty((total, arity))
+        for j in range(arity):
+            # column j repeats each level k**(arity-j-1) times, k**j times over
+            out.reshape(k**j, k, -1, arity)[:, :, :, j] = axis[:, None]
+        return out
+
+    def _size(self, arity: int) -> int:
+        """The number of points over ``arity >= 1`` inputs; a sample over
+        the caps is a ``CapacityError``."""
         k = self.points_per_axis or 0
         # k >= 2, so a grid over 23 or more axes is over the cap: k**arity is not computed
         if self.mode == "grid" and arity >= _MAX_SAMPLE_POINTS.bit_length():
@@ -137,14 +169,7 @@ class SamplingSpec:
                 f"{self.mode} sample of {total} points over {arity} inputs exceeds the cap "
                 f"of {_MAX_SAMPLE_COORDS} coordinates"
             )
-        if self.mode == "random":
-            return np.random.default_rng(self.seed).random((total, arity))
-        axis = np.linspace(0.0, 1.0, k)
-        out = np.empty((total, arity))
-        for j in range(arity):
-            # column j repeats each level k**(arity-j-1) times, k**j times over
-            out.reshape(k**j, k, -1, arity)[:, :, :, j] = axis[:, None]
-        return out
+        return total
 
     def to_dict(self) -> dict:
         doc: dict = {"mode": self.mode}
@@ -323,12 +348,18 @@ def check_coherence(
     The coherent fraction counts every sampled point.  Witness lists
     are capped at ``witness_cap`` per component: grid samples keep the
     first offenders in sample order, random samples keep a seeded
-    uniform subset (re-sorted by sample index).
+    uniform subset (re-sorted by sample index).  A grid whose boxes
+    ``f`` can bound is decided box by box (:func:`_check_grid_boxes`),
+    with the same report as evaluating every point.
     """
     if witness_cap < 0:
         raise ValidationError("witness_cap must be >= 0")
     if sampling is None:
         sampling = default_sampling(f.in_arity)
+    if sampling.mode == "grid":
+        report = _check_grid_boxes(f, projection, sampling, witness_cap)
+        if report is not None:
+            return report
     xs = sampling.sample(f.in_arity)
     fx, proj_direct, proj_via_levels = projected_outputs(f, projection, xs)
     ok = proj_direct == proj_via_levels
@@ -344,16 +375,9 @@ def check_coherence(
             else:
                 bad = bad[:witness_cap]
         witnesses = tuple(
-            Witness(
-                point=tuple(float(v) for v in xs[j]),
-                output=tuple(float(v) for v in fx[j]),
-                projected_direct=float(proj_direct[j, i]),
-                projected_via_projected_inputs=float(proj_via_levels[j, i]),
-            )
-            for j in bad
+            _witness(xs[j], fx[j], proj_direct[j, i], proj_via_levels[j, i]) for j in bad
         )
         components.append(ComponentReport(i, float(fraction), witnesses))
-
     return CoherenceReport(
         projection=projection,
         sampling=sampling,
@@ -363,6 +387,209 @@ def check_coherence(
         components=tuple(components),
         coherent_fraction=float(ok.all(axis=1).mean()),
     )
+
+
+def _witness(point, output, direct, baseline) -> Witness:
+    return Witness(
+        point=tuple(float(v) for v in point),
+        output=tuple(float(v) for v in output),
+        projected_direct=float(direct),
+        projected_via_projected_inputs=float(baseline),
+    )
+
+
+def _one_value(projection: Projection, lo: np.ndarray, hi: np.ndarray, pad: float):
+    """Per row: whether every component of ``[lo - pad, hi + pad]``
+    projects to one value, and the projection of ``lo - pad``.  The
+    projection is non-decreasing, so the values in between project
+    the same."""
+    low = projection.apply(lo - pad)
+    return (low == projection.apply(hi + pad)).all(axis=1), low
+
+
+def _bisect(blo: np.ndarray, bhi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Halve each index box along its longest side: all left halves,
+    then all right halves."""
+    rows = np.arange(len(blo))
+    axis = np.argmax(bhi - blo, axis=1)
+    mid = (blo[rows, axis] + bhi[rows, axis]) // 2
+    left_hi, right_lo = bhi.copy(), blo.copy()
+    left_hi[rows, axis] = mid
+    right_lo[rows, axis] = mid + 1
+    return np.concatenate([blo, right_lo]), np.concatenate([left_hi, bhi])
+
+
+def _box_points(blo: np.ndarray, bhi: np.ndarray, count: int, strides: np.ndarray):
+    """Flat sample indices of the first ``count`` points of each index
+    box, box after box and in sample order within a box, and the box
+    each one is in."""
+    shape = bhi - blo + 1
+    take = np.minimum(shape.prod(axis=1), count)
+    box = np.repeat(np.arange(len(blo)), take)
+    rest = np.arange(take.sum()) - np.repeat(np.cumsum(take) - take, take)
+    flat = np.zeros_like(rest)
+    for j in reversed(range(blo.shape[1])):
+        flat += (rest % shape[box, j] + blo[box, j]) * strides[j]
+        rest //= shape[box, j]
+    return flat, box
+
+
+def _first_points(blo: np.ndarray, bhi: np.ndarray, count: int, strides: np.ndarray) -> np.ndarray:
+    """The ``count`` smallest flat indices in a union of disjoint index
+    boxes, ascending.  They lie in the ``count`` boxes that start first:
+    the points of any later box come after ``count`` distinct starts."""
+    first = np.argsort(blo @ strides)[:count]
+    return np.sort(_box_points(blo[first], bhi[first], count, strides)[0])[:count]
+
+
+def _check_grid_boxes(
+    f: FuzzyExpr, projection: Projection, sampling: SamplingSpec, witness_cap: int
+) -> CoherenceReport | None:
+    """A grid check decided box by box (see the module docstring);
+    ``None`` where the per-point check must run instead.
+
+    A box is decided when ``f.bounds``, widened by ``BOUND_PAD``,
+    projects to one value in every component.  Undecided boxes are
+    bisected down to leaves of at most ``_LEAF_POINTS`` points, which
+    are evaluated together in ``EVAL_CHUNK`` batches.  A gathered
+    verdict is kept only where the row's box was bounded and every
+    output is ``_GATHER_MARGIN`` clear of the projection's boundaries;
+    other rows, and every witness, are evaluated again inside their
+    own slice.  An error hands the check to the per-point path, which
+    raises it (or not) exactly as it would have.
+    """
+    n, m = f.in_arity, f.out_arity
+    levels = len(projection.level_values)
+    if n == 0:
+        return None
+    total = sampling._size(n)
+    if levels**n > total:
+        return None
+    k = sampling.points_per_axis
+    axis = np.linspace(0.0, 1.0, k)
+    strides = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+    def points(flat: np.ndarray) -> np.ndarray:
+        return axis[flat[:, None] // strides % k]
+
+    def bound(blo, bhi):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return f.bounds(axis[blo], axis[bhi])
+
+    # one box per fiber: the projection is non-decreasing, so each level
+    # covers one run of grid indices on every axis
+    cuts = np.flatnonzero(np.diff(projection.apply(axis))) + 1
+    run_lo, run_hi = np.concatenate([[0], cuts]), np.concatenate([cuts - 1, [k - 1]])
+    runs = np.indices((len(run_lo),) * n).reshape(n, -1).T
+    blo, bhi = run_lo[runs], run_hi[runs]
+    bounds = bound(blo, bhi)
+    if bounds is None:
+        return None
+    try:
+        # the fibers present, ascending, so the table is built as on the per-point path
+        present = fiber_codes(projection, axis[blo])
+        table = np.empty((levels**n, m), dtype=np.float64)
+        table[present] = fiber_table(f, projection, present)
+        fiber = present
+
+        bad_count = np.zeros(m, dtype=np.int64)
+        any_bad = 0
+        bad_boxes = []  # (blo, bhi, bad components) of decided boxes
+        leaves = []  # (blo, bhi, fiber, bounded) of undecided leaves
+        while len(blo):
+            bounded = np.isfinite(bounds[0]).all(axis=1) & np.isfinite(bounds[1]).all(axis=1)
+            same, value = _one_value(projection, *bounds, BOUND_PAD)
+            decided = bounded & same
+            size = (bhi - blo + 1).prod(axis=1)
+            bad = value[decided] != table[fiber[decided]]
+            bad_count += (bad * size[decided, None]).sum(axis=0)
+            any_bad += int(size[decided][bad.any(axis=1)].sum())
+            hit = bad.any(axis=1)
+            bad_boxes.append((blo[decided][hit], bhi[decided][hit], bad[hit]))
+            leaf = ~decided & (size <= _LEAF_POINTS)
+            leaves.append((blo[leaf], bhi[leaf], fiber[leaf], bounded[leaf]))
+            split = ~decided & ~leaf
+            blo, bhi = _bisect(blo[split], bhi[split])
+            fiber = np.tile(fiber[split], 2)
+            bounds = bound(blo, bhi)
+            if bounds is None:
+                return None
+
+        # leaf points, in sample order, evaluated in gathered batches
+        llo, lhi, lfiber, lbounded = (np.concatenate(parts) for parts in zip(*leaves))
+        flat, box = _box_points(llo, lhi, _LEAF_POINTS, strides)
+        order = np.argsort(flat)
+        flat, box = flat[order], box[order]
+        fx = eval_chunked(f, points(flat))
+        ok = projection.apply(fx) == table[lfiber[box]]
+        clear, _ = _one_value(projection, fx, fx, _GATHER_MARGIN)
+        unsure = np.flatnonzero(~(clear & lbounded[box]))
+        evaluated = {}  # slice start -> what _slice returns
+        for lo, rows in _by_slice(flat[unsure]):
+            evaluated[lo] = _slice(f, projection, table, points, lo, total)
+            _, _, direct, baseline = evaluated[lo]
+            rows = unsure[rows]
+            local = flat[rows] - lo
+            ok[rows] = direct[local] == baseline[local]
+        bad_count += (~ok).sum(axis=0)
+        any_bad += int((~ok.all(axis=1)).sum())
+
+        # the first witness_cap offenders per component, from the decided
+        # boxes and the leaf rows (as boxes of one point)
+        blo, bhi, bad = (np.concatenate(parts) for parts in zip(*bad_boxes))
+        at = flat[:, None] // strides % k
+        chosen = []
+        for i in range(m):
+            if witness_cap == 0 or bad_count[i] == 0:
+                chosen.append(np.zeros(0, dtype=np.int64))
+                continue
+            lo_i = np.concatenate([blo[bad[:, i]], at[~ok[:, i]]])
+            hi_i = np.concatenate([bhi[bad[:, i]], at[~ok[:, i]]])
+            chosen.append(_first_points(lo_i, hi_i, witness_cap, strides))
+        for lo, _ in _by_slice(np.unique(np.concatenate(chosen))):
+            if lo not in evaluated:
+                evaluated[lo] = _slice(f, projection, table, points, lo, total)
+    except ValidationError:
+        return None
+
+    components = []
+    for i, rows in enumerate(chosen):
+        witnesses = []
+        for j in rows.tolist():
+            lo = j - j % EVAL_CHUNK
+            xs, fxs, direct, baseline = evaluated[lo]
+            j -= lo
+            witnesses.append(_witness(xs[j], fxs[j], direct[j, i], baseline[j, i]))
+        fraction = 1.0 - int(bad_count[i]) / total
+        components.append(ComponentReport(i, float(fraction), tuple(witnesses)))
+    return CoherenceReport(
+        projection=projection,
+        sampling=sampling,
+        in_arity=n,
+        out_arity=m,
+        n_points=total,
+        components=tuple(components),
+        coherent_fraction=float((total - any_bad) / total),
+    )
+
+
+def _by_slice(flat: np.ndarray):
+    """``(first index of the slice, positions in flat)`` for each
+    ``EVAL_CHUNK`` slice of the sample that ``flat`` (ascending) meets."""
+    start = flat - flat % EVAL_CHUNK
+    cuts = np.flatnonzero(np.diff(start)) + 1
+    for rows in np.split(np.arange(len(flat)), cuts):
+        if len(rows):
+            yield int(start[rows[0]]), rows
+
+
+def _slice(f, projection, table, points, lo: int, total: int):
+    """``(x, f(x), d(f(x)), d(f(d(x))))`` on the ``EVAL_CHUNK`` slice of
+    the sample that starts at ``lo``, evaluated as the per-point check
+    evaluates it."""
+    xs = points(np.arange(lo, min(lo + EVAL_CHUNK, total)))
+    fx = f.eval_batch(xs)
+    return xs, fx, projection.apply(fx), table[fiber_codes(projection, xs)]
 
 
 def incoherent_components(report: CoherenceReport) -> list[int]:

@@ -15,6 +15,10 @@ Conventions used throughout the package
   the Boolean pair ``{0.0, 1.0}``.
 * Raw fuzzy values are compared with absolute tolerance ``RAW_TOL``;
   projected values live on a finite grid and are compared exactly.
+* ``FuzzyExpr.bounds`` maps a batch of input boxes to output intervals
+  (interval bound propagation).  Bounds are computed in plain float
+  arithmetic, not rounded outward, so a consumer widens them by
+  ``BOUND_PAD`` before trusting them.
 
 The serialisation format is a single JSON object per expression: the
 field ``node`` names the variant, ``in_arity``/``out_arity`` give the
@@ -36,6 +40,7 @@ from .errors import CapacityError, SerializationError, ValidationError, _checked
 
 __all__ = [
     "RAW_TOL",
+    "BOUND_PAD",
     "MAX_TABLE_INPUTS",
     "Point",
     "Projection",
@@ -64,6 +69,11 @@ __all__ = [
 
 # Absolute tolerance for comparing raw (unprojected) fuzzy values.
 RAW_TOL = 1e-12
+
+# Interval bounds may miss a value by float rounding; they are trusted
+# only after widening by this much (scaled by a node's magnitude where
+# its arithmetic can grow large: affine maps, network logits).
+BOUND_PAD = 1e-9
 
 # Hard cap on vertex enumeration: 2**20 rows is the largest truth table
 # this package will materialise.
@@ -220,6 +230,17 @@ class FuzzyExpr:
             )
         return out
 
+    def bounds(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """Interval bounds over a batch of boxes.
+
+        ``lo`` and ``hi`` have shape ``(B, in_arity)``, with ``lo <= hi``
+        inside the unit hypercube.  Returns ``(B, out_arity)`` arrays
+        that hold ``_eval`` at every point of each box, up to float
+        rounding (see ``BOUND_PAD``).  A non-finite row marks a box on
+        which evaluation may raise.  ``None``: the node has no bounds.
+        """
+        return None
+
     def __call__(self, x: Sequence[float]) -> Point:
         arr = np.asarray(x, dtype=np.float64)
         if arr.ndim != 1 or arr.shape[0] != self.in_arity:
@@ -264,6 +285,10 @@ class Const(FuzzyExpr):
     def _eval(self, xs: np.ndarray) -> np.ndarray:
         return np.tile(np.asarray(self.values, dtype=np.float64), (xs.shape[0], 1))
 
+    def bounds(self, lo, hi):
+        out = self._eval(lo)
+        return out, out
+
     def to_payload(self) -> dict:
         return {"values": list(self.values)}
 
@@ -300,6 +325,9 @@ class Coord(FuzzyExpr):
     def _eval(self, xs: np.ndarray) -> np.ndarray:
         return xs[:, list(self.indices)]
 
+    def bounds(self, lo, hi):
+        return self._eval(lo), self._eval(hi)
+
     def to_payload(self) -> dict:
         return {"indices": list(self.indices)}
 
@@ -332,6 +360,10 @@ class _Connective(FuzzyExpr):
 
     def _eval(self, xs: np.ndarray) -> np.ndarray:
         return self.functions[self.kind](xs[:, 0], xs[:, 1]).reshape(-1, 1)
+
+    def bounds(self, lo, hi):
+        # every kind is non-decreasing in each argument
+        return self._eval(lo), self._eval(hi)
 
     def to_payload(self) -> dict:
         return {"kind": self.kind}
@@ -416,6 +448,14 @@ class Affine(FuzzyExpr):
     def _b(self) -> np.ndarray:
         return np.asarray(self.bias, dtype=np.float64)
 
+    @cached_property
+    def _interval_parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The matrix's positive and negative parts, and per output the
+        padding its sums need: ``BOUND_PAD`` times their magnitude."""
+        m = self._m
+        pad = BOUND_PAD * (1.0 + np.abs(m).sum(axis=1) + np.abs(self._b))
+        return np.maximum(m, 0.0), np.minimum(m, 0.0), pad
+
     def _eval(self, xs: np.ndarray) -> np.ndarray:
         out = xs @ self._m.T + self._b
         if self.clamp:
@@ -423,6 +463,17 @@ class Affine(FuzzyExpr):
         if out.size and (out.min() < 0.0 or out.max() > 1.0):
             raise ValidationError("unclamped affine output left the unit hypercube")
         return out
+
+    def bounds(self, lo, hi):
+        pos, neg, pad = self._interval_parts
+        olo = lo @ pos.T + hi @ neg.T + (self._b - pad)
+        ohi = hi @ pos.T + lo @ neg.T + (self._b + pad)
+        if self.clamp:
+            return np.clip(olo, 0.0, 1.0), np.clip(ohi, 0.0, 1.0)
+        # a box that may leave the cube may raise: its row is NaN
+        leaves = ((olo < 0.0) | (ohi > 1.0)).any(axis=1)
+        olo[leaves] = ohi[leaves] = np.nan
+        return olo, ohi
 
     def to_payload(self) -> dict:
         return {
@@ -464,6 +515,10 @@ class LiftedProjection(FuzzyExpr):
     def _eval(self, xs: np.ndarray) -> np.ndarray:
         return self.projection.apply(xs)
 
+    def bounds(self, lo, hi):
+        # a projection is non-decreasing
+        return self._eval(lo), self._eval(hi)
+
     def to_payload(self) -> dict:
         return {"projection": self.projection.to_dict()}
 
@@ -498,6 +553,19 @@ class Compose(FuzzyExpr):
 
     def _eval(self, xs: np.ndarray) -> np.ndarray:
         return self.outer._eval(self.inner._eval(xs))
+
+    def bounds(self, lo, hi):
+        inner = self.inner.bounds(lo, hi)
+        if inner is None:
+            return None
+        # a box on which the inner node may raise stays marked, whatever
+        # the outer node makes of it (a constant ignores its input)
+        unbounded = ~(np.isfinite(inner[0]).all(axis=1) & np.isfinite(inner[1]).all(axis=1))
+        ilo, ihi = (np.where(unbounded[:, None], 0.0, b) for b in inner)
+        out = self.outer.bounds(ilo, ihi)
+        if out is None:
+            return None
+        return tuple(np.where(unbounded[:, None], np.nan, b) for b in out)
 
     def to_payload(self) -> dict:
         return {"outer": to_dict(self.outer), "inner": to_dict(self.inner)}
@@ -537,6 +605,18 @@ class Parallel(FuzzyExpr):
             lo = hi
         return np.concatenate(chunks, axis=1)
 
+    def bounds(self, lo, hi):
+        parts = []
+        start = 0
+        for p in self.parts:
+            stop = start + p.in_arity
+            part = p.bounds(lo[:, start:stop], hi[:, start:stop])
+            if part is None:
+                return None
+            parts.append(part)
+            start = stop
+        return tuple(np.concatenate([part[i] for part in parts], axis=1) for i in (0, 1))
+
     def to_payload(self) -> dict:
         return {"parts": [to_dict(p) for p in self.parts]}
 
@@ -575,6 +655,12 @@ class Condition:
             return col > self.value
         return col >= self.value
 
+    def mask_over(self, lo: np.ndarray, hi: np.ndarray, every: bool) -> np.ndarray:
+        """Per box ``[lo, hi]``: whether the comparison holds at every
+        point (``every``) or at some point of it."""
+        upper = self.op in ("lt", "le")
+        return self.mask(hi if upper == every else lo)
+
     def to_dict(self) -> dict:
         return {"index": self.index, "op": self.op, "value": self.value}
 
@@ -597,6 +683,15 @@ class Piece:
         m = np.ones(xs.shape[0], dtype=bool)
         for c in self.conditions:
             m &= c.mask(xs)
+        return m
+
+    def mask_over(self, lo: np.ndarray, hi: np.ndarray, every: bool) -> np.ndarray:
+        """Per box: whether every condition holds at every point of it
+        (``every``), or each holds at some point (a superset of the boxes
+        the region meets)."""
+        m = np.ones(lo.shape[0], dtype=bool)
+        for c in self.conditions:
+            m &= c.mask_over(lo, hi, every)
         return m
 
 
@@ -645,6 +740,26 @@ class Piecewise(FuzzyExpr):
         if remaining.any():
             out[remaining] = self.default._eval(xs[remaining])
         return out
+
+    def bounds(self, lo, hi):
+        # the hull over the branches a box can reach; conditions are
+        # tested on the box widened by BOUND_PAD, since a nested
+        # piecewise sees bounds that float rounding may have missed
+        wlo, whi = lo - BOUND_PAD, hi + BOUND_PAD
+        olo = np.full((lo.shape[0], self.out_arity), np.inf)
+        ohi = np.full((lo.shape[0], self.out_arity), -np.inf)
+        open_ = np.ones(lo.shape[0], dtype=bool)  # not covered by an earlier piece
+        for piece in (*self.pieces, Piece((), self.default)):
+            reach = open_ & piece.mask_over(wlo, whi, every=False)
+            # every branch is bounded, reached or not, so that None does
+            # not depend on the boxes
+            part = piece.expr.bounds(lo[reach], hi[reach])
+            if part is None:
+                return None
+            olo[reach] = np.minimum(olo[reach], part[0])
+            ohi[reach] = np.maximum(ohi[reach], part[1])
+            open_ &= ~piece.mask_over(wlo, whi, every=True)
+        return olo, ohi
 
     def to_payload(self) -> dict:
         return {

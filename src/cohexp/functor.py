@@ -33,7 +33,7 @@ from .core import (
     fiber_codes,
     fiber_digits,
 )
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, _checked
 
 __all__ = [
     "MAX_SIMPLIFY_INPUTS",
@@ -94,9 +94,16 @@ class DnfFormula:
             object.__setattr__(self, "var_names", names)
         normalised = []
         for terms in self.outputs:
+            terms = [tuple(term) for term in terms]
+            # one check per output: every variable an integer, every sign a bool
+            literals = [lit for term in terms for lit in term]
+            need = "literal variables must be integers"
+            variables = iter(_checked(np.asarray([v for v, _ in literals]), int, need).tolist())
+            need = "literal signs must be true or false"
+            signs = iter(_checked(np.asarray([neg for _, neg in literals]), bool, need).tolist())
             canon_terms = []
             for term in terms:
-                lits = tuple(sorted((int(v), bool(neg)) for v, neg in term))
+                lits = tuple(sorted((next(variables), next(signs)) for _ in term))
                 seen = [v for v, _ in lits]
                 if len(set(seen)) != len(seen):
                     raise ValidationError(f"duplicate variable in conjunction: {term}")

@@ -27,11 +27,12 @@ scaled by ``max(1, |analytic|, |numeric|)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .core import FuzzyExpr, Projection
+from .core import BOUND_PAD, FuzzyExpr, Projection
 from .errors import SerializationError, TrainingError, ValidationError, _checked, malformed
 
 __all__ = [
@@ -138,14 +139,24 @@ class TrainConfig:
     projection: Projection = Projection.threshold(0.5)
 
     def __post_init__(self) -> None:
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValidationError("epochs must be >= 0 and batch_size >= 1")
-        if self.learning_rate < 0 or self.weight_decay < 0 or self.coherence_lambda < 0:
-            raise ValidationError("rates and penalties must be non-negative")
-        if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
-            raise ValidationError("hidden_sizes must be positive")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        fields = (
+            ("epochs", int, "epochs must be an integer >= 0", 0),
+            ("batch_size", int, "batch_size must be an integer >= 1", 1),
+            ("seed", int, "seed must be an integer >= 0", 0),
+            ("early_stopping_patience", int, "early_stopping_patience must be an integer", None),
+            ("learning_rate", float, "learning_rate must be a number >= 0", 0),
+            ("weight_decay", float, "weight_decay must be a number >= 0", 0),
+            ("coherence_lambda", float, "coherence_lambda must be a number >= 0", 0),
+        )
+        for name, kind, need, low in fields:
+            object.__setattr__(self, name, _checked(getattr(self, name), kind, need, low))
+        need = "hidden_sizes must be a non-empty sequence of integers >= 1"
+        if not isinstance(self.hidden_sizes, (tuple, list)) or not self.hidden_sizes:
+            raise ValidationError(f"{need}, got {self.hidden_sizes!r}")
+        sizes = tuple(_checked(h, int, need, 1) for h in self.hidden_sizes)
+        object.__setattr__(self, "hidden_sizes", sizes)
+        if not isinstance(self.projection, Projection):
+            raise ValidationError(f"projection must be a Projection, got {self.projection!r}")
 
 
 @dataclass(frozen=True)
@@ -177,6 +188,16 @@ def init_model(
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _form_range(
+    coef: np.ndarray, const: np.ndarray, elo: np.ndarray, ehi: np.ndarray, width: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Range over a box of the affine forms ``coef @ (x - lo) + const``
+    plus an error in ``[elo, ehi]``, for ``0 <= x - lo <= width``."""
+    span = coef * width[:, None, :]
+    low = const + np.minimum(span, 0.0).sum(axis=2) + elo
+    return low, const + np.maximum(span, 0.0).sum(axis=2) + ehi
 
 
 def _forward_cache(model: MlpModel, xs: np.ndarray) -> tuple[np.ndarray, list]:
@@ -391,6 +412,58 @@ class MlpExpr(FuzzyExpr):
         # overflow surfaces as non-finite outputs, which eval_batch rejects
         with np.errstate(over="ignore", invalid="ignore"):
             return forward(self.model, xs)
+
+    @cached_property
+    def _logit_pad(self) -> np.ndarray | None:
+        """Per logit, ``BOUND_PAD`` times the largest sum of absolute
+        terms any layer can form on the unit cube; ``None`` when that
+        could overflow, so evaluation might too."""
+        model = self.model
+        scale = np.ones(self.in_arity)
+        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+            if i:
+                scale = scale * max(1.0, abs(float(model.slopes[i - 1])))
+            with np.errstate(over="ignore"):
+                scale = np.abs(w) @ scale + np.abs(b)
+            if not np.all(scale < 1e300):
+                return None
+        return BOUND_PAD * (1.0 + scale)
+
+    def bounds(self, lo, hi):
+        """Symbolic interval bounds: each unit is an affine form in the
+        offset ``x - lo`` plus an error interval.  A PReLU that is
+        stable on the box keeps its form; an unstable one is replaced by
+        its range ``[min(s zlo, 0), max(s zlo, zhi)]``.  Logits are
+        widened before the sigmoid: ``_sigmoid(-1e-17)`` is exactly 0.5."""
+        pad = self._logit_pad
+        if pad is None:
+            return None
+        model = self.model
+        width = hi - lo
+        coef = np.broadcast_to(model.weights[0], (len(lo),) + model.weights[0].shape)
+        const = lo @ model.weights[0].T + model.biases[0]
+        elo = ehi = np.zeros_like(const)
+        for i in range(1, len(model.weights)):
+            zlo, zhi = _form_range(coef, const, elo, ehi, width)
+            s = float(model.slopes[i - 1])
+            unstable = (zlo < 0.0) & (zhi > 0.0)
+            factor = np.where(zlo >= 0.0, 1.0, np.where(unstable, 0.0, s))
+            coef = coef * factor[:, :, None]
+            const = const * factor
+            elo, ehi = elo * factor, ehi * factor
+            elo, ehi = np.minimum(elo, ehi), np.maximum(elo, ehi)
+            elo = np.where(unstable, np.minimum(s * zlo, 0.0), elo)
+            ehi = np.where(unstable, np.maximum(s * zlo, zhi), ehi)
+            w, b = model.weights[i], model.biases[i]
+            wpos, wneg = np.maximum(w, 0.0), np.minimum(w, 0.0)
+            coef = np.matmul(w, coef)
+            const = const @ w.T + b
+            elo, ehi = elo @ wpos.T + ehi @ wneg.T, ehi @ wpos.T + elo @ wneg.T
+        zlo, zhi = _form_range(coef, const, elo, ehi, width)
+        finite = np.isfinite(zlo).all(axis=1) & np.isfinite(zhi).all(axis=1)
+        olo, ohi = _sigmoid(zlo - pad), _sigmoid(zhi + pad)
+        olo[~finite] = ohi[~finite] = np.nan
+        return olo, ohi
 
     def to_payload(self) -> dict:
         return {"model": self.model.to_dict()}

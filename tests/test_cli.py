@@ -227,6 +227,74 @@ class TestCheck:
         }
 
 
+# Expressions whose grid check raises: the box-by-box check must raise
+# what evaluating every point raises, with the same exit status.
+_OVERFLOWING_MLP = {"node": "mlp", "model": {"layers": [
+    {"weights": [[1e308, 1e308], [1e308, -1e308]], "bias": [0.0, 0.0]},
+    {"weights": [[1e308, -1e308]], "bias": [0.0]},
+]}}
+# An unclamped affine map 1.25 y that leaves the cube where y > 0.8,
+# taken only where 0.6 < x < 0.9: every fiber's vertex stays clear of
+# it, and the boxes holding the points that raise project to one value.
+# On these grids no output lies on the threshold, so with no witnesses
+# asked for, no slice is evaluated again: only the bounds can surface
+# the error.
+_BAND = [{"index": 0, "op": "gt", "value": 0.6}, {"index": 0, "op": "lt", "value": 0.9}]
+_ERROR_EXPRS = {
+    "overflowing-mlp": _OVERFLOWING_MLP,
+    "affine-in-compose": {
+        "node": "compose",
+        "outer": {"node": "affine", "matrix": [[1.25]], "bias": [0.0], "clamp": False},
+        "inner": {"node": "piecewise",
+                  "regions": [{"conditions": _BAND,
+                               "expr": {"node": "coord", "in_arity": 2, "indices": [1]}}],
+                  "default": {"node": "const", "in_arity": 2, "values": [0.5]}},
+    },
+    "affine-in-piecewise": {
+        "node": "piecewise",
+        "regions": [{"conditions": _BAND,
+                     "expr": {"node": "affine", "matrix": [[0.0, 1.25]], "bias": [0.0],
+                              "clamp": False}}],
+        "default": {"node": "const", "in_arity": 2, "values": [0.25]},
+    },
+    "grid-over-cap": {"node": "tconorm", "kind": "lukasiewicz"},
+}
+# the same piecewise map as a component that a coordinate selection drops
+_ERROR_EXPRS["affine-under-coord"] = {
+    "node": "compose",
+    "outer": {"node": "coord", "in_arity": 2, "indices": [1]},
+    "inner": {"node": "compose",
+              "outer": {"node": "parallel", "parts": [
+                  _ERROR_EXPRS["affine-in-piecewise"],
+                  {"node": "const", "in_arity": 2, "values": [0.25]}]},
+              "inner": {"node": "coord", "in_arity": 2, "indices": [0, 1, 0, 1]}},
+}
+
+
+class TestGridBoxErrorParity:
+    """Deciding grid boxes from bounds raises the error, message and exit
+    status of evaluating every point (the check without boxes)."""
+
+    @pytest.mark.parametrize("name", _ERROR_EXPRS)
+    @pytest.mark.parametrize("grid", ["33", "65"])
+    @pytest.mark.parametrize("witnesses", ["0", "100"])
+    def test_same_error_with_and_without_boxes(
+        self, name, grid, witnesses, tmp_path, capsys, monkeypatch
+    ):
+        path = tmp_path / "expr.json"
+        path.write_text(json.dumps(_ERROR_EXPRS[name]))
+        argv = ["check", "--expr", str(path), "--witness-limit", witnesses,
+                "--grid", "2049" if name == "grid-over-cap" else grid]
+        status = run(argv)
+        boxed = capsys.readouterr()
+        monkeypatch.setattr(cohexp.coherence, "_check_grid_boxes", lambda *args: None)
+        assert run(argv) == status == BAD_INPUT
+        assert capsys.readouterr() == boxed
+        code = "E_CAPACITY" if name == "grid-over-cap" else "E_INPUT"
+        assert boxed.out == "" and boxed.err.startswith(f"error[{code}]")
+        assert len(boxed.err.splitlines()) == 1
+
+
 class TestConfigPrecedence:
     def test_config_supplies_defaults(self, or_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -9,6 +9,7 @@ the 0.5 threshold, which pins the expected grid fractions exactly:
   ``{x >= 0.5, y >= 0.5, x+y < 1.5}``.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,9 @@ from cohexp import (
     Compose,
     Condition,
     Const,
+    Coord,
     ExtendedExpr,
+    FuzzyExpr,
     LiftedProjection,
     MlpExpr,
     Parallel,
@@ -45,7 +48,9 @@ from cohexp import (
 )
 from cohexp import coherence as coherence_module
 from cohexp.coherence import _MAX_SAMPLE_POINTS, EVAL_CHUNK, fiber_table, projected_outputs
-from cohexp.core import fiber_codes, fiber_digits
+from cohexp.core import BOUND_PAD, fiber_codes, fiber_digits
+from cohexp.nn import forward
+from cohexp.serialize import dumps
 from conftest import BatchRecorder
 
 # 101-point grid: the incoherent triangle holds 1225 of 10201 points.
@@ -390,3 +395,243 @@ def test_check_evaluates_at_most_a_chunk_at_a_time(luk_or, projection, monkeypat
         assert encoded == []
     # f(x) on every point, then the baseline: per fiber or per point
     assert sum(f.sizes) == 101**2 + (4 if projection.is_boolean else 101**2)
+
+
+# ---------------------------------------------------------------------------
+# grid checks decided box by box
+# ---------------------------------------------------------------------------
+
+GRID_PROJECTIONS = {
+    "alpha0.5": Projection.threshold(0.5),
+    "alpha1.0": Projection.threshold(1.0),
+    "q3": Projection.quantize(3),
+    "q5": Projection.quantize(5),
+}
+
+
+def _materialised_report(f, projection, sampling, cap) -> dict:
+    """What a grid check reports when every point is evaluated:
+    ``projected_outputs`` over ``sampling.sample()``, with the first
+    ``cap`` offenders of each component as witnesses."""
+    xs = sampling.sample(f.in_arity)
+    fx, direct, baseline = projected_outputs(f, projection, xs)
+    ok = direct == baseline
+    components = []
+    for i in range(f.out_arity):
+        bad = np.flatnonzero(~ok[:, i])
+        components.append({
+            "component": i,
+            "coherent_fraction": 1.0 - bad.size / len(xs),
+            "witnesses": [
+                {
+                    "point": [float(v) for v in xs[j]],
+                    "output": [float(v) for v in fx[j]],
+                    "projected_direct": float(direct[j, i]),
+                    "projected_via_projected_inputs": float(baseline[j, i]),
+                }
+                for j in bad[:cap]
+            ],
+        })
+    return {
+        "projection": projection.to_dict(),
+        "sampling": sampling.to_dict(),
+        "in_arity": f.in_arity,
+        "out_arity": f.out_arity,
+        "n_points": len(xs),
+        "verdict": "coherent_on_sample" if ok.all() else "incoherent_with_witnesses",
+        "coherent_fraction": float(ok.all(axis=1).mean()),
+        "components": components,
+    }
+
+
+UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def scalar_exprs(draw, n: int, depth: int):
+    """An ``n -> 1`` expression: coordinates, constants, clamped and
+    unclamped affine maps, norm and conorm trees, piecewise
+    definitions and lifted projections."""
+    choice = draw(st.integers(0, 6 if depth else 3))
+    if choice == 0:
+        return Coord((draw(st.integers(0, n - 1)),), n)
+    if choice == 1:
+        return Const((draw(UNIT),), in_arity=n)
+    if choice == 2:
+        row = tuple(draw(st.floats(-2.0, 2.0)) for _ in range(n))
+        return Affine((row,), (draw(st.floats(-1.0, 1.0)),))
+    if choice == 3:
+        # non-negative weights summing with the bias to at most 1 keep it in the cube
+        row = tuple(draw(UNIT) / (n + 1) for _ in range(n))
+        return Affine((row,), (draw(UNIT) / (n + 1),), clamp=False)
+    a, b = draw(scalar_exprs(n, depth - 1)), draw(scalar_exprs(n, depth - 1))
+    if choice == 4:
+        node = draw(st.sampled_from([TNorm, TConorm]))
+        conn = node(draw(st.sampled_from(sorted(node.functions))))
+        return Compose(conn, Compose(Parallel((a, b)), Coord(tuple(range(n)) * 2, n)))
+    if choice == 5:
+        op = draw(st.sampled_from(["lt", "le", "gt", "ge"]))
+        cut = draw(st.sampled_from([0.25, 0.5, 0.7, draw(UNIT)]))
+        return Piecewise((Piece((Condition(draw(st.integers(0, n - 1)), op, cut),), a),), b)
+    levels = draw(st.sampled_from([Projection.threshold(0.5), Projection.quantize(3)]))
+    return Compose(LiftedProjection(levels, 1), a)
+
+
+@st.composite
+def crossing_mlps(draw, n: int):
+    """A small PReLU network whose 0.5 decision boundary passes through
+    a drawn point of the cube, so that grids straddle it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 2))
+    model = init_model(n, (draw(st.sampled_from([4, 8])),) * draw(st.integers(1, 2)), m, rng)
+    model.slopes[:] = draw(st.sampled_from([0.25, -0.5, 1.5]))
+    p = forward(model, rng.random((1, n)))[0]
+    model.biases[-1] -= np.log(p / (1.0 - p))
+    return MlpExpr(model)
+
+
+class RowShifted(FuzzyExpr):
+    """Lowers the output of every other row of a batch by 1e-14, as a
+    BLAS kernel may round a row by its place in the batch.  Its bounds
+    are the wrapped expression's, which the check widens by far more."""
+
+    def __init__(self, inner: FuzzyExpr) -> None:
+        self.inner = inner
+
+    @property
+    def in_arity(self) -> int:
+        return self.inner.in_arity
+
+    @property
+    def out_arity(self) -> int:
+        return self.inner.out_arity
+
+    def _eval(self, xs: np.ndarray) -> np.ndarray:
+        out = self.inner._eval(xs).copy()
+        out[1::2] = np.maximum(out[1::2] - 1e-14, 0.0)
+        return out
+
+    def bounds(self, lo, hi):
+        return self.inner.bounds(lo, hi)
+
+
+@st.composite
+def grid_cases(draw):
+    kind = draw(st.sampled_from(["norms", "mlp", "luk-or"]))
+    if kind == "luk-or":
+        # grid sums land on 0.5 exactly: the threshold's tie
+        f, k = TConorm("lukasiewicz"), draw(st.sampled_from([101, 201]))
+    elif kind == "mlp":
+        f, k = draw(crossing_mlps(draw(st.integers(2, 3)))), draw(st.integers(2, 65))
+    else:
+        f, k = draw(scalar_exprs(draw(st.integers(1, 2)), 3)), draw(st.integers(2, 65))
+    return (RowShifted(f) if draw(st.booleans()) else f), k
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(grid_cases(), st.sampled_from(sorted(GRID_PROJECTIONS)), st.sampled_from([0, 1, 100]))
+def test_grid_boxes_match_every_point_evaluated(case, projection_name, cap):
+    """Deciding grid boxes from bounds reports what evaluating every
+    point reports, byte for byte, or raises the same error."""
+    f, k = case
+    projection = GRID_PROJECTIONS[projection_name]
+    sampling = SamplingSpec.grid(k)
+    try:
+        expected = _materialised_report(f, projection, sampling, cap)
+    except ValidationError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            check_coherence(f, projection, sampling, witness_cap=cap)
+        return
+    report = check_coherence(f, projection, sampling, witness_cap=cap)
+    assert dumps(report.to_dict()) == dumps(expected)
+    if len(projection.level_values) ** f.in_arity <= k**f.in_arity:
+        # the box path answered, rather than handing over to the per-point check
+        boxes = coherence_module._check_grid_boxes(f, projection, sampling, cap)
+        assert boxes is not None and dumps(boxes.to_dict()) == dumps(expected)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            st.one_of(scalar_exprs(n, 3), crossing_mlps(n)) if n > 1 else scalar_exprs(n, 3),
+            st.integers(0, 2**32 - 1),
+        )
+    )
+)
+def test_bounds_hold_every_point_of_a_box(case):
+    """Every point of a box evaluates inside the node's bounds for it,
+    and a box with finite bounds has no point where evaluation raises."""
+    f, seed = case
+    rng = np.random.default_rng(seed)
+    n = f.in_arity
+    ends = np.sort(rng.random((8, 2, n)), axis=1)
+    # degenerate and whole-cube boxes too
+    ends[0] = [[0.3] * n, [0.3] * n]
+    ends[1] = [[0.0] * n, [1.0] * n]
+    lo, hi = ends[:, 0], ends[:, 1]
+    olo, ohi = f.bounds(lo, hi)
+    assert olo.shape == ohi.shape == (8, f.out_arity)
+    for b in range(8):
+        if not (np.isfinite(olo[b]).all() and np.isfinite(ohi[b]).all()):
+            continue
+        # corners, and uniform points inside
+        corners = np.where(fiber_digits(np.arange(2**n), 2, n), hi[b], lo[b])
+        xs = np.concatenate([corners, lo[b] + (hi[b] - lo[b]) * rng.random((64, n))])
+        ys = f.eval_batch(xs)
+        assert (ys >= olo[b] - BOUND_PAD).all() and (ys <= ohi[b] + BOUND_PAD).all()
+
+
+def test_grid_boxes_skip_decided_points(luk_or, threshold, monkeypatch):
+    """On the bounded-sum OR most of a 200-point grid is decided without
+    evaluation, and the report is the per-point one.  (No grid sum is
+    exactly 0.5 there: a 201-point grid has such ties, and their rows
+    are evaluated again in their own slices.)"""
+    rows = []
+    eval_batch = FuzzyExpr.eval_batch
+    monkeypatch.setattr(
+        FuzzyExpr, "eval_batch", lambda f, xs: rows.append(len(xs)) or eval_batch(f, xs)
+    )
+    sampling = SamplingSpec.grid(200)
+    report = check_coherence(luk_or, threshold, sampling)
+    assert sum(rows) < 200**2 // 4
+    monkeypatch.setattr(FuzzyExpr, "eval_batch", eval_batch)
+    assert dumps(report.to_dict()) == dumps(_materialised_report(luk_or, threshold, sampling, 100))
+
+
+def test_grid_boxes_need_bounds_everywhere(threshold):
+    """An expression with a node that has no bounds takes the per-point
+    check."""
+    unbounded = Compose(TConorm("lukasiewicz"), BatchRecorder(identity(2)))
+    assert unbounded.bounds(np.zeros((1, 2)), np.ones((1, 2))) is None
+    sampling = SamplingSpec.grid(33)
+    assert coherence_module._check_grid_boxes(unbounded, threshold, sampling, 5) is None
+    expected = _materialised_report(unbounded, threshold, sampling, 5)
+    assert check_coherence(unbounded, threshold, sampling, 5).to_dict() == expected
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(2, 12), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_first_points_of_disjoint_boxes(n, k, count, seed):
+    """The witness search finds the smallest flat indices of a union of
+    disjoint index boxes, as listing every point would."""
+    rng = np.random.default_rng(seed)
+    blo, bhi = np.zeros((1, n), dtype=np.int64), np.full((1, n), k - 1, dtype=np.int64)
+    for _ in range(int(rng.integers(0, 20))):
+        i, j = int(rng.integers(len(blo))), int(rng.integers(n))
+        if bhi[i, j] > blo[i, j]:
+            cut = int(rng.integers(blo[i, j], bhi[i, j]))
+            right_lo = blo[i].copy()
+            right_lo[j] = cut + 1
+            blo, bhi = np.vstack([blo, right_lo]), np.vstack([bhi, bhi[i]])
+            bhi[i, j] = cut
+    keep = rng.random(len(blo)) < 0.4
+    strides = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    inside = [
+        int(idx @ strides)
+        for lo, hi in zip(blo[keep], bhi[keep])
+        for idx in np.ndindex(*(hi - lo + 1))
+        for idx in [np.asarray(idx) + lo]
+    ]
+    got = coherence_module._first_points(blo[keep], bhi[keep], count, strides)
+    assert got.tolist() == sorted(inside)[:count]

@@ -192,6 +192,22 @@ class TestDnfFormula:
         with pytest.raises(ValidationError):
             DnfFormula(1, ((((1, False),),),))
 
+    @pytest.mark.parametrize(
+        "literal, match",
+        [((0.9, "no"), "variables"), ((1.0, False), "variables"), (("1", False), "variables"),
+         ((1, "no"), "signs"), ((1, 0), "signs"), ((1, None), "signs")],
+    )
+    def test_literal_is_checked_not_converted(self, literal, match):
+        """A literal's variable must be an integer and its sign a bool;
+        nothing is truncated or coerced into one."""
+        with pytest.raises(ValidationError, match=match):
+            DnfFormula(2, ((((0, False), literal),),))
+
+    def test_numpy_literals_become_python_scalars(self):
+        f = DnfFormula(2, ((((np.int64(1), np.bool_(True)),),),))
+        assert f.outputs == ((((1, True),),),)
+        assert type(f.outputs[0][0][0][0]) is int and type(f.outputs[0][0][0][1]) is bool
+
     def test_true_false_rendering(self):
         assert DnfFormula(2, (((),),)).render() == "TRUE"
         assert DnfFormula(2, ((),)).render() == "FALSE"

@@ -306,6 +306,22 @@ class TestTrain:
         with pytest.raises(ValidationError, match="seed"):
             TrainConfig(seed=-1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("epochs", 2.5), ("seed", 1.5), ("batch_size", "32"), ("hidden_sizes", (16.0,)),
+         ("hidden_sizes", 16), ("early_stopping_patience", 4.0), ("learning_rate", "0.1"),
+         ("weight_decay", float("nan")), ("coherence_lambda", True), ("epochs", True),
+         ("projection", "threshold")],
+    )
+    def test_config_fields_are_checked_not_converted(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_config_keeps_exact_field_types(self):
+        cfg = TrainConfig(hidden_sizes=[np.int64(4), 3], epochs=np.int64(7), learning_rate=1)
+        assert cfg.hidden_sizes == (4, 3) and type(cfg.hidden_sizes[0]) is int
+        assert type(cfg.epochs) is int and type(cfg.learning_rate) is float
+
     def test_features_and_labels_required(self):
         """``train`` reads a dataset's ``features`` and ``labels``; any
         other input, such as a bare ``(X, y)`` pair, is refused."""
