@@ -524,11 +524,11 @@ def grid_cases(draw):
     elif kind == "mlp":
         f, k = draw(crossing_mlps(draw(st.integers(2, 3)))), draw(st.integers(2, 65))
     else:
-        f, k = draw(scalar_exprs(draw(st.integers(1, 2)), 3)), draw(st.integers(2, 65))
+        f, k = draw(scalar_exprs(draw(st.integers(1, 3)), 3)), draw(st.integers(2, 65))
     return (RowShifted(f) if draw(st.booleans()) else f), k
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(grid_cases(), st.sampled_from(sorted(GRID_PROJECTIONS)), st.sampled_from([0, 1, 100]))
 def test_grid_boxes_match_every_point_evaluated(case, projection_name, cap):
     """Deciding grid boxes from bounds reports what evaluating every
