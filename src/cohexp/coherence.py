@@ -534,18 +534,20 @@ def _check_grid_boxes(
         bad_count += (~ok).sum(axis=0)
         any_bad += int((~ok.all(axis=1)).sum())
 
-        # the first witness_cap offenders per component, from the decided
-        # boxes and the leaf rows (as boxes of one point)
+        # the first witness_cap offenders per component (no more than the
+        # grid holds), from the decided boxes and the leaf rows (as boxes
+        # of one point)
+        cap = min(witness_cap, total)
         blo, bhi, bad = (np.concatenate(parts) for parts in zip(*bad_boxes))
         at = flat[:, None] // strides % k
         chosen = []
         for i in range(m):
-            if witness_cap == 0 or bad_count[i] == 0:
+            if cap == 0 or bad_count[i] == 0:
                 chosen.append(np.zeros(0, dtype=np.int64))
                 continue
             lo_i = np.concatenate([blo[bad[:, i]], at[~ok[:, i]]])
             hi_i = np.concatenate([bhi[bad[:, i]], at[~ok[:, i]]])
-            chosen.append(_first_points(lo_i, hi_i, witness_cap, strides))
+            chosen.append(_first_points(lo_i, hi_i, cap, strides))
         for lo, _ in _by_slice(np.unique(np.concatenate(chosen))):
             if lo not in evaluated:
                 evaluated[lo] = _slice(f, projection, table, points, lo, total)

@@ -599,6 +599,14 @@ def test_grid_boxes_skip_decided_points(luk_or, threshold, monkeypatch):
     assert dumps(report.to_dict()) == dumps(_materialised_report(luk_or, threshold, sampling, 100))
 
 
+def test_grid_boxes_take_a_witness_cap_past_the_grid(luk_or, threshold):
+    """A witness cap larger than any array index keeps every offender,
+    as the per-point check does."""
+    sampling = SamplingSpec.grid(33)
+    report = check_coherence(luk_or, threshold, sampling, witness_cap=10**20)
+    assert report.to_dict() == _materialised_report(luk_or, threshold, sampling, 33**2)
+
+
 def test_grid_boxes_need_bounds_everywhere(threshold):
     """An expression with a node that has no bounds takes the per-point
     check."""
