@@ -476,6 +476,13 @@ def _check_grid_boxes(
         with np.errstate(over="ignore", invalid="ignore"):
             return f.bounds(axis[blo], axis[bhi])
 
+    def evaluate_slice(lo: int):
+        """``(x, f(x), d(f(x)), d(f(d(x))))`` on the ``EVAL_CHUNK`` slice
+        that starts at ``lo``, as the per-point check has it."""
+        xs = points(np.arange(lo, min(lo + EVAL_CHUNK, total)))
+        fx = f.eval_batch(xs)
+        return xs, fx, projection.apply(fx), table[fiber_codes(projection, xs)]
+
     # one box per fiber: the projection is non-decreasing, so each level
     # covers one run of grid indices on every axis
     cuts = np.flatnonzero(np.diff(projection.apply(axis))) + 1
@@ -524,9 +531,9 @@ def _check_grid_boxes(
         ok = projection.apply(fx) == table[lfiber[box]]
         clear, _ = _one_value(projection, fx, fx, _GATHER_MARGIN)
         unsure = np.flatnonzero(~(clear & lbounded[box]))
-        evaluated = {}  # slice start -> what _slice returns
+        evaluated = {}  # slice start -> what evaluate_slice returns
         for lo, rows in _by_slice(flat[unsure]):
-            evaluated[lo] = _slice(f, projection, table, points, lo, total)
+            evaluated[lo] = evaluate_slice(lo)
             _, _, direct, baseline = evaluated[lo]
             rows = unsure[rows]
             local = flat[rows] - lo
@@ -550,7 +557,7 @@ def _check_grid_boxes(
             chosen.append(_first_points(lo_i, hi_i, cap, strides))
         for lo, _ in _by_slice(np.unique(np.concatenate(chosen))):
             if lo not in evaluated:
-                evaluated[lo] = _slice(f, projection, table, points, lo, total)
+                evaluated[lo] = evaluate_slice(lo)
     except ValidationError:
         return None
 
@@ -583,15 +590,6 @@ def _by_slice(flat: np.ndarray):
     for rows in np.split(np.arange(len(flat)), cuts):
         if len(rows):
             yield int(start[rows[0]]), rows
-
-
-def _slice(f, projection, table, points, lo: int, total: int):
-    """``(x, f(x), d(f(x)), d(f(d(x))))`` on the ``EVAL_CHUNK`` slice of
-    the sample that starts at ``lo``, evaluated as the per-point check
-    evaluates it."""
-    xs = points(np.arange(lo, min(lo + EVAL_CHUNK, total)))
-    fx = f.eval_batch(xs)
-    return xs, fx, projection.apply(fx), table[fiber_codes(projection, xs)]
 
 
 def incoherent_components(report: CoherenceReport) -> list[int]:
