@@ -24,14 +24,17 @@ rows (:func:`eval_chunked`), so the memory an evaluation needs beyond
 the sample and its output arrays is bounded by the chunk, not by the
 sample size.
 
-Such a grid sample (no more fibers than points) is not evaluated point
-by point when ``f`` has interval bounds (``FuzzyExpr.bounds``).  It is
-cut into one index box per fiber.  A box whose bounds project to one value in every component is
-decided whole against its fiber's baseline.  Other boxes are bisected,
-and only the points of undecided leaves are evaluated.  Verdicts taken
-near a projection boundary, and every witness, are evaluated again in
-their own ``EVAL_CHUNK`` slice, so the report equals the point-by-point
-one byte for byte (see :func:`_check_grid_boxes`).
+Such a grid sample (no more fibers than points) of at least
+``_MIN_BOX_POINTS`` points is not evaluated point by point when ``f``
+has interval bounds (``FuzzyExpr.bounds``).  It is cut into one index
+box per fiber.  A box whose bounds project to one value in every
+component is decided whole against its fiber's baseline.  Other boxes
+are bisected, and only the points of undecided leaves are evaluated.
+Verdicts taken near a projection boundary, and every witness, are
+evaluated again in their own ``EVAL_CHUNK`` slice, so the report
+equals the point-by-point one byte for byte (see
+:func:`_check_grid_boxes`).  Smaller grids are evaluated point by
+point, which costs less there.
 """
 
 from __future__ import annotations
@@ -81,6 +84,11 @@ EVAL_CHUNK = 1 << 13
 # Grid checks bisect an undecided index box until it holds at most this
 # many points, and then evaluate them.
 _LEAF_POINTS = 64
+
+# Smaller grids are checked point by point: below about 128**2 points
+# evaluating every point costs less than bounding and bisecting boxes,
+# even for an MLP (up to 256**2 for a cheap norm or piecewise tree).
+_MIN_BOX_POINTS = 1 << 14
 
 # A verdict from evaluating leaf points in gathered batches is kept only
 # where every output is further than this from a projection boundary:
@@ -348,15 +356,16 @@ def check_coherence(
     The coherent fraction counts every sampled point.  Witness lists
     are capped at ``witness_cap`` per component: grid samples keep the
     first offenders in sample order, random samples keep a seeded
-    uniform subset (re-sorted by sample index).  A grid whose boxes
-    ``f`` can bound is decided box by box (:func:`_check_grid_boxes`),
-    with the same report as evaluating every point.
+    uniform subset (re-sorted by sample index).  A grid of at least
+    ``_MIN_BOX_POINTS`` points whose boxes ``f`` can bound is decided
+    box by box (:func:`_check_grid_boxes`), with the same report as
+    evaluating every point.
     """
     if witness_cap < 0:
         raise ValidationError("witness_cap must be >= 0")
     if sampling is None:
         sampling = default_sampling(f.in_arity)
-    if sampling.mode == "grid":
+    if sampling.mode == "grid" and sampling._size(f.in_arity) >= _MIN_BOX_POINTS:
         report = _check_grid_boxes(f, projection, sampling, witness_cap)
         if report is not None:
             return report

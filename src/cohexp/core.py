@@ -18,7 +18,8 @@ Conventions used throughout the package
 * ``FuzzyExpr.bounds`` maps a batch of input boxes to output intervals
   (interval bound propagation).  Bounds are computed in plain float
   arithmetic, not rounded outward, so a consumer widens them by
-  ``BOUND_PAD`` before trusting them.
+  ``BOUND_PAD`` before trusting them; so does every node with a step
+  (a lifted projection, piecewise conditions).
 
 The serialisation format is a single JSON object per expression: the
 field ``node`` names the variant, ``in_arity``/``out_arity`` give the
@@ -516,8 +517,10 @@ class LiftedProjection(FuzzyExpr):
         return self.projection.apply(xs)
 
     def bounds(self, lo, hi):
-        # a projection is non-decreasing
-        return self._eval(lo), self._eval(hi)
+        # a projection is non-decreasing; it is applied to the box widened
+        # by BOUND_PAD, since its step turns a rounding miss in the inner
+        # bounds into a jump no later padding covers
+        return self._eval(lo - BOUND_PAD), self._eval(hi + BOUND_PAD)
 
     def to_payload(self) -> dict:
         return {"projection": self.projection.to_dict()}

@@ -98,7 +98,12 @@ class DnfFormula:
             # one check per output: every variable an integer, every sign a bool
             literals = [lit for term in terms for lit in term]
             need = "literal variables must be integers"
-            variables = iter(_checked(np.asarray([v for v, _ in literals]), int, need).tolist())
+            variables = [v for v, _ in literals]
+            # a bool among integers would pass as one in an integer array
+            stray = [v for v in variables if isinstance(v, (bool, np.bool_))]
+            if stray:
+                raise ValidationError(f"{need}, got {stray[0]!r}")
+            variables = iter(_checked(np.asarray(variables), int, need).tolist())
             need = "literal signs must be true or false"
             signs = iter(_checked(np.asarray([neg for _, neg in literals]), bool, need).tolist())
             canon_terms = []

@@ -281,6 +281,7 @@ class TestGridBoxErrorParity:
     def test_same_error_with_and_without_boxes(
         self, name, grid, witnesses, tmp_path, capsys, monkeypatch
     ):
+        monkeypatch.setattr(cohexp.coherence, "_MIN_BOX_POINTS", 0)
         path = tmp_path / "expr.json"
         path.write_text(json.dumps(_ERROR_EXPRS[name]))
         argv = ["check", "--expr", str(path), "--witness-limit", witnesses,

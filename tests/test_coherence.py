@@ -11,6 +11,7 @@ the 0.5 threshold, which pins the expected grid fractions exactly:
 
 import re
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -473,7 +474,8 @@ def scalar_exprs(draw, n: int, depth: int):
         op = draw(st.sampled_from(["lt", "le", "gt", "ge"]))
         cut = draw(st.sampled_from([0.25, 0.5, 0.7, draw(UNIT)]))
         return Piecewise((Piece((Condition(draw(st.integers(0, n - 1)), op, cut),), a),), b)
-    levels = draw(st.sampled_from([Projection.threshold(0.5), Projection.quantize(3)]))
+    steps = [Projection.threshold(0.5), Projection.threshold(1.0), Projection.quantize(3)]
+    levels = draw(st.sampled_from(steps))
     return Compose(LiftedProjection(levels, 1), a)
 
 
@@ -515,6 +517,14 @@ class RowShifted(FuzzyExpr):
         return self.inner.bounds(lo, hi)
 
 
+@contextmanager
+def boxes_on_every_grid():
+    """Grids too small for the box path take it inside this context."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coherence_module, "_MIN_BOX_POINTS", 0)
+        yield
+
+
 @st.composite
 def grid_cases(draw):
     kind = draw(st.sampled_from(["norms", "mlp", "luk-or"]))
@@ -539,10 +549,11 @@ def test_grid_boxes_match_every_point_evaluated(case, projection_name, cap):
     try:
         expected = _materialised_report(f, projection, sampling, cap)
     except ValidationError as exc:
-        with pytest.raises(type(exc), match=re.escape(str(exc))):
+        with pytest.raises(type(exc), match=re.escape(str(exc))), boxes_on_every_grid():
             check_coherence(f, projection, sampling, witness_cap=cap)
         return
-    report = check_coherence(f, projection, sampling, witness_cap=cap)
+    with boxes_on_every_grid():
+        report = check_coherence(f, projection, sampling, witness_cap=cap)
     assert dumps(report.to_dict()) == dumps(expected)
     if len(projection.level_values) ** f.in_arity <= k**f.in_arity:
         # the box path answered, rather than handing over to the per-point check
@@ -599,12 +610,40 @@ def test_grid_boxes_skip_decided_points(luk_or, threshold, monkeypatch):
     assert dumps(report.to_dict()) == dumps(_materialised_report(luk_or, threshold, sampling, 100))
 
 
-def test_grid_boxes_take_a_witness_cap_past_the_grid(luk_or, threshold):
+def test_grid_boxes_take_a_witness_cap_past_the_grid(luk_or, threshold, monkeypatch):
     """A witness cap larger than any array index keeps every offender,
     as the per-point check does."""
+    monkeypatch.setattr(coherence_module, "_MIN_BOX_POINTS", 0)
     sampling = SamplingSpec.grid(33)
     report = check_coherence(luk_or, threshold, sampling, witness_cap=10**20)
     assert report.to_dict() == _materialised_report(luk_or, threshold, sampling, 33**2)
+
+
+def test_grid_boxes_pad_a_lifted_step(threshold):
+    """A lifted projection widens its inner bounds before its step.  In
+    floats the probabilistic sum is not monotone where its slope is
+    zero: along y = 1 it gives 1.0 at some grid points and 1 - 2**-53 at
+    others, and a box whose upper corner gives the latter must not be
+    decided as below a threshold at 1."""
+    f = Compose(LiftedProjection(Projection.threshold(1.0), 1), TConorm("prob_sum"))
+    sampling = SamplingSpec.grid(200)
+    report = check_coherence(f, threshold, sampling)
+    assert dumps(report.to_dict()) == dumps(_materialised_report(f, threshold, sampling, 100))
+    assert report.components[0].coherent_fraction < 1.0
+
+
+def test_small_grids_take_the_per_point_check(luk_or, threshold, monkeypatch):
+    """Below _MIN_BOX_POINTS points a grid is evaluated point by point;
+    from there on it is decided box by box."""
+    calls = []
+    boxes = coherence_module._check_grid_boxes
+    monkeypatch.setattr(
+        coherence_module, "_check_grid_boxes", lambda *args: calls.append(args) or boxes(*args)
+    )
+    check_coherence(luk_or, threshold, SamplingSpec.grid(127))
+    assert calls == []
+    check_coherence(luk_or, threshold, SamplingSpec.grid(128))
+    assert len(calls) == 1
 
 
 def test_grid_boxes_need_bounds_everywhere(threshold):

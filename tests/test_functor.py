@@ -195,6 +195,7 @@ class TestDnfFormula:
     @pytest.mark.parametrize(
         "literal, match",
         [((0.9, "no"), "variables"), ((1.0, False), "variables"), (("1", False), "variables"),
+         ((True, False), "variables"), ((np.bool_(True), False), "variables"),
          ((1, "no"), "signs"), ((1, 0), "signs"), ((1, None), "signs")],
     )
     def test_literal_is_checked_not_converted(self, literal, match):
