@@ -24,17 +24,20 @@ rows (:func:`eval_chunked`), so the memory an evaluation needs beyond
 the sample and its output arrays is bounded by the chunk, not by the
 sample size.
 
-Such a grid sample (no more fibers than points) of at least
-``_MIN_BOX_POINTS`` points is not evaluated point by point when ``f``
-has interval bounds (``FuzzyExpr.bounds``).  It is cut into one index
-box per fiber.  A box whose bounds project to one value in every
-component is decided whole against its fiber's baseline.  Other boxes
-are bisected, and only the points of undecided leaves are evaluated.
-Verdicts taken near a projection boundary, and every witness, are
-evaluated again in their own ``EVAL_CHUNK`` slice, so the report
-equals the point-by-point one byte for byte (see
-:func:`_check_grid_boxes`).  Smaller grids are evaluated point by
-point, which costs less there.
+A grid over one or more inputs is never materialised
+(:func:`_check_grid`): its points follow from their indices, and it is
+evaluated in the same ``EVAL_CHUNK`` slices, one at a time, so the
+report equals the materialised one byte for byte.  Such a grid of at
+least ``_MIN_BOX_POINTS`` points, with no more fibers than points, is
+not evaluated point by point when ``f`` has interval bounds
+(``FuzzyExpr.bounds``).  It is cut into one index box per fiber.  A box
+whose bounds project to one value in every component is decided whole
+against its fiber's baseline.  Other boxes are bisected, and only the
+points of undecided leaves are evaluated.  Verdicts taken near a
+projection boundary are taken again in their own slice.  Other grids
+walk every slice: below ``_MIN_BOX_POINTS`` that costs less than
+bounding boxes.  In both cases the witnesses come from the first
+slices, in sample order, that hold offenders.
 """
 
 from __future__ import annotations
@@ -337,12 +340,12 @@ def is_coherent_at(
         raise ValidationError(
             f"point arity {arr.shape[1]} does not match function arity {f.in_arity}"
         )
+    if component is not None:
+        component = _checked(component, int, "component must be an integer")
+        if component < 0 or component >= f.out_arity:
+            raise ValidationError(f"component {component} out of range for arity {f.out_arity}")
     ok = coherence_masks(f, projection, arr)[0]
-    if component is None:
-        return bool(ok.all())
-    if component < 0 or component >= f.out_arity:
-        raise ValidationError(f"component {component} out of range for arity {f.out_arity}")
-    return bool(ok[component])
+    return bool(ok.all() if component is None else ok[component])
 
 
 def check_coherence(
@@ -356,46 +359,36 @@ def check_coherence(
     The coherent fraction counts every sampled point.  Witness lists
     are capped at ``witness_cap`` per component: grid samples keep the
     first offenders in sample order, random samples keep a seeded
-    uniform subset (re-sorted by sample index).  A grid of at least
-    ``_MIN_BOX_POINTS`` points whose boxes ``f`` can bound is decided
-    box by box (:func:`_check_grid_boxes`), with the same report as
-    evaluating every point.
+    uniform subset (re-sorted by sample index).  A grid over one or
+    more inputs is checked slice by slice (:func:`_check_grid`), with
+    the same report as evaluating every point at once.
     """
+    witness_cap = _checked(witness_cap, int, "witness_cap must be an integer")
     if witness_cap < 0:
         raise ValidationError("witness_cap must be >= 0")
     if sampling is None:
         sampling = default_sampling(f.in_arity)
-    if sampling.mode == "grid" and sampling._size(f.in_arity) >= _MIN_BOX_POINTS:
-        report = _check_grid_boxes(f, projection, sampling, witness_cap)
+    if sampling.mode == "grid":
+        report = _check_grid(f, projection, sampling, witness_cap)
         if report is not None:
             return report
     xs = sampling.sample(f.in_arity)
     fx, proj_direct, proj_via_levels = projected_outputs(f, projection, xs)
     ok = proj_direct == proj_via_levels
-
-    components = []
+    witnesses = []
     for i in range(f.out_arity):
         bad = np.flatnonzero(~ok[:, i])
-        fraction = 1.0 - bad.size / xs.shape[0]
         if bad.size > witness_cap:
             if sampling.mode == "random":
                 rng = np.random.default_rng([int(sampling.seed or 0), 0x5EED, i])
                 bad = np.sort(rng.choice(bad, size=witness_cap, replace=False))
             else:
                 bad = bad[:witness_cap]
-        witnesses = tuple(
-            _witness(xs[j], fx[j], proj_direct[j, i], proj_via_levels[j, i]) for j in bad
+        witnesses.append(
+            [_witness(xs[j], fx[j], proj_direct[j, i], proj_via_levels[j, i]) for j in bad]
         )
-        components.append(ComponentReport(i, float(fraction), witnesses))
-    return CoherenceReport(
-        projection=projection,
-        sampling=sampling,
-        in_arity=f.in_arity,
-        out_arity=f.out_arity,
-        n_points=int(xs.shape[0]),
-        components=tuple(components),
-        coherent_fraction=float(ok.all(axis=1).mean()),
-    )
+    bad_count, any_bad = (~ok).sum(axis=0), int((~ok.all(axis=1)).sum())
+    return _report(f, projection, sampling, len(xs), bad_count, any_bad, witnesses)
 
 
 def _witness(point, output, direct, baseline) -> Witness:
@@ -404,6 +397,24 @@ def _witness(point, output, direct, baseline) -> Witness:
         output=tuple(float(v) for v in output),
         projected_direct=float(direct),
         projected_via_projected_inputs=float(baseline),
+    )
+
+
+def _report(f, projection, sampling, total, bad_count, any_bad, witnesses) -> CoherenceReport:
+    """The report of a check over ``total`` points, ``bad_count[i]`` of
+    them incoherent in component ``i`` and ``any_bad`` in some one."""
+    components = tuple(
+        ComponentReport(i, float(1.0 - int(bad) / total), tuple(kept))
+        for i, (bad, kept) in enumerate(zip(bad_count, witnesses))
+    )
+    return CoherenceReport(
+        projection=projection,
+        sampling=sampling,
+        in_arity=f.in_arity,
+        out_arity=f.out_arity,
+        n_points=total,
+        components=components,
+        coherent_fraction=float((total - any_bad) / total),
     )
 
 
@@ -428,14 +439,13 @@ def _bisect(blo: np.ndarray, bhi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([blo, right_lo]), np.concatenate([left_hi, bhi])
 
 
-def _box_points(blo: np.ndarray, bhi: np.ndarray, count: int, strides: np.ndarray):
-    """Flat sample indices of the first ``count`` points of each index
-    box, box after box and in sample order within a box, and the box
-    each one is in."""
+def _box_points(blo: np.ndarray, bhi: np.ndarray, strides: np.ndarray):
+    """Flat sample indices of every point of each index box, box after
+    box and in sample order within a box, and the box each one is in."""
     shape = bhi - blo + 1
-    take = np.minimum(shape.prod(axis=1), count)
-    box = np.repeat(np.arange(len(blo)), take)
-    rest = np.arange(take.sum()) - np.repeat(np.cumsum(take) - take, take)
+    size = shape.prod(axis=1)
+    box = np.repeat(np.arange(len(blo)), size)
+    rest = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
     flat = np.zeros_like(rest)
     for j in reversed(range(blo.shape[1])):
         flat += (rest % shape[box, j] + blo[box, j]) * strides[j]
@@ -443,74 +453,92 @@ def _box_points(blo: np.ndarray, bhi: np.ndarray, count: int, strides: np.ndarra
     return flat, box
 
 
-def _first_points(blo: np.ndarray, bhi: np.ndarray, count: int, strides: np.ndarray) -> np.ndarray:
-    """The ``count`` smallest flat indices in a union of disjoint index
-    boxes, ascending.  They lie in the ``count`` boxes that start first:
-    the points of any later box come after ``count`` distinct starts."""
-    first = np.argsort(blo @ strides)[:count]
-    return np.sort(_box_points(blo[first], bhi[first], count, strides)[0])[:count]
-
-
-def _check_grid_boxes(
+def _check_grid(
     f: FuzzyExpr, projection: Projection, sampling: SamplingSpec, witness_cap: int
 ) -> CoherenceReport | None:
-    """A grid check decided box by box (see the module docstring);
-    ``None`` where the per-point check must run instead.
+    """A grid check one ``EVAL_CHUNK`` slice at a time (see the module
+    docstring); ``None`` for a grid over no inputs, or where evaluation
+    raises: the materialised check then raises the error (or not)
+    exactly as it would have.
 
-    A box is decided when ``f.bounds``, widened by ``BOUND_PAD``,
-    projects to one value in every component.  Undecided boxes are
-    bisected down to leaves of at most ``_LEAF_POINTS`` points, which
-    are evaluated together in ``EVAL_CHUNK`` batches.  A gathered
-    verdict is kept only where the row's box was bounded and every
-    output is ``_GATHER_MARGIN`` clear of the projection's boundaries;
-    other rows, and every witness, are evaluated again inside their
-    own slice.  An error hands the check to the per-point path, which
-    raises it (or not) exactly as it would have.
+    Every slice is walked, counting its verdicts, unless the grid has at
+    least ``_MIN_BOX_POINTS`` points, no more fibers than points and
+    bounds on every node.  Then a box is decided when ``f.bounds``,
+    widened by ``BOUND_PAD``, projects to one value in every component.
+    Undecided boxes are bisected down to leaves of at most
+    ``_LEAF_POINTS`` points, which are evaluated together in
+    ``EVAL_CHUNK`` batches.  A gathered verdict is kept only where the
+    row's box was bounded and every output is ``_GATHER_MARGIN`` clear
+    of the projection's boundaries; the slices of other rows are walked
+    too.  Witnesses come from the first walked slices, in sample order,
+    that hold offenders, each evaluated whole: in box mode, the slices
+    that meet a decided bad box's flat index range or hold a bad leaf
+    row, until every component has its witnesses.
     """
     n, m = f.in_arity, f.out_arity
-    levels = len(projection.level_values)
     if n == 0:
         return None
     total = sampling._size(n)
-    if levels**n > total:
-        return None
+    levels = len(projection.level_values)
+    tabulated = levels**n <= total
     k = sampling.points_per_axis
     axis = np.linspace(0.0, 1.0, k)
     strides = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    slices = -(-total // EVAL_CHUNK)
+    cap = min(witness_cap, total)
+    witnesses: list[list[Witness]] = [[] for _ in range(m)]
+    bad_count = np.zeros(m, dtype=np.int64)
+    any_bad = 0
 
     def points(flat: np.ndarray) -> np.ndarray:
-        return axis[flat[:, None] // strides % k]
+        return axis[np.column_stack(np.unravel_index(flat, (k,) * n))]
 
     def bound(blo, bhi):
         with np.errstate(over="ignore", invalid="ignore"):
             return f.bounds(axis[blo], axis[bhi])
 
-    def evaluate_slice(lo: int):
-        """``(x, f(x), d(f(x)), d(f(d(x))))`` on the ``EVAL_CHUNK`` slice
-        that starts at ``lo``, as the per-point check has it."""
-        xs = points(np.arange(lo, min(lo + EVAL_CHUNK, total)))
+    def walk(s: int) -> np.ndarray:
+        """Evaluate slice ``s`` whole, as the materialised check does,
+        keep its first offenders in each component short of ``cap``,
+        and return its verdicts."""
+        xs = points(np.arange(s * EVAL_CHUNK, min((s + 1) * EVAL_CHUNK, total)))
         fx = f.eval_batch(xs)
-        return xs, fx, projection.apply(fx), table[fiber_codes(projection, xs)]
+        direct = projection.apply(fx)
+        if tabulated:
+            baseline = table[fiber_codes(projection, xs)]
+        else:
+            baseline = projection.apply(f.eval_batch(projection.apply(xs)))
+        ok = direct == baseline
+        for i, kept in enumerate(witnesses):
+            for j in np.flatnonzero(~ok[:, i])[: cap - len(kept)].tolist():
+                kept.append(_witness(xs[j], fx[j], direct[j, i], baseline[j, i]))
+        return ok
 
-    # one box per fiber: the projection is non-decreasing, so each level
-    # covers one run of grid indices on every axis
-    cuts = np.flatnonzero(np.diff(projection.apply(axis))) + 1
-    run_lo, run_hi = np.concatenate([[0], cuts]), np.concatenate([cuts - 1, [k - 1]])
-    runs = np.indices((len(run_lo),) * n).reshape(n, -1).T
-    blo, bhi = run_lo[runs], run_hi[runs]
-    bounds = bound(blo, bhi)
-    if bounds is None:
-        return None
     try:
-        # the fibers present, ascending, so the table is built as on the per-point path
-        present = fiber_codes(projection, axis[blo])
-        table = np.empty((levels**n, m), dtype=np.float64)
-        table[present] = fiber_table(f, projection, present)
-        fiber = present
+        bounds = None
+        if tabulated:
+            # one box per fiber: the projection is non-decreasing, so each
+            # level covers one run of grid indices on every axis
+            cuts = np.flatnonzero(np.diff(projection.apply(axis))) + 1
+            run_lo, run_hi = np.concatenate([[0], cuts]), np.concatenate([cuts - 1, [k - 1]])
+            runs = np.indices((len(run_lo),) * n).reshape(n, -1).T
+            blo, bhi = run_lo[runs], run_hi[runs]
+            # the fibers present, ascending, so the table is built as the
+            # materialised check builds it
+            present = fiber_codes(projection, axis[blo])
+            table = np.empty((levels**n, m), dtype=np.float64)
+            table[present] = fiber_table(f, projection, present)
+            if total >= _MIN_BOX_POINTS:
+                bounds = bound(blo, bhi)
+        if bounds is None:
+            for s in range(slices):
+                ok = walk(s)
+                bad_count += (~ok).sum(axis=0)
+                any_bad += int((~ok.all(axis=1)).sum())
+            return _report(f, projection, sampling, total, bad_count, any_bad, witnesses)
 
-        bad_count = np.zeros(m, dtype=np.int64)
-        any_bad = 0
-        bad_boxes = []  # (blo, bhi, bad components) of decided boxes
+        fiber = present
+        bad_boxes = []  # (first and last flat index, bad components) of decided bad boxes
         leaves = []  # (blo, bhi, fiber, bounded) of undecided leaves
         while len(blo):
             bounded = np.isfinite(bounds[0]).all(axis=1) & np.isfinite(bounds[1]).all(axis=1)
@@ -518,87 +546,48 @@ def _check_grid_boxes(
             decided = bounded & same
             size = (bhi - blo + 1).prod(axis=1)
             bad = value[decided] != table[fiber[decided]]
-            bad_count += (bad * size[decided, None]).sum(axis=0)
-            any_bad += int(size[decided][bad.any(axis=1)].sum())
             hit = bad.any(axis=1)
-            bad_boxes.append((blo[decided][hit], bhi[decided][hit], bad[hit]))
+            bad_count += (bad * size[decided, None]).sum(axis=0)
+            any_bad += int(size[decided][hit].sum())
+            bad_boxes.append((blo[decided][hit] @ strides, bhi[decided][hit] @ strides, bad[hit]))
             leaf = ~decided & (size <= _LEAF_POINTS)
             leaves.append((blo[leaf], bhi[leaf], fiber[leaf], bounded[leaf]))
             split = ~decided & ~leaf
             blo, bhi = _bisect(blo[split], bhi[split])
             fiber = np.tile(fiber[split], 2)
             bounds = bound(blo, bhi)
-            if bounds is None:
-                return None
 
         # leaf points, in sample order, evaluated in gathered batches
         llo, lhi, lfiber, lbounded = (np.concatenate(parts) for parts in zip(*leaves))
-        flat, box = _box_points(llo, lhi, _LEAF_POINTS, strides)
+        flat, box = _box_points(llo, lhi, strides)
         order = np.argsort(flat)
         flat, box = flat[order], box[order]
         fx = eval_chunked(f, points(flat))
         ok = projection.apply(fx) == table[lfiber[box]]
         clear, _ = _one_value(projection, fx, fx, _GATHER_MARGIN)
-        unsure = np.flatnonzero(~(clear & lbounded[box]))
-        evaluated = {}  # slice start -> what evaluate_slice returns
-        for lo, rows in _by_slice(flat[unsure]):
-            evaluated[lo] = evaluate_slice(lo)
-            _, _, direct, baseline = evaluated[lo]
-            rows = unsure[rows]
-            local = flat[rows] - lo
-            ok[rows] = direct[local] == baseline[local]
+        unsure = np.zeros(slices, dtype=bool)
+        unsure[flat[~(clear & lbounded[box])] // EVAL_CHUNK] = True
+
+        # per slice and component, whether the slice may hold an offender
+        first, last, bad = (np.concatenate(parts) for parts in zip(*bad_boxes))
+        edges = np.zeros((slices + 1, m), dtype=np.int64)
+        np.add.at(edges, first // EVAL_CHUNK, bad)
+        np.subtract.at(edges, last // EVAL_CHUNK + 1, bad)
+        wanted = np.cumsum(edges, axis=0)[:-1] > 0
+        rows, comps = np.nonzero(~ok)
+        wanted[flat[rows] // EVAL_CHUNK, comps] = True
+
+        for s in range(slices):
+            short = np.array([len(kept) < cap for kept in witnesses])
+            if unsure[s] or (wanted[s] & short).any():
+                # every leaf row of the slice takes the slice's verdict
+                a, b = np.searchsorted(flat, [s * EVAL_CHUNK, (s + 1) * EVAL_CHUNK])
+                ok[a:b] = walk(s)[flat[a:b] - s * EVAL_CHUNK]
         bad_count += (~ok).sum(axis=0)
         any_bad += int((~ok.all(axis=1)).sum())
-
-        # the first witness_cap offenders per component (no more than the
-        # grid holds), from the decided boxes and the leaf rows (as boxes
-        # of one point)
-        cap = min(witness_cap, total)
-        blo, bhi, bad = (np.concatenate(parts) for parts in zip(*bad_boxes))
-        at = flat[:, None] // strides % k
-        chosen = []
-        for i in range(m):
-            if cap == 0 or bad_count[i] == 0:
-                chosen.append(np.zeros(0, dtype=np.int64))
-                continue
-            lo_i = np.concatenate([blo[bad[:, i]], at[~ok[:, i]]])
-            hi_i = np.concatenate([bhi[bad[:, i]], at[~ok[:, i]]])
-            chosen.append(_first_points(lo_i, hi_i, cap, strides))
-        for lo, _ in _by_slice(np.unique(np.concatenate(chosen))):
-            if lo not in evaluated:
-                evaluated[lo] = evaluate_slice(lo)
     except ValidationError:
         return None
-
-    components = []
-    for i, rows in enumerate(chosen):
-        witnesses = []
-        for j in rows.tolist():
-            lo = j - j % EVAL_CHUNK
-            xs, fxs, direct, baseline = evaluated[lo]
-            j -= lo
-            witnesses.append(_witness(xs[j], fxs[j], direct[j, i], baseline[j, i]))
-        fraction = 1.0 - int(bad_count[i]) / total
-        components.append(ComponentReport(i, float(fraction), tuple(witnesses)))
-    return CoherenceReport(
-        projection=projection,
-        sampling=sampling,
-        in_arity=n,
-        out_arity=m,
-        n_points=total,
-        components=tuple(components),
-        coherent_fraction=float((total - any_bad) / total),
-    )
-
-
-def _by_slice(flat: np.ndarray):
-    """``(first index of the slice, positions in flat)`` for each
-    ``EVAL_CHUNK`` slice of the sample that ``flat`` (ascending) meets."""
-    start = flat - flat % EVAL_CHUNK
-    cuts = np.flatnonzero(np.diff(start)) + 1
-    for rows in np.split(np.arange(len(flat)), cuts):
-        if len(rows):
-            yield int(start[rows[0]]), rows
+    return _report(f, projection, sampling, total, bad_count, any_bad, witnesses)
 
 
 def incoherent_components(report: CoherenceReport) -> list[int]:

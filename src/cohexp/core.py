@@ -206,6 +206,9 @@ class FuzzyExpr:
     """
 
     node_name: ClassVar[str] = ""
+    # the payload keys a node document may hold besides "node",
+    # "in_arity" and "out_arity"
+    payload_fields: ClassVar[tuple[str, ...]] = ()
     in_arity: int
     out_arity: int
 
@@ -266,6 +269,7 @@ class Const(FuzzyExpr):
     """Constant function; ignores its input."""
 
     node_name: ClassVar[str] = "const"
+    payload_fields: ClassVar[tuple[str, ...]] = ("values",)
 
     values: tuple[float, ...]
     in_arity: int = 0
@@ -303,6 +307,7 @@ class Coord(FuzzyExpr):
     """Coordinate selection / duplication / permutation."""
 
     node_name: ClassVar[str] = "coord"
+    payload_fields: ClassVar[tuple[str, ...]] = ("indices",)
 
     indices: tuple[int, ...]
     in_arity: int
@@ -349,6 +354,7 @@ class _Connective(FuzzyExpr):
 
     label: ClassVar[str] = ""
     functions: ClassVar[dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]]] = {}
+    payload_fields: ClassVar[tuple[str, ...]] = ("kind",)
 
     kind: str
 
@@ -413,6 +419,7 @@ class Affine(FuzzyExpr):
     """
 
     node_name: ClassVar[str] = "affine"
+    payload_fields: ClassVar[tuple[str, ...]] = ("matrix", "bias", "clamp")
 
     matrix: tuple[tuple[float, ...], ...]
     bias: tuple[float, ...]
@@ -497,6 +504,7 @@ class LiftedProjection(FuzzyExpr):
     """A projection applied componentwise, viewed as a fuzzy function."""
 
     node_name: ClassVar[str] = "lifted_projection"
+    payload_fields: ClassVar[tuple[str, ...]] = ("projection",)
 
     projection: Projection
     arity: int
@@ -535,6 +543,7 @@ class Compose(FuzzyExpr):
     """Function composition ``outer . inner`` (inner runs first)."""
 
     node_name: ClassVar[str] = "compose"
+    payload_fields: ClassVar[tuple[str, ...]] = ("outer", "inner")
 
     outer: FuzzyExpr
     inner: FuzzyExpr
@@ -583,6 +592,7 @@ class Parallel(FuzzyExpr):
     """Juxtaposition: runs each part on its own slice of the input."""
 
     node_name: ClassVar[str] = "parallel"
+    payload_fields: ClassVar[tuple[str, ...]] = ("parts",)
 
     parts: tuple[FuzzyExpr, ...]
 
@@ -707,6 +717,7 @@ class Piecewise(FuzzyExpr):
     """
 
     node_name: ClassVar[str] = "piecewise"
+    payload_fields: ClassVar[tuple[str, ...]] = ("regions", "default")
 
     pieces: tuple[Piece, ...]
     default: FuzzyExpr
@@ -817,8 +828,13 @@ def _decode_node(doc: dict) -> FuzzyExpr:
     name = doc.get("node")
     if not isinstance(name, str) or name not in NODE_TYPES:
         raise SerializationError(f"unknown expression node {name!r}")
+    node = NODE_TYPES[name]
+    allowed = ("node", "in_arity", "out_arity", *node.payload_fields)
+    stray = [key for key in doc if key not in allowed]
+    if stray:
+        raise SerializationError(f"{name!r} node has no field {stray[0]!r}")
     with malformed(f"{name!r} node", prefix_invalid=True):
-        expr = NODE_TYPES[name].from_payload(doc, _decode_node)
+        expr = node.from_payload(doc, _decode_node)
         keys = [key for key in ("in_arity", "out_arity") if key in doc]
         declared = {key: _checked(doc[key], int, f"{key} must be an integer") for key in keys}
     for key, got in (("in_arity", expr.in_arity), ("out_arity", expr.out_arity)):

@@ -81,8 +81,8 @@ class DnfFormula:
     var_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.n_vars < 0:
-            raise ValidationError("n_vars must be >= 0")
+        need = "n_vars must be an integer >= 0"
+        object.__setattr__(self, "n_vars", _checked(self.n_vars, int, need, 0))
         if not self.outputs:
             raise ValidationError("a formula needs at least one output")
         if self.var_names is not None:

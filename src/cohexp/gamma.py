@@ -157,6 +157,9 @@ class ExtendedExpr(FuzzyExpr):
     """
 
     node_name: ClassVar[str] = "extended"
+    payload_fields: ClassVar[tuple[str, ...]] = (
+        "base", "projection", "extended_components", "contaminated"
+    )
 
     base: FuzzyExpr
     projection: Projection
@@ -242,6 +245,7 @@ class OutputModExpr(FuzzyExpr):
     stands for the canonical fallback ``f . d``."""
 
     node_name: ClassVar[str] = "output_mod"
+    payload_fields: ClassVar[tuple[str, ...]] = ("base", "projection", "fallback")
 
     base: FuzzyExpr
     fallback: FuzzyExpr | None

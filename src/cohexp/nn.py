@@ -391,6 +391,8 @@ class MlpExpr(FuzzyExpr):
     """
 
     node_name: ClassVar[str] = "mlp"
+    # a "weights_ref" is resolved by the file loader; an inline model wins
+    payload_fields: ClassVar[tuple[str, ...]] = ("model", "weights_ref")
 
     model: MlpModel = field(repr=False)
 

@@ -288,7 +288,7 @@ class TestGridBoxErrorParity:
                 "--grid", "2049" if name == "grid-over-cap" else grid]
         status = run(argv)
         boxed = capsys.readouterr()
-        monkeypatch.setattr(cohexp.coherence, "_check_grid_boxes", lambda *args: None)
+        monkeypatch.setattr(cohexp.coherence, "_check_grid", lambda *args: None)
         assert run(argv) == status == BAD_INPUT
         assert capsys.readouterr() == boxed
         code = "E_CAPACITY" if name == "grid-over-cap" else "E_INPUT"
@@ -455,6 +455,24 @@ class TestExplain:
         assert "error[E_INPUT]" in capsys.readouterr().err
 
 
+def test_misspelled_field_is_a_format_error(tmp_path, capsys):
+    """``clmap`` is not ``clamp``: the map is not checked as a clamped one."""
+    path = tmp_path / "affine.json"
+    path.write_text(json.dumps(
+        {"node": "affine", "matrix": [[2.0]], "bias": [0.0], "clmap": False}
+    ))
+    assert run(["check", "--expr", str(path), "--grid", "5"]) == BAD_INPUT
+    assert capsys.readouterr().err == "error[E_FORMAT]: 'affine' node has no field 'clmap'\n"
+
+
+@pytest.mark.parametrize("gamma", ["extend", "output-mod"])
+def test_repaired_documents_load(gamma, or_file, tmp_path, capsys):
+    out_expr = tmp_path / "repaired.json"
+    assert run(["repair", "--expr", or_file, "--gamma", gamma, "--grid", "5",
+                "--out-expr", str(out_expr)]) == OK
+    assert to_dict(load_expr(out_expr)) == json.loads(out_expr.read_text())
+
+
 class TestRepair:
     def test_extend_writes_loadable_expression(self, or_file, tmp_path, capsys):
         out_expr = tmp_path / "repaired.json"
@@ -610,6 +628,16 @@ def test_usage_error_exits_2(capsys):
     assert run(["check"]) == BAD_INPUT
 
 
+def _run_source(cwd, *args) -> subprocess.CompletedProcess:
+    """Run the interpreter with ``args``, the source under test first on
+    the path, from ``cwd`` (an empty directory, so that nothing in the
+    working directory shadows it)."""
+    src_dir = str(Path(cohexp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONIOENCODING="utf-8")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, cwd=cwd, env=env)
+
+
 def test_installed_entry_point_matches(tmp_path, capsys):
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -620,17 +648,9 @@ def test_installed_entry_point_matches(tmp_path, capsys):
         f"import sys\nfrom {module} import {attr}\n"
         f"sys.argv[0] = 'cohexp'\nsys.exit({attr}())\n"
     )
-    # Put the source under test first on the path, and run from an empty
-    # directory so nothing in the working directory shadows it.
-    src_dir = str(Path(cohexp.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONIOENCODING="utf-8")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
 
     def cohexp_script(*args):
-        return subprocess.run(
-            [sys.executable, "-c", wrapper, *args],
-            capture_output=True, cwd=tmp_path, env=env,
-        )
+        return _run_source(tmp_path, "-c", wrapper, *args)
 
     proc = cohexp_script("demo-noncomp")
     assert proc.returncode == OK, proc.stderr.decode()
@@ -641,6 +661,20 @@ def test_installed_entry_point_matches(tmp_path, capsys):
     proc = cohexp_script("check", "--expr", str(tmp_path / "missing.json"))
     assert proc.returncode == BAD_INPUT
     assert re.search(rb"^error\[E_[A-Z]+\]: ", proc.stderr, re.MULTILINE)
+
+
+def test_module_entry_point_matches(tmp_path, or_file, capsys):
+    """``python -m cohexp.cli`` runs the command line: the same report as
+    ``cli.run``, and exit status 2 on a bad flag."""
+    run_dir = tmp_path / "empty"
+    run_dir.mkdir()
+    argv = ["check", "--expr", or_file, "--grid", "5", "--format", "structured"]
+    proc = _run_source(run_dir, "-m", "cohexp.cli", *argv)
+    assert proc.returncode == OK, proc.stderr.decode()
+    assert run(argv) == OK
+    assert proc.stdout == capsys.readouterr().out.encode("utf-8") != b""
+    proc = _run_source(run_dir, "-m", "cohexp.cli", "check", "--no-such-flag")
+    assert proc.returncode == BAD_INPUT and proc.stdout == b""
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from cohexp import (
     FuzzyExpr,
     LiftedProjection,
     MlpExpr,
+    OutputModExpr,
     Parallel,
     Piece,
     Piecewise,
@@ -187,6 +188,11 @@ class TestCoherenceMasks:
         with pytest.raises(ValidationError):
             is_coherent_at(f, threshold, (0.3, 0.3, 0.7), component=2)
 
+    @pytest.mark.parametrize("component", [0.5, "0", True], ids=["float", "str", "bool"])
+    def test_is_coherent_at_component_is_checked(self, luk_or, threshold, component):
+        with pytest.raises(ValidationError, match="component must be an integer"):
+            is_coherent_at(luk_or, threshold, (0.3, 0.3), component=component)
+
 
 class TestCheckCoherence:
     def test_frozen_grid_fraction(self, luk_or, threshold):
@@ -246,6 +252,16 @@ class TestCheckCoherence:
     def test_negative_witness_cap_rejected(self, luk_or, threshold):
         with pytest.raises(ValidationError):
             check_coherence(luk_or, threshold, witness_cap=-1)
+
+    @pytest.mark.parametrize("cap", [1.5, "3", True], ids=["float", "str", "bool"])
+    def test_witness_cap_is_checked_not_converted(self, luk_or, threshold, cap):
+        with pytest.raises(ValidationError, match="witness_cap must be an integer"):
+            check_coherence(luk_or, threshold, SamplingSpec.grid(5), witness_cap=cap)
+
+    def test_negative_witness_cap_message(self, luk_or, threshold):
+        """The message the command line prints for ``--witness-limit -1``."""
+        with pytest.raises(ValidationError, match=r"^witness_cap must be >= 0$"):
+            check_coherence(luk_or, threshold, SamplingSpec.grid(5), witness_cap=-1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -389,9 +405,10 @@ def test_check_evaluates_at_most_a_chunk_at_a_time(luk_or, projection, monkeypat
     report = check_coherence(f, projection, sampling)
     assert report.n_points == 101**2
     assert max(f.sizes) <= EVAL_CHUNK
-    # fibers are encoded a chunk at a time too, and only on the table path
+    # fibers are encoded a chunk at a time too, and only on the table path:
+    # every point, and the corner of each fiber's index box
     if projection.is_boolean:
-        assert max(encoded) <= EVAL_CHUNK and sum(encoded) == 101**2
+        assert max(encoded) <= EVAL_CHUNK and sum(encoded) == 101**2 + 4
     else:
         assert encoded == []
     # f(x) on every point, then the baseline: per fiber or per point
@@ -517,11 +534,15 @@ class RowShifted(FuzzyExpr):
         return self.inner.bounds(lo, hi)
 
 
+GRID_MODES = {"boxes": 0, "every-slice": 1 << 62}
+
+
 @contextmanager
-def boxes_on_every_grid():
-    """Grids too small for the box path take it inside this context."""
+def grid_mode(mode: str):
+    """Inside this context every grid is decided box by box (where it
+    can be), or every slice of it is walked."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(coherence_module, "_MIN_BOX_POINTS", 0)
+        patch.setattr(coherence_module, "_MIN_BOX_POINTS", GRID_MODES[mode])
         yield
 
 
@@ -541,24 +562,25 @@ def grid_cases(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(grid_cases(), st.sampled_from(sorted(GRID_PROJECTIONS)), st.sampled_from([0, 1, 100]))
 def test_grid_boxes_match_every_point_evaluated(case, projection_name, cap):
-    """Deciding grid boxes from bounds reports what evaluating every
-    point reports, byte for byte, or raises the same error."""
+    """Deciding grid boxes from bounds, and walking every slice, each
+    report what evaluating every point at once reports, byte for byte,
+    or raise the same error."""
     f, k = case
     projection = GRID_PROJECTIONS[projection_name]
     sampling = SamplingSpec.grid(k)
     try:
         expected = _materialised_report(f, projection, sampling, cap)
     except ValidationError as exc:
-        with pytest.raises(type(exc), match=re.escape(str(exc))), boxes_on_every_grid():
-            check_coherence(f, projection, sampling, witness_cap=cap)
+        for mode in GRID_MODES:
+            with pytest.raises(type(exc), match=re.escape(str(exc))), grid_mode(mode):
+                check_coherence(f, projection, sampling, witness_cap=cap)
         return
-    with boxes_on_every_grid():
-        report = check_coherence(f, projection, sampling, witness_cap=cap)
-    assert dumps(report.to_dict()) == dumps(expected)
-    if len(projection.level_values) ** f.in_arity <= k**f.in_arity:
-        # the box path answered, rather than handing over to the per-point check
-        boxes = coherence_module._check_grid_boxes(f, projection, sampling, cap)
-        assert boxes is not None and dumps(boxes.to_dict()) == dumps(expected)
+    for mode in GRID_MODES:
+        with grid_mode(mode):
+            # the grid routine answered, rather than handing over to the
+            # materialised check
+            report = coherence_module._check_grid(f, projection, sampling, cap)
+        assert report is not None and dumps(report.to_dict()) == dumps(expected)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -632,53 +654,145 @@ def test_grid_boxes_pad_a_lifted_step(threshold):
     assert report.components[0].coherent_fraction < 1.0
 
 
+def _record_bounds(monkeypatch, f) -> list:
+    """The boxes a check asks ``f`` itself to bound, as ``(box count,
+    whether bounds came back)``."""
+    seen = []
+    inner = type(f).bounds
+
+    def bounds(self, lo, hi):
+        out = inner(self, lo, hi)
+        if self is f:
+            seen.append((len(lo), out is not None))
+        return out
+
+    monkeypatch.setattr(type(f), "bounds", bounds)
+    return seen
+
+
 def test_small_grids_take_the_per_point_check(luk_or, threshold, monkeypatch):
-    """Below _MIN_BOX_POINTS points a grid is evaluated point by point;
-    from there on it is decided box by box."""
-    calls = []
-    boxes = coherence_module._check_grid_boxes
-    monkeypatch.setattr(
-        coherence_module, "_check_grid_boxes", lambda *args: calls.append(args) or boxes(*args)
-    )
-    check_coherence(luk_or, threshold, SamplingSpec.grid(127))
-    assert calls == []
+    """Below _MIN_BOX_POINTS points every slice of a grid is evaluated
+    and no box is bounded; from there on it is decided box by box."""
+    seen = _record_bounds(monkeypatch, luk_or)
+    sampling = SamplingSpec.grid(127)
+    report = check_coherence(luk_or, threshold, sampling)
+    assert seen == []
+    assert dumps(report.to_dict()) == dumps(_materialised_report(luk_or, threshold, sampling, 100))
     check_coherence(luk_or, threshold, SamplingSpec.grid(128))
-    assert len(calls) == 1
+    assert seen and all(bounded for _, bounded in seen)
 
 
-def test_grid_boxes_need_bounds_everywhere(threshold):
-    """An expression with a node that has no bounds takes the per-point
-    check."""
-    unbounded = Compose(TConorm("lukasiewicz"), BatchRecorder(identity(2)))
+def test_grid_boxes_need_bounds_everywhere(threshold, monkeypatch):
+    """An expression with a node that has no bounds walks every slice:
+    no box is bounded, and every point is evaluated."""
+    inner = BatchRecorder(identity(2))
+    unbounded = Compose(TConorm("lukasiewicz"), inner)
     assert unbounded.bounds(np.zeros((1, 2)), np.ones((1, 2))) is None
-    sampling = SamplingSpec.grid(33)
-    assert coherence_module._check_grid_boxes(unbounded, threshold, sampling, 5) is None
-    expected = _materialised_report(unbounded, threshold, sampling, 5)
-    assert check_coherence(unbounded, threshold, sampling, 5).to_dict() == expected
+    seen = _record_bounds(monkeypatch, unbounded)
+    sampling = SamplingSpec.grid(129)
+    report = check_coherence(unbounded, threshold, sampling, 5)
+    assert seen and not any(bounded for _, bounded in seen)
+    # every point, and the four fiber vertices
+    assert sum(inner.sizes) == 129**2 + 4
+    assert dumps(report.to_dict()) == dumps(_materialised_report(unbounded, threshold, sampling, 5))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.integers(1, 3), st.integers(2, 12), st.integers(1, 40), st.integers(0, 2**32 - 1))
-def test_first_points_of_disjoint_boxes(n, k, count, seed):
-    """The witness search finds the smallest flat indices of a union of
-    disjoint index boxes, as listing every point would."""
-    rng = np.random.default_rng(seed)
-    blo, bhi = np.zeros((1, n), dtype=np.int64), np.full((1, n), k - 1, dtype=np.int64)
-    for _ in range(int(rng.integers(0, 20))):
-        i, j = int(rng.integers(len(blo))), int(rng.integers(n))
-        if bhi[i, j] > blo[i, j]:
-            cut = int(rng.integers(blo[i, j], bhi[i, j]))
-            right_lo = blo[i].copy()
-            right_lo[j] = cut + 1
-            blo, bhi = np.vstack([blo, right_lo]), np.vstack([bhi, bhi[i]])
-            bhi[i, j] = cut
-    keep = rng.random(len(blo)) < 0.4
-    strides = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    inside = [
-        int(idx @ strides)
-        for lo, hi in zip(blo[keep], bhi[keep])
-        for idx in np.ndindex(*(hi - lo + 1))
-        for idx in [np.asarray(idx) + lo]
-    ]
-    got = coherence_module._first_points(blo[keep], bhi[keep], count, strides)
-    assert got.tolist() == sorted(inside)[:count]
+@contextmanager
+def nothing_materialised():
+    """Inside this context a check may neither draw the whole sample nor
+    evaluate it at once."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid check materialised its sample")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SamplingSpec, "sample", refuse)
+        patch.setattr(coherence_module, "projected_outputs", refuse)
+        yield
+
+
+def _band(n: int):
+    """0.9 on a thin tube along axis 0, where the middle coordinates lie
+    within 0.006 of 0.3 and the last one in [0.294, 0.315], and 0.1
+    elsewhere: under the 0.5 threshold every tube point is incoherent,
+    since the vertices of the cube lie outside it.  On the 91-point grid
+    the tube holds two points of each plane x0 = const."""
+    near = tuple(
+        Condition(j, op, value)
+        for j in range(1, n - 1)
+        for op, value in (("ge", 0.294), ("le", 0.306))
+    )
+    tube = (Condition(n - 1, "ge", 0.294), Condition(n - 1, "le", 0.315))
+    return Piecewise((Piece(near + tube, Const((0.9,), in_arity=n)),), Const((0.1,), in_arity=n))
+
+
+def _far_apart_mlp():
+    """A 2 -> 2 network with one linear hidden layer: component 0 is
+    incoherent where 0.25 <= y < 0.5 (from the first grid row on),
+    component 1 where 0.5 <= x < 0.8 (from the middle of the grid on)."""
+    model = init_model(2, (2,), 2, np.random.default_rng(0))
+    model.weights[0][:] = np.eye(2)
+    model.slopes[:] = 1.0
+    model.weights[1][:] = [[0.0, 40.0], [40.0, 0.0]]
+    model.biases[1][:] = [-10.0, -32.0]
+    return MlpExpr(model)
+
+
+MATERIALISED_CASES = {
+    # name: (expression, projection, points per axis)
+    "small-grid": (TConorm("lukasiewicz"), Projection.threshold(0.5), 101),
+    "box-mode": (TConorm("lukasiewicz"), Projection.threshold(0.5), 201),
+    "more-fibers-than-points": (TConorm("prob_sum"), Projection.quantize(200), 150),
+    "unbounded-output-mod": (
+        OutputModExpr(TConorm("lukasiewicz"), None, Projection.quantize(3)),
+        Projection.threshold(0.5),
+        160,
+    ),
+    "thin-band": (_band(3), Projection.threshold(0.5), 91),
+    "far-apart-mlp": (_far_apart_mlp(), Projection.threshold(0.5), 512),
+}
+
+
+@pytest.mark.parametrize("cap", [0, 1, 100])
+@pytest.mark.parametrize("mode", GRID_MODES)
+@pytest.mark.parametrize("name", MATERIALISED_CASES)
+def test_grid_checks_never_materialise(name, mode, cap, monkeypatch):
+    """A grid check equals the materialised report without drawing the
+    sample or calling ``projected_outputs``, whether it walks every
+    slice or decides boxes."""
+    f, projection, k = MATERIALISED_CASES[name]
+    sampling = SamplingSpec.grid(k)
+    expected = dumps(_materialised_report(f, projection, sampling, cap))
+    monkeypatch.setattr(coherence_module, "_MIN_BOX_POINTS", GRID_MODES[mode])
+    with nothing_materialised():
+        report = check_coherence(f, projection, sampling, witness_cap=cap)
+    assert dumps(report.to_dict()) == expected
+
+
+def _flat_index(point, k: int) -> int:
+    return int(np.round(np.asarray(point) * (k - 1)) @ k ** np.arange(len(point) - 1, -1, -1))
+
+
+def test_thin_band_witnesses_span_many_slices():
+    """The first 100 offenders of a thin tube lie in more than 20
+    slices, and are the materialised check's."""
+    f, projection, k = MATERIALISED_CASES["thin-band"]
+    sampling = SamplingSpec.grid(k)
+    report = check_coherence(f, projection, sampling)
+    witnesses = report.components[0].witnesses
+    assert len(witnesses) == 100
+    assert len({_flat_index(w.point, k) // EVAL_CHUNK for w in witnesses}) > 20
+    assert dumps(report.to_dict()) == dumps(_materialised_report(f, projection, sampling, 100))
+
+
+def test_components_first_offenders_far_apart():
+    """Each component of the network keeps its own first offenders,
+    although those of component 1 start about half the grid after those
+    of component 0."""
+    f, projection, k = MATERIALISED_CASES["far-apart-mlp"]
+    sampling = SamplingSpec.grid(k)
+    report = check_coherence(f, projection, sampling)
+    first = [_flat_index(c.witnesses[0].point, k) for c in report.components]
+    assert first[0] < EVAL_CHUNK and first[1] > k**2 // 2 - EVAL_CHUNK
+    assert all(len(c.witnesses) == 100 for c in report.components)
+    assert dumps(report.to_dict()) == dumps(_materialised_report(f, projection, sampling, 100))

@@ -204,6 +204,13 @@ class TestDnfFormula:
         with pytest.raises(ValidationError, match=match):
             DnfFormula(2, ((((0, False), literal),),))
 
+    @pytest.mark.parametrize(
+        "n_vars", [2.5, True, "2", -1], ids=["float", "bool", "str", "negative"]
+    )
+    def test_n_vars_is_checked_not_converted(self, n_vars):
+        with pytest.raises(ValidationError, match="n_vars must be an integer >= 0"):
+            DnfFormula(n_vars, (((),),)).to_table()
+
     def test_numpy_literals_become_python_scalars(self):
         f = DnfFormula(2, ((((np.int64(1), np.bool_(True)),),),))
         assert f.outputs == ((((1, True),),),)

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohexp import (
+    Affine,
     Compose,
+    Condition,
+    Const,
+    Coord,
+    LiftedProjection,
+    Piece,
+    Piecewise,
     GammaSpec,
     MlpExpr,
     MlpModel,
@@ -318,3 +325,38 @@ def test_node_errors_name_every_enclosing_node(doc, message):
     with pytest.raises(SerializationError) as info:
         from_dict(doc)
     assert str(info.value) == message
+
+
+def _node_documents() -> dict:
+    """One document per node kind, as ``to_dict`` writes it; the repaired
+    ones as ``repair`` writes them."""
+    luk_or = TConorm("lukasiewicz")
+    spec = {"projection": Projection.threshold(0.5), "sampling": SamplingSpec.grid(5)}
+    exprs = [
+        Const((0.5,), in_arity=2),
+        Coord((1, 0), 2),
+        TNorm("min"),
+        luk_or,
+        Affine(((2.0,),), (0.0,), clamp=False),
+        LiftedProjection(Projection.threshold(0.5), 1),
+        Compose(luk_or, Coord((0, 0), 1)),
+        Parallel((luk_or, TNorm("product"))),
+        Piecewise((Piece((Condition(0, "lt", 0.5),), luk_or),), TNorm("min")),
+        MlpExpr(init_model(2, (3,), 1, np.random.default_rng(0))),
+        apply_gamma(luk_or, GammaSpec("extend", **spec)),
+        apply_gamma(luk_or, GammaSpec("output_mod", **spec)),
+    ]
+    return {expr.node_name: to_dict(expr) for expr in exprs}
+
+
+@pytest.mark.parametrize("kind", sorted(_node_documents()))
+def test_node_documents_refuse_fields_their_node_does_not_read(kind):
+    """A misspelled payload field is an error that names it, not a
+    default silently taken."""
+    doc = _node_documents()[kind]
+    assert to_dict(from_dict(doc)) == doc
+    field = type(from_dict(doc)).payload_fields[0]
+    misspelled = field[:-2] + field[-1] + field[-2]
+    bad = {misspelled if key == field else key: value for key, value in doc.items()}
+    with pytest.raises(SerializationError, match=rf"^'{kind}' node has no field '{misspelled}'$"):
+        from_dict(bad)
