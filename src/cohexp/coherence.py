@@ -27,17 +27,19 @@ sample size.
 A grid over one or more inputs is never materialised
 (:func:`_check_grid`): its points follow from their indices, and it is
 evaluated in the same ``EVAL_CHUNK`` slices, one at a time, so the
-report equals the materialised one byte for byte.  Such a grid of at
-least ``_MIN_BOX_POINTS`` points, with no more fibers than points, is
-not evaluated point by point when ``f`` has interval bounds
+report equals the materialised one byte for byte.  A grid with no more
+projection levels than points per axis meets every fiber, so its
+baseline is one table over all of them.  Such a grid is not evaluated
+point by point when it has at least ``_MIN_BOX_POINTS`` points, its
+fibers average at least 8 points each, and ``f`` has interval bounds
 (``FuzzyExpr.bounds``).  It is cut into one index box per fiber.  A box
 whose bounds project to one value in every component is decided whole
 against its fiber's baseline.  Other boxes are bisected, and only the
 points of undecided leaves are evaluated.  Verdicts taken near a
 projection boundary are taken again in their own slice.  Other grids
-walk every slice: below ``_MIN_BOX_POINTS`` that costs less than
-bounding boxes.  In both cases the witnesses come from the first
-slices, in sample order, that hold offenders.
+walk every slice: with fewer points, or fewer points per fiber, that
+costs less than bounding boxes.  In both cases the witnesses come from
+the first slices, in sample order, that hold offenders.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import BOUND_PAD, FuzzyExpr, Point, Projection, fiber_codes, fiber_digits
+from .core import BOUND_PAD, FuzzyExpr, Point, Projection, _float_points, fiber_codes, fiber_digits
 from .errors import CapacityError, ValidationError, _checked, malformed
 
 __all__ = [
@@ -335,7 +337,7 @@ def is_coherent_at(
 
     With ``component=None`` every output component must be coherent.
     """
-    arr = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    arr = _float_points(x).reshape(1, -1)
     if arr.shape[1] != f.in_arity:
         raise ValidationError(
             f"point arity {arr.shape[1]} does not match function arity {f.in_arity}"
@@ -361,7 +363,11 @@ def check_coherence(
     first offenders in sample order, random samples keep a seeded
     uniform subset (re-sorted by sample index).  A grid over one or
     more inputs is checked slice by slice (:func:`_check_grid`), with
-    the same report as evaluating every point at once.
+    the same report as evaluating every point at once: its baseline is
+    read from a table over every fiber when no axis has fewer points
+    than the projection has levels, and evaluated per point otherwise,
+    and its fiber boxes are decided from bounds only where they
+    average 8 points or more.
     """
     witness_cap = _checked(witness_cap, int, "witness_cap must be an integer")
     if witness_cap < 0:
@@ -461,19 +467,23 @@ def _check_grid(
     raises: the materialised check then raises the error (or not)
     exactly as it would have.
 
-    Every slice is walked, counting its verdicts, unless the grid has at
-    least ``_MIN_BOX_POINTS`` points, no more fibers than points and
-    bounds on every node.  Then a box is decided when ``f.bounds``,
-    widened by ``BOUND_PAD``, projects to one value in every component.
-    Undecided boxes are bisected down to leaves of at most
-    ``_LEAF_POINTS`` points, which are evaluated together in
-    ``EVAL_CHUNK`` batches.  A gathered verdict is kept only where the
-    row's box was bounded and every output is ``_GATHER_MARGIN`` clear
-    of the projection's boundaries; the slices of other rows are walked
-    too.  Witnesses come from the first walked slices, in sample order,
-    that hold offenders, each evaluated whole: in box mode, the slices
-    that meet a decided bad box's flat index range or hold a bad leaf
-    row, until every component has its witnesses.
+    The baseline of a grid with no more levels than points per axis is
+    read from the table of every fiber, by the fiber code of a slice's
+    points or of a leaf's or a box's low corner.  Every slice is walked,
+    counting its verdicts, unless the grid has such a table, at least
+    ``_MIN_BOX_POINTS`` points, at least 8 points per fiber and bounds
+    on every node.  Then it is cut into one index box per fiber, and a
+    box is decided when ``f.bounds``, widened by ``BOUND_PAD``, projects
+    to one value in every component.  Undecided boxes are bisected down
+    to leaves of at most ``_LEAF_POINTS`` points, which are evaluated
+    together in ``EVAL_CHUNK`` batches.  A gathered verdict is kept only
+    where the row's box was bounded and every output is
+    ``_GATHER_MARGIN`` clear of the projection's boundaries; the slices
+    of other rows are walked too.  Witnesses come from the first walked
+    slices, in sample order, that hold offenders, each evaluated whole:
+    in box mode, the slices that meet a decided bad box's flat index
+    range or hold a bad leaf row, until every component has its
+    witnesses.
     """
     n, m = f.in_arity, f.out_arity
     if n == 0:
@@ -515,21 +525,25 @@ def _check_grid(
         return ok
 
     try:
-        bounds = None
         if tabulated:
+            # with no more levels than points per axis every fiber is on
+            # the grid, so the table holds the rows, in the order and
+            # batches, that the materialised check tabulates
+            table = fiber_table(f, projection, np.arange(levels**n))
+        # boxes are decided only on grids of _MIN_BOX_POINTS points whose
+        # fiber boxes average 8 points or more: on smaller boxes walking
+        # is faster (an MLP on 1024**2 points, 4 a box: 0.7 s against
+        # 1.9 s); a floor of 0 decides boxes on every grid
+        per = _MIN_BOX_POINTS // 8
+        bounds = None
+        if tabulated and total * per >= _MIN_BOX_POINTS * max(levels**n, per):
             # one box per fiber: the projection is non-decreasing, so each
             # level covers one run of grid indices on every axis
             cuts = np.flatnonzero(np.diff(projection.apply(axis))) + 1
             run_lo, run_hi = np.concatenate([[0], cuts]), np.concatenate([cuts - 1, [k - 1]])
             runs = np.indices((len(run_lo),) * n).reshape(n, -1).T
             blo, bhi = run_lo[runs], run_hi[runs]
-            # the fibers present, ascending, so the table is built as the
-            # materialised check builds it
-            present = fiber_codes(projection, axis[blo])
-            table = np.empty((levels**n, m), dtype=np.float64)
-            table[present] = fiber_table(f, projection, present)
-            if total >= _MIN_BOX_POINTS:
-                bounds = bound(blo, bhi)
+            bounds = bound(blo, bhi)
         if bounds is None:
             for s in range(slices):
                 ok = walk(s)
@@ -537,33 +551,31 @@ def _check_grid(
                 any_bad += int((~ok.all(axis=1)).sum())
             return _report(f, projection, sampling, total, bad_count, any_bad, witnesses)
 
-        fiber = present
         bad_boxes = []  # (first and last flat index, bad components) of decided bad boxes
-        leaves = []  # (blo, bhi, fiber, bounded) of undecided leaves
+        leaves = []  # (blo, bhi, bounded) of undecided leaves
         while len(blo):
             bounded = np.isfinite(bounds[0]).all(axis=1) & np.isfinite(bounds[1]).all(axis=1)
             same, value = _one_value(projection, *bounds, BOUND_PAD)
             decided = bounded & same
             size = (bhi - blo + 1).prod(axis=1)
-            bad = value[decided] != table[fiber[decided]]
+            bad = value[decided] != table[fiber_codes(projection, axis[blo[decided]])]
             hit = bad.any(axis=1)
             bad_count += (bad * size[decided, None]).sum(axis=0)
             any_bad += int(size[decided][hit].sum())
             bad_boxes.append((blo[decided][hit] @ strides, bhi[decided][hit] @ strides, bad[hit]))
             leaf = ~decided & (size <= _LEAF_POINTS)
-            leaves.append((blo[leaf], bhi[leaf], fiber[leaf], bounded[leaf]))
+            leaves.append((blo[leaf], bhi[leaf], bounded[leaf]))
             split = ~decided & ~leaf
             blo, bhi = _bisect(blo[split], bhi[split])
-            fiber = np.tile(fiber[split], 2)
             bounds = bound(blo, bhi)
 
         # leaf points, in sample order, evaluated in gathered batches
-        llo, lhi, lfiber, lbounded = (np.concatenate(parts) for parts in zip(*leaves))
+        llo, lhi, lbounded = (np.concatenate(parts) for parts in zip(*leaves))
         flat, box = _box_points(llo, lhi, strides)
         order = np.argsort(flat)
         flat, box = flat[order], box[order]
         fx = eval_chunked(f, points(flat))
-        ok = projection.apply(fx) == table[lfiber[box]]
+        ok = projection.apply(fx) == table[fiber_codes(projection, axis[llo])][box]
         clear, _ = _one_value(projection, fx, fx, _GATHER_MARGIN)
         unsure = np.zeros(slices, dtype=bool)
         unsure[flat[~(clear & lbounded[box])] // EVAL_CHUNK] = True

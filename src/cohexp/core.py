@@ -37,7 +37,14 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, SerializationError, ValidationError, _checked, malformed
+from .errors import (
+    CapacityError,
+    SerializationError,
+    ValidationError,
+    _checked,
+    _fields_only,
+    malformed,
+)
 
 __all__ = [
     "RAW_TOL",
@@ -185,8 +192,17 @@ class Projection:
 NODE_TYPES: dict[str, type["FuzzyExpr"]] = {}
 
 
+def _float_points(xs) -> np.ndarray:
+    """``xs`` as a float64 array; points that are not numbers are a
+    ``ValidationError``."""
+    try:
+        return np.asarray(xs, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"evaluation points must be numbers ({exc})") from exc
+
+
 def _check_batch(xs: np.ndarray, arity: int) -> np.ndarray:
-    arr = np.asarray(xs, dtype=np.float64)
+    arr = _float_points(xs)
     if arr.ndim != 2 or arr.shape[1] != arity:
         raise ValidationError(
             f"expected a batch of shape (N, {arity}), got {np.shape(xs)!r}"
@@ -679,6 +695,7 @@ class Condition:
 
     @staticmethod
     def from_dict(doc: dict) -> "Condition":
+        _fields_only(doc, ("index", "op", "value"), "piecewise condition")
         return Condition(doc["index"], doc["op"], doc["value"])
 
 
@@ -789,13 +806,11 @@ class Piecewise(FuzzyExpr):
 
     @classmethod
     def from_payload(cls, doc, decode):
-        pieces = tuple(
-            Piece(
-                tuple(Condition.from_dict(c) for c in region["conditions"]),
-                decode(region["expr"]),
-            )
-            for region in doc["regions"]
-        )
+        pieces = []
+        for region in doc["regions"]:
+            _fields_only(region, ("conditions", "expr"), "piecewise region")
+            conditions = tuple(Condition.from_dict(c) for c in region["conditions"])
+            pieces.append(Piece(conditions, decode(region["expr"])))
         return Piecewise(pieces, decode(doc["default"]))
 
 
@@ -829,10 +844,7 @@ def _decode_node(doc: dict) -> FuzzyExpr:
     if not isinstance(name, str) or name not in NODE_TYPES:
         raise SerializationError(f"unknown expression node {name!r}")
     node = NODE_TYPES[name]
-    allowed = ("node", "in_arity", "out_arity", *node.payload_fields)
-    stray = [key for key in doc if key not in allowed]
-    if stray:
-        raise SerializationError(f"{name!r} node has no field {stray[0]!r}")
+    _fields_only(doc, ("node", "in_arity", "out_arity", *node.payload_fields), f"{name!r} node")
     with malformed(f"{name!r} node", prefix_invalid=True):
         expr = node.from_payload(doc, _decode_node)
         keys = [key for key in ("in_arity", "out_arity") if key in doc]

@@ -76,6 +76,16 @@ def malformed(what: str, *, prefix_invalid: bool = False) -> Iterator[None]:
         raise SerializationError(f"malformed {what}: {exc}") from exc
 
 
+def _fields_only(doc, allowed: tuple[str, ...], what: str) -> None:
+    """Refuse the first key of the document object ``doc`` that is not
+    in ``allowed`` with a ``SerializationError`` naming it.  A ``doc``
+    that is not an object is left to the code that reads it."""
+    if isinstance(doc, dict):
+        stray = [key for key in doc if key not in allowed]
+        if stray:
+            raise SerializationError(f"{what} has no field {stray[0]!r}")
+
+
 # per field kind: the Python types and the numpy dtype kinds it takes
 _TAKES = {bool: ((bool, np.bool_), "b"), int: (Integral, "iu"), float: (Real, "iuf")}
 

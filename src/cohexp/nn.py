@@ -33,7 +33,14 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .core import BOUND_PAD, FuzzyExpr, Projection
-from .errors import SerializationError, TrainingError, ValidationError, _checked, malformed
+from .errors import (
+    SerializationError,
+    TrainingError,
+    ValidationError,
+    _checked,
+    _fields_only,
+    malformed,
+)
 
 __all__ = [
     "MlpModel",
@@ -105,7 +112,10 @@ class MlpModel:
     @staticmethod
     def from_dict(doc: dict) -> "MlpModel":
         with malformed("model document"):
+            _fields_only(doc, ("layers",), "model document")
             layers = doc["layers"]
+            for i, layer in enumerate(layers):
+                _fields_only(layer, ("weights", "bias", "activation", "slope"), f"model layer {i}")
             need = "weights, biases and slopes must be numbers"
             weights, biases = (
                 [_checked(np.asarray(l[key]), float, need).astype(np.float64) for l in layers]

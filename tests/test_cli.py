@@ -26,6 +26,7 @@ import cohexp
 from cohexp import (
     Affine,
     Compose,
+    Condition,
     Const,
     Coord,
     GammaSpec,
@@ -33,6 +34,8 @@ from cohexp import (
     MlpExpr,
     OutputModExpr,
     Parallel,
+    Piece,
+    Piecewise,
     Projection,
     SamplingSpec,
     TConorm,
@@ -463,6 +466,40 @@ def test_misspelled_field_is_a_format_error(tmp_path, capsys):
     ))
     assert run(["check", "--expr", str(path), "--grid", "5"]) == BAD_INPUT
     assert capsys.readouterr().err == "error[E_FORMAT]: 'affine' node has no field 'clmap'\n"
+
+
+def _nested_typo(place: str) -> tuple[dict, str]:
+    """A document with a stray key in a nested object, and the error it
+    must give."""
+    if place in ("model", "layer"):
+        doc = to_dict(MlpExpr(init_model(2, (3,), 1, np.random.default_rng(0))))
+        if place == "model":
+            doc["model"]["slope"] = 0.5
+            return doc, "invalid 'mlp' node: model document has no field 'slope'"
+        # a misspelled optional key, which must not take the default slope
+        doc["model"]["layers"][0]["slop"] = -3.0
+        return doc, "invalid 'mlp' node: model layer 0 has no field 'slop'"
+    piece = Piece((Condition(0, "lt", 0.5),), Const((0.9,), in_arity=2))
+    doc = to_dict(Piecewise((piece,), Const((0.1,), in_arity=2)))
+    if place == "region":
+        region = doc["regions"][0]
+        region["exp"] = region.pop("expr")
+        return doc, "invalid 'piecewise' node: piecewise region has no field 'exp'"
+    condition = doc["regions"][0]["conditions"][0]
+    condition["vaule"] = condition.pop("value")
+    return doc, "invalid 'piecewise' node: piecewise condition has no field 'vaule'"
+
+
+@pytest.mark.parametrize("place", ["model", "layer", "region", "condition"])
+def test_stray_nested_key_is_a_format_error(place, tmp_path, capsys):
+    """A key that a model, a layer, a piecewise region or a condition
+    does not read is one coded error naming it, not a default silently
+    taken."""
+    doc, message = _nested_typo(place)
+    path = tmp_path / "expr.json"
+    path.write_text(json.dumps(doc))
+    assert run(["check", "--expr", str(path), "--grid", "5"]) == BAD_INPUT
+    assert capsys.readouterr().err == f"error[E_FORMAT]: {message}\n"
 
 
 @pytest.mark.parametrize("gamma", ["extend", "output-mod"])

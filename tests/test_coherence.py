@@ -193,6 +193,11 @@ class TestCoherenceMasks:
         with pytest.raises(ValidationError, match="component must be an integer"):
             is_coherent_at(luk_or, threshold, (0.3, 0.3), component=component)
 
+    @pytest.mark.parametrize("point", [["a", "b"], [0.3, None, 0.1j]], ids=["str", "mixed"])
+    def test_is_coherent_at_non_numeric_point(self, luk_or, threshold, point):
+        with pytest.raises(ValidationError, match="evaluation points must be numbers"):
+            is_coherent_at(luk_or, threshold, point)
+
 
 class TestCheckCoherence:
     def test_frozen_grid_fraction(self, luk_or, threshold):
@@ -405,10 +410,9 @@ def test_check_evaluates_at_most_a_chunk_at_a_time(luk_or, projection, monkeypat
     report = check_coherence(f, projection, sampling)
     assert report.n_points == 101**2
     assert max(f.sizes) <= EVAL_CHUNK
-    # fibers are encoded a chunk at a time too, and only on the table path:
-    # every point, and the corner of each fiber's index box
+    # fibers are encoded a chunk at a time too, and only on the table path
     if projection.is_boolean:
-        assert max(encoded) <= EVAL_CHUNK and sum(encoded) == 101**2 + 4
+        assert max(encoded) <= EVAL_CHUNK and sum(encoded) == 101**2
     else:
         assert encoded == []
     # f(x) on every point, then the baseline: per fiber or per point
@@ -424,6 +428,8 @@ GRID_PROJECTIONS = {
     "alpha1.0": Projection.threshold(1.0),
     "q3": Projection.quantize(3),
     "q5": Projection.quantize(5),
+    # few points per fiber box on the grids that have a fiber table
+    "q33": Projection.quantize(33),
 }
 
 
@@ -680,6 +686,43 @@ def test_small_grids_take_the_per_point_check(luk_or, threshold, monkeypatch):
     assert dumps(report.to_dict()) == dumps(_materialised_report(luk_or, threshold, sampling, 100))
     check_coherence(luk_or, threshold, SamplingSpec.grid(128))
     assert seen and all(bounded for _, bounded in seen)
+
+
+def test_boxes_only_where_fiber_boxes_average_8_points(luk_or, monkeypatch):
+    """A grid whose fiber boxes average fewer than 8 points walks every
+    slice and bounds no box: an MLP on a 1024**2 grid at 512 levels has
+    4 points a box.  On a 400**2 grid 141 levels leave 8.05 points a box,
+    which are decided from bounds, and 142 levels leave 7.94."""
+    mlp = MlpExpr(init_model(2, (16, 16), 1, np.random.default_rng(0)))
+    seen = _record_bounds(monkeypatch, mlp)
+    check_coherence(mlp, Projection.quantize(512), SamplingSpec.grid(1024))
+    assert seen == []
+    seen = _record_bounds(monkeypatch, luk_or)
+    sampling = SamplingSpec.grid(400)
+    for levels, boxed in ((142, False), (141, True)):
+        projection = Projection.quantize(levels)
+        report = check_coherence(luk_or, projection, sampling)
+        assert bool(seen) == boxed
+        expected = _materialised_report(luk_or, projection, sampling, 100)
+        assert dumps(report.to_dict()) == dumps(expected)
+
+
+@pytest.mark.parametrize("alpha", [None, 1.0, 1e-9], ids=["quantize", "alpha1.0", "alpha1e-9"])
+def test_every_level_lies_on_a_grid_axis_as_long(alpha):
+    """A grid with no more levels than points per axis meets every fiber,
+    so its fiber table is built over all of them: for every ``k`` up to
+    300 points per axis, each level of a projection with at most ``k``
+    levels is the projection of some point of the axis."""
+    axes = {k: np.linspace(0.0, 1.0, k)[:, None] for k in range(2, 301)}
+    if alpha is None:
+        projections = [Projection.quantize(levels) for levels in range(2, 301)]
+    else:
+        projections = [Projection.threshold(alpha)]
+    for projection in projections:
+        levels = len(projection.level_values)
+        for k in range(levels, 301):
+            codes = fiber_codes(projection, axes[k])
+            assert np.array_equal(np.unique(codes), np.arange(levels))
 
 
 def test_grid_boxes_need_bounds_everywhere(threshold, monkeypatch):

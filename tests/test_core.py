@@ -276,6 +276,13 @@ class TestEvaluation:
         with pytest.raises(ValidationError):
             f.eval_batch(np.array([[0.5]]))
 
+    @pytest.mark.parametrize(
+        "batch", [[["a", "b"]], [[0.5, {}]], [[0.5, [0.2, 0.3]]]], ids=["str", "dict", "ragged"]
+    )
+    def test_non_numeric_points_are_a_validation_error(self, batch):
+        with pytest.raises(ValidationError, match="evaluation points must be numbers"):
+            TNorm("min").eval_batch(batch)
+
     def test_point_arity_checked(self):
         with pytest.raises(ValidationError):
             TNorm("min")((0.5,))

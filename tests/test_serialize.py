@@ -153,7 +153,9 @@ class TestExprFiles:
         save_json(weights, tmp_path / "w.json")
         doc = {"node": "mlp", "in_arity": 2, "out_arity": 1, "weights_ref": "w.json"}
         save_json(doc, tmp_path / "net.json")
-        assert load_expr(tmp_path / "net.json").in_arity == 2
+        # the nested reference is not resolved: that would fail with "cannot read"
+        with pytest.raises(SerializationError, match="model document has no field 'note'"):
+            load_expr(tmp_path / "net.json")
 
 
 _SCALARS = (
