@@ -24,22 +24,25 @@ rows (:func:`eval_chunked`), so the memory an evaluation needs beyond
 the sample and its output arrays is bounded by the chunk, not by the
 sample size.
 
-A grid over one or more inputs is never materialised
-(:func:`_check_grid`): its points follow from their indices, and it is
-evaluated in the same ``EVAL_CHUNK`` slices, one at a time, so the
-report equals the materialised one byte for byte.  A grid with no more
-projection levels than points per axis meets every fiber, so its
-baseline is one table over all of them.  Such a grid is not evaluated
-point by point when it has at least ``_MIN_BOX_POINTS`` points, its
-fibers average at least 8 points each, and ``f`` has interval bounds
-(``FuzzyExpr.bounds``).  It is cut into one index box per fiber.  A box
-whose bounds project to one value in every component is decided whole
-against its fiber's baseline.  Other boxes are bisected, and only the
-points of undecided leaves are evaluated.  Verdicts taken near a
-projection boundary are taken again in their own slice.  Other grids
-walk every slice: with fewer points, or fewer points per fiber, that
-costs less than bounding boxes.  In both cases the witnesses come from
-the first slices, in sample order, that hold offenders.
+Every check walks its sample in those slices, one at a time
+(:func:`_check_sample`), so the report equals evaluating every point
+at once byte for byte.  A random sample is drawn once; a grid over one
+or more inputs is never materialised: its points follow from their
+indices.  A grid with no more projection levels than points per axis
+meets every fiber, so its baseline is one table over all of them; a
+random sample with no more fibers than points tabulates the fibers it
+meets.  Such a grid is not evaluated point by point when it has at
+least ``_MIN_BOX_POINTS`` points, its fibers average at least 8 points
+each, and ``f`` has interval bounds (``FuzzyExpr.bounds``).  It is cut
+into one index box per fiber.  A box whose bounds project to one value
+in every component is decided whole against its fiber's baseline.
+Other boxes are bisected, and only the points of undecided leaves are
+evaluated.  Verdicts taken near a projection boundary are taken again
+in their own slice.  Other grids walk every slice: with fewer points,
+or fewer points per fiber, that costs less than bounding boxes.  In
+both cases a grid's witnesses come from the first slices, in sample
+order, that hold offenders; a random sample's are a seeded subset of
+all its offenders.
 """
 
 from __future__ import annotations
@@ -361,67 +364,40 @@ def check_coherence(
     The coherent fraction counts every sampled point.  Witness lists
     are capped at ``witness_cap`` per component: grid samples keep the
     first offenders in sample order, random samples keep a seeded
-    uniform subset (re-sorted by sample index).  A grid over one or
-    more inputs is checked slice by slice (:func:`_check_grid`), with
-    the same report as evaluating every point at once: its baseline is
-    read from a table over every fiber when no axis has fewer points
-    than the projection has levels, and evaluated per point otherwise,
-    and its fiber boxes are decided from bounds only where they
-    average 8 points or more.
+    uniform subset (re-sorted by sample index).  Every sample is
+    checked slice by slice (:func:`_check_sample`), with the same
+    report as evaluating every point at once: its baseline is read from
+    a table over every fiber of a grid, or every fiber a random sample
+    meets, when there are no more fibers than points, and evaluated per
+    point otherwise; a grid's fiber boxes are decided from bounds only
+    where they average 8 points or more.
     """
     witness_cap = _checked(witness_cap, int, "witness_cap must be an integer")
     if witness_cap < 0:
         raise ValidationError("witness_cap must be >= 0")
     if sampling is None:
         sampling = default_sampling(f.in_arity)
-    if sampling.mode == "grid":
-        report = _check_grid(f, projection, sampling, witness_cap)
-        if report is not None:
-            return report
-    xs = sampling.sample(f.in_arity)
-    fx, proj_direct, proj_via_levels = projected_outputs(f, projection, xs)
-    ok = proj_direct == proj_via_levels
-    witnesses = []
-    for i in range(f.out_arity):
-        bad = np.flatnonzero(~ok[:, i])
-        if bad.size > witness_cap:
-            if sampling.mode == "random":
-                rng = np.random.default_rng([int(sampling.seed or 0), 0x5EED, i])
-                bad = np.sort(rng.choice(bad, size=witness_cap, replace=False))
-            else:
-                bad = bad[:witness_cap]
-        witnesses.append(
-            [_witness(xs[j], fx[j], proj_direct[j, i], proj_via_levels[j, i]) for j in bad]
-        )
-    bad_count, any_bad = (~ok).sum(axis=0), int((~ok.all(axis=1)).sum())
-    return _report(f, projection, sampling, len(xs), bad_count, any_bad, witnesses)
+    return _check_sample(f, projection, sampling, witness_cap)
 
 
-def _witness(point, output, direct, baseline) -> Witness:
+def _witness(projection: Projection, point, output, i: int, baseline) -> Witness:
     return Witness(
         point=tuple(float(v) for v in point),
         output=tuple(float(v) for v in output),
-        projected_direct=float(direct),
-        projected_via_projected_inputs=float(baseline),
+        projected_direct=float(projection.apply(output[i])),
+        projected_via_projected_inputs=float(baseline[i]),
     )
 
 
-def _report(f, projection, sampling, total, bad_count, any_bad, witnesses) -> CoherenceReport:
-    """The report of a check over ``total`` points, ``bad_count[i]`` of
-    them incoherent in component ``i`` and ``any_bad`` in some one."""
-    components = tuple(
-        ComponentReport(i, float(1.0 - int(bad) / total), tuple(kept))
-        for i, (bad, kept) in enumerate(zip(bad_count, witnesses))
-    )
-    return CoherenceReport(
-        projection=projection,
-        sampling=sampling,
-        in_arity=f.in_arity,
-        out_arity=f.out_arity,
-        n_points=total,
-        components=components,
-        coherent_fraction=float((total - any_bad) / total),
-    )
+def _tally(ok: np.ndarray, size: np.ndarray | None = None) -> np.ndarray:
+    """Per component, the points incoherent where ``ok`` is False, and
+    last those incoherent in some component; row ``r`` of ``ok`` counts
+    ``size[r]`` points (default 1)."""
+    # one row per component: numpy reduces an (8192, 2) bool array 10 to
+    # 60 times slower than a (2, 8192) one (150-190 us against 3-12 us)
+    bad = ~ok.T.copy()
+    bad = np.vstack([bad, bad.any(axis=0)])
+    return bad.sum(axis=1) if size is None else bad @ size
 
 
 def _one_value(projection: Projection, lo: np.ndarray, hi: np.ndarray, pad: float):
@@ -459,59 +435,82 @@ def _box_points(blo: np.ndarray, bhi: np.ndarray, strides: np.ndarray):
     return flat, box
 
 
-def _check_grid(
+def _check_sample(
     f: FuzzyExpr, projection: Projection, sampling: SamplingSpec, witness_cap: int
-) -> CoherenceReport | None:
-    """A grid check one ``EVAL_CHUNK`` slice at a time (see the module
-    docstring); ``None`` for a grid over no inputs, or where evaluation
-    raises: the materialised check then raises the error (or not)
-    exactly as it would have.
+) -> CoherenceReport:
+    """A check one ``EVAL_CHUNK`` slice at a time (see the module
+    docstring).  A random sample is drawn once, and so is the one point
+    of a sample over no inputs; the points of a grid over one or more
+    inputs follow from their indices.
 
-    The baseline of a grid with no more levels than points per axis is
-    read from the table of every fiber, by the fiber code of a slice's
-    points or of a leaf's or a box's low corner.  Every slice is walked,
-    counting its verdicts, unless the grid has such a table, at least
-    ``_MIN_BOX_POINTS`` points, at least 8 points per fiber and bounds
-    on every node.  Then it is cut into one index box per fiber, and a
-    box is decided when ``f.bounds``, widened by ``BOUND_PAD``, projects
-    to one value in every component.  Undecided boxes are bisected down
-    to leaves of at most ``_LEAF_POINTS`` points, which are evaluated
-    together in ``EVAL_CHUNK`` batches.  A gathered verdict is kept only
-    where the row's box was bounded and every output is
-    ``_GATHER_MARGIN`` clear of the projection's boundaries; the slices
-    of other rows are walked too.  Witnesses come from the first walked
-    slices, in sample order, that hold offenders, each evaluated whole:
-    in box mode, the slices that meet a decided bad box's flat index
-    range or hold a bad leaf row, until every component has its
-    witnesses.
+    With no more fibers than points the baseline is read from a table,
+    by the fiber code of a slice's points or of a leaf's or a box's low
+    corner: of every fiber of a grid, or of the fibers a random sample
+    meets.  Every slice is walked, counting its verdicts, unless the
+    sample is a grid with such a table, at least ``_MIN_BOX_POINTS``
+    points, at least 8 points per fiber and bounds on every node.  Then
+    it is cut into one index box per fiber, and a box is decided when
+    ``f.bounds``, widened by ``BOUND_PAD``, projects to one value in
+    every component.  Undecided boxes are bisected down to leaves of at
+    most ``_LEAF_POINTS`` points, which are evaluated together in
+    ``EVAL_CHUNK`` batches.  A gathered verdict is kept only where the
+    row's box was bounded and every output is ``_GATHER_MARGIN`` clear
+    of the projection's boundaries; the slices of other rows are walked
+    too.  Where deciding boxes raises, every slice is walked, and raises
+    the error, or not, as the walk does.
+
+    A walked grid slice keeps the rows of its offenders in the
+    components that have found fewer than ``witness_cap`` so far, and a
+    grid's witnesses are the first ``witness_cap`` of each component, in
+    sample order; in box mode the slices walked for them are those that
+    meet a decided bad box's flat index range or hold a bad leaf row,
+    until every component has its witnesses.  A random sample takes the
+    seeded subset of its offenders once their count is known, so with a
+    cap above 0 it keeps ``f(x)``, the baseline and the verdicts of every
+    point, in arrays whose size does not depend on how many offend.
     """
     n, m = f.in_arity, f.out_arity
-    if n == 0:
-        return None
-    total = sampling._size(n)
-    levels = len(projection.level_values)
-    tabulated = levels**n <= total
-    k = sampling.points_per_axis
-    axis = np.linspace(0.0, 1.0, k)
-    strides = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    random = sampling.mode == "random"
+    # np.unravel_index takes no shape (), so a grid over no inputs is drawn too
+    held = sampling.sample(n) if random or n == 0 else None
+    total = sampling._size(n) if held is None else len(held)
+    fibers = len(projection.level_values) ** n
+    tabulated = fibers <= total
     slices = -(-total // EVAL_CHUNK)
     cap = min(witness_cap, total)
-    witnesses: list[list[Witness]] = [[] for _ in range(m)]
-    bad_count = np.zeros(m, dtype=np.int64)
-    any_bad = 0
+    # (x, f(x), baseline, bad) of grid offenders that may be witnesses
+    kept = [(np.empty((0, n)), *[np.empty((0, m))] * 2, np.empty((0, m), dtype=bool))]
+    # which offenders of a random sample are witnesses depends on their
+    # count, so it keeps every point's: arrays of one size whatever that
+    # count (a list of offenders made the heap, and peak memory, vary)
+    keep_all = random and cap > 0
+    if keep_all:
+        outs, bases, bads = *np.empty((2, total, m)), np.empty((total, m), dtype=bool)
+    found = np.zeros(m, dtype=np.int64)  # offenders per component in the walked slices
+    if held is None:
+        k = sampling.points_per_axis
+        axis = np.linspace(0.0, 1.0, k)
+        strides = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
     def points(flat: np.ndarray) -> np.ndarray:
         return axis[np.column_stack(np.unravel_index(flat, (k,) * n))]
 
     def bound(blo, bhi):
+        """``f.bounds`` over index boxes, ``EVAL_CHUNK`` boxes a call."""
+        parts = []
         with np.errstate(over="ignore", invalid="ignore"):
-            return f.bounds(axis[blo], axis[bhi])
+            for lo in range(0, len(blo), EVAL_CHUNK):
+                part = f.bounds(axis[blo[lo : lo + EVAL_CHUNK]], axis[bhi[lo : lo + EVAL_CHUNK]])
+                if part is None:
+                    return None
+                parts.append(part)
+        return tuple(np.concatenate(side) for side in zip(*parts))
 
     def walk(s: int) -> np.ndarray:
-        """Evaluate slice ``s`` whole, as the materialised check does,
-        keep its first offenders in each component short of ``cap``,
+        """Evaluate slice ``s`` whole, keep what its witnesses may need,
         and return its verdicts."""
-        xs = points(np.arange(s * EVAL_CHUNK, min((s + 1) * EVAL_CHUNK, total)))
+        lo, hi = s * EVAL_CHUNK, min((s + 1) * EVAL_CHUNK, total)
+        xs = points(np.arange(lo, hi)) if held is None else held[lo:hi]
         fx = f.eval_batch(xs)
         direct = projection.apply(fx)
         if tabulated:
@@ -519,38 +518,28 @@ def _check_grid(
         else:
             baseline = projection.apply(f.eval_batch(projection.apply(xs)))
         ok = direct == baseline
-        for i, kept in enumerate(witnesses):
-            for j in np.flatnonzero(~ok[:, i])[: cap - len(kept)].tolist():
-                kept.append(_witness(xs[j], fx[j], direct[j, i], baseline[j, i]))
+        bad = ~ok.T.copy()  # one row per component, as in _tally
+        if keep_all:
+            outs[lo:hi], bases[lo:hi], bads[lo:hi] = fx, baseline, ~ok
+        else:
+            rows = np.flatnonzero(bad[found < cap].any(axis=0))
+            kept.append((xs[rows], fx[rows], baseline[rows], ~ok[rows]))
+        found[:] += bad.sum(axis=1)
         return ok
 
-    try:
-        if tabulated:
-            # with no more levels than points per axis every fiber is on
-            # the grid, so the table holds the rows, in the order and
-            # batches, that the materialised check tabulates
-            table = fiber_table(f, projection, np.arange(levels**n))
-        # boxes are decided only on grids of _MIN_BOX_POINTS points whose
-        # fiber boxes average 8 points or more: on smaller boxes walking
-        # is faster (an MLP on 1024**2 points, 4 a box: 0.7 s against
-        # 1.9 s); a floor of 0 decides boxes on every grid
-        per = _MIN_BOX_POINTS // 8
-        bounds = None
-        if tabulated and total * per >= _MIN_BOX_POINTS * max(levels**n, per):
-            # one box per fiber: the projection is non-decreasing, so each
-            # level covers one run of grid indices on every axis
-            cuts = np.flatnonzero(np.diff(projection.apply(axis))) + 1
-            run_lo, run_hi = np.concatenate([[0], cuts]), np.concatenate([cuts - 1, [k - 1]])
-            runs = np.indices((len(run_lo),) * n).reshape(n, -1).T
-            blo, bhi = run_lo[runs], run_hi[runs]
-            bounds = bound(blo, bhi)
+    def decide_boxes() -> np.ndarray | None:
+        """The tally of walking every slice, from fiber boxes; ``None``
+        where ``f`` has no bounds."""
+        # one box per fiber: the projection is non-decreasing, so each
+        # level covers one run of grid indices on every axis
+        cuts = np.flatnonzero(np.diff(projection.apply(axis))) + 1
+        run_lo, run_hi = np.concatenate([[0], cuts]), np.concatenate([cuts - 1, [k - 1]])
+        runs = np.indices((len(run_lo),) * n).reshape(n, -1).T
+        blo, bhi = run_lo[runs], run_hi[runs]
+        bounds = bound(blo, bhi)
         if bounds is None:
-            for s in range(slices):
-                ok = walk(s)
-                bad_count += (~ok).sum(axis=0)
-                any_bad += int((~ok.all(axis=1)).sum())
-            return _report(f, projection, sampling, total, bad_count, any_bad, witnesses)
-
+            return None
+        counts = np.zeros(m + 1, dtype=np.int64)
         bad_boxes = []  # (first and last flat index, bad components) of decided bad boxes
         leaves = []  # (blo, bhi, bounded) of undecided leaves
         while len(blo):
@@ -560,8 +549,7 @@ def _check_grid(
             size = (bhi - blo + 1).prod(axis=1)
             bad = value[decided] != table[fiber_codes(projection, axis[blo[decided]])]
             hit = bad.any(axis=1)
-            bad_count += (bad * size[decided, None]).sum(axis=0)
-            any_bad += int(size[decided][hit].sum())
+            counts += _tally(~bad, size[decided])
             bad_boxes.append((blo[decided][hit] @ strides, bhi[decided][hit] @ strides, bad[hit]))
             leaf = ~decided & (size <= _LEAF_POINTS)
             leaves.append((blo[leaf], bhi[leaf], bounded[leaf]))
@@ -590,16 +578,55 @@ def _check_grid(
         wanted[flat[rows] // EVAL_CHUNK, comps] = True
 
         for s in range(slices):
-            short = np.array([len(kept) < cap for kept in witnesses])
-            if unsure[s] or (wanted[s] & short).any():
+            if unsure[s] or (wanted[s] & (found < cap)).any():
                 # every leaf row of the slice takes the slice's verdict
                 a, b = np.searchsorted(flat, [s * EVAL_CHUNK, (s + 1) * EVAL_CHUNK])
                 ok[a:b] = walk(s)[flat[a:b] - s * EVAL_CHUNK]
-        bad_count += (~ok).sum(axis=0)
-        any_bad += int((~ok.all(axis=1)).sum())
-    except ValidationError:
-        return None
-    return _report(f, projection, sampling, total, bad_count, any_bad, witnesses)
+        return counts + _tally(ok)
+
+    if tabulated:
+        present = np.arange(fibers)  # a grid meets every fiber
+        if held is not None:
+            seen = np.zeros(fibers, dtype=bool)
+            for lo in range(0, total, EVAL_CHUNK):
+                seen[fiber_codes(projection, held[lo : lo + EVAL_CHUNK])] = True
+            present = np.flatnonzero(seen)
+        table = np.empty((fibers, m), dtype=np.float64)
+        table[present] = fiber_table(f, projection, present)
+    counts = None
+    # boxes are decided only on grids of _MIN_BOX_POINTS points whose
+    # fiber boxes average 8 points or more: on smaller boxes walking is
+    # faster (an MLP on 1024**2 points, 4 a box: 0.7 s against 1.9 s);
+    # a floor of 0 decides boxes on every grid
+    per = _MIN_BOX_POINTS // 8
+    if held is None and tabulated and total * per >= _MIN_BOX_POINTS * max(fibers, per):
+        try:
+            counts = decide_boxes()
+        except ValidationError:
+            # the walk is the reference: it raises the error, or not
+            del kept[1:]
+            found[:] = 0
+    if counts is None:
+        counts = sum(_tally(walk(s)) for s in range(slices))
+
+    xs, fx, baseline, bad = (held, outs, bases, bads) if keep_all else map(np.concatenate, zip(*kept))
+    components = []
+    for i in range(m):
+        at = np.flatnonzero(bad[:, i])
+        if at.size > cap and random:
+            rng = np.random.default_rng([sampling.seed, 0x5EED, i])
+            at = at[np.sort(rng.choice(at.size, size=cap, replace=False))]
+        witnesses = tuple(_witness(projection, xs[j], fx[j], i, baseline[j]) for j in at[:cap])
+        components.append(ComponentReport(i, float(1.0 - int(counts[i]) / total), witnesses))
+    return CoherenceReport(
+        projection=projection,
+        sampling=sampling,
+        in_arity=n,
+        out_arity=m,
+        n_points=total,
+        components=tuple(components),
+        coherent_fraction=float((total - int(counts[-1])) / total),
+    )
 
 
 def incoherent_components(report: CoherenceReport) -> list[int]:

@@ -194,11 +194,16 @@ NODE_TYPES: dict[str, type["FuzzyExpr"]] = {}
 
 def _float_points(xs) -> np.ndarray:
     """``xs`` as a float64 array; points that are not numbers are a
-    ``ValidationError``."""
+    ``ValidationError``.  Integers and floats are numbers; strings,
+    bytes, Booleans and other objects are not, even where numpy could
+    convert them ("0.3" to 0.3, True to 1.0)."""
     try:
-        return np.asarray(xs, dtype=np.float64)
+        arr = np.asarray(xs)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"evaluation points must be numbers ({exc})") from exc
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"evaluation points must be numbers, got {arr.dtype} values")
+    return arr.astype(np.float64, copy=False)
 
 
 def _check_batch(xs: np.ndarray, arity: int) -> np.ndarray:
@@ -262,7 +267,7 @@ class FuzzyExpr:
         return None
 
     def __call__(self, x: Sequence[float]) -> Point:
-        arr = np.asarray(x, dtype=np.float64)
+        arr = _float_points(x)
         if arr.ndim != 1 or arr.shape[0] != self.in_arity:
             raise ValidationError(
                 f"expected a point of arity {self.in_arity}, got shape {arr.shape}"

@@ -193,7 +193,11 @@ class TestCoherenceMasks:
         with pytest.raises(ValidationError, match="component must be an integer"):
             is_coherent_at(luk_or, threshold, (0.3, 0.3), component=component)
 
-    @pytest.mark.parametrize("point", [["a", "b"], [0.3, None, 0.1j]], ids=["str", "mixed"])
+    @pytest.mark.parametrize(
+        "point",
+        [["a", "b"], [0.3, None, 0.1j], ["0.3", "0.3"], [True, False]],
+        ids=["str", "mixed", "numeric-str", "bool"],
+    )
     def test_is_coherent_at_non_numeric_point(self, luk_or, threshold, point):
         with pytest.raises(ValidationError, match="evaluation points must be numbers"):
             is_coherent_at(luk_or, threshold, point)
@@ -434,15 +438,20 @@ GRID_PROJECTIONS = {
 
 
 def _materialised_report(f, projection, sampling, cap) -> dict:
-    """What a grid check reports when every point is evaluated:
+    """What a check reports when every point is evaluated at once:
     ``projected_outputs`` over ``sampling.sample()``, with the first
-    ``cap`` offenders of each component as witnesses."""
+    ``cap`` offenders of each component as witnesses on a grid, and a
+    seeded uniform subset of ``cap`` of them, in sample order, on a
+    random sample."""
     xs = sampling.sample(f.in_arity)
     fx, direct, baseline = projected_outputs(f, projection, xs)
     ok = direct == baseline
     components = []
     for i in range(f.out_arity):
-        bad = np.flatnonzero(~ok[:, i])
+        bad = kept = np.flatnonzero(~ok[:, i])
+        if sampling.mode == "random" and bad.size > cap:
+            rng = np.random.default_rng([sampling.seed, 0x5EED, i])
+            kept = np.sort(rng.choice(bad, size=cap, replace=False))
         components.append({
             "component": i,
             "coherent_fraction": 1.0 - bad.size / len(xs),
@@ -453,7 +462,7 @@ def _materialised_report(f, projection, sampling, cap) -> dict:
                     "projected_direct": float(direct[j, i]),
                     "projected_via_projected_inputs": float(baseline[j, i]),
                 }
-                for j in bad[:cap]
+                for j in kept[:cap]
             ],
         })
     return {
@@ -583,10 +592,51 @@ def test_grid_boxes_match_every_point_evaluated(case, projection_name, cap):
         return
     for mode in GRID_MODES:
         with grid_mode(mode):
-            # the grid routine answered, rather than handing over to the
-            # materialised check
-            report = coherence_module._check_grid(f, projection, sampling, cap)
-        assert report is not None and dumps(report.to_dict()) == dumps(expected)
+            report = check_coherence(f, projection, sampling, witness_cap=cap)
+        assert dumps(report.to_dict()) == dumps(expected)
+
+
+RANDOM_PROJECTIONS = {
+    **GRID_PROJECTIONS,
+    # more fibers than points on most samples: the per-point baseline
+    "q64": Projection.quantize(64),
+}
+
+
+@st.composite
+def random_cases(draw):
+    """A scalar tree over 1-4 inputs or a 1- or 2-output network, and a
+    random sample of it: from one point to three slices, with fibers the
+    sample misses where it is just large enough for a fiber table."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        f = draw(scalar_exprs(n, 3))
+    else:
+        f = draw(crossing_mlps(n))
+    f = RowShifted(f) if draw(st.booleans()) else f
+    name = draw(st.sampled_from(sorted(RANDOM_PROJECTIONS)))
+    fibers = len(RANDOM_PROJECTIONS[name].level_values) ** n
+    count = draw(st.sampled_from([1, 7, fibers, fibers + 3, 2 * fibers, 3 * EVAL_CHUNK - 5]))
+    sampling = SamplingSpec.random(min(count, 3 * EVAL_CHUNK), seed=draw(st.integers(0, 2**32)))
+    return f, name, sampling
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(random_cases(), st.sampled_from([0, 1, 100, 10**9]))
+def test_random_checks_match_every_point_evaluated(case, cap):
+    """A random sample walked slice by slice reports what evaluating it
+    at once reports, witnesses taken by the seeded subset rule included,
+    byte for byte, or raises the same error."""
+    f, projection_name, sampling = case
+    projection = RANDOM_PROJECTIONS[projection_name]
+    try:
+        expected = _materialised_report(f, projection, sampling, cap)
+    except ValidationError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            check_coherence(f, projection, sampling, witness_cap=cap)
+        return
+    report = check_coherence(f, projection, sampling, witness_cap=cap)
+    assert dumps(report.to_dict()) == dumps(expected)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -707,6 +757,30 @@ def test_boxes_only_where_fiber_boxes_average_8_points(luk_or, monkeypatch):
         assert dumps(report.to_dict()) == dumps(expected)
 
 
+CHUNKED_BOUNDS_CASES = {
+    # name: (expression, levels, points per axis); 10**4 fiber boxes each
+    "luk-or": (TConorm("lukasiewicz"), 100, 800),
+    "mlp": (MlpExpr(init_model(2, (16, 16), 1, np.random.default_rng(0))), 100, 600),
+}
+
+
+@pytest.mark.parametrize("name", CHUNKED_BOUNDS_CASES)
+def test_fiber_boxes_are_bounded_a_chunk_at_a_time(name, monkeypatch):
+    """More than ``EVAL_CHUNK`` fiber boxes are bounded ``EVAL_CHUNK``
+    boxes a call, and the report is the every-slice walk's, byte for
+    byte."""
+    f, levels, k = CHUNKED_BOUNDS_CASES[name]
+    projection, sampling = Projection.quantize(levels), SamplingSpec.grid(k)
+    assert levels**2 > EVAL_CHUNK
+    seen = _record_bounds(monkeypatch, f)
+    report = check_coherence(f, projection, sampling)
+    assert seen[:2] == [(EVAL_CHUNK, True), (levels**2 - EVAL_CHUNK, True)]
+    assert max(boxes for boxes, _ in seen) <= EVAL_CHUNK
+    with grid_mode("every-slice"):
+        expected = check_coherence(f, projection, sampling)
+    assert dumps(report.to_dict()) == dumps(expected.to_dict())
+
+
 @pytest.mark.parametrize("alpha", [None, 1.0, 1e-9], ids=["quantize", "alpha1.0", "alpha1e-9"])
 def test_every_level_lies_on_a_grid_axis_as_long(alpha):
     """A grid with no more levels than points per axis meets every fiber,
@@ -742,14 +816,22 @@ def test_grid_boxes_need_bounds_everywhere(threshold, monkeypatch):
 
 @contextmanager
 def nothing_materialised():
-    """Inside this context a check may neither draw the whole sample nor
-    evaluate it at once."""
+    """Inside this context a check may not evaluate its whole sample at
+    once, and may draw only a random sample, once."""
+    drawn = []
+    sample = SamplingSpec.sample
+
+    def draw(spec, arity):
+        if spec.mode == "grid" or drawn:
+            raise AssertionError("a check drew a grid, or a random sample twice")
+        drawn.append(arity)
+        return sample(spec, arity)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a grid check materialised its sample")
+        raise AssertionError("a check evaluated its whole sample at once")
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(SamplingSpec, "sample", refuse)
+        patch.setattr(SamplingSpec, "sample", draw)
         patch.setattr(coherence_module, "projected_outputs", refuse)
         yield
 
@@ -797,19 +879,42 @@ MATERIALISED_CASES = {
 
 
 @pytest.mark.parametrize("cap", [0, 1, 100])
-@pytest.mark.parametrize("mode", GRID_MODES)
+@pytest.mark.parametrize("mode", [*GRID_MODES, "random"])
 @pytest.mark.parametrize("name", MATERIALISED_CASES)
 def test_grid_checks_never_materialise(name, mode, cap, monkeypatch):
     """A grid check equals the materialised report without drawing the
     sample or calling ``projected_outputs``, whether it walks every
-    slice or decides boxes."""
+    slice or decides boxes.  A random check of as many points draws its
+    sample once, and does not call ``projected_outputs`` either."""
     f, projection, k = MATERIALISED_CASES[name]
-    sampling = SamplingSpec.grid(k)
+    if mode == "random":
+        sampling, mode = SamplingSpec.random(k**2, seed=k), "every-slice"
+    else:
+        sampling = SamplingSpec.grid(k)
     expected = dumps(_materialised_report(f, projection, sampling, cap))
     monkeypatch.setattr(coherence_module, "_MIN_BOX_POINTS", GRID_MODES[mode])
     with nothing_materialised():
         report = check_coherence(f, projection, sampling, witness_cap=cap)
     assert dumps(report.to_dict()) == expected
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+@pytest.mark.parametrize(
+    "sampling", [SamplingSpec.grid(5), SamplingSpec.random(50, seed=3)], ids=["grid", "random"]
+)
+@pytest.mark.parametrize("values", [(0.3,), (0.7, 0.5)], ids=["one-output", "two-outputs"])
+def test_checks_over_no_inputs_take_one_point(values, sampling, cap):
+    """A sample over no inputs is its one point, for grids and random
+    samples alike, as evaluating the drawn sample at once reports."""
+    f = BatchRecorder(Const(values))
+    projection = Projection.threshold(0.5)
+    expected = dumps(_materialised_report(f, projection, sampling, cap))
+    f.sizes.clear()
+    report = check_coherence(f, projection, sampling, witness_cap=cap)
+    assert report.n_points == 1 and report.verdict == "coherent_on_sample"
+    assert dumps(report.to_dict()) == expected
+    # the one fiber's vertex, then f at the point
+    assert f.sizes == [1, 1]
 
 
 def _flat_index(point, k: int) -> int:

@@ -276,12 +276,29 @@ class TestEvaluation:
         with pytest.raises(ValidationError):
             f.eval_batch(np.array([[0.5]]))
 
-    @pytest.mark.parametrize(
-        "batch", [[["a", "b"]], [[0.5, {}]], [[0.5, [0.2, 0.3]]]], ids=["str", "dict", "ragged"]
-    )
+    NON_NUMERIC = {
+        "str": [["a", "b"]],
+        "numeric-str": [["0.3", "0.3"]],
+        "bytes": [[b"0.3", b"0.3"]],
+        "bool": [[True, False]],
+        "object": np.array([[0.3, 0.3]], dtype=object),
+        "dict": [[0.5, {}]],
+        "ragged": [[0.5, [0.2, 0.3]]],
+    }
+
+    @pytest.mark.parametrize("batch", NON_NUMERIC.values(), ids=NON_NUMERIC.keys())
     def test_non_numeric_points_are_a_validation_error(self, batch):
+        """numpy would read "0.3" as 0.3 and True as 1.0: neither is a
+        number here."""
         with pytest.raises(ValidationError, match="evaluation points must be numbers"):
             TNorm("min").eval_batch(batch)
+        with pytest.raises(ValidationError, match="evaluation points must be numbers"):
+            TNorm("min")(batch[0])
+
+    def test_integer_points_are_numbers(self):
+        f = TConorm("lukasiewicz")
+        assert f.eval_batch(np.array([[0, 1]], dtype=np.int8)).tolist() == [[1.0]]
+        assert f([0, 0.25]) == (0.25,)
 
     def test_point_arity_checked(self):
         with pytest.raises(ValidationError):
