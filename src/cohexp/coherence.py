@@ -43,6 +43,14 @@ or fewer points per fiber, that costs less than bounding boxes.  In
 both cases a grid's witnesses come from the first slices, in sample
 order, that hold offenders; a random sample's are a seeded subset of
 all its offenders.
+
+Both repairs in ``gamma`` scan through the same walk: domain extension
+has it collect the fiber codes of each component's offenders (of decided
+bad boxes, bad leaf rows and offenders in walked slices), and the
+canonical output modification reads the check's coherent fraction.
+Every check first frees a 16 MiB block, so that glibc serves the
+slices' temporaries from its heap whatever the process freed before
+(``_HEAP_PRIMER_BYTES``).
 """
 
 from __future__ import annotations
@@ -75,8 +83,9 @@ __all__ = [
 # coherent fractions always count every sampled point.
 DEFAULT_WITNESS_CAP = 100
 
-# Sampling refuses to materialise more points, or more coordinates
-# (points times arity: 512 MiB), than these, before anything is drawn.
+# Sampling refuses more points, or more coordinates (points times arity:
+# 512 MiB), than these, before anything is drawn: they cap what a drawn
+# sample holds, and also the work of a walked grid, which is never drawn.
 _MAX_SAMPLE_POINTS = 4_194_304
 _MAX_SAMPLE_COORDS = 16 * _MAX_SAMPLE_POINTS
 
@@ -102,6 +111,18 @@ _MIN_BOX_POINTS = 1 << 14
 # where every output is further than this from a projection boundary:
 # outside its own EVAL_CHUNK slice a row can round differently.
 _GATHER_MARGIN = 1e-12
+
+# Every check first allocates and frees a block of this size.  A slice's
+# temporaries (MLP activations, gathered points) reach about 1 MiB, and
+# glibc serves a block above its dynamic mmap threshold with fresh pages,
+# faulted in again on every slice; it raises the threshold (and its heap
+# trim threshold, to twice that) only when the process frees such a
+# block.  Freeing this one raises it past every slice temporary, so a
+# walk's speed does not depend on what the process freed before.  It must
+# stay below 32 MiB, glibc's ceiling for the dynamic threshold: freeing a
+# larger block leaves the threshold as it was.  np.empty touches none of
+# its pages.
+_HEAP_PRIMER_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -436,7 +457,11 @@ def _box_points(blo: np.ndarray, bhi: np.ndarray, strides: np.ndarray):
 
 
 def _check_sample(
-    f: FuzzyExpr, projection: Projection, sampling: SamplingSpec, witness_cap: int
+    f: FuzzyExpr,
+    projection: Projection,
+    sampling: SamplingSpec,
+    witness_cap: int,
+    offender_fibers: list[np.ndarray] | None = None,
 ) -> CoherenceReport:
     """A check one ``EVAL_CHUNK`` slice at a time (see the module
     docstring).  A random sample is drawn once, and so is the one point
@@ -468,7 +493,17 @@ def _check_sample(
     seeded subset of its offenders once their count is known, so with a
     cap above 0 it keeps ``f(x)``, the baseline and the verdicts of every
     point, in arrays whose size does not depend on how many offend.
+
+    Given ``offender_fibers``, the check appends to it, per component,
+    the sorted fiber codes that hold an offender: the fiber of each
+    decided bad box (a box lies in one fiber), of each bad leaf row and
+    of each offender in a walked slice.  Codes gathered while deciding
+    boxes are dropped, as the kept offenders are, where that raises and
+    every slice is walked.
+
+    The check first frees a block of ``_HEAP_PRIMER_BYTES`` (see there).
     """
+    np.empty(_HEAP_PRIMER_BYTES, dtype=np.uint8)
     n, m = f.in_arity, f.out_arity
     random = sampling.mode == "random"
     # np.unravel_index takes no shape (), so a grid over no inputs is drawn too
@@ -487,6 +522,8 @@ def _check_sample(
     if keep_all:
         outs, bases, bads = *np.empty((2, total, m)), np.empty((total, m), dtype=bool)
     found = np.zeros(m, dtype=np.int64)  # offenders per component in the walked slices
+    # per component, the fiber codes of offenders, for offender_fibers
+    hits = [[np.empty(0, dtype=np.int64)] for _ in range(m)]
     if held is None:
         k = sampling.points_per_axis
         axis = np.linspace(0.0, 1.0, k)
@@ -525,6 +562,9 @@ def _check_sample(
             rows = np.flatnonzero(bad[found < cap].any(axis=0))
             kept.append((xs[rows], fx[rows], baseline[rows], ~ok[rows]))
         found[:] += bad.sum(axis=1)
+        if offender_fibers is not None:
+            for i in np.flatnonzero(bad.any(axis=1)):
+                hits[i].append(fiber_codes(projection, xs[bad[i]]))
         return ok
 
     def decide_boxes() -> np.ndarray | None:
@@ -547,8 +587,11 @@ def _check_sample(
             same, value = _one_value(projection, *bounds, BOUND_PAD)
             decided = bounded & same
             size = (bhi - blo + 1).prod(axis=1)
-            bad = value[decided] != table[fiber_codes(projection, axis[blo[decided]])]
+            codes = fiber_codes(projection, axis[blo[decided]])
+            bad = value[decided] != table[codes]
             hit = bad.any(axis=1)
+            for i in range(m):
+                hits[i].append(codes[bad[:, i]])
             counts += _tally(~bad, size[decided])
             bad_boxes.append((blo[decided][hit] @ strides, bhi[decided][hit] @ strides, bad[hit]))
             leaf = ~decided & (size <= _LEAF_POINTS)
@@ -563,7 +606,8 @@ def _check_sample(
         order = np.argsort(flat)
         flat, box = flat[order], box[order]
         fx = eval_chunked(f, points(flat))
-        ok = projection.apply(fx) == table[fiber_codes(projection, axis[llo])][box]
+        codes = fiber_codes(projection, axis[llo])[box]
+        ok = projection.apply(fx) == table[codes]
         clear, _ = _one_value(projection, fx, fx, _GATHER_MARGIN)
         unsure = np.zeros(slices, dtype=bool)
         unsure[flat[~(clear & lbounded[box])] // EVAL_CHUNK] = True
@@ -582,6 +626,8 @@ def _check_sample(
                 # every leaf row of the slice takes the slice's verdict
                 a, b = np.searchsorted(flat, [s * EVAL_CHUNK, (s + 1) * EVAL_CHUNK])
                 ok[a:b] = walk(s)[flat[a:b] - s * EVAL_CHUNK]
+        for i in range(m):
+            hits[i].append(codes[~ok[:, i]])
         return counts + _tally(ok)
 
     if tabulated:
@@ -606,9 +652,13 @@ def _check_sample(
             # the walk is the reference: it raises the error, or not
             del kept[1:]
             found[:] = 0
+            for h in hits:
+                del h[1:]
     if counts is None:
         counts = sum(_tally(walk(s)) for s in range(slices))
 
+    if offender_fibers is not None:
+        offender_fibers.extend(np.unique(np.concatenate(h)) for h in hits)
     xs, fx, baseline, bad = (held, outs, bases, bads) if keep_all else map(np.concatenate, zip(*kept))
     components = []
     for i in range(m):

@@ -163,7 +163,9 @@ class Projection:
         return np.round(arr * (k - 1)) / (k - 1)
 
     def apply_point(self, x: Sequence[float]) -> Point:
-        return tuple(float(v) for v in self.apply(np.asarray(x, dtype=np.float64)))
+        """The projection of one point; a coordinate that is not a number
+        (a string, bytes, a Boolean) is a ``ValidationError``."""
+        return tuple(float(v) for v in self.apply(_float_points(x)))
 
     def to_dict(self) -> dict:
         doc: dict = {"kind": self.kind}

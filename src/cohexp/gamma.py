@@ -8,12 +8,14 @@ Domain extension (``gamma_extend``)
     Adds one fresh control input per incoherent output component.  A
     sampled coherence scan estimates, for each incoherent component,
     the set of *contaminated fibers*: projection classes ``d(x)`` that
-    contain at least one incoherent point.  On those fibers the
-    extended function returns the control input; everywhere else it
-    passes the original output through.  The result is coherent at
-    every scanned point, whatever the control values: on a
-    contaminated fiber ``f~(x, c) = c`` and ``f~(d(x), d(c)) = d(c)``
-    project alike, and a clean fiber holds only coherent scanned points.
+    contain at least one incoherent point.  The scan is a coherence
+    check's walk, which collects the fibers of the offenders it finds; a
+    grid is never drawn.  On those fibers the extended function returns
+    the control input; everywhere else it passes the original output
+    through.  The result is coherent at every scanned point, whatever
+    the control values: on a contaminated fiber ``f~(x, c) = c`` and
+    ``f~(d(x), d(c)) = d(c)`` project alike, and a clean fiber holds
+    only coherent scanned points.
     It is *not* coherent everywhere: a fiber whose incoherent points
     all fall between scanned points stays unmarked.  The price of a
     marked fiber is that *every* point of it defers to the control
@@ -23,11 +25,13 @@ Output modification (``gamma_output_mod``)
     Keeps the signature and replaces the output at incoherent points
     with a fallback ``g``.  The repair is coherent exactly when the
     fallback matches the projected baseline at every incoherent point:
-    ``d(g(x)) == d(f(d(x)))`` there.  This is checked on the configured
-    sample's scans of ``f`` and ``g`` and a violation raises
-    :class:`ContractError` (the guarantee is conditional, not free).
-    When no fallback is supplied the canonical choice ``g = f . d`` is
-    used; it satisfies the condition identically and is always sound.
+    ``d(g(x)) == d(f(d(x)))`` there.  This is checked on scans of ``f``
+    and ``g`` over the configured sample, drawn whole, and a violation
+    raises :class:`ContractError` (the guarantee is conditional, not
+    free).  When no fallback is supplied the canonical choice
+    ``g = f . d`` is used; it satisfies the condition identically and is
+    always sound, so the repair only asks whether ``f`` offends anywhere
+    on the sample, and a coherence check's walk answers that.
 
 Both repairs act as the identity on functions that are coherent on the
 configured sample, which makes them idempotent.  Quotienting by
@@ -49,9 +53,12 @@ import numpy as np
 
 from .coherence import (
     SamplingSpec,
+    _check_sample,
+    check_coherence,
     coherence_masks,
     default_sampling,
     eval_chunked,
+    incoherent_components,
     projected_outputs,
 )
 from .core import (
@@ -270,7 +277,8 @@ class OutputModExpr(FuzzyExpr):
     def _eval(self, xs: np.ndarray) -> np.ndarray:
         y, direct, baseline = projected_outputs(self.base, self.projection, xs)
         out = y.copy()
-        bad = ~(direct == baseline).all(axis=1)
+        # reduced one row per component, as in gamma_output_mod
+        bad = ~(direct == baseline).T.copy().all(axis=0)
         if bad.any():
             fb, rows = self.fallback, xs[bad]
             out[bad] = self.base._eval(self.projection.apply(rows)) if fb is None else fb._eval(rows)
@@ -302,16 +310,18 @@ def gamma_extend(f: FuzzyExpr, spec: GammaSpec) -> FuzzyExpr:
     (the repair is the identity on coherent functions); otherwise an
     :class:`ExtendedExpr` with one control input per incoherent
     component.  The result is coherent at every scanned point, but a
-    fiber whose incoherence the scan misses stays unmarked.
+    fiber whose incoherence the scan misses stays unmarked.  The scan is
+    a check's walk (``coherence._check_sample``, no witnesses kept) that
+    also collects each component's offender fibers.
     """
     if spec.kind != "extend":
         raise ValidationError(f"gamma_extend called with kind {spec.kind!r}")
-    xs = spec.sampling_for(f.in_arity).sample(f.in_arity)
-    ok = coherence_masks(f, spec.projection, xs)
-    bad_components = [i for i in range(f.out_arity) if not ok[:, i].all()]
+    fibers: list[np.ndarray] = []
+    report = _check_sample(f, spec.projection, spec.sampling_for(f.in_arity), 0, fibers)
+    bad_components = incoherent_components(report)
     if not bad_components:
         return f
-    contaminated = [np.unique(fiber_codes(spec.projection, xs[~ok[:, i]])) for i in bad_components]
+    contaminated = [fibers[i] for i in bad_components]
     return ExtendedExpr(f, spec.projection, tuple(bad_components), contaminated)
 
 
@@ -321,32 +331,39 @@ def gamma_output_mod(f: FuzzyExpr, spec: GammaSpec) -> FuzzyExpr:
     A supplied fallback ``g`` must be coherent itself and must agree,
     after projection, with the projected baseline ``f . d`` at the
     incoherent points of ``f``; both are checked on one scan each of
-    ``f`` and ``g`` over the sample, and a violation raises
-    :class:`ContractError`.  The canonical fallback ``f . d`` meets
-    both conditions by definition and is not checked.
+    ``f`` and ``g`` over the drawn sample, and a violation raises
+    :class:`ContractError` naming the first offending sample point.  The
+    canonical fallback ``f . d`` meets both conditions by definition and
+    is not checked: the repair is ``f`` unless ``check_coherence`` finds
+    an offender, on its walk.
     """
     if spec.kind != "output_mod":
         raise ValidationError(f"gamma_output_mod called with kind {spec.kind!r}")
     repaired = OutputModExpr(f, spec.fallback, spec.projection)
-    xs = spec.sampling_for(f.in_arity).sample(f.in_arity)
+    sampling = spec.sampling_for(f.in_arity)
+    if spec.fallback is None:
+        report = check_coherence(f, spec.projection, sampling, witness_cap=0)
+        return repaired if report.coherent_fraction < 1 else f
+    xs = sampling.sample(f.in_arity)
     _, direct, baseline = projected_outputs(f, spec.projection, xs)
-    bad = ~(direct == baseline).all(axis=1)
-    if spec.fallback is not None:
-        _, g_direct, g_baseline = projected_outputs(spec.fallback, spec.projection, xs)
-        g_bad = np.flatnonzero(~(g_direct == g_baseline).all(axis=0)).tolist()
-        if g_bad:
-            raise ContractError(
-                "output modification needs a coherent fallback; the supplied one is "
-                f"incoherent on components {g_bad}"
-            )
-        misses = np.flatnonzero(bad & ~(g_direct == baseline).all(axis=1))
-        if misses.size:
-            point = tuple(float(v) for v in xs[misses[0]])
-            raise ContractError(
-                "output modification with this fallback is still incoherent (the fallback "
-                "disagrees with the projected baseline at incoherent points); first "
-                f"witness: {point}"
-            )
+    _, g_direct, g_baseline = projected_outputs(spec.fallback, spec.projection, xs)
+    # one row per component: numpy reduces an (N, 2) bool array 10 to 60
+    # times slower than a (2, N) one
+    bad = ~(direct == baseline).T.copy().all(axis=0)
+    g_bad = np.flatnonzero(~(g_direct == g_baseline).T.copy().all(axis=1)).tolist()
+    if g_bad:
+        raise ContractError(
+            "output modification needs a coherent fallback; the supplied one is "
+            f"incoherent on components {g_bad}"
+        )
+    misses = np.flatnonzero(bad & ~(g_direct == baseline).T.copy().all(axis=0))
+    if misses.size:
+        point = tuple(float(v) for v in xs[misses[0]])
+        raise ContractError(
+            "output modification with this fallback is still incoherent (the fallback "
+            "disagrees with the projected baseline at incoherent points); first "
+            f"witness: {point}"
+        )
     return repaired if bad.any() else f
 
 

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohexp import (
+    GAMMA_KINDS,
     Affine,
     CapacityError,
     CoherenceReport,
@@ -28,6 +29,7 @@ from cohexp import (
     Coord,
     ExtendedExpr,
     FuzzyExpr,
+    GammaSpec,
     LiftedProjection,
     MlpExpr,
     OutputModExpr,
@@ -40,6 +42,7 @@ from cohexp import (
     TConorm,
     TNorm,
     ValidationError,
+    apply_gamma,
     check_coherence,
     coherence_masks,
     default_sampling,
@@ -49,6 +52,7 @@ from cohexp import (
     is_coherent_at,
 )
 from cohexp import coherence as coherence_module
+from cohexp import gamma as gamma_module
 from cohexp.coherence import _MAX_SAMPLE_POINTS, EVAL_CHUNK, fiber_table, projected_outputs
 from cohexp.core import BOUND_PAD, fiber_codes, fiber_digits
 from cohexp.nn import forward
@@ -477,6 +481,45 @@ def _materialised_report(f, projection, sampling, cap) -> dict:
     }
 
 
+def _offender_fibers(f, projection, sampling) -> list[np.ndarray]:
+    """Per component, the sorted fiber codes of the points where
+    evaluating the whole sample at once finds ``f`` incoherent."""
+    xs = sampling.sample(f.in_arity)
+    ok = coherence_masks(f, projection, xs)
+    return [np.unique(fiber_codes(projection, xs[~ok[:, i]])) for i in range(f.out_arity)]
+
+
+def _assert_repaired(f, fibers, kind: str, repaired) -> None:
+    """``repaired`` is what repair ``kind`` makes of ``f`` from these
+    offender fibers: ``f`` itself where there are none; else a domain
+    extension of the incoherent components that marks exactly their
+    offenders' fibers, or ``f`` with the canonical fallback."""
+    bad = [i for i in range(f.out_arity) if fibers[i].size]
+    if not bad:
+        assert repaired is f
+    elif kind == "extend":
+        assert isinstance(repaired, ExtendedExpr) and repaired.base is f
+        assert repaired.components == tuple(bad)
+        assert repaired.contaminated == tuple(tuple(fibers[i].tolist()) for i in bad)
+    else:
+        assert isinstance(repaired, OutputModExpr) and repaired.base is f
+        assert repaired.fallback is None
+
+
+def _assert_repairs_match(f, projection, sampling) -> None:
+    """Both repairs decide what evaluating every point at once decides,
+    or raise the same error."""
+    try:
+        fibers = _offender_fibers(f, projection, sampling)
+    except ValidationError as exc:
+        for kind in GAMMA_KINDS:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                apply_gamma(f, GammaSpec(kind, projection, sampling))
+        return
+    for kind in GAMMA_KINDS:
+        _assert_repaired(f, fibers, kind, apply_gamma(f, GammaSpec(kind, projection, sampling)))
+
+
 UNIT = st.floats(0.0, 1.0)
 
 
@@ -579,10 +622,14 @@ def grid_cases(draw):
 def test_grid_boxes_match_every_point_evaluated(case, projection_name, cap):
     """Deciding grid boxes from bounds, and walking every slice, each
     report what evaluating every point at once reports, byte for byte,
-    or raise the same error."""
+    or raise the same error; and so do both repairs, which scan the
+    grid the same way."""
     f, k = case
     projection = GRID_PROJECTIONS[projection_name]
     sampling = SamplingSpec.grid(k)
+    for mode in GRID_MODES:
+        with grid_mode(mode):
+            _assert_repairs_match(f, projection, sampling)
     try:
         expected = _materialised_report(f, projection, sampling, cap)
     except ValidationError as exc:
@@ -626,9 +673,11 @@ def random_cases(draw):
 def test_random_checks_match_every_point_evaluated(case, cap):
     """A random sample walked slice by slice reports what evaluating it
     at once reports, witnesses taken by the seeded subset rule included,
-    byte for byte, or raises the same error."""
+    byte for byte, or raises the same error; and both repairs decide
+    what evaluating it at once decides."""
     f, projection_name, sampling = case
     projection = RANDOM_PROJECTIONS[projection_name]
+    _assert_repairs_match(f, projection, sampling)
     try:
         expected = _materialised_report(f, projection, sampling, cap)
     except ValidationError as exc:
@@ -816,8 +865,8 @@ def test_grid_boxes_need_bounds_everywhere(threshold, monkeypatch):
 
 @contextmanager
 def nothing_materialised():
-    """Inside this context a check may not evaluate its whole sample at
-    once, and may draw only a random sample, once."""
+    """Inside this context a check or a repair may not evaluate its
+    whole sample at once, and may draw only a random sample, once."""
     drawn = []
     sample = SamplingSpec.sample
 
@@ -833,6 +882,7 @@ def nothing_materialised():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SamplingSpec, "sample", draw)
         patch.setattr(coherence_module, "projected_outputs", refuse)
+        patch.setattr(gamma_module, "coherence_masks", refuse)
         yield
 
 
@@ -878,23 +928,40 @@ MATERIALISED_CASES = {
 }
 
 
-@pytest.mark.parametrize("cap", [0, 1, 100])
+@pytest.mark.parametrize("run", [0, 1, 100, *GAMMA_KINDS])
 @pytest.mark.parametrize("mode", [*GRID_MODES, "random"])
 @pytest.mark.parametrize("name", MATERIALISED_CASES)
-def test_grid_checks_never_materialise(name, mode, cap, monkeypatch):
+def test_grid_checks_never_materialise(name, mode, run, monkeypatch):
     """A grid check equals the materialised report without drawing the
     sample or calling ``projected_outputs``, whether it walks every
     slice or decides boxes.  A random check of as many points draws its
-    sample once, and does not call ``projected_outputs`` either."""
+    sample once, and does not call ``projected_outputs`` either.  ``run``
+    is the check's witness cap, or names a repair: both repairs scan the
+    sample the same way, with no whole-sample scan of ``f``, and decide
+    what the materialised scan decides."""
     f, projection, k = MATERIALISED_CASES[name]
     if mode == "random":
         sampling, mode = SamplingSpec.random(k**2, seed=k), "every-slice"
     else:
         sampling = SamplingSpec.grid(k)
-    expected = dumps(_materialised_report(f, projection, sampling, cap))
     monkeypatch.setattr(coherence_module, "_MIN_BOX_POINTS", GRID_MODES[mode])
+    if run in GAMMA_KINDS:
+        fibers = _offender_fibers(f, projection, sampling)
+        projected = gamma_module.projected_outputs
+
+        def on_slices_only(g, *args):
+            # an output_mod node's own evaluation scans its base per slice
+            assert g is not f, "a repair evaluated its whole sample at once"
+            return projected(g, *args)
+
+        monkeypatch.setattr(gamma_module, "projected_outputs", on_slices_only)
+        with nothing_materialised():
+            repaired = apply_gamma(f, GammaSpec(run, projection, sampling))
+        _assert_repaired(f, fibers, run, repaired)
+        return
+    expected = dumps(_materialised_report(f, projection, sampling, run))
     with nothing_materialised():
-        report = check_coherence(f, projection, sampling, witness_cap=cap)
+        report = check_coherence(f, projection, sampling, witness_cap=run)
     assert dumps(report.to_dict()) == expected
 
 
@@ -905,7 +972,8 @@ def test_grid_checks_never_materialise(name, mode, cap, monkeypatch):
 @pytest.mark.parametrize("values", [(0.3,), (0.7, 0.5)], ids=["one-output", "two-outputs"])
 def test_checks_over_no_inputs_take_one_point(values, sampling, cap):
     """A sample over no inputs is its one point, for grids and random
-    samples alike, as evaluating the drawn sample at once reports."""
+    samples alike, as evaluating the drawn sample at once reports; both
+    repairs find the constant coherent there."""
     f = BatchRecorder(Const(values))
     projection = Projection.threshold(0.5)
     expected = dumps(_materialised_report(f, projection, sampling, cap))
@@ -915,6 +983,7 @@ def test_checks_over_no_inputs_take_one_point(values, sampling, cap):
     assert dumps(report.to_dict()) == expected
     # the one fiber's vertex, then f at the point
     assert f.sizes == [1, 1]
+    _assert_repairs_match(f.inner, projection, sampling)
 
 
 def _flat_index(point, k: int) -> int:

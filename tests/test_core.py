@@ -121,6 +121,19 @@ class TestProjection:
 
     def test_apply_projection_helper(self):
         assert Projection.threshold(0.5).apply_point((0.2, 0.8)) == (0.0, 1.0)
+        # integers are numbers
+        assert Projection.quantize(3).apply_point(np.array([1, 0])) == (1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "point",
+        [["0.7", True], ["0.7", 0.1], [b"0.7"], [True, False], [0.2, None], ["a"]],
+        ids=["str-and-bool", "numeric-str", "bytes", "bool", "object", "str"],
+    )
+    def test_apply_point_refuses_non_numbers(self, point):
+        """A point's coordinates must be numbers, as evaluation points
+        must: numpy would read "0.7" as 0.7 and True as 1.0."""
+        with pytest.raises(ValidationError, match="evaluation points must be numbers"):
+            Projection.threshold(0.5).apply_point(point)
 
 
 # ---------------------------------------------------------------------------
