@@ -28,21 +28,22 @@ Every check walks its sample in those slices, one at a time
 (:func:`_check_sample`), so the report equals evaluating every point
 at once byte for byte.  A random sample is drawn once; a grid over one
 or more inputs is never materialised: its points follow from their
-indices.  A grid with no more projection levels than points per axis
-meets every fiber, so its baseline is one table over all of them; a
-random sample with no more fibers than points tabulates the fibers it
-meets.  Such a grid is not evaluated point by point when it has at
-least ``_MIN_BOX_POINTS`` points, its fibers average at least 8 points
-each, and ``f`` has interval bounds (``FuzzyExpr.bounds``).  It is cut
-into one index box per fiber.  A box whose bounds project to one value
-in every component is decided whole against its fiber's baseline.
-Other boxes are bisected, and only the points of undecided leaves are
-evaluated.  Verdicts taken near a projection boundary are taken again
-in their own slice.  Other grids walk every slice: with fewer points,
-or fewer points per fiber, that costs less than bounding boxes.  In
-both cases a grid's witnesses come from the first slices, in sample
-order, that hold offenders; a random sample's are a seeded subset of
-all its offenders.
+indices, and only its work is capped (``_MAX_GRID_POINTS``).  A grid
+with no more projection levels than points per axis meets every fiber,
+so its baseline is one table over all of them, if there are at most
+``_MAX_SAMPLE_POINTS``; a random sample with no more fibers than
+points tabulates the fibers it meets.  Such a grid is not evaluated
+point by point when it has at least ``_MIN_BOX_POINTS`` points, its
+fibers average at least 8 points each, and ``f`` has interval bounds
+(``FuzzyExpr.bounds``).  It is cut into one index box per fiber.  A
+box whose bounds project to one value in every component is decided
+whole against its fiber's baseline.  Other boxes are bisected, and
+only the points of undecided leaves are evaluated.  Verdicts taken
+near a projection boundary are taken again in their own slice.  Other
+grids walk every slice: with fewer points, or fewer points per fiber,
+that costs less than bounding boxes.  In both cases a grid's witnesses
+come from the first slices, in sample order, that hold offenders; a
+random sample's are a seeded subset of all its offenders.
 
 Both repairs in ``gamma`` scan through the same walk: domain extension
 has it collect the fiber codes of each component's offenders (of decided
@@ -60,7 +61,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import BOUND_PAD, FuzzyExpr, Point, Projection, _float_points, fiber_codes, fiber_digits
+from .core import FuzzyExpr, Point, Projection, _float_points, fiber_codes, fiber_digits
 from .errors import CapacityError, ValidationError, _checked, malformed
 
 __all__ = [
@@ -85,9 +86,19 @@ DEFAULT_WITNESS_CAP = 100
 
 # Sampling refuses more points, or more coordinates (points times arity:
 # 512 MiB), than these, before anything is drawn: they cap what a drawn
-# sample holds, and also the work of a walked grid, which is never drawn.
+# sample holds, and the fiber table, offender fibers and box decisions
+# of a grid.
 _MAX_SAMPLE_POINTS = 4_194_304
 _MAX_SAMPLE_COORDS = 16 * _MAX_SAMPLE_POINTS
+
+# A grid check holds one slice of its grid at a time, or at most
+# _MAX_SAMPLE_POINTS rows of box decisions, so only its work is capped.
+# How long that work takes depends on the expression: walking 512**2
+# points cost 0.04 us a point for the Lukasiewicz OR, 0.28 us for a
+# 2-input network of two 16-unit layers and 8 us for one of two 256-unit
+# layers (a 2-core Xeon), so a walk of this many points with no box
+# decided takes about 11 s, 75 s and 36 min.
+_MAX_GRID_POINTS = 1 << 28
 
 # Expressions are evaluated in slices of at most this many rows, small
 # enough that an MLP's hidden activations stay in cache.  It must stay a
@@ -187,21 +198,21 @@ class SamplingSpec:
             out.reshape(k**j, k, -1, arity)[:, :, :, j] = axis[:, None]
         return out
 
-    def _size(self, arity: int) -> int:
+    def _size(self, arity: int, walked: bool = False) -> int:
         """The number of points over ``arity >= 1`` inputs; a sample over
-        the caps is a ``CapacityError``."""
+        the caps is a ``CapacityError``.  A ``walked`` grid is never
+        drawn: it is capped at ``_MAX_GRID_POINTS`` points and no
+        coordinates."""
         k = self.points_per_axis or 0
-        # k >= 2, so a grid over 23 or more axes is over the cap: k**arity is not computed
-        if self.mode == "grid" and arity >= _MAX_SAMPLE_POINTS.bit_length():
-            raise CapacityError(
-                f"grid sample of {k}**{arity} points exceeds the cap of {_MAX_SAMPLE_POINTS}"
-            )
+        cap = _MAX_GRID_POINTS if walked else _MAX_SAMPLE_POINTS
+        # k >= 2, so a grid over cap.bit_length() or more axes is over the
+        # cap: k**arity is not computed
+        if self.mode == "grid" and arity >= cap.bit_length():
+            raise CapacityError(f"grid sample of {k}**{arity} points exceeds the cap of {cap}")
         total = k**arity if self.mode == "grid" else self.count or 0
-        if total > _MAX_SAMPLE_POINTS:
-            raise CapacityError(
-                f"{self.mode} sample of {total} points exceeds the cap of {_MAX_SAMPLE_POINTS}"
-            )
-        if total * arity > _MAX_SAMPLE_COORDS:
+        if total > cap:
+            raise CapacityError(f"{self.mode} sample of {total} points exceeds the cap of {cap}")
+        if not walked and total * arity > _MAX_SAMPLE_COORDS:
             raise CapacityError(
                 f"{self.mode} sample of {total} points over {arity} inputs exceeds the cap "
                 f"of {_MAX_SAMPLE_COORDS} coordinates"
@@ -421,7 +432,7 @@ def _tally(ok: np.ndarray, size: np.ndarray | None = None) -> np.ndarray:
     return bad.sum(axis=1) if size is None else bad @ size
 
 
-def _one_value(projection: Projection, lo: np.ndarray, hi: np.ndarray, pad: float):
+def _one_value(projection: Projection, lo: np.ndarray, hi: np.ndarray, pad: float = 0.0):
     """Per row: whether every component of ``[lo - pad, hi + pad]``
     projects to one value, and the projection of ``lo - pad``.  The
     projection is non-decreasing, so the values in between project
@@ -466,23 +477,27 @@ def _check_sample(
     """A check one ``EVAL_CHUNK`` slice at a time (see the module
     docstring).  A random sample is drawn once, and so is the one point
     of a sample over no inputs; the points of a grid over one or more
-    inputs follow from their indices.
+    inputs follow from their indices, so a grid is capped at
+    ``_MAX_GRID_POINTS`` points, unless ``offender_fibers`` is given.
 
-    With no more fibers than points the baseline is read from a table,
-    by the fiber code of a slice's points or of a leaf's or a box's low
-    corner: of every fiber of a grid, or of the fibers a random sample
-    meets.  Every slice is walked, counting its verdicts, unless the
-    sample is a grid with such a table, at least ``_MIN_BOX_POINTS``
-    points, at least 8 points per fiber and bounds on every node.  Then
-    it is cut into one index box per fiber, and a box is decided when
-    ``f.bounds``, widened by ``BOUND_PAD``, projects to one value in
-    every component.  Undecided boxes are bisected down to leaves of at
-    most ``_LEAF_POINTS`` points, which are evaluated together in
+    With no more fibers than points, and at most ``_MAX_SAMPLE_POINTS``,
+    the baseline is read from a table, by the fiber code of a slice's
+    points or of a leaf's or a box's low corner: of every fiber of a
+    grid, or of the fibers a random sample meets.  Every slice is
+    walked, counting its verdicts, unless the sample is a grid with such
+    a table, at least ``_MIN_BOX_POINTS`` points, at least 8 points per
+    fiber and bounds on every node.  Then it is cut into one index box
+    per fiber, and a box is decided when ``f.bounds`` projects to one
+    value in every component (each node pads its own rounding).
+    Undecided boxes are bisected down to leaves of at most
+    ``_LEAF_POINTS`` points, which are evaluated together in
     ``EVAL_CHUNK`` batches.  A gathered verdict is kept only where the
     row's box was bounded and every output is ``_GATHER_MARGIN`` clear
     of the projection's boundaries; the slices of other rows are walked
-    too.  Where deciding boxes raises, every slice is walked, and raises
-    the error, or not, as the walk does.
+    too.  Where the boxes made and the points of undecided leaves come to
+    more than ``_MAX_SAMPLE_POINTS`` rows, every slice is walked instead;
+    so too where deciding boxes raises, and the walk raises the error, or
+    not.
 
     A walked grid slice keeps the rows of its offenders in the
     components that have found fewer than ``witness_cap`` so far, and a
@@ -508,9 +523,11 @@ def _check_sample(
     random = sampling.mode == "random"
     # np.unravel_index takes no shape (), so a grid over no inputs is drawn too
     held = sampling.sample(n) if random or n == 0 else None
-    total = sampling._size(n) if held is None else len(held)
+    # a grid is walked, and so capped by its work, unless the walk keeps
+    # offender fibers, whose lists grow with the offenders
+    total = sampling._size(n, offender_fibers is None) if held is None else len(held)
     fibers = len(projection.level_values) ** n
-    tabulated = fibers <= total
+    tabulated = fibers <= min(total, _MAX_SAMPLE_POINTS)
     slices = -(-total // EVAL_CHUNK)
     cap = min(witness_cap, total)
     # (x, f(x), baseline, bad) of grid offenders that may be witnesses
@@ -569,7 +586,9 @@ def _check_sample(
 
     def decide_boxes() -> np.ndarray | None:
         """The tally of walking every slice, from fiber boxes; ``None``
-        where ``f`` has no bounds."""
+        where ``f`` has no bounds, or where the boxes made and the
+        points of undecided leaves come to more than
+        ``_MAX_SAMPLE_POINTS`` rows."""
         # one box per fiber: the projection is non-decreasing, so each
         # level covers one run of grid indices on every axis
         cuts = np.flatnonzero(np.diff(projection.apply(axis))) + 1
@@ -582,22 +601,29 @@ def _check_sample(
         counts = np.zeros(m + 1, dtype=np.int64)
         bad_boxes = []  # (first and last flat index, bad components) of decided bad boxes
         leaves = []  # (blo, bhi, bounded) of undecided leaves
+        # rows held, as in a drawn sample: every box made, and the points
+        # of undecided leaves, which are gathered at once
+        held_rows = len(blo)
         while len(blo):
             bounded = np.isfinite(bounds[0]).all(axis=1) & np.isfinite(bounds[1]).all(axis=1)
-            same, value = _one_value(projection, *bounds, BOUND_PAD)
+            same, value = _one_value(projection, *bounds)
             decided = bounded & same
             size = (bhi - blo + 1).prod(axis=1)
             codes = fiber_codes(projection, axis[blo[decided]])
             bad = value[decided] != table[codes]
             hit = bad.any(axis=1)
-            for i in range(m):
-                hits[i].append(codes[bad[:, i]])
+            if offender_fibers is not None:
+                for i in range(m):
+                    hits[i].append(codes[bad[:, i]])
             counts += _tally(~bad, size[decided])
             bad_boxes.append((blo[decided][hit] @ strides, bhi[decided][hit] @ strides, bad[hit]))
             leaf = ~decided & (size <= _LEAF_POINTS)
             leaves.append((blo[leaf], bhi[leaf], bounded[leaf]))
             split = ~decided & ~leaf
             blo, bhi = _bisect(blo[split], bhi[split])
+            held_rows += int(size[leaf].sum()) + len(blo)
+            if held_rows > _MAX_SAMPLE_POINTS:
+                return None
             bounds = bound(blo, bhi)
 
         # leaf points, in sample order, evaluated in gathered batches
@@ -626,8 +652,9 @@ def _check_sample(
                 # every leaf row of the slice takes the slice's verdict
                 a, b = np.searchsorted(flat, [s * EVAL_CHUNK, (s + 1) * EVAL_CHUNK])
                 ok[a:b] = walk(s)[flat[a:b] - s * EVAL_CHUNK]
-        for i in range(m):
-            hits[i].append(codes[~ok[:, i]])
+        if offender_fibers is not None:
+            for i in range(m):
+                hits[i].append(codes[~ok[:, i]])
         return counts + _tally(ok)
 
     if tabulated:
@@ -649,7 +676,8 @@ def _check_sample(
         try:
             counts = decide_boxes()
         except ValidationError:
-            # the walk is the reference: it raises the error, or not
+            pass  # the walk is the reference: it raises the error, or not
+        if counts is None:
             del kept[1:]
             found[:] = 0
             for h in hits:

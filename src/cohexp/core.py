@@ -16,10 +16,14 @@ Conventions used throughout the package
 * Raw fuzzy values are compared with absolute tolerance ``RAW_TOL``;
   projected values live on a finite grid and are compared exactly.
 * ``FuzzyExpr.bounds`` maps a batch of input boxes to output intervals
-  (interval bound propagation).  Bounds are computed in plain float
-  arithmetic, not rounded outward, so a consumer widens them by
-  ``BOUND_PAD`` before trusting them; so does every node with a step
-  (a lifted projection, piecewise conditions).
+  (interval bound propagation) that hold every value evaluation gives,
+  so a consumer projects them as they are.  Bounds are computed in
+  plain float arithmetic, so each node whose arithmetic may round pads
+  its own result by ``BOUND_PAD`` (connectives, affine maps, network
+  outputs); a node that only selects, compares or passes values on
+  (constants, coordinates, composition, juxtaposition, a lifted
+  projection, piecewise conditions, a repair's control inputs) is
+  exact.
 
 The serialisation format is a single JSON object per expression: the
 field ``node`` names the variant, ``in_arity``/``out_arity`` give the
@@ -78,9 +82,9 @@ __all__ = [
 # Absolute tolerance for comparing raw (unprojected) fuzzy values.
 RAW_TOL = 1e-12
 
-# Interval bounds may miss a value by float rounding; they are trusted
-# only after widening by this much (scaled by a node's magnitude where
-# its arithmetic can grow large: affine maps, network logits).
+# A node whose bounds may miss a value by float rounding widens them by
+# this much (scaled by a node's magnitude where its arithmetic can grow
+# large: affine maps, network logits).
 BOUND_PAD = 1e-9
 
 # Hard cap on vertex enumeration: 2**20 rows is the largest truth table
@@ -262,9 +266,10 @@ class FuzzyExpr:
 
         ``lo`` and ``hi`` have shape ``(B, in_arity)``, with ``lo <= hi``
         inside the unit hypercube.  Returns ``(B, out_arity)`` arrays
-        that hold ``_eval`` at every point of each box, up to float
-        rounding (see ``BOUND_PAD``).  A non-finite row marks a box on
-        which evaluation may raise.  ``None``: the node has no bounds.
+        that hold ``_eval`` at every point of each box, rounding
+        included: a node pads its own (see ``BOUND_PAD``).  A non-finite
+        row marks a box on which evaluation may raise.  ``None``: the
+        node has no bounds.
         """
         return None
 
@@ -392,8 +397,9 @@ class _Connective(FuzzyExpr):
         return self.functions[self.kind](xs[:, 0], xs[:, 1]).reshape(-1, 1)
 
     def bounds(self, lo, hi):
-        # every kind is non-decreasing in each argument
-        return self._eval(lo), self._eval(hi)
+        # every kind is non-decreasing in each argument, up to rounding
+        olo, ohi = self._eval(lo), self._eval(hi)
+        return np.maximum(olo - BOUND_PAD, 0.0), np.minimum(ohi + BOUND_PAD, 1.0)
 
     def to_payload(self) -> dict:
         return {"kind": self.kind}
@@ -548,10 +554,9 @@ class LiftedProjection(FuzzyExpr):
         return self.projection.apply(xs)
 
     def bounds(self, lo, hi):
-        # a projection is non-decreasing; it is applied to the box widened
-        # by BOUND_PAD, since its step turns a rounding miss in the inner
-        # bounds into a jump no later padding covers
-        return self._eval(lo - BOUND_PAD), self._eval(hi + BOUND_PAD)
+        # a projection is non-decreasing, and the inner bounds hold every
+        # value the inner node gives, rounding included
+        return self._eval(lo), self._eval(hi)
 
     def to_payload(self) -> dict:
         return {"projection": self.projection.to_dict()}
@@ -781,14 +786,12 @@ class Piecewise(FuzzyExpr):
 
     def bounds(self, lo, hi):
         # the hull over the branches a box can reach; conditions are
-        # tested on the box widened by BOUND_PAD, since a nested
-        # piecewise sees bounds that float rounding may have missed
-        wlo, whi = lo - BOUND_PAD, hi + BOUND_PAD
+        # exact comparisons, tested on the box as it is
         olo = np.full((lo.shape[0], self.out_arity), np.inf)
         ohi = np.full((lo.shape[0], self.out_arity), -np.inf)
         open_ = np.ones(lo.shape[0], dtype=bool)  # not covered by an earlier piece
         for piece in (*self.pieces, Piece((), self.default)):
-            reach = open_ & piece.mask_over(wlo, whi, every=False)
+            reach = open_ & piece.mask_over(lo, hi, every=False)
             # every branch is bounded, reached or not, so that None does
             # not depend on the boxes
             part = piece.expr.bounds(lo[reach], hi[reach])
@@ -796,7 +799,7 @@ class Piecewise(FuzzyExpr):
                 return None
             olo[reach] = np.minimum(olo[reach], part[0])
             ohi[reach] = np.maximum(ohi[reach], part[1])
-            open_ &= ~piece.mask_over(wlo, whi, every=True)
+            open_ &= ~piece.mask_over(lo, hi, every=True)
         return olo, ohi
 
     def to_payload(self) -> dict:

@@ -54,6 +54,7 @@ import numpy as np
 from .coherence import (
     SamplingSpec,
     _check_sample,
+    _one_value,
     check_coherence,
     coherence_masks,
     default_sampling,
@@ -208,17 +209,48 @@ class ExtendedExpr(FuzzyExpr):
         # sorted by __post_init__, so membership is a binary search
         return tuple(np.asarray(s, dtype=np.int64) for s in self.contaminated)
 
+    def _marked(self, j: int, codes: np.ndarray) -> np.ndarray:
+        """Per fiber code, whether component ``components[j]`` defers to
+        its control input there."""
+        fibers = self._contaminated_arrays[j]
+        if not fibers.size:
+            return np.zeros(len(codes), dtype=bool)
+        return fibers.take(np.searchsorted(fibers, codes), mode="clip") == codes
+
     def _eval(self, xs: np.ndarray) -> np.ndarray:
         nb = self.base.in_arity
         x = xs[:, :nb]
         out = self.base._eval(x).copy()
         codes = fiber_codes(self.projection, x)
         for j, comp in enumerate(self.components):
-            fibers = self._contaminated_arrays[j]
-            if fibers.size:
-                hit = fibers.take(np.searchsorted(fibers, codes), mode="clip") == codes
-                out[hit, comp] = xs[hit, nb + j]
+            hit = self._marked(j, codes)
+            out[hit, comp] = xs[hit, nb + j]
         return out
+
+    def bounds(self, lo, hi):
+        """The base's bounds, and for a repaired component on a box in
+        one contaminated fiber its control input's interval, exactly; on
+        a box across fibers the hull of both, where the component has a
+        contaminated fiber.  The base is evaluated on every row, so a
+        row it may raise on stays non-finite."""
+        nb = self.base.in_arity
+        base = self.base.bounds(lo[:, :nb], hi[:, :nb])
+        if base is None:
+            return None
+        olo, ohi = base[0].copy(), base[1].copy()
+        codes = fiber_codes(self.projection, lo[:, :nb])
+        across = codes != fiber_codes(self.projection, hi[:, :nb])
+        for j, comp in enumerate(self.components):
+            if not self.contaminated[j]:
+                continue
+            inside = ~across & self._marked(j, codes)
+            clo, chi = lo[:, nb + j], hi[:, nb + j]
+            olo[across, comp] = np.minimum(olo[across, comp], clo[across])
+            ohi[across, comp] = np.maximum(ohi[across, comp], chi[across])
+            olo[inside, comp], ohi[inside, comp] = clo[inside], chi[inside]
+        unbounded = ~np.isfinite(np.hstack(base)).all(axis=1)
+        olo[unbounded] = ohi[unbounded] = np.nan
+        return olo, ohi
 
     def to_payload(self) -> dict:
         k = len(self.projection.level_values)
@@ -283,6 +315,32 @@ class OutputModExpr(FuzzyExpr):
             fb, rows = self.fallback, xs[bad]
             out[bad] = self.base._eval(self.projection.apply(rows)) if fb is None else fb._eval(rows)
         return out
+
+    def bounds(self, lo, hi):
+        """The hull of the base's bounds and the fallback's; the
+        canonical fallback ``f . d`` is bounded by the base on the
+        projected box, as the projection is non-decreasing.  On a box in
+        one fiber where the base's bounds project to one value on the
+        box and on its projection, the base is coherent at every point
+        of it, or at none, so the bound is the base's or the
+        fallback's.  The base is evaluated on every row and its
+        projection, so a row it may raise on stays non-finite."""
+        d = self.projection
+        plo, phi = d.apply(lo), d.apply(hi)
+        base, via = self.base.bounds(lo, hi), self.base.bounds(plo, phi)
+        fb = via if self.fallback is None else self.fallback.bounds(lo, hi)
+        if base is None or via is None or fb is None:
+            return None
+        olo, ohi = np.minimum(base[0], fb[0]), np.maximum(base[1], fb[1])
+        same, direct = _one_value(d, *base)
+        same_via, baseline = _one_value(d, *via)
+        settled = (plo == phi).all(axis=1) & same & same_via
+        coherent = (direct == baseline).all(axis=1)
+        for pick, (blo, bhi) in ((settled & coherent, base), (settled & ~coherent, fb)):
+            olo[pick], ohi[pick] = blo[pick], bhi[pick]
+        unbounded = ~np.isfinite(np.hstack([*base, *via])).all(axis=1)
+        olo[unbounded] = ohi[unbounded] = np.nan
+        return olo, ohi
 
     def to_payload(self) -> dict:
         return {

@@ -446,7 +446,8 @@ class MlpExpr(FuzzyExpr):
         offset ``x - lo`` plus an error interval.  A PReLU that is
         stable on the box keeps its form; an unstable one is replaced by
         its range ``[min(s zlo, 0), max(s zlo, zhi)]``.  Logits are
-        widened before the sigmoid: ``_sigmoid(-1e-17)`` is exactly 0.5."""
+        widened before the sigmoid (``_sigmoid(-1e-17)`` is exactly 0.5),
+        and its outputs by ``BOUND_PAD`` after it, for its own rounding."""
         pad = self._logit_pad
         if pad is None:
             return None
@@ -473,7 +474,8 @@ class MlpExpr(FuzzyExpr):
             elo, ehi = elo @ wpos.T + ehi @ wneg.T, ehi @ wpos.T + elo @ wneg.T
         zlo, zhi = _form_range(coef, const, elo, ehi, width)
         finite = np.isfinite(zlo).all(axis=1) & np.isfinite(zhi).all(axis=1)
-        olo, ohi = _sigmoid(zlo - pad), _sigmoid(zhi + pad)
+        olo = np.maximum(_sigmoid(zlo - pad) - BOUND_PAD, 0.0)
+        ohi = np.minimum(_sigmoid(zhi + pad) + BOUND_PAD, 1.0)
         olo[~finite] = ohi[~finite] = np.nan
         return olo, ohi
 

@@ -288,7 +288,7 @@ class TestGridBoxErrorParity:
         path = tmp_path / "expr.json"
         path.write_text(json.dumps(_ERROR_EXPRS[name]))
         argv = ["check", "--expr", str(path), "--witness-limit", witnesses,
-                "--grid", "2049" if name == "grid-over-cap" else grid]
+                "--grid", "16385" if name == "grid-over-cap" else grid]
         status = run(argv)
         boxed = capsys.readouterr()
         monkeypatch.setattr(cohexp.coherence, "_MIN_BOX_POINTS", 1 << 62)
@@ -548,13 +548,15 @@ class TestRepair:
         assert "error[E_CONTRACT]" in capsys.readouterr().err
 
     def test_failed_verification_writes_nothing(self, or_file, tmp_path, capsys):
-        """The repaired file appears only once its verification returns."""
+        """The repaired file appears only once its verification returns:
+        647**2 construction points are under every cap, and 647**3
+        verification points over the grid cap."""
         out_expr = tmp_path / "big.json"
         assert run([
-            "repair", "--expr", or_file, "--gamma", "extend", "--grid", "256",
+            "repair", "--expr", or_file, "--gamma", "extend", "--grid", "647",
             "--out-expr", str(out_expr),
         ]) == BAD_INPUT
-        assert capsys.readouterr().err.startswith("error[E_CAPACITY]: grid sample of 16777216")
+        assert capsys.readouterr().err.startswith("error[E_CAPACITY]: grid sample of 270840023")
         assert not out_expr.exists()
 
     def test_already_coherent_is_reported(self, tmp_path, capsys):

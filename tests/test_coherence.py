@@ -23,6 +23,7 @@ from cohexp import (
     Affine,
     CapacityError,
     CoherenceReport,
+    ContractError,
     Compose,
     Condition,
     Const,
@@ -570,7 +571,8 @@ def crossing_mlps(draw, n: int):
 class RowShifted(FuzzyExpr):
     """Lowers the output of every other row of a batch by 1e-14, as a
     BLAS kernel may round a row by its place in the batch.  Its bounds
-    are the wrapped expression's, which the check widens by far more."""
+    are the wrapped expression's, with the lower one padded for the
+    shift, as every node pads its own rounding."""
 
     def __init__(self, inner: FuzzyExpr) -> None:
         self.inner = inner
@@ -589,7 +591,45 @@ class RowShifted(FuzzyExpr):
         return out
 
     def bounds(self, lo, hi):
-        return self.inner.bounds(lo, hi)
+        inner = self.inner.bounds(lo, hi)
+        if inner is None:
+            return None
+        return np.maximum(inner[0] - BOUND_PAD, 0.0), inner[1]
+
+
+REPAIR_PROJECTIONS = [Projection.threshold(0.5), Projection.threshold(0.3), Projection.quantize(3)]
+REPAIR_SAMPLES = [SamplingSpec.grid(5), SamplingSpec.grid(9), SamplingSpec.random(300, seed=1)]
+
+
+@st.composite
+def repairs_of(draw, f: FuzzyExpr):
+    """A repair of ``f`` by ``apply_gamma`` on a small sample: a domain
+    extension, or an output modification with the canonical fallback,
+    with ``f . d`` supplied, or with a drawn fallback.  Where the repair
+    leaves ``f`` as it is, or the drawn fallback breaks its contract,
+    the node is built directly, with drawn contaminated fibers."""
+    n, m = f.in_arity, f.out_arity
+    projection = draw(st.sampled_from(REPAIR_PROJECTIONS))
+    kind = draw(st.sampled_from(["extend", "canonical", "f.d", "drawn"]))
+    fallback = None
+    if kind == "f.d":
+        fallback = Compose(f, LiftedProjection(projection, n))
+    elif kind == "drawn":
+        parts = tuple(draw(scalar_exprs(n, 2)) for _ in range(m))
+        fallback = Compose(Parallel(parts), Coord(tuple(range(n)) * m, n))
+    spec = GammaSpec("extend" if kind == "extend" else "output_mod", projection,
+                     draw(st.sampled_from(REPAIR_SAMPLES)), fallback)
+    try:
+        repaired = apply_gamma(f, spec)
+    except (ContractError, ValidationError):
+        repaired = f
+    if repaired is not f:
+        return repaired
+    if kind != "extend":
+        return OutputModExpr(f, fallback, projection)
+    fibers = len(projection.level_values) ** n
+    contaminated = [draw(st.lists(st.integers(0, fibers - 1), max_size=4)) for _ in range(m)]
+    return ExtendedExpr(f, projection, tuple(range(m)), contaminated)
 
 
 GRID_MODES = {"boxes": 0, "every-slice": 1 << 62}
@@ -606,18 +646,24 @@ def grid_mode(mode: str):
 
 @st.composite
 def grid_cases(draw):
-    kind = draw(st.sampled_from(["norms", "mlp", "luk-or"]))
+    kind = draw(st.sampled_from(["norms", "mlp", "luk-or", "repaired"]))
     if kind == "luk-or":
         # grid sums land on 0.5 exactly: the threshold's tie
         f, k = TConorm("lukasiewicz"), draw(st.sampled_from([101, 201]))
     elif kind == "mlp":
         f, k = draw(crossing_mlps(draw(st.integers(2, 3)))), draw(st.integers(2, 65))
-    else:
+    elif kind == "norms":
         f, k = draw(scalar_exprs(draw(st.integers(1, 3)), 3)), draw(st.integers(2, 65))
+    else:
+        # a repair of a scalar tree or of a 1- or 2-output network, on a
+        # grid of at most about 20 000 points over its inputs
+        base = draw(st.one_of(scalar_exprs(draw(st.integers(1, 2)), 3), crossing_mlps(2)))
+        f = draw(repairs_of(RowShifted(base) if draw(st.booleans()) else base))
+        k = draw(st.integers(2, int(20_000 ** (1 / f.in_arity))))
     return (RowShifted(f) if draw(st.booleans()) else f), k
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=500, deadline=None, derandomize=True)
 @given(grid_cases(), st.sampled_from(sorted(GRID_PROJECTIONS)), st.sampled_from([0, 1, 100]))
 def test_grid_boxes_match_every_point_evaluated(case, projection_name, cap):
     """Deciding grid boxes from bounds, and walking every slice, each
@@ -688,36 +734,46 @@ def test_random_checks_match_every_point_evaluated(case, cap):
     assert dumps(report.to_dict()) == dumps(expected)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@st.composite
+def bounded_exprs(draw, n: int):
+    """A scalar tree or a network over ``n`` inputs, or a repair of one."""
+    f = draw(st.one_of(scalar_exprs(n, 3), crossing_mlps(n)) if n > 1 else scalar_exprs(n, 3))
+    return draw(repairs_of(f)) if draw(st.booleans()) else f
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(
-    st.integers(1, 3).flatmap(
-        lambda n: st.tuples(
-            st.one_of(scalar_exprs(n, 3), crossing_mlps(n)) if n > 1 else scalar_exprs(n, 3),
-            st.integers(0, 2**32 - 1),
-        )
-    )
+    st.integers(1, 3).flatmap(lambda n: st.tuples(bounded_exprs(n), st.integers(0, 2**32 - 1)))
 )
 def test_bounds_hold_every_point_of_a_box(case):
     """Every point of a box evaluates inside the node's bounds for it,
-    and a box with finite bounds has no point where evaluation raises."""
+    exactly (each node pads its own rounding), and a box with finite
+    bounds has no point where evaluation raises."""
     f, seed = case
     rng = np.random.default_rng(seed)
     n = f.in_arity
-    ends = np.sort(rng.random((8, 2, n)), axis=1)
+    ends = np.sort(rng.random((10, 2, n)), axis=1)
     # degenerate and whole-cube boxes too
     ends[0] = [[0.3] * n, [0.3] * n]
     ends[1] = [[0.0] * n, [1.0] * n]
+    # boxes whose ends are 101-grid points, from 0.5 on: the one at 0.5
+    # alone, one inside a single fiber of every repair projection, and
+    # one that may cross fibers
+    ends[2] = [[0.5] * n, [0.5] * n]
+    ends[3] = [[0.5] * n, np.round(50 + 20 * rng.random(n)) / 100]
+    ends[4] = [[0.5] * n, np.round(50 + 50 * rng.random(n)) / 100]
+    ends[5] = np.sort(np.round(100 * rng.random((2, n))) / 100, axis=0)
     lo, hi = ends[:, 0], ends[:, 1]
     olo, ohi = f.bounds(lo, hi)
-    assert olo.shape == ohi.shape == (8, f.out_arity)
-    for b in range(8):
+    assert olo.shape == ohi.shape == (10, f.out_arity)
+    for b in range(10):
         if not (np.isfinite(olo[b]).all() and np.isfinite(ohi[b]).all()):
             continue
         # corners, and uniform points inside
         corners = np.where(fiber_digits(np.arange(2**n), 2, n), hi[b], lo[b])
         xs = np.concatenate([corners, lo[b] + (hi[b] - lo[b]) * rng.random((64, n))])
         ys = f.eval_batch(xs)
-        assert (ys >= olo[b] - BOUND_PAD).all() and (ys <= ohi[b] + BOUND_PAD).all()
+        assert (ys >= olo[b]).all() and (ys <= ohi[b]).all()
 
 
 def test_grid_boxes_skip_decided_points(luk_or, threshold, monkeypatch):
@@ -737,6 +793,32 @@ def test_grid_boxes_skip_decided_points(luk_or, threshold, monkeypatch):
     assert dumps(report.to_dict()) == dumps(_materialised_report(luk_or, threshold, sampling, 100))
 
 
+def test_grid_boxes_decide_a_repaired_network(threshold, monkeypatch):
+    """A 101**3 check of the domain extension of a 2-input network is
+    decided from its fiber boxes: on a contaminated fiber the output is
+    the control input, exactly, so a box there projects to one value
+    even where its controls start at 0.5.  Evaluating every point takes
+    1 030 309 rows; the report is the every-slice walk's."""
+    model = init_model(2, (16, 16), 1, np.random.default_rng(100))
+    p = forward(model, np.array([[0.3, 0.3]]))[0]
+    model.biases[-1] -= np.log(p / (1.0 - p))
+    repaired = apply_gamma(MlpExpr(model), GammaSpec("extend", threshold))
+    assert isinstance(repaired, ExtendedExpr) and repaired.in_arity == 3
+    rows = []
+    eval_batch = FuzzyExpr.eval_batch
+    monkeypatch.setattr(
+        FuzzyExpr, "eval_batch", lambda f, xs: rows.append(len(xs)) or eval_batch(f, xs)
+    )
+    sampling = SamplingSpec.grid(101)
+    report = check_coherence(repaired, threshold, sampling)
+    assert report.verdict == "coherent_on_sample"
+    assert sum(rows) <= 10_000
+    with grid_mode("every-slice"):
+        expected = check_coherence(repaired, threshold, sampling)
+    assert sum(rows) > 101**3
+    assert dumps(report.to_dict()) == dumps(expected.to_dict())
+
+
 def test_grid_boxes_take_a_witness_cap_past_the_grid(luk_or, threshold, monkeypatch):
     """A witness cap larger than any array index keeps every offender,
     as the per-point check does."""
@@ -747,16 +829,68 @@ def test_grid_boxes_take_a_witness_cap_past_the_grid(luk_or, threshold, monkeypa
 
 
 def test_grid_boxes_pad_a_lifted_step(threshold):
-    """A lifted projection widens its inner bounds before its step.  In
-    floats the probabilistic sum is not monotone where its slope is
-    zero: along y = 1 it gives 1.0 at some grid points and 1 - 2**-53 at
-    others, and a box whose upper corner gives the latter must not be
-    decided as below a threshold at 1."""
+    """A connective pads its own bounds, so a lifted step over it is
+    tested on them as they are.  In floats the probabilistic sum is not
+    monotone where its slope is zero: along y = 1 it gives 1.0 at some
+    grid points and 1 - 2**-53 at others, and a box whose upper corner
+    gives the latter must not be decided as below a threshold at 1."""
     f = Compose(LiftedProjection(Projection.threshold(1.0), 1), TConorm("prob_sum"))
     sampling = SamplingSpec.grid(200)
     report = check_coherence(f, threshold, sampling)
     assert dumps(report.to_dict()) == dumps(_materialised_report(f, threshold, sampling, 100))
     assert report.components[0].coherent_fraction < 1.0
+
+
+class Undecided(FuzzyExpr):
+    """The wrapped expression, with bounds that span the unit interval
+    on every box, so that no box is ever decided."""
+
+    def __init__(self, inner: FuzzyExpr) -> None:
+        self.inner = inner
+
+    @property
+    def in_arity(self) -> int:
+        return self.inner.in_arity
+
+    @property
+    def out_arity(self) -> int:
+        return self.inner.out_arity
+
+    def _eval(self, xs: np.ndarray) -> np.ndarray:
+        return self.inner._eval(xs)
+
+    def bounds(self, lo, hi):
+        shape = (len(lo), self.out_arity)
+        return np.zeros(shape), np.ones(shape)
+
+
+def test_box_decisions_hold_at_most_the_sample_cap(threshold, monkeypatch):
+    """Where boxes never decide, bounding stops once the boxes made and
+    the points of undecided leaves come to more than
+    ``_MAX_SAMPLE_POINTS`` rows, and every slice is walked instead: no
+    leaf point is gathered, and the report is the per-point one.  Under
+    the real cap the same grid gathers every point as a leaf point."""
+    f = Undecided(TConorm("lukasiewicz"))
+    sampling = SamplingSpec.grid(200)
+    expected = dumps(_materialised_report(f, threshold, sampling, 100))
+    gathered = []  # leaf points gathered by each check
+    box_points = coherence_module._box_points
+
+    def gather(blo, bhi, strides):
+        flat, box = box_points(blo, bhi, strides)
+        gathered.append(len(flat))
+        return flat, box
+
+    monkeypatch.setattr(coherence_module, "_box_points", gather)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coherence_module, "_MAX_SAMPLE_POINTS", 5_000)
+        seen = _record_bounds(patch, f)
+        report = check_coherence(f, threshold, sampling)
+    assert seen and gathered == []
+    assert dumps(report.to_dict()) == expected
+    report = check_coherence(f, threshold, sampling)
+    assert gathered == [200**2]
+    assert dumps(report.to_dict()) == expected
 
 
 def _record_bounds(monkeypatch, f) -> list:
