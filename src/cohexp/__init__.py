@@ -7,204 +7,31 @@ behaviour is a genuine Boolean function, which this package extracts,
 minimizes into DNF, and reports.  Incoherent functions are first made
 coherent by one of two repairs (domain extension with control inputs,
 or output modification against a coherent fallback).
+
+Each public name is declared once, in its module's ``__all__``; the
+package re-exports those of every module but ``cli``.
 """
 
-from .coherence import (
-    CoherenceReport,
-    ComponentReport,
-    SamplingSpec,
-    Witness,
-    check_coherence,
-    coherence_masks,
-    default_sampling,
-    incoherent_components,
-    is_coherent_at,
-)
-from .core import (
-    MAX_TABLE_INPUTS,
-    RAW_TOL,
-    Affine,
-    Compose,
-    Condition,
-    Const,
-    Coord,
-    FuzzyExpr,
-    LiftedProjection,
-    Parallel,
-    Piece,
-    Piecewise,
-    Projection,
-    TConorm,
-    TNorm,
-    TruthTable,
-    all_vertices,
-    from_dict,
-    identity,
-    to_dict,
-    vertex_index,
-)
-from .errors import (
-    CapacityError,
-    CohexpError,
-    ContractError,
-    SerializationError,
-    TrainingError,
-    ValidationError,
-)
-from .experiments import (
-    Dataset,
-    ExperimentReport,
-    ExplanationReport,
-    ExtractionResult,
-    FormulaScore,
-    SplitMetrics,
-    canonical_setting,
-    default_gamma,
-    default_train_config,
-    evaluate,
-    extract_and_score,
-    make_dataset,
-    run_experiment,
-    write_artifacts,
-)
-from .functor import (
-    MAX_SIMPLIFY_INPUTS,
-    DnfFormula,
-    FunctorLawReport,
-    bool_compose,
-    booleanize,
-    default_var_names,
-    identity_table,
-    table_to_dnf,
-    verify_functor_law,
-)
-from .gamma import (
-    GAMMA_KINDS,
-    ExtendedExpr,
-    GammaSpec,
-    NoncompDemo,
-    OutputModExpr,
-    QuotientMorphism,
-    apply_gamma,
-    demo_noncompositional,
-    explain,
-    extensionally_equal,
-    functor_gamma,
-    gamma_extend,
-    gamma_output_mod,
-    quotient_compose,
-    quotient_of,
-)
-from .nn import (
-    MlpExpr,
-    MlpModel,
-    TrainConfig,
-    TrainResult,
-    forward,
-    gradient_check,
-    init_model,
-    loss_and_grads,
-    train,
-)
-from .serialize import load_expr, load_json, save_expr, save_json
+from . import coherence, core, errors, experiments, functor, gamma, nn, serialize
+from .errors import *  # noqa: F403
+from .core import *  # noqa: F403
+from .coherence import *  # noqa: F403
+from .functor import *  # noqa: F403
+from .gamma import *  # noqa: F403
+from .nn import *  # noqa: F403
+from .experiments import *  # noqa: F403
+from .serialize import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "CohexpError",
-    "ValidationError",
-    "CapacityError",
-    "SerializationError",
-    "ContractError",
-    "TrainingError",
-    # core
-    "RAW_TOL",
-    "MAX_TABLE_INPUTS",
-    "Projection",
-    "FuzzyExpr",
-    "Const",
-    "Coord",
-    "TNorm",
-    "TConorm",
-    "Affine",
-    "LiftedProjection",
-    "Compose",
-    "Parallel",
-    "Condition",
-    "Piece",
-    "Piecewise",
-    "TruthTable",
-    "all_vertices",
-    "vertex_index",
-    "identity",
-    "to_dict",
-    "from_dict",
-    # coherence
-    "SamplingSpec",
-    "Witness",
-    "ComponentReport",
-    "CoherenceReport",
-    "default_sampling",
-    "coherence_masks",
-    "is_coherent_at",
-    "check_coherence",
-    "incoherent_components",
-    # functor
-    "MAX_SIMPLIFY_INPUTS",
-    "DnfFormula",
-    "FunctorLawReport",
-    "default_var_names",
-    "booleanize",
-    "identity_table",
-    "bool_compose",
-    "verify_functor_law",
-    "table_to_dnf",
-    # gamma
-    "GAMMA_KINDS",
-    "GammaSpec",
-    "ExtendedExpr",
-    "OutputModExpr",
-    "gamma_extend",
-    "gamma_output_mod",
-    "apply_gamma",
-    "QuotientMorphism",
-    "quotient_of",
-    "quotient_compose",
-    "functor_gamma",
-    "extensionally_equal",
-    "explain",
-    "NoncompDemo",
-    "demo_noncompositional",
-    # nn
-    "MlpModel",
-    "MlpExpr",
-    "TrainConfig",
-    "TrainResult",
-    "init_model",
-    "forward",
-    "loss_and_grads",
-    "gradient_check",
-    "train",
-    # experiments
-    "Dataset",
-    "SplitMetrics",
-    "FormulaScore",
-    "ExplanationReport",
-    "ExtractionResult",
-    "ExperimentReport",
-    "canonical_setting",
-    "make_dataset",
-    "evaluate",
-    "extract_and_score",
-    "default_train_config",
-    "default_gamma",
-    "run_experiment",
-    "write_artifacts",
-    # serialization
-    "load_json",
-    "save_json",
-    "load_expr",
-    "save_expr",
+    *errors.__all__,
+    *core.__all__,
+    *coherence.__all__,
+    *functor.__all__,
+    *gamma.__all__,
+    *nn.__all__,
+    *experiments.__all__,
+    *serialize.__all__,
 ]

@@ -512,9 +512,10 @@ def _check_sample(
     Given ``offender_fibers``, the check appends to it, per component,
     the sorted fiber codes that hold an offender: the fiber of each
     decided bad box (a box lies in one fiber), of each bad leaf row and
-    of each offender in a walked slice.  Codes gathered while deciding
-    boxes are dropped, as the kept offenders are, where that raises and
-    every slice is walked.
+    of each offender in a walked slice.  Deciding boxes adds the codes
+    of its boxes and leaf rows only once it returns a tally: where it
+    cannot, it has walked no slice, and where a slice it walked raises,
+    the walk raises at that slice or before.
 
     The check first frees a block of ``_HEAP_PRIMER_BYTES`` (see there).
     """
@@ -599,7 +600,8 @@ def _check_sample(
         if bounds is None:
             return None
         counts = np.zeros(m + 1, dtype=np.int64)
-        bad_boxes = []  # (first and last flat index, bad components) of decided bad boxes
+        # (first and last flat index, bad components, fiber code) of decided bad boxes
+        bad_boxes = []
         leaves = []  # (blo, bhi, bounded) of undecided leaves
         # rows held, as in a drawn sample: every box made, and the points
         # of undecided leaves, which are gathered at once
@@ -612,11 +614,10 @@ def _check_sample(
             codes = fiber_codes(projection, axis[blo[decided]])
             bad = value[decided] != table[codes]
             hit = bad.any(axis=1)
-            if offender_fibers is not None:
-                for i in range(m):
-                    hits[i].append(codes[bad[:, i]])
             counts += _tally(~bad, size[decided])
-            bad_boxes.append((blo[decided][hit] @ strides, bhi[decided][hit] @ strides, bad[hit]))
+            bad_boxes.append(
+                (blo[decided][hit] @ strides, bhi[decided][hit] @ strides, bad[hit], codes[hit])
+            )
             leaf = ~decided & (size <= _LEAF_POINTS)
             leaves.append((blo[leaf], bhi[leaf], bounded[leaf]))
             split = ~decided & ~leaf
@@ -639,7 +640,7 @@ def _check_sample(
         unsure[flat[~(clear & lbounded[box])] // EVAL_CHUNK] = True
 
         # per slice and component, whether the slice may hold an offender
-        first, last, bad = (np.concatenate(parts) for parts in zip(*bad_boxes))
+        first, last, bad, bad_codes = (np.concatenate(parts) for parts in zip(*bad_boxes))
         edges = np.zeros((slices + 1, m), dtype=np.int64)
         np.add.at(edges, first // EVAL_CHUNK, bad)
         np.subtract.at(edges, last // EVAL_CHUNK + 1, bad)
@@ -654,7 +655,7 @@ def _check_sample(
                 ok[a:b] = walk(s)[flat[a:b] - s * EVAL_CHUNK]
         if offender_fibers is not None:
             for i in range(m):
-                hits[i].append(codes[~ok[:, i]])
+                hits[i] += [bad_codes[bad[:, i]], codes[~ok[:, i]]]
         return counts + _tally(ok)
 
     if tabulated:
@@ -677,11 +678,6 @@ def _check_sample(
             counts = decide_boxes()
         except ValidationError:
             pass  # the walk is the reference: it raises the error, or not
-        if counts is None:
-            del kept[1:]
-            found[:] = 0
-            for h in hits:
-                del h[1:]
     if counts is None:
         counts = sum(_tally(walk(s)) for s in range(slices))
 

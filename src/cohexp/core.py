@@ -159,17 +159,18 @@ class Projection:
         return tuple(i / (k - 1) for i in range(k))
 
     def apply(self, values: np.ndarray | Sequence[float]) -> np.ndarray:
-        """Apply the projection componentwise to an array of values."""
-        arr = np.asarray(values, dtype=np.float64)
+        """Apply the projection componentwise to an array of values; a
+        value that is not a number (a string, bytes, a Boolean) is a
+        ``ValidationError``."""
+        arr = _float_points(values)
         if self.kind == "threshold":
             return (arr >= self.alpha).astype(np.float64)
         k = self.levels
         return np.round(arr * (k - 1)) / (k - 1)
 
     def apply_point(self, x: Sequence[float]) -> Point:
-        """The projection of one point; a coordinate that is not a number
-        (a string, bytes, a Boolean) is a ``ValidationError``."""
-        return tuple(float(v) for v in self.apply(_float_points(x)))
+        """The projection of one point, as a tuple of floats."""
+        return tuple(float(v) for v in self.apply(x))
 
     def to_dict(self) -> dict:
         doc: dict = {"kind": self.kind}
@@ -971,4 +972,5 @@ class TruthTable:
     @staticmethod
     def from_dict(doc: dict) -> "TruthTable":
         with malformed("truth table document"):
+            _fields_only(doc, ("n_inputs", "n_outputs", "rows"), "truth table document")
             return TruthTable(doc["n_inputs"], doc["n_outputs"], doc["rows"])

@@ -15,6 +15,15 @@ from numbers import Integral, Real
 
 import numpy as np
 
+__all__ = [
+    "CohexpError",
+    "ValidationError",
+    "CapacityError",
+    "SerializationError",
+    "ContractError",
+    "TrainingError",
+]
+
 
 class CohexpError(Exception):
     """Base class for all errors raised by this package."""

@@ -57,6 +57,7 @@ __all__ = [
     "ExplanationReport",
     "ExtractionResult",
     "ExperimentReport",
+    "canonical_setting",
     "make_dataset",
     "evaluate",
     "extract_and_score",

@@ -76,7 +76,7 @@ from .core import (
     from_dict,
     to_dict,
 )
-from .errors import ContractError, ValidationError, _checked, malformed
+from .errors import ContractError, ValidationError, _checked, _fields_only, malformed
 from .functor import DnfFormula, booleanize, default_var_names, table_to_dnf
 
 __all__ = [
@@ -142,6 +142,7 @@ class GammaSpec:
     @staticmethod
     def from_dict(doc: dict) -> "GammaSpec":
         with malformed("gamma document"):
+            _fields_only(doc, ("kind", "projection", "sampling", "fallback"), "gamma document")
             return GammaSpec(
                 doc["kind"],
                 Projection.from_dict(doc["projection"]),

@@ -135,6 +135,17 @@ class TestProjection:
         with pytest.raises(ValidationError, match="evaluation points must be numbers"):
             Projection.threshold(0.5).apply_point(point)
 
+    @pytest.mark.parametrize(
+        "values",
+        [["0.3"], np.array(["0.3"]), [b"0.3"], [True], np.array([True, False])],
+        ids=["str", "str-array", "bytes", "bool", "bool-array"],
+    )
+    def test_apply_refuses_non_numbers(self, values):
+        """``apply`` converts as ``apply_point`` does: numpy would read
+        "0.3" as 0.3 and True as 1.0."""
+        with pytest.raises(ValidationError, match="evaluation points must be numbers"):
+            Projection.threshold(0.5).apply(values)
+
 
 # ---------------------------------------------------------------------------
 # expression evaluation
@@ -527,3 +538,33 @@ def test_every_export_resolves():
     for module in modules:
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
+
+
+# what the package exported while it listed its names itself
+_FORMER_EXPORTS = """
+    __version__ CohexpError ValidationError CapacityError SerializationError ContractError
+    TrainingError RAW_TOL MAX_TABLE_INPUTS Projection FuzzyExpr Const Coord TNorm TConorm Affine
+    LiftedProjection Compose Parallel Condition Piece Piecewise TruthTable all_vertices
+    vertex_index identity to_dict from_dict SamplingSpec Witness ComponentReport CoherenceReport
+    default_sampling coherence_masks is_coherent_at check_coherence incoherent_components
+    MAX_SIMPLIFY_INPUTS DnfFormula FunctorLawReport default_var_names booleanize identity_table
+    bool_compose verify_functor_law table_to_dnf GAMMA_KINDS GammaSpec ExtendedExpr OutputModExpr
+    gamma_extend gamma_output_mod apply_gamma QuotientMorphism quotient_of quotient_compose
+    functor_gamma extensionally_equal explain NoncompDemo demo_noncompositional MlpModel MlpExpr
+    TrainConfig TrainResult init_model forward loss_and_grads gradient_check train Dataset
+    SplitMetrics FormulaScore ExplanationReport ExtractionResult ExperimentReport
+    canonical_setting make_dataset evaluate extract_and_score default_train_config default_gamma
+    run_experiment write_artifacts load_json save_json load_expr save_expr
+""".split()
+
+
+def test_package_exports_its_modules_lists():
+    """Each public name is declared once, in its module's ``__all__``:
+    the package's is those lists in order, with no name twice and none
+    of its former exports lost."""
+    order = ["errors", "core", "coherence", "functor", "gamma", "nn", "experiments", "serialize"]
+    listed = [name for m in order for name in importlib.import_module(f"cohexp.{m}").__all__]
+    assert cohexp.__all__ == ["__version__", *listed]
+    assert len(set(cohexp.__all__)) == len(cohexp.__all__)
+    assert len(_FORMER_EXPORTS) == 88
+    assert not set(_FORMER_EXPORTS) - set(cohexp.__all__)

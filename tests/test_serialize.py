@@ -362,3 +362,21 @@ def test_node_documents_refuse_fields_their_node_does_not_read(kind):
     bad = {misspelled if key == field else key: value for key, value in doc.items()}
     with pytest.raises(SerializationError, match=rf"^'{kind}' node has no field '{misspelled}'$"):
         from_dict(bad)
+
+
+_THRESHOLD = {"kind": "threshold", "alpha": 0.5}
+
+
+@pytest.mark.parametrize("decode, doc, message", [
+    (GammaSpec.from_dict, {"kind": "extend", "projection": _THRESHOLD, "bogus": 1},
+     "gamma document has no field 'bogus'"),
+    (GammaSpec.from_dict, {"kind": "output_mod", "projection": _THRESHOLD, "fallbak": None},
+     "gamma document has no field 'fallbak'"),
+    (TruthTable.from_dict, {"n_inputs": 0, "n_outputs": 1, "rows": [[1]], "bogus": 1},
+     "truth table document has no field 'bogus'"),
+], ids=["gamma", "gamma-misspelled", "table"])
+def test_gamma_and_table_documents_refuse_stray_fields(decode, doc, message):
+    """As node documents do: a stray key is named, not ignored."""
+    with pytest.raises(SerializationError) as info:
+        decode(doc)
+    assert (info.value.code, str(info.value)) == ("E_FORMAT", message)
