@@ -26,9 +26,9 @@ sample size.
 
 Every check walks its sample in those slices, one at a time
 (:func:`_check_sample`), so the report equals evaluating every point
-at once byte for byte.  A random sample is drawn once; a grid over one
-or more inputs is never materialised: its points follow from their
-indices, and only its work is capped (``_MAX_GRID_POINTS``).  A grid
+at once byte for byte.  A random sample is drawn once; a grid is never
+materialised: its points follow from their indices (``core.fiber_digits``),
+and only its work is capped (``_MAX_GRID_POINTS``).  A grid
 with no more projection levels than points per axis meets every fiber,
 so its baseline is one table over all of them, if there are at most
 ``_MAX_SAMPLE_POINTS``; a random sample with no more fibers than
@@ -61,8 +61,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import FuzzyExpr, Point, Projection, _float_points, fiber_codes, fiber_digits
-from .errors import CapacityError, ValidationError, _checked, malformed
+from .core import FuzzyExpr, Point, Projection, _float_points, _place_values, fiber_codes, fiber_digits
+from .errors import CapacityError, ValidationError, _checked, _fields_only, malformed
 
 __all__ = [
     "DEFAULT_WITNESS_CAP",
@@ -193,9 +193,9 @@ class SamplingSpec:
         k = self.points_per_axis
         axis = np.linspace(0.0, 1.0, k)
         out = np.empty((total, arity))
-        for j in range(arity):
-            # column j repeats each level k**(arity-j-1) times, k**j times over
-            out.reshape(k**j, k, -1, arity)[:, :, :, j] = axis[:, None]
+        for lo in range(0, total, EVAL_CHUNK):
+            codes = np.arange(lo, min(lo + EVAL_CHUNK, total))
+            out[lo : lo + EVAL_CHUNK] = axis[fiber_digits(codes, k, arity)]
         return out
 
     def _size(self, arity: int, walked: bool = False) -> int:
@@ -232,6 +232,7 @@ class SamplingSpec:
     @staticmethod
     def from_dict(doc: dict) -> "SamplingSpec":
         with malformed("sampling document"):
+            _fields_only(doc, ("mode", "points_per_axis", "count", "seed"), "sampling document")
             return SamplingSpec(**doc)
 
 
@@ -475,9 +476,8 @@ def _check_sample(
     offender_fibers: list[np.ndarray] | None = None,
 ) -> CoherenceReport:
     """A check one ``EVAL_CHUNK`` slice at a time (see the module
-    docstring).  A random sample is drawn once, and so is the one point
-    of a sample over no inputs; the points of a grid over one or more
-    inputs follow from their indices, so a grid is capped at
+    docstring).  A random sample is drawn once; the points of a grid
+    follow from their indices, so a grid is capped at
     ``_MAX_GRID_POINTS`` points, unless ``offender_fibers`` is given.
 
     With no more fibers than points, and at most ``_MAX_SAMPLE_POINTS``,
@@ -522,8 +522,7 @@ def _check_sample(
     np.empty(_HEAP_PRIMER_BYTES, dtype=np.uint8)
     n, m = f.in_arity, f.out_arity
     random = sampling.mode == "random"
-    # np.unravel_index takes no shape (), so a grid over no inputs is drawn too
-    held = sampling.sample(n) if random or n == 0 else None
+    held = sampling.sample(n) if random else None
     # a grid is walked, and so capped by its work, unless the walk keeps
     # offender fibers, whose lists grow with the offenders
     total = sampling._size(n, offender_fibers is None) if held is None else len(held)
@@ -545,10 +544,10 @@ def _check_sample(
     if held is None:
         k = sampling.points_per_axis
         axis = np.linspace(0.0, 1.0, k)
-        strides = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        strides = _place_values(k, n)
 
     def points(flat: np.ndarray) -> np.ndarray:
-        return axis[np.column_stack(np.unravel_index(flat, (k,) * n))]
+        return axis[fiber_digits(flat, k, n)]
 
     def bound(blo, bhi):
         """``f.bounds`` over index boxes, ``EVAL_CHUNK`` boxes a call."""
@@ -594,7 +593,7 @@ def _check_sample(
         # level covers one run of grid indices on every axis
         cuts = np.flatnonzero(np.diff(projection.apply(axis))) + 1
         run_lo, run_hi = np.concatenate([[0], cuts]), np.concatenate([cuts - 1, [k - 1]])
-        runs = np.indices((len(run_lo),) * n).reshape(n, -1).T
+        runs = fiber_digits(np.arange(len(run_lo) ** n), len(run_lo), n)
         blo, bhi = run_lo[runs], run_hi[runs]
         bounds = bound(blo, bhi)
         if bounds is None:

@@ -147,7 +147,7 @@ class Projection:
     @property
     def is_boolean(self) -> bool:
         """True when the image is exactly ``{0.0, 1.0}``."""
-        return self.kind == "threshold"
+        return self.level_values == (0.0, 1.0)
 
     @cached_property
     def level_values(self) -> tuple[float, ...]:
@@ -184,10 +184,7 @@ class Projection:
     def from_dict(doc: dict) -> "Projection":
         if not isinstance(doc, dict) or "kind" not in doc:
             raise SerializationError(f"projection document needs a 'kind' field: {doc!r}")
-        known = {"kind", "alpha", "levels"}
-        extra = set(doc) - known
-        if extra:
-            raise SerializationError(f"unknown projection fields: {sorted(extra)}")
+        _fields_only(doc, ("kind", "alpha", "levels"), "projection document")
         with malformed("projection document"):
             return Projection(doc["kind"], alpha=doc.get("alpha"), levels=doc.get("levels"))
 
@@ -873,8 +870,15 @@ def _decode_node(doc: dict) -> FuzzyExpr:
 # ---------------------------------------------------------------------------
 
 
+def _fiber_count(k: int, n: int) -> int:
+    if k**n > (1 << 62):
+        raise CapacityError(f"cannot index {k}^{n} projection fibers")
+    return k**n
+
+
 def _place_values(k: int, n: int) -> np.ndarray:
-    return k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    """``k**(n-1), ..., k, 1``: the value of each digit of a fiber code."""
+    return _fiber_count(k, n) // k ** np.arange(1, n + 1, dtype=np.int64)
 
 
 def fiber_codes(projection: Projection, xs: np.ndarray) -> np.ndarray:
@@ -882,17 +886,19 @@ def fiber_codes(projection: Projection, xs: np.ndarray) -> np.ndarray:
     indices of ``d(x)`` as base-``k`` digits, axis 0 most significant
     (so a Boolean vertex's code is its truth-table row)."""
     k = len(projection.level_values)
-    n = np.shape(xs)[1]
-    if k**n > (1 << 62):
-        raise CapacityError(f"cannot index {k}^{n} projection fibers")
-    digits = np.round(projection.apply(xs) * (k - 1)).astype(np.int64)
-    return digits @ _place_values(k, n)
+    place_values = _place_values(k, np.shape(xs)[1])
+    return np.round(projection.apply(xs) * (k - 1)).astype(np.int64) @ place_values
 
 
 def fiber_digits(codes: np.ndarray, k: int, n: int) -> np.ndarray:
     """Inverse of :func:`fiber_codes`: the ``(N, n)`` level indices of
-    each code; divided by ``k - 1`` they are the fiber's projected point."""
-    return np.asarray(codes, dtype=np.int64).reshape(-1, 1) // _place_values(k, n) % k
+    each code; divided by ``k - 1`` they are the fiber's projected point.
+    A code outside ``[0, k**n)`` is a ``ValidationError``."""
+    need = f"fiber codes over {n} inputs must be integers in [0, {k}**{n})"
+    codes = _checked(np.asarray(codes).reshape(-1), int, need, 0, _fiber_count(k, n) - 1)
+    if n == 0:  # np.unravel_index takes no shape ()
+        return np.zeros((len(codes), 0), dtype=np.int64)
+    return np.column_stack(np.unravel_index(codes.astype(np.int64, copy=False), (k,) * n))
 
 
 def all_vertices(n: int) -> np.ndarray:
@@ -911,8 +917,7 @@ def vertex_index(bits: Sequence[int]) -> int:
     """Row index of a Boolean vertex (input 0 most significant)."""
     if any(b not in (0, 1) for b in bits):
         raise ValidationError(f"vertex components must be 0 or 1, got {bits!r}")
-    row = np.asarray(bits, dtype=np.float64).reshape(1, -1)
-    return int(fiber_codes(Projection.threshold(0.5), row)[0])
+    return int(np.asarray(bits, dtype=np.int64) @ _place_values(2, len(bits)))
 
 
 @dataclass(frozen=True, eq=False)

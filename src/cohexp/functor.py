@@ -29,8 +29,8 @@ from .core import (
     FuzzyExpr,
     Projection,
     TruthTable,
+    _place_values,
     all_vertices,
-    fiber_codes,
     fiber_digits,
 )
 from .errors import CapacityError, ValidationError, _checked
@@ -228,7 +228,7 @@ def bool_compose(outer: TruthTable, inner: TruthTable) -> TruthTable:
             f"cannot compose tables: inner produces {inner.n_outputs} bits, "
             f"outer consumes {outer.n_inputs}"
         )
-    idx = fiber_codes(Projection.threshold(0.5), inner.rows)
+    idx = inner.rows @ _place_values(2, inner.n_outputs)
     return TruthTable(inner.n_inputs, outer.n_outputs, outer.rows[idx])
 
 

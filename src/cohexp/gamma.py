@@ -71,6 +71,7 @@ from .core import (
     Piece,
     Piecewise,
     Projection,
+    _place_values,
     fiber_codes,
     fiber_digits,
     from_dict,
@@ -179,8 +180,10 @@ class ExtendedExpr(FuzzyExpr):
         need = "extended components must be output indices of the base"
         components = _checked(np.asarray(self.components), int, need, 0, self.base.out_arity - 1)
         object.__setattr__(self, "components", tuple(components.tolist()))
+        k, n = len(self.projection.level_values), self.base.in_arity
+        need = f"contaminated fiber codes must be integers in [0, {k}**{n})"
         object.__setattr__(self, "contaminated", tuple(
-            tuple(np.sort(_checked(np.asarray(s), int, "fiber codes must be integers")).tolist())
+            tuple(np.sort(_checked(np.asarray(s), int, need, 0, k**n - 1)).tolist())
             for s in self.contaminated
         ))
         if len(self.components) != len(self.contaminated):
@@ -273,8 +276,7 @@ class ExtendedExpr(FuzzyExpr):
         for fiber_set in doc["contaminated"]:
             need = f"contaminated fiber digits must be integers in [0, {k})"
             digits = _checked(np.asarray(fiber_set), int, need, 0, k - 1)
-            digits = digits.astype(np.int64, copy=False).reshape(len(fiber_set), n)
-            contaminated.append(fiber_codes(projection, digits / (k - 1)))
+            contaminated.append(digits.reshape(len(fiber_set), n) @ _place_values(k, n))
         return ExtendedExpr(base, projection, tuple(doc["extended_components"]), contaminated)
 
 

@@ -424,6 +424,13 @@ class TestExplain:
         assert run(["explain", "--expr", or_file]) == OK
         assert capsys.readouterr().out == "output 0: x ∨ y\n"
 
+    def test_two_quantize_levels_are_boolean(self, or_file, capsys):
+        """Two quantize levels have the image {0, 1}; three do not."""
+        assert run(["explain", "--expr", or_file, "--quantize", "2"]) == OK
+        assert capsys.readouterr().out == "output 0: x ∨ y\n"
+        assert run(["explain", "--expr", or_file, "--quantize", "3"]) == BAD_INPUT
+        assert "image {0, 1}" in capsys.readouterr().err
+
     def test_ascii_and_names(self, or_file, capsys):
         assert run([
             "explain", "--expr", or_file, "--gamma", "extend",

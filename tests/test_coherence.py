@@ -82,6 +82,14 @@ class TestSamplingSpec:
         assert xs.shape == expected.shape and xs.dtype == expected.dtype
         assert xs.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("k, arity", [(100, 2), (3, 9)])
+    def test_grid_is_the_decoded_lattice(self, k, arity):
+        """Point ``i`` of a grid of more than one ``EVAL_CHUNK`` is the
+        axis value of each of ``fiber_digits(i)``."""
+        assert k**arity > EVAL_CHUNK
+        expected = np.linspace(0.0, 1.0, k)[fiber_digits(np.arange(k**arity), k, arity)]
+        assert SamplingSpec.grid(k).sample(arity).tobytes() == expected.tobytes()
+
     def test_grid_includes_endpoints(self):
         xs = SamplingSpec.grid(101).sample(1)
         assert xs[0, 0] == 0.0 and xs[-1, 0] == 1.0
@@ -1106,13 +1114,15 @@ def test_grid_checks_never_materialise(name, mode, run, monkeypatch):
 @pytest.mark.parametrize("values", [(0.3,), (0.7, 0.5)], ids=["one-output", "two-outputs"])
 def test_checks_over_no_inputs_take_one_point(values, sampling, cap):
     """A sample over no inputs is its one point, for grids and random
-    samples alike, as evaluating the drawn sample at once reports; both
+    samples alike, as evaluating the drawn sample at once reports; a
+    grid is walked, not drawn, as over one or more inputs.  Both
     repairs find the constant coherent there."""
     f = BatchRecorder(Const(values))
     projection = Projection.threshold(0.5)
     expected = dumps(_materialised_report(f, projection, sampling, cap))
     f.sizes.clear()
-    report = check_coherence(f, projection, sampling, witness_cap=cap)
+    with nothing_materialised():
+        report = check_coherence(f, projection, sampling, witness_cap=cap)
     assert report.n_points == 1 and report.verdict == "coherent_on_sample"
     assert dumps(report.to_dict()) == expected
     # the one fiber's vertex, then f at the point

@@ -33,7 +33,7 @@ from cohexp import (
     to_dict,
     vertex_index,
 )
-from cohexp.core import T_CONORM_KINDS, T_NORM_KINDS
+from cohexp.core import T_CONORM_KINDS, T_NORM_KINDS, fiber_codes, fiber_digits
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -54,6 +54,8 @@ class TestProjection:
         assert Projection.threshold(0.3).is_boolean
         assert Projection.threshold(0.3).level_values == (0.0, 1.0)
         assert not Projection.quantize(3).is_boolean
+        # Boolean means an image of exactly {0, 1}, whatever the kind
+        assert Projection.quantize(2).is_boolean
 
     def test_quantize_levels(self):
         d = Projection.quantize(3)
@@ -443,6 +445,27 @@ class TestVertices:
     def test_vertex_index_rejects_non_bits(self):
         with pytest.raises(ValidationError):
             vertex_index([0, 2])
+
+
+@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("k", [2, 3, 7, 2048])
+def test_fiber_digits_are_the_base_k_digits(k, n):
+    """``fiber_digits`` gives what dividing by each place value and
+    taking the rest mod ``k`` gives, and ``fiber_codes`` inverts it; a
+    code outside ``[0, k**n)`` names no fiber and is refused, not
+    wrapped into another one."""
+    rng = np.random.default_rng([k, n])
+    codes = np.concatenate([[0, k**n - 1], rng.integers(0, k**n, 1000)])
+    digits = fiber_digits(codes, k, n)
+    place_values = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    assert digits.shape == (len(codes), n) and digits.dtype == np.int64
+    assert np.array_equal(digits, codes.reshape(-1, 1) // place_values % k)
+    assert np.array_equal(fiber_codes(Projection.quantize(k), digits / (k - 1)), codes)
+    for code in (-1, k**n, -(k**n)):
+        with pytest.raises(ValidationError, match=rf"must be integers in \[0, {k}\*\*{n}\)"):
+            fiber_digits([0, code], k, n)
+    with pytest.raises(CapacityError):
+        fiber_digits([0], k, 63)
 
 
 @pytest.mark.parametrize("make", [

@@ -22,6 +22,8 @@ from cohexp import (
     LiftedProjection,
     Parallel,
     Projection,
+    TConorm,
+    TNorm,
     TruthTable,
     ValidationError,
     all_vertices,
@@ -31,8 +33,10 @@ from cohexp import (
     identity,
     identity_table,
     table_to_dnf,
+    vertex_index,
     verify_functor_law,
 )
+from cohexp.core import fiber_codes
 from cohexp.functor import _prime_cubes
 from conftest import jump_low, step_at
 
@@ -121,6 +125,25 @@ class TestBooleanize:
         with pytest.raises(ValidationError):
             booleanize(luk_or, Projection.quantize(3))
 
+    @pytest.mark.parametrize("f", [
+        TConorm("lukasiewicz"),
+        TNorm("product"),
+        Compose(TConorm("prob_sum"), Parallel((TNorm("min"), TNorm("lukasiewicz")))),
+        Const((0.3, 0.7, 0.51), in_arity=3),
+        step_at(0.5, low=0.4, high=1.0),
+    ], ids=["luk-or", "product", "nested", "const", "step"])
+    def test_two_quantize_levels_booleanize_as_the_threshold(self, f):
+        """Both have image {0, 1}, and they differ only at 0.5 itself,
+        which two quantize levels round down: no output here is 0.5 at a
+        vertex."""
+        assert not (f.eval_batch(all_vertices(f.in_arity)) == 0.5).any()
+        assert booleanize(f, Projection.quantize(2)) == booleanize(f, D)
+
+    def test_two_quantize_levels_round_a_half_down(self):
+        half = Const((0.5,), in_arity=1)
+        assert booleanize(half, Projection.quantize(2)) == table(0, 0)
+        assert booleanize(half, D) == table(1, 1)
+
     def test_zero_arity(self):
         t = booleanize(Const((0.7,), in_arity=0), D)
         assert t.n_inputs == 0 and t.rows.tolist() == [[1]]
@@ -145,6 +168,17 @@ class TestBoolCompose:
     def test_arity_mismatch(self):
         with pytest.raises(ValidationError):
             bool_compose(identity_table(2), identity_table(3))
+
+    @pytest.mark.parametrize("bits", [1, 3, 8])
+    def test_rows_are_read_by_their_fiber_codes(self, bits):
+        """An inner row picks the outer row its bits spell, as the 0.5
+        threshold's fiber codes and ``vertex_index`` read it."""
+        rng = np.random.default_rng(bits)
+        inner = TruthTable(4, bits, rng.integers(0, 2, (16, bits)))
+        outer = TruthTable(bits, 2, rng.integers(0, 2, (2**bits, 2)))
+        codes = fiber_codes(D, inner.rows)
+        assert np.array_equal(bool_compose(outer, inner).rows, outer.rows[codes])
+        assert [vertex_index(row) for row in inner.rows.tolist()] == codes.tolist()
 
 
 class TestFunctorLaw:

@@ -248,6 +248,15 @@ class TestDomainExtension:
         with pytest.raises(ValidationError):
             ExtendedExpr(luk_or, D, components, contaminated)
 
+    @pytest.mark.parametrize("code", [-5, 4, 7])
+    def test_codes_outside_the_fibers_refused(self, luk_or, code):
+        """A stored code names one of the ``2**2`` fibers: another one
+        would be saved as some fiber's digits and read back as that
+        fiber, a different repair."""
+        with pytest.raises(ValidationError, match=r"in \[0, 2\*\*2\), got") as info:
+            ExtendedExpr(luk_or, D, (0,), ((code,),))
+        assert info.value.code == "E_INPUT"
+
 
 class TestOutputModification:
     def test_canonical_fallback_overwrites_incoherent_points(self, luk_or):

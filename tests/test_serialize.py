@@ -374,9 +374,14 @@ _THRESHOLD = {"kind": "threshold", "alpha": 0.5}
      "gamma document has no field 'fallbak'"),
     (TruthTable.from_dict, {"n_inputs": 0, "n_outputs": 1, "rows": [[1]], "bogus": 1},
      "truth table document has no field 'bogus'"),
-], ids=["gamma", "gamma-misspelled", "table"])
+    (Projection.from_dict, {**_THRESHOLD, "bogus": 1},
+     "projection document has no field 'bogus'"),
+    (SamplingSpec.from_dict, {"mode": "grid", "points_per_axis": 3, "bogus": 1},
+     "sampling document has no field 'bogus'"),
+], ids=["gamma", "gamma-misspelled", "table", "projection", "sampling"])
 def test_gamma_and_table_documents_refuse_stray_fields(decode, doc, message):
-    """As node documents do: a stray key is named, not ignored."""
+    """As node documents do: a stray key in a gamma, truth-table,
+    projection or sampling document is named, not ignored."""
     with pytest.raises(SerializationError) as info:
         decode(doc)
     assert (info.value.code, str(info.value)) == ("E_FORMAT", message)
