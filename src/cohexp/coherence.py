@@ -93,11 +93,12 @@ _MAX_SAMPLE_COORDS = 16 * _MAX_SAMPLE_POINTS
 
 # A grid check holds one slice of its grid at a time, or at most
 # _MAX_SAMPLE_POINTS rows of box decisions, so only its work is capped.
-# How long that work takes depends on the expression: walking 512**2
-# points cost 0.04 us a point for the Lukasiewicz OR, 0.28 us for a
-# 2-input network of two 16-unit layers and 8 us for one of two 256-unit
-# layers (a 2-core Xeon), so a walk of this many points with no box
-# decided takes about 11 s, 75 s and 36 min.
+# How long that work takes depends on the expression: walking every
+# slice of a 512**2 grid at 256 levels (4 points a fiber, so no box is
+# decided; best of 3) cost 0.05 us a point for the Lukasiewicz OR,
+# 0.21 us for a 2-input network of two 16-unit layers and 9.3 us for one
+# of two 256-unit layers (a 2-core Xeon), so a walk of this many points
+# with no box decided takes about 14 s, 57 s and 42 min.
 _MAX_GRID_POINTS = 1 << 28
 
 # Expressions are evaluated in slices of at most this many rows, small

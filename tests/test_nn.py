@@ -87,6 +87,37 @@ class TestForward:
         xs = rng.random((16, 2))
         assert np.array_equal(forward(model, xs), forward(model, xs))
 
+    @pytest.mark.parametrize("slope", [1e-300, 0.25, 0.999, 1.0, 1.0000001, 2.0])
+    def test_prelu_matches_select_by_sign_bit_for_bit(self, slope):
+        """For a positive slope the larger or smaller of ``z`` and
+        ``slope * z`` is what selecting by the sign of ``z`` gives, down
+        to signed zeros, infinities, subnormals and NaN."""
+        tiny = np.finfo(np.float64).tiny
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, tiny / 3, -tiny / 3, tiny, -tiny]
+        z = np.concatenate([special, np.random.default_rng(7).normal(size=100_000)]).reshape(-1, 3)
+        got = nn._prelu(z, np.float64(slope))
+        assert got.view(np.uint64).tobytes() == np.where(z > 0, z, slope * z).view(np.uint64).tobytes()
+
+    @pytest.mark.parametrize("slope", [-0.5, 0.0])
+    def test_non_positive_slopes_select_by_sign(self, slope):
+        """Neither the larger nor the smaller of ``z`` and ``slope * z``
+        is the activation here (at slope 0, ``inf`` gives ``inf``, not
+        ``0 * inf``); an MLP gives what a forward pass selecting by sign
+        gives."""
+        z = np.array([0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 5e-324, -5e-324])
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            assert nn._prelu(z, np.float64(slope)).tobytes() == np.where(z > 0, z, slope * z).tobytes()
+        rng = np.random.default_rng(8)
+        model = random_model(rng, 3, (5, 4), 2)
+        model.slopes[:] = slope
+        xs = np.concatenate([rng.normal(size=(500, 3)), np.zeros((1, 3)), -np.zeros((1, 3))])
+        a = xs
+        for w, b in zip(model.weights[:-1], model.biases[:-1]):
+            z = a @ w.T + b
+            a = np.where(z > 0, z, slope * z)
+        expected = nn._sigmoid(a @ model.weights[-1].T + model.biases[-1])
+        assert forward(model, xs).tobytes() == expected.tobytes()
+
 
 class TestGradients:
     def test_plain_loss_gradients_match_finite_differences(self):
