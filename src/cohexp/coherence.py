@@ -16,34 +16,47 @@ Projected values are compared exactly; both sides of the comparison
 are produced by the same projection code path, so equal projected
 values are bit-identical floats.
 
-With no more fibers ``d(x)`` than sampled points, the baseline
-``d(f(d(x)))`` is evaluated once per fiber and gathered by fiber code.
-
 Expressions are evaluated over a sample in slices of ``EVAL_CHUNK``
 rows (:func:`eval_chunked`), so the memory an evaluation needs beyond
 the sample and its output arrays is bounded by the chunk, not by the
-sample size.
+sample size.  One routine gives a slice's ``(f(x), d(f(x)),
+d(f(d(x))))`` (:func:`_slice_outputs`), for :func:`projected_outputs`
+and for every check alike.  With no more fibers ``d(x)`` than sampled
+points, and at most ``_MAX_SAMPLE_POINTS``, the baseline
+``d(f(d(x)))`` is read by fiber code from one table, built once for
+every fiber the sample meets (:func:`_baseline_table`); with more,
+``f`` is evaluated at every projected point of the slice.
 
 Every check walks its sample in those slices, one at a time
 (:func:`_check_sample`), so the report equals evaluating every point
 at once byte for byte.  A random sample is drawn once; a grid is never
 materialised: its points follow from their indices (``core.fiber_digits``),
-and only its work is capped (``_MAX_GRID_POINTS``).  A grid
-with no more projection levels than points per axis meets every fiber,
-so its baseline is one table over all of them, if there are at most
-``_MAX_SAMPLE_POINTS``; a random sample with no more fibers than
-points tabulates the fibers it meets.  Such a grid is not evaluated
-point by point when it has at least ``_MIN_BOX_POINTS`` points, its
-fibers average at least 8 points each, and ``f`` has interval bounds
-(``FuzzyExpr.bounds``).  It is cut into one index box per fiber.  A
-box whose bounds project to one value in every component is decided
-whole against its fiber's baseline.  Other boxes are bisected, and
-only the points of undecided leaves are evaluated.  Verdicts taken
-near a projection boundary are taken again in their own slice.  Other
-grids walk every slice: with fewer points, or fewer points per fiber,
-that costs less than bounding boxes.  In both cases a grid's witnesses
-come from the first slices, in sample order, that hold offenders; a
-random sample's are a seeded subset of all its offenders.
+and only its work is capped (``_MAX_GRID_POINTS``).  A grid with no
+more projection levels than points per axis meets every fiber, so its
+table is over all of them.
+
+Such a grid is not evaluated point by point when it has at least
+``_MIN_BOX_POINTS`` points, its fibers average at least 8 points each,
+and ``f`` has interval bounds (``FuzzyExpr.bounds``).  It is cut into
+one index box per fiber, each carrying its fiber's code, and a box is
+decided whole against its fiber's baseline when its bounds project to
+one value in every component (each node pads its own rounding).
+Undecided boxes are bisected down to leaves of at most ``_LEAF_POINTS``
+points (:func:`_decide_boxes`), whose points are evaluated together in
+``EVAL_CHUNK`` batches.  A gathered verdict is kept only where the
+row's box was bounded and every output is ``_GATHER_MARGIN`` clear of
+the projection's boundaries; the slices of other rows are walked too.
+Where the boxes made and the points of undecided leaves come to more
+than ``_MAX_SAMPLE_POINTS`` rows, every slice is walked instead; so too
+where deciding boxes raises, and the walk raises the error, or not.
+Other grids walk every slice: with fewer points, or fewer points per
+fiber, that costs less than bounding boxes.
+
+In both cases a grid's witnesses are the first offenders of each
+component in sample order, from the first slices that hold offenders,
+each walked whole; with boxes, those are the slices that meet a decided
+bad box's flat index range or hold a bad leaf row.  A random sample's
+are a seeded subset of all its offenders.
 
 Both repairs in ``gamma`` scan through the same walk: domain extension
 has it collect the fiber codes of each component's offenders (of decided
@@ -61,7 +74,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import FuzzyExpr, Point, Projection, _float_points, _place_values, fiber_codes, fiber_digits
+from .core import FuzzyExpr, Point, Projection, _check_batch, _float_points, _place_values
+from .core import fiber_codes, fiber_digits
 from .errors import CapacityError, ValidationError, _checked, _fields_only, malformed
 
 __all__ = [
@@ -336,25 +350,56 @@ def fiber_table(f: FuzzyExpr, projection: Projection, codes: np.ndarray) -> np.n
     return projection.apply(eval_chunked(f, codes, lambda c: fiber_digits(c, k, n) / (k - 1)))
 
 
+def _baseline_table(
+    f: FuzzyExpr, projection: Projection, total: int, held: np.ndarray | None = None
+) -> np.ndarray | None:
+    """The fiber table of every fiber a sample of ``total`` points meets,
+    one row per fiber code (the rows of fibers it misses are unset), or
+    ``None`` where fibers outnumber ``min(total, _MAX_SAMPLE_POINTS)``.
+    A grid (``held`` is ``None``) then has no more levels than points
+    per axis, so it meets every fiber; the fibers of a ``held`` sample
+    are found a slice at a time."""
+    fibers = len(projection.level_values) ** f.in_arity
+    if fibers > min(total, _MAX_SAMPLE_POINTS):
+        return None
+    present = np.arange(fibers)
+    if held is not None:
+        seen = np.zeros(fibers, dtype=bool)
+        for lo in range(0, total, EVAL_CHUNK):
+            seen[fiber_codes(projection, held[lo : lo + EVAL_CHUNK])] = True
+        present = np.flatnonzero(seen)
+    table = np.empty((fibers, f.out_arity), dtype=np.float64)
+    table[present] = fiber_table(f, projection, present)
+    return table
+
+
+def _slice_outputs(
+    f: FuzzyExpr, projection: Projection, xs: np.ndarray, table: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(f(x), d(f(x)), d(f(d(x))))`` per row of one slice ``xs``: the
+    baseline is read from ``table`` by fiber code, or, with no table,
+    evaluated at the projected rows."""
+    fx = f.eval_batch(xs)
+    direct = projection.apply(fx)
+    if table is None:
+        return fx, direct, projection.apply(f.eval_batch(projection.apply(xs)))
+    return fx, direct, table[fiber_codes(projection, xs)]
+
+
 def projected_outputs(
     f: FuzzyExpr, projection: Projection, xs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(f(x), d(f(x)), d(f(d(x))))`` per row of ``xs``.  With at most
-    ``len(xs)`` fibers the baseline is tabulated for the fibers present
-    in ``xs``, else ``f`` is evaluated at every projected row."""
-    fx = eval_chunked(f, xs)
-    fibers = len(projection.level_values) ** f.in_arity
-    if fibers <= len(xs):
-        codes = np.empty(len(xs), dtype=np.int64)
-        for lo in range(0, len(xs), EVAL_CHUNK):
-            codes[lo : lo + EVAL_CHUNK] = fiber_codes(projection, xs[lo : lo + EVAL_CHUNK])
-        present = np.flatnonzero(np.bincount(codes, minlength=fibers))
-        table = np.empty((fibers, f.out_arity), dtype=np.float64)
-        table[present] = fiber_table(f, projection, present)
-        baseline = table[codes]
-    else:
-        baseline = projection.apply(eval_chunked(f, xs, projection.apply))
-    return fx, projection.apply(fx), baseline
+    """``(f(x), d(f(x)), d(f(d(x))))`` per row of ``xs``, one
+    ``EVAL_CHUNK`` slice at a time; the baseline is read from a table
+    of the fibers present in ``xs`` where a check's would be
+    (:func:`_baseline_table`)."""
+    xs = _check_batch(xs, f.in_arity)  # its fibers are found before it is evaluated
+    table = _baseline_table(f, projection, len(xs), xs)
+    out = np.empty((3, len(xs), f.out_arity), dtype=np.float64)
+    for lo in range(0, len(xs), EVAL_CHUNK):
+        rows = xs[lo : lo + EVAL_CHUNK]
+        out[:, lo : lo + EVAL_CHUNK] = _slice_outputs(f, projection, rows, table)
+    return tuple(out)
 
 
 def coherence_masks(f: FuzzyExpr, projection: Projection, xs: np.ndarray) -> np.ndarray:
@@ -434,6 +479,11 @@ def _tally(ok: np.ndarray, size: np.ndarray | None = None) -> np.ndarray:
     return bad.sum(axis=1) if size is None else bad @ size
 
 
+def _joined(parts: list[tuple]) -> list[np.ndarray]:
+    """Tuples of arrays, joined place by place into one array each."""
+    return [np.concatenate(side) for side in zip(*parts)]
+
+
 def _one_value(projection: Projection, lo: np.ndarray, hi: np.ndarray, pad: float = 0.0):
     """Per row: whether every component of ``[lo - pad, hi + pad]``
     projects to one value, and the projection of ``lo - pad``.  The
@@ -456,8 +506,8 @@ def _bisect(blo: np.ndarray, bhi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _box_points(blo: np.ndarray, bhi: np.ndarray, strides: np.ndarray):
-    """Flat sample indices of every point of each index box, box after
-    box and in sample order within a box, and the box each one is in."""
+    """Flat sample indices of every point of the index boxes, in sample
+    order, and the box each one is in."""
     shape = bhi - blo + 1
     size = shape.prod(axis=1)
     box = np.repeat(np.arange(len(blo)), size)
@@ -466,7 +516,71 @@ def _box_points(blo: np.ndarray, bhi: np.ndarray, strides: np.ndarray):
     for j in reversed(range(blo.shape[1])):
         flat += (rest % shape[box, j] + blo[box, j]) * strides[j]
         rest //= shape[box, j]
-    return flat, box
+    order = np.argsort(flat)
+    return flat[order], box[order]
+
+
+def _decide_boxes(f: FuzzyExpr, projection: Projection, axis: np.ndarray, table: np.ndarray):
+    """Decide the fiber boxes of the grid with the points ``axis`` on
+    every axis from ``f.bounds``, against ``table``, its fiber table.
+
+    The grid is cut into one index box per fiber, and each box carries
+    its fiber's code from then on.  A box is decided when its bounds are
+    finite and project to one value in every component: its points are
+    all coherent in a component where that value is the fiber's
+    baseline, and all incoherent elsewhere.  An undecided box is halved
+    along its longest side (:func:`_bisect`) until it holds at most
+    ``_LEAF_POINTS`` points.  Returns ``(tally, bad, leaves)``:
+
+    - ``tally``, the ``_tally`` of the points of every decided box;
+    - ``bad``, the decided boxes with an incoherent component, as
+      ``(low corners, high corners, incoherent components, fiber codes)``;
+    - ``leaves``, the undecided leaves, as ``(low corners, high corners,
+      whether the bounds were finite, fiber codes)``.
+
+    ``None`` where ``f`` has no bounds, or where the boxes made and the
+    points of undecided leaves come to more than ``_MAX_SAMPLE_POINTS``
+    rows, as many as a drawn sample may hold.
+    """
+    n = f.in_arity
+    # the projection is non-decreasing, so each level covers one run of
+    # grid indices on every axis
+    cuts = np.flatnonzero(np.diff(projection.apply(axis))) + 1
+    run_lo, run_hi = np.concatenate([[0], cuts]), np.concatenate([cuts - 1, [len(axis) - 1]])
+    runs = fiber_digits(np.arange(len(run_lo) ** n), len(run_lo), n)
+    blo, bhi = run_lo[runs], run_hi[runs]
+    codes = fiber_codes(projection, axis[blo])
+    tally = np.zeros(f.out_arity + 1, dtype=np.int64)
+    bad_boxes, leaves = [], []
+    # rows held, as in a drawn sample: every box made, and the points of
+    # undecided leaves, which the grid caller gathers at once
+    held_rows = len(blo)
+    while len(blo):
+        parts = []  # f.bounds of the boxes, EVAL_CHUNK boxes a call
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, len(blo), EVAL_CHUNK):
+                chunk = slice(lo, lo + EVAL_CHUNK)
+                parts.append(f.bounds(axis[blo[chunk]], axis[bhi[chunk]]))
+                if parts[-1] is None:
+                    return None
+        bounds = _joined(parts)
+        bounded = np.isfinite(bounds[0]).all(axis=1) & np.isfinite(bounds[1]).all(axis=1)
+        same, value = _one_value(projection, *bounds)
+        decided = bounded & same
+        size = (bhi - blo + 1).prod(axis=1)
+        bad = value[decided] != table[codes[decided]]
+        hit = bad.any(axis=1)
+        tally += _tally(~bad, size[decided])
+        bad_boxes.append((blo[decided][hit], bhi[decided][hit], bad[hit], codes[decided][hit]))
+        leaf = ~decided & (size <= _LEAF_POINTS)
+        leaves.append((blo[leaf], bhi[leaf], bounded[leaf], codes[leaf]))
+        split = ~decided & ~leaf
+        blo, bhi = _bisect(blo[split], bhi[split])
+        codes = np.tile(codes[split], 2)  # both halves of a box lie in its fiber
+        held_rows += int(size[leaf].sum()) + len(blo)
+        if held_rows > _MAX_SAMPLE_POINTS:
+            return None
+    return tally, _joined(bad_boxes), _joined(leaves)
 
 
 def _check_sample(
@@ -477,38 +591,18 @@ def _check_sample(
     offender_fibers: list[np.ndarray] | None = None,
 ) -> CoherenceReport:
     """A check one ``EVAL_CHUNK`` slice at a time (see the module
-    docstring).  A random sample is drawn once; the points of a grid
-    follow from their indices, so a grid is capped at
+    docstring): the walk, a grid's box decisions (:func:`_decide_boxes`)
+    and the choice of witnesses.  A random sample is drawn once; the
+    points of a grid follow from their indices, so a grid is capped at
     ``_MAX_GRID_POINTS`` points, unless ``offender_fibers`` is given.
-
-    With no more fibers than points, and at most ``_MAX_SAMPLE_POINTS``,
-    the baseline is read from a table, by the fiber code of a slice's
-    points or of a leaf's or a box's low corner: of every fiber of a
-    grid, or of the fibers a random sample meets.  Every slice is
-    walked, counting its verdicts, unless the sample is a grid with such
-    a table, at least ``_MIN_BOX_POINTS`` points, at least 8 points per
-    fiber and bounds on every node.  Then it is cut into one index box
-    per fiber, and a box is decided when ``f.bounds`` projects to one
-    value in every component (each node pads its own rounding).
-    Undecided boxes are bisected down to leaves of at most
-    ``_LEAF_POINTS`` points, which are evaluated together in
-    ``EVAL_CHUNK`` batches.  A gathered verdict is kept only where the
-    row's box was bounded and every output is ``_GATHER_MARGIN`` clear
-    of the projection's boundaries; the slices of other rows are walked
-    too.  Where the boxes made and the points of undecided leaves come to
-    more than ``_MAX_SAMPLE_POINTS`` rows, every slice is walked instead;
-    so too where deciding boxes raises, and the walk raises the error, or
-    not.
 
     A walked grid slice keeps the rows of its offenders in the
     components that have found fewer than ``witness_cap`` so far, and a
     grid's witnesses are the first ``witness_cap`` of each component, in
-    sample order; in box mode the slices walked for them are those that
-    meet a decided bad box's flat index range or hold a bad leaf row,
-    until every component has its witnesses.  A random sample takes the
-    seeded subset of its offenders once their count is known, so with a
-    cap above 0 it keeps ``f(x)``, the baseline and the verdicts of every
-    point, in arrays whose size does not depend on how many offend.
+    sample order.  A random sample takes the seeded subset of its
+    offenders once their count is known, so with a cap above 0 it keeps
+    ``f(x)``, the baseline and the verdicts of every point, in arrays
+    whose size does not depend on how many offend.
 
     Given ``offender_fibers``, the check appends to it, per component,
     the sorted fiber codes that hold an offender: the fiber of each
@@ -527,8 +621,7 @@ def _check_sample(
     # a grid is walked, and so capped by its work, unless the walk keeps
     # offender fibers, whose lists grow with the offenders
     total = sampling._size(n, offender_fibers is None) if held is None else len(held)
-    fibers = len(projection.level_values) ** n
-    tabulated = fibers <= min(total, _MAX_SAMPLE_POINTS)
+    table = _baseline_table(f, projection, total, held)
     slices = -(-total // EVAL_CHUNK)
     cap = min(witness_cap, total)
     # (x, f(x), baseline, bad) of grid offenders that may be witnesses
@@ -539,151 +632,77 @@ def _check_sample(
     keep_all = random and cap > 0
     if keep_all:
         outs, bases, bads = *np.empty((2, total, m)), np.empty((total, m), dtype=bool)
-    found = np.zeros(m, dtype=np.int64)  # offenders per component in the walked slices
+    found = np.zeros(m + 1, dtype=np.int64)  # the _tally of the walked slices
     # per component, the fiber codes of offenders, for offender_fibers
     hits = [[np.empty(0, dtype=np.int64)] for _ in range(m)]
     if held is None:
         k = sampling.points_per_axis
         axis = np.linspace(0.0, 1.0, k)
-        strides = _place_values(k, n)
-
-    def points(flat: np.ndarray) -> np.ndarray:
-        return axis[fiber_digits(flat, k, n)]
-
-    def bound(blo, bhi):
-        """``f.bounds`` over index boxes, ``EVAL_CHUNK`` boxes a call."""
-        parts = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, len(blo), EVAL_CHUNK):
-                part = f.bounds(axis[blo[lo : lo + EVAL_CHUNK]], axis[bhi[lo : lo + EVAL_CHUNK]])
-                if part is None:
-                    return None
-                parts.append(part)
-        return tuple(np.concatenate(side) for side in zip(*parts))
 
     def walk(s: int) -> np.ndarray:
         """Evaluate slice ``s`` whole, keep what its witnesses may need,
-        and return its verdicts."""
+        add its tally to ``found`` and return its verdicts."""
         lo, hi = s * EVAL_CHUNK, min((s + 1) * EVAL_CHUNK, total)
-        xs = points(np.arange(lo, hi)) if held is None else held[lo:hi]
-        fx = f.eval_batch(xs)
-        direct = projection.apply(fx)
-        if tabulated:
-            baseline = table[fiber_codes(projection, xs)]
-        else:
-            baseline = projection.apply(f.eval_batch(projection.apply(xs)))
+        xs = axis[fiber_digits(np.arange(lo, hi), k, n)] if held is None else held[lo:hi]
+        fx, direct, baseline = _slice_outputs(f, projection, xs, table)
         ok = direct == baseline
-        bad = ~ok.T.copy()  # one row per component, as in _tally
         if keep_all:
             outs[lo:hi], bases[lo:hi], bads[lo:hi] = fx, baseline, ~ok
         else:
-            rows = np.flatnonzero(bad[found < cap].any(axis=0))
+            rows = np.flatnonzero(~ok[:, found[:m] < cap].all(axis=1))
             kept.append((xs[rows], fx[rows], baseline[rows], ~ok[rows]))
-        found[:] += bad.sum(axis=1)
+        found[:] += _tally(ok)
         if offender_fibers is not None:
-            for i in np.flatnonzero(bad.any(axis=1)):
-                hits[i].append(fiber_codes(projection, xs[bad[i]]))
+            for i in np.flatnonzero(~ok.all(axis=0)):
+                hits[i].append(fiber_codes(projection, xs[~ok[:, i]]))
         return ok
 
-    def decide_boxes() -> np.ndarray | None:
-        """The tally of walking every slice, from fiber boxes; ``None``
-        where ``f`` has no bounds, or where the boxes made and the
-        points of undecided leaves come to more than
-        ``_MAX_SAMPLE_POINTS`` rows."""
-        # one box per fiber: the projection is non-decreasing, so each
-        # level covers one run of grid indices on every axis
-        cuts = np.flatnonzero(np.diff(projection.apply(axis))) + 1
-        run_lo, run_hi = np.concatenate([[0], cuts]), np.concatenate([cuts - 1, [k - 1]])
-        runs = fiber_digits(np.arange(len(run_lo) ** n), len(run_lo), n)
-        blo, bhi = run_lo[runs], run_hi[runs]
-        bounds = bound(blo, bhi)
-        if bounds is None:
-            return None
-        counts = np.zeros(m + 1, dtype=np.int64)
-        # (first and last flat index, bad components, fiber code) of decided bad boxes
-        bad_boxes = []
-        leaves = []  # (blo, bhi, bounded) of undecided leaves
-        # rows held, as in a drawn sample: every box made, and the points
-        # of undecided leaves, which are gathered at once
-        held_rows = len(blo)
-        while len(blo):
-            bounded = np.isfinite(bounds[0]).all(axis=1) & np.isfinite(bounds[1]).all(axis=1)
-            same, value = _one_value(projection, *bounds)
-            decided = bounded & same
-            size = (bhi - blo + 1).prod(axis=1)
-            codes = fiber_codes(projection, axis[blo[decided]])
-            bad = value[decided] != table[codes]
-            hit = bad.any(axis=1)
-            counts += _tally(~bad, size[decided])
-            bad_boxes.append(
-                (blo[decided][hit] @ strides, bhi[decided][hit] @ strides, bad[hit], codes[hit])
-            )
-            leaf = ~decided & (size <= _LEAF_POINTS)
-            leaves.append((blo[leaf], bhi[leaf], bounded[leaf]))
-            split = ~decided & ~leaf
-            blo, bhi = _bisect(blo[split], bhi[split])
-            held_rows += int(size[leaf].sum()) + len(blo)
-            if held_rows > _MAX_SAMPLE_POINTS:
-                return None
-            bounds = bound(blo, bhi)
-
-        # leaf points, in sample order, evaluated in gathered batches
-        llo, lhi, lbounded = (np.concatenate(parts) for parts in zip(*leaves))
-        flat, box = _box_points(llo, lhi, strides)
-        order = np.argsort(flat)
-        flat, box = flat[order], box[order]
-        fx = eval_chunked(f, points(flat))
-        codes = fiber_codes(projection, axis[llo])[box]
-        ok = projection.apply(fx) == table[codes]
-        clear, _ = _one_value(projection, fx, fx, _GATHER_MARGIN)
-        unsure = np.zeros(slices, dtype=bool)
-        unsure[flat[~(clear & lbounded[box])] // EVAL_CHUNK] = True
-
-        # per slice and component, whether the slice may hold an offender
-        first, last, bad, bad_codes = (np.concatenate(parts) for parts in zip(*bad_boxes))
-        edges = np.zeros((slices + 1, m), dtype=np.int64)
-        np.add.at(edges, first // EVAL_CHUNK, bad)
-        np.subtract.at(edges, last // EVAL_CHUNK + 1, bad)
-        wanted = np.cumsum(edges, axis=0)[:-1] > 0
-        rows, comps = np.nonzero(~ok)
-        wanted[flat[rows] // EVAL_CHUNK, comps] = True
-
-        for s in range(slices):
-            if unsure[s] or (wanted[s] & (found < cap)).any():
-                # every leaf row of the slice takes the slice's verdict
-                a, b = np.searchsorted(flat, [s * EVAL_CHUNK, (s + 1) * EVAL_CHUNK])
-                ok[a:b] = walk(s)[flat[a:b] - s * EVAL_CHUNK]
-        if offender_fibers is not None:
-            for i in range(m):
-                hits[i] += [bad_codes[bad[:, i]], codes[~ok[:, i]]]
-        return counts + _tally(ok)
-
-    if tabulated:
-        present = np.arange(fibers)  # a grid meets every fiber
-        if held is not None:
-            seen = np.zeros(fibers, dtype=bool)
-            for lo in range(0, total, EVAL_CHUNK):
-                seen[fiber_codes(projection, held[lo : lo + EVAL_CHUNK])] = True
-            present = np.flatnonzero(seen)
-        table = np.empty((fibers, m), dtype=np.float64)
-        table[present] = fiber_table(f, projection, present)
     counts = None
     # boxes are decided only on grids of _MIN_BOX_POINTS points whose
     # fiber boxes average 8 points or more: on smaller boxes walking is
     # faster (an MLP on 1024**2 points, 4 a box: 0.7 s against 1.9 s);
     # a floor of 0 decides boxes on every grid
     per = _MIN_BOX_POINTS // 8
-    if held is None and tabulated and total * per >= _MIN_BOX_POINTS * max(fibers, per):
+    if not random and table is not None and total * per >= _MIN_BOX_POINTS * max(len(table), per):
         try:
-            counts = decide_boxes()
+            boxes = _decide_boxes(f, projection, axis, table)
+            if boxes is not None:
+                tally, (blo, bhi, bad, bad_codes), (llo, lhi, lbounded, lcodes) = boxes
+                strides = _place_values(k, n)
+                # leaf points, in sample order, evaluated in gathered batches
+                flat, box = _box_points(llo, lhi, strides)
+                fx = eval_chunked(f, axis[fiber_digits(flat, k, n)])
+                codes = lcodes[box]
+                ok = projection.apply(fx) == table[codes]
+                clear, _ = _one_value(projection, fx, fx, _GATHER_MARGIN)
+                unsure = np.zeros(slices, dtype=bool)
+                unsure[flat[~(clear & lbounded[box])] // EVAL_CHUNK] = True
+                # per slice and component, whether the slice may hold an offender
+                edges = np.zeros((slices + 1, m), dtype=np.int64)
+                np.add.at(edges, blo @ strides // EVAL_CHUNK, bad)
+                np.subtract.at(edges, bhi @ strides // EVAL_CHUNK + 1, bad)
+                wanted = np.cumsum(edges, axis=0)[:-1] > 0
+                rows, comps = np.nonzero(~ok)
+                wanted[flat[rows] // EVAL_CHUNK, comps] = True
+                for s in range(slices):
+                    if unsure[s] or (wanted[s] & (found[:m] < cap)).any():
+                        # every leaf row of the slice takes the slice's verdict
+                        a, b = np.searchsorted(flat, [s * EVAL_CHUNK, (s + 1) * EVAL_CHUNK])
+                        ok[a:b] = walk(s)[flat[a:b] - s * EVAL_CHUNK]
+                if offender_fibers is not None:
+                    for i in range(m):
+                        hits[i] += [bad_codes[bad[:, i]], codes[~ok[:, i]]]
+                counts = tally + _tally(ok)
         except ValidationError:
             pass  # the walk is the reference: it raises the error, or not
     if counts is None:
-        counts = sum(_tally(walk(s)) for s in range(slices))
+        for s in range(slices):
+            walk(s)
+        counts = found
 
     if offender_fibers is not None:
         offender_fibers.extend(np.unique(np.concatenate(h)) for h in hits)
-    xs, fx, baseline, bad = (held, outs, bases, bads) if keep_all else map(np.concatenate, zip(*kept))
+    xs, fx, baseline, bad = (held, outs, bases, bads) if keep_all else _joined(kept)
     components = []
     for i in range(m):
         at = np.flatnonzero(bad[:, i])

@@ -969,7 +969,9 @@ class TruthTable:
         return tuple(int(v) for v in self.rows[vertex_index(bits)])
 
     def column(self, output: int) -> np.ndarray:
-        return self.rows[:, output]
+        """The table's values of one output, one per row."""
+        need = f"output index must be an integer in [0, {self.n_outputs})"
+        return self.rows[:, _checked(output, int, need, 0, self.n_outputs - 1)]
 
     def to_dict(self) -> dict:
         return {

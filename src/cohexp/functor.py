@@ -126,10 +126,16 @@ class DnfFormula:
     def names(self) -> tuple[str, ...]:
         return self.var_names if self.var_names is not None else default_var_names(self.n_vars)
 
+    def _terms(self, output: int) -> tuple[Term, ...]:
+        """The terms of one output; an index outside ``[0, n_outputs)``
+        is a ``ValidationError``."""
+        need = f"output index must be an integer in [0, {self.n_outputs})"
+        return self.outputs[_checked(output, int, need, 0, self.n_outputs - 1)]
+
     def term_sets(self, output: int = 0) -> frozenset[frozenset[Literal]]:
         """Order-insensitive view of one output, for semantic-shape
         comparisons."""
-        return frozenset(frozenset(term) for term in self.outputs[output])
+        return frozenset(frozenset(term) for term in self._terms(output))
 
     def evaluate(self, bits: Sequence[int]) -> tuple[int, ...]:
         out = self.evaluate_batch(np.asarray(bits, dtype=np.float64).reshape(1, -1))
@@ -164,7 +170,7 @@ class DnfFormula:
     def render(self, output: int = 0, ascii_ops: bool = False) -> str:
         """Human-readable DNF for one output."""
         and_op, or_op, not_op = (" & ", " | ", "!") if ascii_ops else (" ∧ ", " ∨ ", "¬")
-        terms = self.outputs[output]
+        terms = self._terms(output)
         if not terms:
             return "FALSE"
         if terms == ((),):

@@ -460,7 +460,16 @@ class MlpExpr(FuzzyExpr):
         stable on the box keeps its form; an unstable one is replaced by
         its range ``[min(s zlo, 0), max(s zlo, zhi)]``.  Logits are
         widened before the sigmoid (``_sigmoid(-1e-17)`` is exactly 0.5),
-        and its outputs by ``BOUND_PAD`` after it, for its own rounding."""
+        and its outputs by ``BOUND_PAD`` after it, for its own rounding.
+
+        Plain centre-radius intervals (``W c + b`` and ``|W| r`` per
+        layer) lose the correlation between units that share inputs, so
+        far fewer boxes are decided.  On 12 two-input networks of the
+        kind the check-grid benchmark uses, under the 0.5 threshold, both
+        gave the same reports, but plain intervals left 6 305 840 rows to
+        evaluate on 2048**2 grids against 434 864, and 2 786 224 against
+        270 768 on 1024**2 grids: 1.5 s against 0.23 s and 0.62 s
+        against 0.14 s (one BLAS thread, a 2-core Xeon)."""
         pad = self._logit_pad
         if pad is None:
             return None

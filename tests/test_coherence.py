@@ -55,7 +55,7 @@ from cohexp import (
 from cohexp import coherence as coherence_module
 from cohexp import gamma as gamma_module
 from cohexp.coherence import _MAX_SAMPLE_POINTS, EVAL_CHUNK, fiber_table, projected_outputs
-from cohexp.core import BOUND_PAD, fiber_codes, fiber_digits
+from cohexp.core import BOUND_PAD, _place_values, fiber_codes, fiber_digits
 from cohexp.nn import forward
 from cohexp.serialize import dumps
 from conftest import BatchRecorder
@@ -356,6 +356,16 @@ def test_projected_outputs_match_direct_evaluation(projection, make, n, extra):
     assert np.array_equal(baseline, projection.apply(f.eval_batch(projection.apply(xs))))
 
 
+@pytest.mark.parametrize("value", [2.0, -0.6, np.nan])
+def test_projected_outputs_refuse_points_outside_the_cube(luk_or, value):
+    """Points outside the cube are refused as evaluation refuses them,
+    before their fibers are looked up in a table."""
+    xs = np.full((20, 2), 0.5)
+    xs[7, 1] = value
+    with pytest.raises(ValidationError, match="inside the unit hypercube"):
+        projected_outputs(luk_or, Projection.quantize(3), xs)
+
+
 def _mlp16(n: int, m: int):
     return MlpExpr(init_model(n, (16, 16), m, np.random.default_rng(10 * n + m)))
 
@@ -414,9 +424,15 @@ def test_chunked_evaluation_is_bit_identical(name, rows, projection):
 
 # 128**2 fibers outnumber the 101**2 grid points, so quantize(128) takes the per-point path
 @pytest.mark.parametrize(
-    "projection", [Projection.threshold(0.5), Projection.quantize(128)], ids=["table", "direct"]
+    "run, projection",
+    [
+        (run, projection)
+        for run in ("check", "projected_outputs")
+        for projection in (Projection.threshold(0.5), Projection.quantize(128))
+    ],
+    ids=["table", "direct", "projected_outputs-table", "projected_outputs-direct"],
 )
-def test_check_evaluates_at_most_a_chunk_at_a_time(luk_or, projection, monkeypatch):
+def test_check_evaluates_at_most_a_chunk_at_a_time(luk_or, run, projection, monkeypatch):
     f = BatchRecorder(luk_or)
     encoded = []
     monkeypatch.setattr(
@@ -424,12 +440,18 @@ def test_check_evaluates_at_most_a_chunk_at_a_time(luk_or, projection, monkeypat
     )
     sampling = SamplingSpec.grid(101)
     assert 101**2 > EVAL_CHUNK
-    report = check_coherence(f, projection, sampling)
-    assert report.n_points == 101**2
+    if run == "check":
+        assert check_coherence(f, projection, sampling).n_points == 101**2
+    else:
+        fx, _, _ = projected_outputs(f, projection, sampling.sample(2))
+        assert len(fx) == 101**2
     assert max(f.sizes) <= EVAL_CHUNK
-    # fibers are encoded a chunk at a time too, and only on the table path
+    # fibers are encoded a chunk at a time too, and only on the table
+    # path; a drawn sample is encoded once more first, to find the
+    # fibers it meets
     if projection.is_boolean:
-        assert max(encoded) <= EVAL_CHUNK and sum(encoded) == 101**2
+        scans = 1 if run == "check" else 2
+        assert max(encoded) <= EVAL_CHUNK and sum(encoded) == scans * 101**2
     else:
         assert encoded == []
     # f(x) on every point, then the baseline: per fiber or per point
@@ -970,6 +992,51 @@ def test_fiber_boxes_are_bounded_a_chunk_at_a_time(name, monkeypatch):
     with grid_mode("every-slice"):
         expected = check_coherence(f, projection, sampling)
     assert dumps(report.to_dict()) == dumps(expected.to_dict())
+
+
+def _crossing_mlp():
+    """A 2-input network whose outputs span 0.10 to 0.69, and so cross
+    three boundaries of quantize(5)."""
+    model = init_model(2, (16, 16), 1, np.random.default_rng(1))
+    model.weights[-1] *= 8
+    p = forward(model, np.array([[0.4, 0.6]]))[0]
+    model.biases[-1] -= np.log(p / (1.0 - p))
+    return MlpExpr(model)
+
+
+_CROSSING_MLP = _crossing_mlp()
+DECIDED_BOX_CASES = {
+    # name: (expression, projection, points per axis)
+    # grid sums land on 0.5 exactly: the threshold's tie
+    "luk-or": (TConorm("lukasiewicz"), Projection.threshold(0.5), 201),
+    "mlp": (_CROSSING_MLP, Projection.quantize(5), 256),
+    # the canonical repair: coherent, with leaves where the base is not
+    "output-mod": (OutputModExpr(_CROSSING_MLP, None, Projection.quantize(5)), Projection.quantize(5),
+                   256),
+}
+
+
+@pytest.mark.parametrize("name", DECIDED_BOX_CASES)
+def test_decided_boxes_carry_their_fiber_and_add_up(name):
+    """Every box that deciding a grid's fiber boxes returns, decided bad
+    or an undecided leaf, carries the fiber code of both of its corners;
+    and the tally of the decided boxes, plus the verdicts of the leaf
+    points evaluated in their own slices, is the tally of walking every
+    slice."""
+    f, projection, k = DECIDED_BOX_CASES[name]
+    axis = np.linspace(0.0, 1.0, k)
+    table = coherence_module._baseline_table(f, projection, k**2)
+    tally, bad, leaves = coherence_module._decide_boxes(f, projection, axis, table)
+    assert len(leaves[0]) and (len(bad[0]) > 0) == (name != "output-mod")
+    for lo, hi, _, codes in (bad, leaves):
+        assert np.array_equal(fiber_codes(projection, axis[lo]), codes)
+        assert np.array_equal(fiber_codes(projection, axis[hi]), codes)
+    _, direct, baseline = projected_outputs(f, projection, SamplingSpec.grid(k).sample(2))
+    ok = direct == baseline
+    flat, _ = coherence_module._box_points(leaves[0], leaves[1], _place_values(k, 2))
+    expected = coherence_module._tally(ok)
+    assert np.array_equal(tally + coherence_module._tally(ok[flat]), expected)
+    assert expected[-1] > 0 or name == "output-mod"
 
 
 @pytest.mark.parametrize("alpha", [None, 1.0, 1e-9], ids=["quantize", "alpha1.0", "alpha1e-9"])

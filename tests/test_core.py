@@ -513,6 +513,10 @@ class TestTruthTable:
         assert t.row((0, 1)) == (1,)
         assert t.row((1, 1)) == (0,)
         assert t.column(0).tolist() == [0, 1, 1, 0]
+        # an output index outside [0, n_outputs) is refused, not wrapped
+        for output in (1, 3, -1):
+            with pytest.raises(ValidationError, match=r"output index must be an integer in \[0, 1\)"):
+                t.column(output)
 
     @pytest.mark.parametrize("bits", [(1,), (1, 1, 1, 1)], ids=["short", "long"])
     def test_row_needs_one_bit_per_input(self, bits):

@@ -371,6 +371,11 @@ class TestTableToDnf:
         f = table_to_dnf(t)
         assert f.render(0) == "x ∨ y"
         assert f.render(1) == "TRUE"
+        # an output index outside [0, n_outputs) is refused, not wrapped
+        for output in (2, -1):
+            for read in (f.render, f.term_sets):
+                with pytest.raises(ValidationError, match=r"output index must be an integer in \[0, 2\)"):
+                    read(output)
 
     def test_simplify_capacity_cap(self):
         t = TruthTable(13, 1, np.zeros((2**13, 1), dtype=np.uint8))
