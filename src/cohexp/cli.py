@@ -40,7 +40,12 @@ _EXIT_CONTRACT = 3
 
 
 def _widths(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(","))
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated positive integers, got {text!r}"
+        ) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -183,7 +188,7 @@ def _settle(args) -> None:
                 raise ValidationError(f"config key {key!r} takes a string or number, got {value!r}")
             try:
                 value = (action.type or str)(str(value))
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValidationError(f"config key {key!r}: invalid value {value!r}") from exc
             if action.choices is not None and value not in action.choices:
                 raise ValidationError(f"config key {key!r} must be one of {list(action.choices)}")

@@ -680,7 +680,9 @@ class Condition:
         if self.op not in _CONDITION_OPS:
             raise ValidationError(f"unknown condition op {self.op!r}")
         index = _checked(self.index, int, "a condition index must be an integer")
-        value = _checked(self.value, float, "a condition value must be a number")
+        # NaN fails every comparison, so gt/ge would not complement le/lt
+        need = "a condition value must be a number other than NaN"
+        value = _checked(self.value, float, need, -np.inf)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "value", value)
 

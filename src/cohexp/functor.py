@@ -91,6 +91,11 @@ class DnfFormula:
                 raise ValidationError(
                     f"expected {self.n_vars} variable names, got {len(names)}"
                 )
+            for i, name in enumerate(names):
+                if not name or name != name.strip() or name in names[:i]:
+                    raise ValidationError(
+                        f"variable names must be distinct, non-empty and unpadded, got {name!r}"
+                    )
             object.__setattr__(self, "var_names", names)
         normalised = []
         for terms in self.outputs:
@@ -243,15 +248,19 @@ class FunctorLawReport:
     """Outcome of checking booleanize(g . f) == booleanize(g) . booleanize(f).
 
     ``witness`` is the first Boolean vertex (lexicographic order) where
-    the two sides disagree, or None when the law holds.
+    the two sides disagree, with their rows there in ``composite_row``
+    and ``factored_row``; all three are None when the law holds.
     """
 
-    holds: bool
-    witness: tuple[int, ...] | None
-    composite_row: tuple[int, ...] | None
-    factored_row: tuple[int, ...] | None
     lhs: TruthTable
     rhs: TruthTable
+    witness: tuple[int, ...] | None = None
+    composite_row: tuple[int, ...] | None = None
+    factored_row: tuple[int, ...] | None = None
+
+    @property
+    def holds(self) -> bool:
+        return self.witness is None
 
     @property
     def verdict(self) -> str:
@@ -275,17 +284,11 @@ def verify_functor_law(f: FuzzyExpr, g: FuzzyExpr, projection: Projection) -> Fu
     rhs = bool_compose(booleanize(g, projection), booleanize(f, projection))
     diff = np.flatnonzero((lhs.rows != rhs.rows).any(axis=1))
     if diff.size == 0:
-        return FunctorLawReport(True, None, None, None, lhs, rhs)
+        return FunctorLawReport(lhs, rhs)
     i = int(diff[0])
     witness = tuple(int(b) for b in fiber_digits([i], 2, lhs.n_inputs)[0])
-    return FunctorLawReport(
-        False,
-        witness,
-        tuple(int(v) for v in lhs.rows[i]),
-        tuple(int(v) for v in rhs.rows[i]),
-        lhs,
-        rhs,
-    )
+    composite_row, factored_row = (tuple(int(v) for v in t.rows[i]) for t in (lhs, rhs))
+    return FunctorLawReport(lhs, rhs, witness, composite_row, factored_row)
 
 
 # ---------------------------------------------------------------------------

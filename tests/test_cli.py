@@ -437,6 +437,12 @@ class TestExplain:
             "--ascii", "--names", "a,b,c",
         ]) == OK
         assert capsys.readouterr().out == "output 0: a | b | c\n"
+        for names, bad in (("x,x", "'x'"), ("a,", "''"), ("a, b", "' b'")):
+            assert run(["explain", "--expr", or_file, "--names", names]) == BAD_INPUT
+            assert capsys.readouterr().err == (
+                "error[E_INPUT]: variable names must be distinct, "
+                f"non-empty and unpadded, got {bad}\n"
+            )
 
     def test_no_simplify(self, or_file, capsys):
         assert run(["explain", "--expr", or_file, "--no-simplify"]) == OK
@@ -507,6 +513,24 @@ def test_stray_nested_key_is_a_format_error(place, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run(["check", "--expr", str(path), "--grid", "5"]) == BAD_INPUT
     assert capsys.readouterr().err == f"error[E_FORMAT]: {message}\n"
+
+
+def test_nan_condition_value_is_a_format_error(tmp_path, capsys):
+    """No point satisfies ``x < NaN`` or ``x >= NaN``, so a NaN value
+    would break the complement between ``ge`` and ``lt``; an infinite
+    one keeps it and loads."""
+    piece = Piece((Condition(0, "lt", 0.5),), Const((0.9,), in_arity=1))
+    text = json.dumps(to_dict(Piecewise((piece,), Const((0.1,), in_arity=1))))
+    path = tmp_path / "expr.json"
+    path.write_text(text.replace('"value": 0.5', '"value": NaN'))
+    assert run(["check", "--expr", str(path), "--grid", "11"]) == BAD_INPUT
+    assert capsys.readouterr().err == (
+        "error[E_FORMAT]: invalid 'piecewise' node: "
+        "a condition value must be a number other than NaN, got nan\n"
+    )
+    path.write_text(text.replace('"value": 0.5', '"value": Infinity'))
+    assert run(["check", "--expr", str(path), "--grid", "11"]) == OK
+    assert "verdict: coherent_on_sample" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("gamma", ["extend", "output-mod"])
@@ -664,6 +688,26 @@ class TestExperiment:
         assert doc["config"]["batch_size"] == 8
         assert doc["config"]["weight_decay"] == 0.001
         assert doc["config"]["early_stopping_patience"] == 7
+
+    def test_malformed_hidden_sizes(self, tmp_path, capsys):
+        """A flag value that is not a list of integers is a usage error
+        that states the expected form; the same value in a config file
+        is an input error naming the key."""
+        outdir = str(tmp_path / "exp")
+        assert run(["experiment", "--setting", "xor", "--outdir", outdir,
+                    "--hidden-sizes", "16,x"]) == BAD_INPUT
+        assert capsys.readouterr().err.endswith(
+            "error: argument --hidden-sizes: expected comma-separated positive "
+            "integers, got '16,x'\n"
+        )
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hidden_sizes": "16,x"}))
+        assert run(["experiment", "--setting", "xor", "--outdir", outdir,
+                    "--config", str(cfg)]) == BAD_INPUT
+        assert capsys.readouterr().err == (
+            "error[E_INPUT]: config key 'hidden_sizes': invalid value '16,x'\n"
+        )
+        assert not (tmp_path / "exp").exists()
 
     def test_unknown_setting_rejected_by_parser(self, tmp_path, capsys):
         assert run(["experiment", "--setting", "parity", "--outdir", str(tmp_path)]) == BAD_INPUT

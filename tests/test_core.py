@@ -480,13 +480,15 @@ def test_fiber_digits_are_the_base_k_digits(k, n):
     lambda: Const(("0.5",)),
     lambda: Condition(0.7, "le", 0.5),
     lambda: Condition(0, "le", "0.5"),
+    lambda: Condition(0, "lt", float("nan")),
     lambda: LiftedProjection(Projection.threshold(0.5), 1.5),
     lambda: TruthTable(1, 1, [[0.7], [1.9]]),
     lambda: TruthTable(1.0, 1, [[0], [1]]),
 ], ids=[
     "levels-float", "alpha-string", "alpha-bool", "clamp-string", "matrix-string",
     "indices-float", "coord-arity-float", "const-arity-string", "const-string",
-    "condition-index-float", "condition-value-string", "lifted-arity-float",
+    "condition-index-float", "condition-value-string", "condition-value-nan",
+    "lifted-arity-float",
     "rows-float", "inputs-float",
 ])
 def test_scalar_fields_are_checked_not_coerced(make):

@@ -197,13 +197,20 @@ class TestFunctorLaw:
         assert report.composite_row == (1,)
         assert report.factored_row == (0,)
 
-    def test_law_document(self, functor_law_violating_pair):
+    def test_law_document(self, functor_law_violating_pair, luk_or):
         f, g = functor_law_violating_pair
         doc = verify_functor_law(f, g, D).to_dict()
         assert doc["verdict"] == "violated"
         assert doc["witness"] == [0]
         assert doc["composite_row"] == [1]
         assert doc["factored_row"] == [0]
+        f = Compose(luk_or, LiftedProjection(D, 2))
+        g = Compose(step_at(0.5, 0.1, 0.9), LiftedProjection(D, 1))
+        doc = verify_functor_law(f, g, D).to_dict()
+        assert doc["verdict"] == "holds"
+        assert doc["witness"] is doc["composite_row"] is doc["factored_row"] is None
+        assert doc["lhs"] == doc["rhs"]
+        assert list(doc) == ["verdict", "witness", "composite_row", "factored_row", "lhs", "rhs"]
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +278,9 @@ class TestDnfFormula:
         assert f.render() == "hot ∧ ¬wet"
         with pytest.raises(ValidationError):
             DnfFormula(2, ((),), var_names=("only",))
+        for names in (("x", "x"), ("a", ""), (" a", "b"), ("a", "b\t")):
+            with pytest.raises(ValidationError, match="distinct, non-empty and unpadded"):
+                DnfFormula(2, ((),), var_names=names)
 
     def test_default_names(self):
         assert default_var_names(5) == ("x", "y", "z", "x4", "x5")

@@ -533,3 +533,15 @@ class TestNoncompDemo:
         assert doc["point"] == 0.01
         assert doc["lhs"] == 1.0 and doc["rhs"] == 0.0
         assert doc["g"]["node"] == "piecewise"
+        assert doc["f"] == {"node": "const", "in_arity": 1, "out_arity": 1, "values": [0.01]}
+        # the outcomes without a witness leave its evidence null
+        doc = demo_noncompositional(GammaSpec("extend", D)).to_dict()
+        assert doc["kind"] == "arity_mismatch"
+        assert doc["f"] == {"node": "const", "in_arity": 1, "out_arity": 1, "values": [0.0]}
+        assert doc["point"] is doc["lhs"] is doc["rhs"] is None
+        doc = demo_noncompositional(
+            output_mod_spec(sampling=None), g=LiftedProjection(D, 1)
+        ).to_dict()
+        assert doc["kind"] == "not_applicable"
+        assert doc["f"] is doc["point"] is doc["lhs"] is doc["rhs"] is None
+        assert list(doc) == ["kind", "gamma", "g", "f", "point", "lhs", "rhs", "detail"]
