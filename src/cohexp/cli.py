@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -48,11 +49,13 @@ def _widths(text: str) -> tuple[int, ...]:
         ) from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser.  An option a config file may set is left unset by the
-    parse unless it is given on the command line; ``settings`` lists the
-    chosen subcommand's such options with their built-in defaults, and
-    ``configurable`` names those of every subcommand."""
+    """The parser, built once per process.  An option a config file may
+    set is left unset by the parse unless it is given on the command
+    line; ``settings`` lists the chosen subcommand's such options with
+    their built-in defaults, and ``configurable`` names those of every
+    subcommand.  Both are shared by every parse and only read."""
     configurable = set()
 
     def option(p, *flags, default=None, group=None, **kw) -> None:
@@ -71,14 +74,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func, settings=[])
         return p
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(
+        p: argparse.ArgumentParser, seed_help: str = "seed for sampled checks (default 0)"
+    ) -> None:
         option(p, "--format", choices=("text", "structured"), default="text",
                help="text report or structured JSON document")
         p.add_argument("--out", metavar="FILE", default=None,
                        help="write the report there instead of stdout")
         p.add_argument("--config", metavar="FILE", default=None,
                        help="JSON file with default option values")
-        option(p, "--seed", type=int, default=0, help="seed for sampled checks (default 0)")
+        option(p, "--seed", type=int, default=0, help=seed_help)
 
     def add_projection(p: argparse.ArgumentParser) -> None:
         g = p.add_mutually_exclusive_group()
@@ -150,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
     option(p_exp, "--train-size", type=int, default=1000)
     option(p_exp, "--val-size", type=int, default=250)
     option(p_exp, "--test-size", type=int, default=1000)
-    add_common(p_exp)
+    add_common(p_exp, "seed of the datasets, the initialisation and the batch order (default 0)")
     parser.set_defaults(configurable=configurable)
     return parser
 

@@ -22,10 +22,19 @@ one backward pass from both halves' stacked logit gradients.
 Backpropagation is hand-written; ``gradient_check`` compares it
 against central finite differences and returns the worst discrepancy,
 scaled by ``max(1, |analytic|, |numeric|)``.
+
+``train`` keeps the parameters in one flat float64 buffer (weights,
+then biases, then slopes, the ``_param_views`` order) with the model's
+arrays as views into it, and the gradients in a second buffer of the
+same layout.  ``loss_and_grads`` writes into such gradient arrays when
+it is given them, so a step allocates no gradient and ends with one
+``params -= lr * grads``.  Every value is computed as a per-array loop
+would compute it, so the trained bits are the same.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar, Sequence
@@ -197,7 +206,8 @@ def init_model(
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def _form_range(
@@ -228,12 +238,12 @@ def _forward_cache(model: MlpModel, xs: np.ndarray) -> tuple[np.ndarray, list]:
     cache = []
     a = xs
     n_hidden = len(model.weights) - 1
-    for i in range(n_hidden):
-        z = a @ model.weights[i].T + model.biases[i]
+    for i in range(n_hidden + 1):
+        z = a @ model.weights[i].T
+        z += model.biases[i]
         cache.append((a, z))
-        a = _prelu(z, model.slopes[i])
-    z = a @ model.weights[-1].T + model.biases[-1]
-    cache.append((a, z))
+        if i < n_hidden:
+            a = _prelu(z, model.slopes[i])
     return _sigmoid(z), cache
 
 
@@ -243,41 +253,61 @@ def forward(model: MlpModel, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _backward(model: MlpModel, cache: list, d_logits: np.ndarray) -> list[np.ndarray]:
+def _backward(
+    model: MlpModel, cache: list, d_logits: np.ndarray, out: list[np.ndarray] | None = None
+) -> list[np.ndarray]:
     """Backpropagate a gradient given at the output-layer logits.
 
     Returns flat-ordered gradients: per layer dW, db, plus one dslope
-    per hidden layer (same layout as ``_param_views``).
+    per hidden layer (same layout as ``_param_views``), written into
+    ``out`` when it is given.
     """
-    n_hidden = len(model.weights) - 1
-    dW = [None] * len(model.weights)
-    db = [None] * len(model.weights)
-    dslope = np.zeros(n_hidden)
+    n_layers = len(model.weights)
+    if out is None:
+        out = [np.empty(p.shape) for p in _param_views(model)]
+    dW, db, dslope = out[:n_layers], out[n_layers:-1], out[-1]
 
     a_in, _ = cache[-1]
-    dW[-1] = d_logits.T @ a_in
-    db[-1] = d_logits.sum(axis=0)
+    np.matmul(d_logits.T, a_in, out=dW[-1])
+    d_logits.sum(axis=0, out=db[-1])
     da = d_logits @ model.weights[-1]
-    for i in range(n_hidden - 1, -1, -1):
+    for i in range(n_layers - 2, -1, -1):
         a_prev, z = cache[i]
         neg = z <= 0
         dslope[i] = (da * np.where(neg, z, 0.0)).sum()
         dz = da * np.where(neg, model.slopes[i], 1.0)
-        dW[i] = dz.T @ a_prev
-        db[i] = dz.sum(axis=0)
+        np.matmul(dz.T, a_prev, out=dW[i])
+        dz.sum(axis=0, out=db[i])
         if i > 0:
             da = dz @ model.weights[i]
-    return [*dW, *db, dslope]
+    return out
 
 
 def _param_views(model: MlpModel) -> list[np.ndarray]:
     return [*model.weights, *model.biases, model.slopes]
 
 
+def _views_into(buffer: np.ndarray, model: MlpModel) -> list[np.ndarray]:
+    """Views into the flat ``buffer`` shaped and ordered like
+    ``_param_views(model)``."""
+    views, start = [], 0
+    for arr in _param_views(model):
+        views.append(buffer[start : start + arr.size].reshape(arr.shape))
+        start += arr.size
+    return views
+
+
 def loss_and_grads(
-    model: MlpModel, xs: np.ndarray, ys: np.ndarray, cfg: TrainConfig
+    model: MlpModel,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    cfg: TrainConfig,
+    grads: list[np.ndarray] | None = None,
 ) -> tuple[float, list[np.ndarray]]:
-    """Loss and its gradient, ordered like ``_param_views``."""
+    """Loss and its gradient, ordered like ``_param_views``.  The
+    gradient is written into ``grads`` when it is given (arrays laid out
+    like ``_param_views(model)``, such as views into one flat buffer),
+    and returned."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if ys.ndim == 1:
@@ -291,17 +321,18 @@ def loss_and_grads(
         batch = np.concatenate([xs, cfg.projection.apply(xs)]) if penalised else xs
         out_all, cache = _forward_cache(model, batch)
         out, logits = out_all[:n], cache[-1][1][:n]
-        total = float(np.mean(np.logaddexp(0.0, logits) - ys * logits))
+        # a mean, as the sum over the count: np.mean's bits at less cost
+        total = float((np.logaddexp(0.0, logits) - ys * logits).sum() / n_items)
         d_logits = (out - ys) / n_items
         if penalised:
             out_fix = out_all[n:]
             diff = out - out_fix
-            total += cfg.coherence_lambda * float(np.mean(np.abs(diff)))
+            total += cfg.coherence_lambda * float(np.abs(diff).sum() / n_items)
             s = cfg.coherence_lambda * np.sign(diff) / n_items
             d_logits = np.concatenate(
                 [d_logits + s * out * (1.0 - out), -s * out_fix * (1.0 - out_fix)]
             )
-        grads = _backward(model, cache, d_logits)
+        grads = _backward(model, cache, d_logits, grads)
 
         if cfg.weight_decay > 0.0:
             for i, w in enumerate(model.weights):
@@ -361,7 +392,16 @@ def train(cfg: TrainConfig, train_set, val_set) -> TrainResult:
     xs, ys = _as_xy(train_set)
     xv, yv = _as_xy(val_set)
     rng = np.random.default_rng(cfg.seed)
-    model = init_model(xs.shape[1], cfg.hidden_sizes, ys.shape[1], rng)
+    init = init_model(xs.shape[1], cfg.hidden_sizes, ys.shape[1], rng)
+    # the parameters live in one flat buffer, in _param_views order, and
+    # the model's arrays are views into it; so do the gradients, and a
+    # step updates every parameter in one subtraction
+    params = np.concatenate([p.ravel() for p in _param_views(init)])
+    views = _views_into(params, init)
+    n_layers = len(init.weights)
+    model = MlpModel(views[:n_layers], views[n_layers:-1], views[-1])
+    flat_grads = np.empty_like(params)
+    grads = _views_into(flat_grads, model)
 
     best = model.copy()
     best_acc = _val_accuracy(model, xv, yv, cfg.projection)
@@ -374,14 +414,14 @@ def train(cfg: TrainConfig, train_set, val_set) -> TrainResult:
     for epoch in range(1, cfg.epochs + 1):
         epochs_run = epoch
         perm = rng.permutation(n)
+        xe, ye = xs[perm], ys[perm]
         for lo in range(0, n, cfg.batch_size):
-            idx = perm[lo : lo + cfg.batch_size]
-            value, grads = loss_and_grads(model, xs[idx], ys[idx], cfg)
-            if not np.isfinite(value):
+            hi = lo + cfg.batch_size
+            value = loss_and_grads(model, xe[lo:hi], ye[lo:hi], cfg, grads)[0]
+            if not math.isfinite(value):
                 raise TrainingError(f"training diverged at epoch {epoch}: non-finite loss")
-            for view, grad in zip(_param_views(model), grads):
-                view -= cfg.learning_rate * grad
-        if not all(np.isfinite(v).all() for v in _param_views(model)):
+            params -= cfg.learning_rate * flat_grads
+        if not np.isfinite(params).all():
             raise TrainingError(f"training diverged at epoch {epoch}: non-finite parameters")
         acc = _val_accuracy(model, xv, yv, cfg.projection)
         if acc > best_acc:

@@ -47,6 +47,7 @@ from cohexp import (
     save_json,
     to_dict,
 )
+from cohexp import cli
 from cohexp.cli import run
 from conftest import jump_low
 
@@ -403,6 +404,27 @@ class TestConfigPrecedence:
         assert len(lines) == 1 and lines[0].startswith("error[E_INPUT]: config key")
         assert captured.out == ""
 
+    def test_config_values_do_not_carry_over_to_the_next_run(self, or_file, tmp_path, capsys):
+        """One process builds the parser once; a value a config file set
+        for one run is not a default of the next."""
+        assert cli._build_parser() is cli._build_parser()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"quantize": 3, "grid": 5}))
+        assert run(["check", "--expr", or_file, "--config", str(cfg), "--format", "structured"]) == OK
+        assert json.loads(capsys.readouterr().out)["projection"] == {"kind": "quantize", "levels": 3}
+        assert run(["check", "--expr", or_file, "--grid", "5", "--format", "structured"]) == OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["projection"] == {"kind": "threshold", "alpha": 0.5}
+        assert doc["sampling"] == {"mode": "grid", "points_per_axis": 5}
+
+    def test_valid_run_after_a_usage_error(self, or_file, capsys):
+        assert run(["check", "--expr", or_file, "--grid", "x"]) == BAD_INPUT
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+        assert run(["check", "--expr", or_file, "--grid", "5", "--format", "structured"]) == OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["sampling"] == {"mode": "grid", "points_per_axis": 5}
+
     def test_config_supplies_the_setting(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"setting": "xor", "epochs": 1}))
@@ -708,6 +730,12 @@ class TestExperiment:
             "error[E_INPUT]: config key 'hidden_sizes': invalid value '16,x'\n"
         )
         assert not (tmp_path / "exp").exists()
+
+    def test_seed_help_names_what_it_seeds(self, capsys):
+        assert run(["experiment", "--help"]) == OK
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "seed of the datasets, the initialisation and the batch order" in help_text
+        assert "sampled checks" not in help_text
 
     def test_unknown_setting_rejected_by_parser(self, tmp_path, capsys):
         assert run(["experiment", "--setting", "parity", "--outdir", str(tmp_path)]) == BAD_INPUT

@@ -7,6 +7,8 @@ one-sided slopes and disagree with either of them.  That is a property
 of finite differencing at a non-smooth point, not of the gradients.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -360,6 +362,119 @@ class TestTrain:
         pair = (np.zeros((8, 2)), np.zeros(8))
         with pytest.raises(ValidationError, match="features and labels"):
             train(TrainConfig(hidden_sizes=(2,), epochs=1), pair, val_set)
+
+
+def per_array_train(cfg, train_set, val_set):
+    """``train`` as a per-array SGD loop: each step gathers its rows by
+    index, takes the list ``loss_and_grads`` returns and updates every
+    parameter array on its own.  Kept as the reference the flat-buffer
+    loop is checked against bit for bit."""
+    xs, ys = nn._as_xy(train_set)
+    xv, yv = nn._as_xy(val_set)
+    rng = np.random.default_rng(cfg.seed)
+    model = init_model(xs.shape[1], cfg.hidden_sizes, ys.shape[1], rng)
+    best = model.copy()
+    best_acc = nn._val_accuracy(model, xv, yv, cfg.projection)
+    best_epoch = epochs_run = 0
+    patience_left = cfg.early_stopping_patience
+    n = xs.shape[0]
+    for epoch in range(1, cfg.epochs + 1):
+        epochs_run = epoch
+        perm = rng.permutation(n)
+        for lo in range(0, n, cfg.batch_size):
+            idx = perm[lo : lo + cfg.batch_size]
+            _, grads = loss_and_grads(model, xs[idx], ys[idx], cfg)
+            for view, grad in zip(nn._param_views(model), grads):
+                view -= cfg.learning_rate * grad
+        acc = nn._val_accuracy(model, xv, yv, cfg.projection)
+        if acc > best_acc:
+            best_acc, best, best_epoch = acc, model.copy(), epoch
+            patience_left = cfg.early_stopping_patience
+        else:
+            patience_left -= 1
+            if patience_left <= 0:
+                break
+    return best, best_epoch, epochs_run
+
+
+def two_output_split(seed, size):
+    """Points of the square labelled by two outputs: OR and AND of the
+    thresholded coordinates."""
+    xs = np.random.default_rng(seed).random((size, 2))
+    bits = xs >= 0.5
+    labels = np.stack([bits.any(axis=1), bits.all(axis=1)], axis=1).astype(np.float64)
+    return SimpleNamespace(features=xs, labels=labels)
+
+
+FLAT_CASES = {
+    "penalised": dict(coherence_lambda=1.0),
+    "plain": dict(coherence_lambda=0.0),
+    "no-decay": dict(coherence_lambda=1.0, weight_decay=0.0),
+    "decay-1e-3": dict(coherence_lambda=0.0, weight_decay=1e-3),
+    "quantize3": dict(coherence_lambda=1.0, projection=Projection.quantize(3)),
+    "two-outputs": dict(coherence_lambda=1.0),
+    "one-hidden-layer": dict(hidden_sizes=(5,), coherence_lambda=1.0),
+    "ragged-batches": dict(batch_size=13, coherence_lambda=1.0),
+    "no-epochs": dict(epochs=0),
+    "early-stop": dict(learning_rate=0.5, epochs=60, early_stopping_patience=3),
+}
+
+
+class TestFlatBufferTraining:
+    @pytest.mark.parametrize("case", sorted(FLAT_CASES))
+    def test_same_bits_as_the_per_array_loop(self, case, monkeypatch):
+        """The returned model, ``best_epoch`` and ``epochs_run`` match, and
+        so do the parameters at every validation, so a case whose best
+        model is its initialisation still compares every step."""
+        cfg = TrainConfig(**{"hidden_sizes": (6, 4), "epochs": 12, "seed": 4, **FLAT_CASES[case]})
+        if case == "two-outputs":
+            train_set, val_set = two_output_split(0, 70), two_output_split(1, 30)
+        else:
+            train_set = make_dataset("xor", "train", 70, seed=2)
+            val_set = make_dataset("xor", "val", 30, seed=2)
+        seen = []
+        val_accuracy = nn._val_accuracy
+
+        def recorded(model, *args):
+            seen.append(b"".join(p.tobytes() for p in nn._param_views(model)))
+            return val_accuracy(model, *args)
+
+        monkeypatch.setattr(nn, "_val_accuracy", recorded)
+        result = train(cfg, train_set, val_set)
+        got_seen, seen[:] = seen[:], []
+        ref, ref_best_epoch, ref_epochs_run = per_array_train(cfg, train_set, val_set)
+        got_views, ref_views = nn._param_views(result.model), nn._param_views(ref)
+        assert [v.shape for v in got_views] == [v.shape for v in ref_views]
+        for got, want in zip(got_views, ref_views):
+            assert got.tobytes() == want.tobytes()
+        assert (result.best_epoch, result.epochs_run) == (ref_best_epoch, ref_epochs_run)
+        assert got_seen == seen and len(seen) == result.epochs_run + 1
+        if case == "early-stop":
+            assert result.stopped_early and result.epochs_run < cfg.epochs
+        if cfg.epochs:
+            assert seen[-1] != seen[0]  # the parameters moved
+
+    def test_returned_arrays_share_no_memory(self):
+        train_set = make_dataset("xor", "train", 40, seed=0)
+        val_set = make_dataset("xor", "val", 20, seed=0)
+        model = train(TrainConfig(hidden_sizes=(4, 3), epochs=3), train_set, val_set).model
+        views = nn._param_views(model)
+        for i, a in enumerate(views):
+            assert a.flags.owndata
+            for b in views[i + 1 :]:
+                assert not np.shares_memory(a, b)
+
+    def test_gradients_written_into_a_given_buffer(self):
+        rng = np.random.default_rng(35)
+        model = random_model(rng)
+        xs, ys = small_batch(rng)
+        cfg = TrainConfig(hidden_sizes=(4, 3), weight_decay=1e-3, coherence_lambda=0.7)
+        value, grads = loss_and_grads(model, xs, ys, cfg)
+        flat = np.full(sum(p.size for p in nn._param_views(model)), np.nan)
+        out = nn._views_into(flat, model)
+        got_value, got = loss_and_grads(model, xs, ys, cfg, out)
+        assert got is out and got_value == value
+        assert flat.tobytes() == np.concatenate([g.ravel() for g in grads]).tobytes()
 
 
 class TestMlpExpr:
