@@ -74,16 +74,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func, settings=[])
         return p
 
-    def add_common(
-        p: argparse.ArgumentParser, seed_help: str = "seed for sampled checks (default 0)"
-    ) -> None:
+    def add_common(p: argparse.ArgumentParser) -> None:
         option(p, "--format", choices=("text", "structured"), default="text",
                help="text report or structured JSON document")
         p.add_argument("--out", metavar="FILE", default=None,
                        help="write the report there instead of stdout")
         p.add_argument("--config", metavar="FILE", default=None,
                        help="JSON file with default option values")
-        option(p, "--seed", type=int, default=0, help=seed_help)
 
     def add_projection(p: argparse.ArgumentParser) -> None:
         g = p.add_mutually_exclusive_group()
@@ -98,6 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
                metavar="K", help=f"grid sampling with K points per axis{scope}")
         option(p, "--random", type=int, group=g,
                metavar="N", help=f"random sampling with N points{scope}")
+        option(p, "--seed", type=int, default=0,
+               help=f"seed of a random sample (default 0){scope}")
 
     p_check = command("check", _cmd_check, "sampled coherence report")
     p_check.add_argument("--expr", required=True, metavar="FILE")
@@ -155,7 +154,9 @@ def _build_parser() -> argparse.ArgumentParser:
     option(p_exp, "--train-size", type=int, default=1000)
     option(p_exp, "--val-size", type=int, default=250)
     option(p_exp, "--test-size", type=int, default=1000)
-    add_common(p_exp, "seed of the datasets, the initialisation and the batch order (default 0)")
+    add_common(p_exp)
+    option(p_exp, "--seed", type=int, default=0,
+           help="seed of the datasets, the initialisation and the batch order (default 0)")
     parser.set_defaults(configurable=configurable)
     return parser
 
@@ -206,15 +207,15 @@ def _settle(args) -> None:
 
 
 def _projection_from(args) -> Projection:
-    if getattr(args, "quantize", None) is not None:
+    if args.quantize is not None:
         return Projection.quantize(args.quantize)
     return Projection.threshold(args.alpha)
 
 
 def _sampling_from(args, arity: int) -> SamplingSpec:
-    if getattr(args, "grid", None) is not None:
+    if args.grid is not None:
         return SamplingSpec.grid(args.grid)
-    if getattr(args, "random", None) is not None:
+    if args.random is not None:
         return SamplingSpec.random(args.random, seed=args.seed)
     return default_sampling(arity, seed=args.seed)
 

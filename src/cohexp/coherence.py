@@ -483,6 +483,12 @@ def _tally(ok: np.ndarray, size: np.ndarray | None = None) -> np.ndarray:
     return bad.sum(axis=1) if size is None else bad @ size
 
 
+def _offends(direct: np.ndarray, baseline: np.ndarray) -> np.ndarray:
+    """Per row of ``f(x)`` and ``f(d(x))``, both projected, whether some
+    component differs; reduced one row per component, as in ``_tally``."""
+    return ~(direct == baseline).T.copy().all(axis=0)
+
+
 def _joined(parts: list[tuple]) -> list[np.ndarray]:
     """Tuples of arrays, joined place by place into one array each."""
     return [np.concatenate(side) for side in zip(*parts)]

@@ -40,9 +40,9 @@ from pathlib import Path
 import numpy as np
 
 # coherence_masks stays importable from here: bench/tracing.py wraps it in this namespace
-from .coherence import coherence_masks, projected_outputs  # noqa: F401
+from .coherence import _MAX_SAMPLE_POINTS, coherence_masks, projected_outputs  # noqa: F401
 from .core import FuzzyExpr, Projection, TruthTable, to_dict
-from .errors import ValidationError, _checked
+from .errors import CapacityError, ValidationError, _checked
 from .functor import DnfFormula, booleanize, default_var_names, table_to_dnf
 from .gamma import ExtendedExpr, GammaSpec, gamma_extend
 from .nn import MlpExpr, TrainConfig, TrainResult, train
@@ -151,12 +151,18 @@ def make_dataset(setting: str, split: str, size: int, seed: int = 0) -> Dataset:
     """Draw one split of one setting, reproducibly from the seed.
 
     Train and validation splits are uniform on the unit square; test
-    splits follow the concentration recipe of their setting.
+    splits follow the concentration recipe of their setting.  A split
+    of more points than a drawn sample may hold (``_MAX_SAMPLE_POINTS``)
+    is a ``CapacityError``, raised before any is drawn.
     """
     setting = canonical_setting(setting)
     if split not in SPLITS:
         raise ValidationError(f"unknown split {split!r}; choose from {SPLITS}")
     _checked(size, int, "dataset size must be a positive integer", 1)
+    if size > _MAX_SAMPLE_POINTS:
+        raise CapacityError(
+            f"{split} split of {size} points exceeds the cap of {_MAX_SAMPLE_POINTS}"
+        )
     seed = _checked(seed, int, "seed must be a non-negative integer", 0)
     rng = np.random.default_rng([seed, _SETTING_CODE[setting], _SPLIT_CODE[split]])
 

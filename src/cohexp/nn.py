@@ -43,6 +43,7 @@ import numpy as np
 
 from .core import BOUND_PAD, FuzzyExpr, Projection
 from .errors import (
+    CapacityError,
     SerializationError,
     TrainingError,
     ValidationError,
@@ -65,6 +66,11 @@ __all__ = [
 
 # Central-difference step of gradient_check.
 _FD_STEP = 1e-5
+
+# Weights, biases and slopes init_model may draw: 32 MiB of float64 a
+# copy, and training holds several (parameters, gradients, the best
+# model).  The default network has 339.
+_MAX_PARAMETERS = 4_194_304
 
 
 @dataclass
@@ -194,8 +200,16 @@ def init_model(
     rng: np.random.Generator,
 ) -> MlpModel:
     """Uniform initialisation in ``+-sqrt(6 / (fan_in + fan_out))``,
-    zero biases, PReLU slopes at 0.25."""
+    zero biases, PReLU slopes at 0.25.  A network of more than
+    ``_MAX_PARAMETERS`` weights, biases and slopes is a
+    ``CapacityError``, raised before any is drawn."""
     sizes = [int(in_arity), *map(int, hidden_sizes), int(out_arity)]
+    count = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
+    count += len(hidden_sizes)
+    if count > _MAX_PARAMETERS:
+        raise CapacityError(
+            f"network of {count} parameters exceeds the cap of {_MAX_PARAMETERS}"
+        )
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes, sizes[1:]):
         lim = np.sqrt(6.0 / (fan_in + fan_out))

@@ -49,7 +49,7 @@ from cohexp import (
 )
 from cohexp import cli
 from cohexp.cli import run
-from conftest import jump_low
+from conftest import jump_low, step_at
 
 OK, BAD_INPUT, BAD_CONTRACT = 0, 2, 3
 
@@ -678,6 +678,50 @@ class TestFunctorLaw:
         assert capsys.readouterr().out == "verdict: holds\n"
 
 
+class TestSeedScope:
+    """``--seed`` is declared only by the commands that read it."""
+
+    @pytest.mark.parametrize("command", [
+        ["demo-noncomp"], ["functor-law", "--inner", "A", "--outer", "B"],
+    ], ids=["demo-noncomp", "functor-law"])
+    def test_seed_is_a_usage_error_where_nothing_is_sampled(self, command, capsys):
+        assert run([*command, "--seed", "5"]) == BAD_INPUT
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+        assert run([command[0], "--help"]) == OK
+        assert "--seed" not in capsys.readouterr().out
+
+    def test_config_seed_is_allowed_where_nothing_is_sampled(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -2, "grid": 3}))
+        assert run(["demo-noncomp", "--config", str(cfg), "--format", "structured"]) == OK
+        assert json.loads(capsys.readouterr().out)["point"] == 0.01
+
+    @pytest.mark.parametrize("command", [
+        ["check", "--random", "5"],
+        ["explain", "--gamma", "extend", "--random", "5"],
+        ["repair", "--gamma", "extend", "--random", "5", "--out-expr", "OUT"],
+        ["experiment", "--setting", "xor", "--outdir", "OUT", "--epochs", "1",
+         "--train-size", "16", "--val-size", "8", "--test-size", "8"],
+    ], ids=["check", "explain", "repair", "experiment"])
+    def test_seed_precedence_where_it_is_read(self, command, or_file, tmp_path, capsys):
+        """Flag, then config file, then 0; the seed lands where the
+        command records it."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 4}))
+        argv = [command[0], *([] if command[0] == "experiment" else ["--expr", or_file])]
+        argv += [str(tmp_path / "out") if a == "OUT" else a for a in command[1:]]
+        where = {
+            "check": lambda doc: doc["sampling"]["seed"],
+            "explain": lambda doc: doc["gamma"]["sampling"]["seed"],
+            "repair": lambda doc: doc["verification"]["sampling"]["seed"],
+            "experiment": lambda doc: doc["seed"],
+        }[command[0]]
+        for extra, seed in ((["--seed", "7", "--config", str(cfg)], 7),
+                            (["--config", str(cfg)], 4), ([], 0)):
+            assert run([*argv, *extra, "--format", "structured"]) == OK
+            assert where(json.loads(capsys.readouterr().out)) == seed
+
+
 class TestExperiment:
     def test_tiny_run_writes_artifacts(self, tmp_path, capsys):
         outdir = tmp_path / "exp"
@@ -730,6 +774,22 @@ class TestExperiment:
             "error[E_INPUT]: config key 'hidden_sizes': invalid value '16,x'\n"
         )
         assert not (tmp_path / "exp").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--train-size", "1000000000000"],
+        ["--val-size", "4194305"],
+        ["--test-size", "99999999999999999999"],
+        ["--hidden-sizes", "1000000,1000000"],
+    ], ids=["train-size", "val-size", "test-size", "hidden-sizes"])
+    def test_over_a_cap_is_refused_before_any_work(self, flags, tmp_path, capsys):
+        outdir = tmp_path / "big"
+        assert run(["experiment", "--setting", "xor", "--outdir", str(outdir), *flags]) == BAD_INPUT
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[E_CAPACITY]: ")
+        assert "exceeds the cap of 4194304" in lines[0]
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not outdir.exists()
 
     def test_seed_help_names_what_it_seeds(self, capsys):
         assert run(["experiment", "--help"]) == OK
@@ -806,6 +866,14 @@ def _run_quietly(argv: list[str]) -> tuple[int, str, float]:
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         code = run(argv)
     return code, err.getvalue(), time.perf_counter() - start
+
+
+def _assert_runs_or_one_coded_line(argv: list[str], *context) -> None:
+    """Exit 0, or exit 2 or 3 with one ``error[E_...]`` line."""
+    code, err, _ = _run_quietly(argv)
+    assert code == OK or (
+        code in (BAD_INPUT, BAD_CONTRACT) and re.fullmatch(r"error\[E_[A-Z]+\]: [^\n]*\n", err)
+    ), (argv, *context, code, err)
 
 
 def _wrong_scalar_documents() -> dict[str, dict]:
@@ -934,10 +1002,7 @@ def test_mutated_documents_never_raise(tmp_path_factory, doc):
         ["repair", "--gamma", "extend", "--grid", "5", "--out-expr", out],
         ["repair", "--gamma", "output-mod", "--grid", "5", "--out-expr", out],
     ):
-        code, err, _ = _run_quietly([command[0], "--expr", str(path), *command[1:]])
-        assert code == OK or (
-            code in (BAD_INPUT, BAD_CONTRACT) and re.fullmatch(r"error\[E_[A-Z]+\]: [^\n]*\n", err)
-        ), (command, code, err)
+        _assert_runs_or_one_coded_line([command[0], "--expr", str(path), *command[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -996,12 +1061,53 @@ def test_fuzzed_settings_never_raise(tmp_path_factory, case):
             ["repair", "--gamma", "output-mod", "--out-expr", out],
         ):
             argv = [*command, "--expr", str(expr), "--config", str(cfg), *flags]
-            code, err, _ = _run_quietly(argv)
-            assert code == OK or (
-                code in (BAD_INPUT, BAD_CONTRACT)
-                and re.fullmatch(r"error\[E_[A-Z]+\]: [^\n]*\n", err)
-            ), (argv, config, env_seed, code, err)
+            _assert_runs_or_one_coded_line(argv, config, env_seed)
     finally:
         os.environ.pop("COHEXP_SEED", None)
         if saved is not None:
             os.environ["COHEXP_SEED"] = saved
+
+
+# demo-noncomp and functor-law: their own flags, and config files that
+# also hold keys of other commands, which they may hold and not read
+_DEMO_KEYS = ["format", "gamma", "seed", "grid", "random", "quantize", "setting", "epochs"]
+_LAW_KEYS = ["format", "alpha", "quantize", "seed", "grid", "gamma", "setting", "witness_limit"]
+_DEMO_FLAGS = [
+    [[], ["--gamma", "extend"], ["--gamma", "output-mod"]],
+    [[], ["--format", "structured"]],
+]
+_LAW_FLAGS = [
+    [[], ["--alpha", "0.3"], ["--alpha", "0.5"], ["--quantize", "2"], ["--quantize", "4"]],
+    [[], ["--format", "structured"]],
+]
+
+
+@st.composite
+def _settings_of(draw, keys: list[str], flag_groups: list) -> tuple[dict, list[str]]:
+    chosen = draw(st.lists(st.sampled_from(keys), max_size=4, unique=True))
+    config = {key: draw(_CONFIG_VALUES) for key in chosen}
+    return config, [flag for group in flag_groups for flag in draw(st.sampled_from(group))]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_settings_of(_DEMO_KEYS, _DEMO_FLAGS))
+def test_fuzzed_demo_noncomp_settings_never_raise(tmp_path_factory, case):
+    config, flags = case
+    cfg = tmp_path_factory.mktemp("demo") / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    _assert_runs_or_one_coded_line(["demo-noncomp", "--config", str(cfg), *flags], config)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_settings_of(_LAW_KEYS, _LAW_FLAGS))
+def test_fuzzed_functor_law_settings_never_raise(tmp_path_factory, case):
+    config, flags = case
+    work = tmp_path_factory.mktemp("law")
+    inner, outer, cfg = work / "inner.json", work / "outer.json", work / "cfg.json"
+    save_json(to_dict(step_at(0.5, 0.4, 1.0)), inner)
+    save_json(to_dict(jump_low(after=0.9)), outer)
+    cfg.write_text(json.dumps(config))
+    argv = ["functor-law", "--inner", str(inner), "--outer", str(outer), "--config", str(cfg)]
+    _assert_runs_or_one_coded_line([*argv, *flags], config)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from cohexp import (
+    CapacityError,
     Const,
     GammaSpec,
     Projection,
@@ -24,6 +25,7 @@ from cohexp import (
     run_experiment,
     write_artifacts,
 )
+from cohexp import experiments
 from cohexp.experiments import (
     Dataset,
     canonical_setting,
@@ -89,6 +91,20 @@ class TestDatasets:
             make_dataset("xor", "train", 0)
         with pytest.raises(ValidationError, match="seed"):
             make_dataset("xor", "train", 10, seed=-1)
+
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    def test_split_over_the_cap_is_refused_before_drawing(self, split):
+        """10**12 points would need 14.6 TiB; the cap refuses them at once."""
+        for size in (experiments._MAX_SAMPLE_POINTS + 1, 10**12):
+            with pytest.raises(CapacityError, match=f"{split} split of {size} points exceeds"):
+                make_dataset("xor", split, size)
+
+    def test_split_at_the_cap_is_drawn(self, monkeypatch):
+        assert experiments._MAX_SAMPLE_POINTS == 4_194_304
+        monkeypatch.setattr(experiments, "_MAX_SAMPLE_POINTS", 20)
+        assert len(make_dataset("fuzzy_or", "test", 20)) == 20
+        with pytest.raises(CapacityError):
+            make_dataset("fuzzy_or", "test", 21)
 
     @pytest.mark.parametrize("size, seed", [(10, 1.5), (2.5, 0), (10, "1")])
     def test_size_and_seed_are_not_truncated(self, size, seed):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from cohexp import (
+    CapacityError,
     MlpExpr,
     MlpModel,
     Projection,
@@ -67,6 +68,24 @@ class TestInit:
     def test_signature(self):
         model = init_model(3, (5,), 2, np.random.default_rng(0))
         assert model.in_arity == 3 and model.out_arity == 2
+
+    def test_network_over_the_cap_is_refused_before_drawing(self):
+        """Two layers of 10**6 units would need 7.28 TiB of weights."""
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(CapacityError, match="network of 1000005000003 parameters exceeds"):
+            init_model(2, (1_000_000, 1_000_000), 1, rng)
+        assert rng.bit_generator.state == state
+
+    def test_parameter_cap_counts_weights_biases_and_slopes(self, monkeypatch):
+        assert nn._MAX_PARAMETERS == 4_194_304
+        monkeypatch.setattr(nn, "_MAX_PARAMETERS", 339)  # the default network
+        assert init_model(2, (16, 16), 1, np.random.default_rng(0)).slopes.shape == (2,)
+        with pytest.raises(CapacityError, match="network of 356 parameters exceeds the cap of 339"):
+            init_model(2, (16, 16), 2, np.random.default_rng(0))
+        monkeypatch.setattr(nn, "_MAX_PARAMETERS", 338)
+        with pytest.raises(CapacityError, match="network of 339 parameters"):
+            init_model(2, (16, 16), 1, np.random.default_rng(0))
 
     def test_copy_is_deep(self):
         model = init_model(2, (3,), 1, np.random.default_rng(1))
@@ -285,6 +304,13 @@ class TestTrain:
         for got, want in zip(result.model.weights, fresh.weights):
             assert np.array_equal(got, want)
         assert result.best_epoch == 0
+
+    def test_network_over_the_cap_is_refused(self):
+        train_set = make_dataset("xor", "train", 16, seed=0)
+        val_set = make_dataset("xor", "val", 8, seed=0)
+        cfg = TrainConfig(hidden_sizes=(1_000_000, 1_000_000))
+        with pytest.raises(CapacityError, match="exceeds the cap of 4194304"):
+            train(cfg, train_set, val_set)
 
     def test_deterministic_for_a_seed(self):
         train_set = make_dataset("xor", "train", 128, seed=1)
