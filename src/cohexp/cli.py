@@ -26,7 +26,8 @@ import sys
 from pathlib import Path
 
 from . import experiments
-from .coherence import SamplingSpec, check_coherence, default_sampling, incoherent_components
+from .coherence import DEFAULT_WITNESS_CAP, SamplingSpec, check_coherence, default_sampling
+from .coherence import incoherent_components
 from .core import Projection, to_dict
 from .errors import CohexpError, ContractError, ValidationError
 from .functor import verify_functor_law
@@ -102,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--expr", required=True, metavar="FILE")
     add_projection(p_check)
     add_sampling(p_check)
-    option(p_check, "--witness-limit", type=int, default=100)
+    option(p_check, "--witness-limit", type=int, default=DEFAULT_WITNESS_CAP)
     add_common(p_check)
 
     p_explain = command("explain", _cmd_explain, "extract a DNF explanation")

@@ -77,6 +77,7 @@ import numpy as np
 from .core import FuzzyExpr, Point, Projection, _check_batch, _float_points, _place_values
 from .core import fiber_codes, fiber_digits
 from .errors import CapacityError, ValidationError, _checked, _fields_only, malformed
+from .errors import _field_names, _set_fields
 
 __all__ = [
     "DEFAULT_WITNESS_CAP",
@@ -235,19 +236,12 @@ class SamplingSpec:
         return total
 
     def to_dict(self) -> dict:
-        doc: dict = {"mode": self.mode}
-        if self.points_per_axis is not None:
-            doc["points_per_axis"] = self.points_per_axis
-        if self.count is not None:
-            doc["count"] = self.count
-        if self.seed is not None:
-            doc["seed"] = self.seed
-        return doc
+        return _set_fields(self)
 
     @staticmethod
     def from_dict(doc: dict) -> "SamplingSpec":
         with malformed("sampling document"):
-            _fields_only(doc, ("mode", "points_per_axis", "count", "seed"), "sampling document")
+            _fields_only(doc, _field_names(SamplingSpec), "sampling document")
             return SamplingSpec(**doc)
 
 
@@ -661,9 +655,10 @@ def _check_sample(
         else:
             rows = np.flatnonzero(~ok[:, found[:m] < cap].all(axis=1))
             kept.append((xs[rows], fx[rows], baseline[rows], ~ok[rows]))
-        found[:] += _tally(ok)
+        counted = _tally(ok)
+        found[:] += counted
         if offender_fibers is not None:
-            for i in np.flatnonzero(~ok.all(axis=0)):
+            for i in np.flatnonzero(counted[:m]):
                 hits[i].append(fiber_codes(projection, xs[~ok[:, i]]))
         return ok
 

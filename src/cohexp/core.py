@@ -46,7 +46,9 @@ from .errors import (
     SerializationError,
     ValidationError,
     _checked,
+    _field_names,
     _fields_only,
+    _set_fields,
     malformed,
 )
 
@@ -173,18 +175,13 @@ class Projection:
         return tuple(float(v) for v in self.apply(x))
 
     def to_dict(self) -> dict:
-        doc: dict = {"kind": self.kind}
-        if self.alpha is not None:
-            doc["alpha"] = self.alpha
-        if self.levels is not None:
-            doc["levels"] = self.levels
-        return doc
+        return _set_fields(self)
 
     @staticmethod
     def from_dict(doc: dict) -> "Projection":
         if not isinstance(doc, dict) or "kind" not in doc:
             raise SerializationError(f"projection document needs a 'kind' field: {doc!r}")
-        _fields_only(doc, ("kind", "alpha", "levels"), "projection document")
+        _fields_only(doc, _field_names(Projection), "projection document")
         with malformed("projection document"):
             return Projection(doc["kind"], alpha=doc.get("alpha"), levels=doc.get("levels"))
 
@@ -703,11 +700,11 @@ class Condition:
         return self.mask(hi if upper == every else lo)
 
     def to_dict(self) -> dict:
-        return {"index": self.index, "op": self.op, "value": self.value}
+        return _set_fields(self)
 
     @staticmethod
     def from_dict(doc: dict) -> "Condition":
-        _fields_only(doc, ("index", "op", "value"), "piecewise condition")
+        _fields_only(doc, _field_names(Condition), "piecewise condition")
         return Condition(doc["index"], doc["op"], doc["value"])
 
 
@@ -976,14 +973,10 @@ class TruthTable:
         return self.rows[:, _checked(output, int, need, 0, self.n_outputs - 1)]
 
     def to_dict(self) -> dict:
-        return {
-            "n_inputs": self.n_inputs,
-            "n_outputs": self.n_outputs,
-            "rows": self.rows.tolist(),
-        }
+        return _set_fields(self, rows=np.ndarray.tolist)
 
     @staticmethod
     def from_dict(doc: dict) -> "TruthTable":
         with malformed("truth table document"):
-            _fields_only(doc, ("n_inputs", "n_outputs", "rows"), "truth table document")
+            _fields_only(doc, _field_names(TruthTable), "truth table document")
             return TruthTable(doc["n_inputs"], doc["n_outputs"], doc["rows"])

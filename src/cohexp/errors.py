@@ -8,6 +8,7 @@ mathematical contracts exit 3).
 
 from __future__ import annotations
 
+import dataclasses
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -93,6 +94,19 @@ def _fields_only(doc, allowed: tuple[str, ...], what: str) -> None:
         stray = [key for key in doc if key not in allowed]
         if stray:
             raise SerializationError(f"{what} has no field {stray[0]!r}")
+
+
+def _field_names(cls) -> tuple[str, ...]:
+    """The fields of the dataclass ``cls``: the keys its document holds."""
+    return tuple(field.name for field in dataclasses.fields(cls))
+
+
+def _set_fields(spec, **convert) -> dict:
+    """The document of the dataclass instance ``spec``, the writing twin
+    of ``_fields_only``: its fields that are not None, in declaration
+    order, each passed through ``convert[name]`` where one is given."""
+    values = ((name, getattr(spec, name)) for name in _field_names(spec))
+    return {k: convert[k](v) if k in convert else v for k, v in values if v is not None}
 
 
 # per field kind: the Python types and the numpy dtype kinds it takes

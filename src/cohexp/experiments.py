@@ -39,8 +39,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .coherence import _MAX_SAMPLE_POINTS, EVAL_CHUNK, projected_outputs
+
 # coherence_masks stays importable from here: bench/tracing.py wraps it in this namespace
-from .coherence import _MAX_SAMPLE_POINTS, coherence_masks, projected_outputs  # noqa: F401
+from .coherence import coherence_masks  # noqa: F401
 from .core import FuzzyExpr, Projection, TruthTable, to_dict
 from .errors import CapacityError, ValidationError, _checked
 from .functor import DnfFormula, booleanize, default_var_names, table_to_dnf
@@ -137,14 +139,20 @@ class Dataset:
 
 
 def _rejection_sample(rng: np.random.Generator, count: int, predicate) -> np.ndarray:
-    kept: list[np.ndarray] = []
+    """The first ``count`` points of the unit square that satisfy
+    ``predicate``.  A round of ``max(4 * count, 256)`` points is drawn
+    ``EVAL_CHUNK`` rows at a time, keeping only the hits still needed,
+    but whole: the generator ends where one draw of it would leave it."""
+    out = np.empty((count, 2))
     have = 0
+    per_round = max(4 * count, 256)
     while have < count:
-        draw = rng.random((max(4 * count, 256), 2))
-        hits = draw[predicate(draw)]
-        kept.append(hits)
-        have += hits.shape[0]
-    return np.concatenate(kept, axis=0)[:count]
+        for lo in range(0, per_round, EVAL_CHUNK):
+            draw = rng.random((min(EVAL_CHUNK, per_round - lo), 2))
+            hits = draw[predicate(draw)][: count - have]
+            out[have : have + len(hits)] = hits
+            have += len(hits)
+    return out
 
 
 def make_dataset(setting: str, split: str, size: int, seed: int = 0) -> Dataset:
@@ -330,6 +338,16 @@ def extract_and_score(
 # ---------------------------------------------------------------------------
 
 
+# the training values the two settings do not share; default_train_config
+# states the shared protocol once
+_SETTING_TRAINING = {
+    "xor": dict(learning_rate=0.2, coherence_lambda=1.0, epochs=400, early_stopping_patience=60),
+    "fuzzy_or": dict(
+        learning_rate=0.1, coherence_lambda=0.0, epochs=250, early_stopping_patience=40
+    ),
+}
+
+
 def default_train_config(setting: str, seed: int = 0) -> TrainConfig:
     """Training defaults per setting.
 
@@ -339,27 +357,12 @@ def default_train_config(setting: str, seed: int = 0) -> TrainConfig:
     without it, which is the configuration whose incoherence the
     explanations have to cope with.
     """
-    setting = canonical_setting(setting)
-    if setting == "xor":
-        return TrainConfig(
-            hidden_sizes=(16, 16),
-            learning_rate=0.2,
-            weight_decay=1e-5,
-            coherence_lambda=1.0,
-            epochs=400,
-            batch_size=32,
-            seed=seed,
-            early_stopping_patience=60,
-        )
     return TrainConfig(
         hidden_sizes=(16, 16),
-        learning_rate=0.1,
         weight_decay=1e-5,
-        coherence_lambda=0.0,
-        epochs=250,
         batch_size=32,
         seed=seed,
-        early_stopping_patience=40,
+        **_SETTING_TRAINING[canonical_setting(setting)],
     )
 
 

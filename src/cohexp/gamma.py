@@ -79,6 +79,7 @@ from .core import (
     to_dict,
 )
 from .errors import ContractError, ValidationError, _checked, _fields_only, malformed
+from .errors import _field_names, _set_fields
 from .functor import DnfFormula, booleanize, default_var_names, table_to_dnf
 
 __all__ = [
@@ -134,17 +135,14 @@ class GammaSpec:
         return self.kind == other.kind and self.projection == other.projection
 
     def to_dict(self) -> dict:
-        doc: dict = {"kind": self.kind, "projection": self.projection.to_dict()}
-        if self.sampling is not None:
-            doc["sampling"] = self.sampling.to_dict()
-        if self.fallback is not None:
-            doc["fallback"] = to_dict(self.fallback)
-        return doc
+        return _set_fields(
+            self, projection=Projection.to_dict, sampling=SamplingSpec.to_dict, fallback=to_dict
+        )
 
     @staticmethod
     def from_dict(doc: dict) -> "GammaSpec":
         with malformed("gamma document"):
-            _fields_only(doc, ("kind", "projection", "sampling", "fallback"), "gamma document")
+            _fields_only(doc, _field_names(GammaSpec), "gamma document")
             return GammaSpec(
                 doc["kind"],
                 Projection.from_dict(doc["projection"]),
@@ -631,7 +629,7 @@ def demo_noncompositional(spec: GammaSpec, g: FuzzyExpr | None = None) -> Noncom
             "the non-compositionality demo is built for the 0.5 threshold projection"
         )
     candidates = [g] if g is not None else _jump_candidates()
-    xs = SamplingSpec.grid(101).sample(1)
+    xs = spec.sampling_for(1).sample(1)  # the sample the repair scans
     # raised when no candidate gives an outcome: the last repair's refusal, or this
     error = ContractError("no built-in candidate produced a non-compositionality witness")
     for cand in candidates:

@@ -81,6 +81,16 @@ class TestCheck:
         assert doc["verdict"] == "incoherent_with_witnesses"
         assert doc["sampling"] == {"mode": "grid", "points_per_axis": 21}
 
+    def test_default_witness_limit_is_the_library_cap(self, or_file, capsys):
+        """Without --witness-limit, check keeps the library's 100
+        witnesses per component (the OR has 1225 offenders)."""
+        assert cohexp.coherence.DEFAULT_WITNESS_CAP == 100
+        assert run(["check", "--expr", or_file, "--format", "structured"]) == OK
+        doc = json.loads(capsys.readouterr().out)
+        assert [len(c["witnesses"]) for c in doc["components"]] == [100]
+        assert run(["check", "--expr", or_file]) == OK
+        assert "0.879914, 100 witnesses kept" in capsys.readouterr().out
+
     def test_out_file(self, or_file, tmp_path, capsys):
         target = tmp_path / "report.txt"
         assert run(["check", "--expr", or_file, "--grid", "11", "--out", str(target)]) == OK

@@ -8,6 +8,7 @@ fidelity 1 under the fiber-baseline control binding.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from cohexp import (
     GammaSpec,
     Projection,
     TConorm,
+    TrainConfig,
     ValidationError,
     evaluate,
     extract_and_score,
@@ -116,6 +118,43 @@ class TestDatasets:
         with pytest.raises(ValueError):
             ds.features[0, 0] = 0.5
 
+    @pytest.mark.parametrize("setting", ["xor", "fuzzy_or"])
+    @pytest.mark.parametrize("size", [1, 64, 1000, 20_000, 100_003])
+    def test_test_split_matches_a_round_drawn_at_once(self, setting, size, monkeypatch):
+        """Drawing a round a chunk at a time keeps the points and the
+        generator's state: the 1000-point fuzzy-or split needs two
+        rounds, and draws its uniform rest and permutation after them."""
+        drawn = [make_dataset(setting, "test", size, seed=seed) for seed in (0, 1, 2)]
+        monkeypatch.setattr(experiments, "_rejection_sample", _round_at_once)
+        for seed, ds in enumerate(drawn):
+            expected = make_dataset(setting, "test", size, seed=seed)
+            assert ds.features.tobytes() == expected.features.tobytes()
+            assert ds.labels.tobytes() == expected.labels.tobytes()
+
+    @pytest.mark.parametrize("count", [1, 700, 5000])
+    def test_rejection_sample_over_several_rounds(self, count):
+        """A predicate that a tenth of the points meet needs about three
+        rounds past one hit; the hits and the generator's end state are
+        those of rounds drawn whole."""
+        rare = lambda xs: xs[:, 0] < 0.1  # noqa: E731
+        a, b = np.random.default_rng(7), np.random.default_rng(7)
+        got = experiments._rejection_sample(a, count, rare)
+        assert got.tobytes() == _round_at_once(b, count, rare).tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("setting", ["xor", "fuzzy_or"])
+    def test_test_split_peaks_under_four_times_its_size(self, setting):
+        """A round is drawn a chunk at a time; drawn whole, a 4 MiB split
+        peaked at about ten times its size."""
+        size = 262_144
+        tracemalloc.start()
+        try:
+            make_dataset(setting, "test", size, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * size * 2 * 8
+
     def test_csv_text_round_trips_exactly(self):
         ds = make_dataset("xor", "train", 5, seed=0)
         lines = ds.csv_text().strip().split("\n")
@@ -124,6 +163,18 @@ class TestDatasets:
         for row, line in zip(ds.features, lines[1:]):
             x, y, _ = line.split(",")
             assert float(x) == row[0] and float(y) == row[1]
+
+
+def _round_at_once(rng, count, predicate):
+    """The reference rejection sampler: each round of ``max(4 * count,
+    256)`` points is drawn in one call and all its hits are kept."""
+    kept, have = [], 0
+    while have < count:
+        draw = rng.random((max(4 * count, 256), 2))
+        hits = draw[predicate(draw)]
+        kept.append(hits)
+        have += hits.shape[0]
+    return np.concatenate(kept, axis=0)[:count]
 
 
 class TestMasks:
@@ -218,6 +269,24 @@ class TestDefaults:
         fuzzy = default_train_config("fuzzy_or", seed=5)
         assert fuzzy.coherence_lambda == 0.0
         assert fuzzy.seed == 5
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_training_configs_per_setting(self, seed):
+        """The two settings share a network, weight decay and batch size,
+        and differ in learning rate, penalty, epochs and patience."""
+        xor = TrainConfig(
+            hidden_sizes=(16, 16), learning_rate=0.2, weight_decay=1e-5,
+            coherence_lambda=1.0, epochs=400, batch_size=32, seed=seed,
+            early_stopping_patience=60,
+        )
+        fuzzy = TrainConfig(
+            hidden_sizes=(16, 16), learning_rate=0.1, weight_decay=1e-5,
+            coherence_lambda=0.0, epochs=250, batch_size=32, seed=seed,
+            early_stopping_patience=40,
+        )
+        assert default_train_config("xor", seed) == xor
+        assert default_train_config("fuzzy_or", seed) == fuzzy
+        assert default_train_config("fuzzy-or", seed=seed) == fuzzy
 
     def test_gamma_defaults(self):
         assert default_gamma("xor", D) is None

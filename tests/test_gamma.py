@@ -499,6 +499,20 @@ class TestNoncompDemo:
         assert demo.rhs == 0.0
         assert demo.lhs != demo.rhs
 
+    @pytest.mark.parametrize("sampling, point", [
+        (None, 0.01),
+        (SamplingSpec.grid(11), 0.1),
+        (SamplingSpec.random(7, seed=3), 0.08564916714362436),
+    ])
+    def test_witness_is_a_point_its_repair_scanned(self, sampling, point):
+        """The demo scans the sample its repair scans: by default the
+        101-point axis, else the spec's own sampling."""
+        spec = output_mod_spec(sampling=sampling)
+        demo = demo_noncompositional(spec)
+        assert demo.kind == "witness"
+        assert demo.point == point
+        assert point in spec.sampling_for(1).sample(1)[:, 0]
+
     def test_constant_fallback_witness(self):
         spec = output_mod_spec(fallback=Const((1.0,), in_arity=1), sampling=None)
         demo = demo_noncompositional(spec)

@@ -385,3 +385,82 @@ def test_gamma_and_table_documents_refuse_stray_fields(decode, doc, message):
     with pytest.raises(SerializationError) as info:
         decode(doc)
     assert (info.value.code, str(info.value)) == ("E_FORMAT", message)
+
+
+_INF = float("inf")
+_RANDOM_5 = {"mode": "random", "count": 5, "seed": 0}
+_STEP = {"node": "coord", "in_arity": 1, "out_arity": 1, "indices": [0]}
+
+# (value, its document, the message of a stray key): the documents are
+# written field by field in declaration order, leaving out unset fields
+_SPEC_DOCUMENTS = {
+    "threshold": (Projection.threshold(0.3), {"kind": "threshold", "alpha": 0.3},
+                  "projection document"),
+    "quantize-2": (Projection.quantize(2), {"kind": "quantize", "levels": 2},
+                   "projection document"),
+    "quantize-3": (Projection.quantize(3), {"kind": "quantize", "levels": 3},
+                   "projection document"),
+    "quantize-65536": (Projection.quantize(65536), {"kind": "quantize", "levels": 65536},
+                       "projection document"),
+    "grid-2": (SamplingSpec.grid(2), {"mode": "grid", "points_per_axis": 2},
+               "sampling document"),
+    "grid-101": (SamplingSpec.grid(101), {"mode": "grid", "points_per_axis": 101},
+                 "sampling document"),
+    # a seed of 0 is set, so it is written
+    "random-5": (SamplingSpec.random(5), _RANDOM_5, "sampling document"),
+    "random-5-seed-7": (SamplingSpec.random(5, seed=7),
+                        {"mode": "random", "count": 5, "seed": 7}, "sampling document"),
+    "extend": (GammaSpec("extend", Projection.threshold(0.5)),
+               {"kind": "extend", "projection": _THRESHOLD}, "gamma document"),
+    "extend-sampled": (GammaSpec("extend", Projection.threshold(0.5), SamplingSpec.random(5)),
+                       {"kind": "extend", "projection": _THRESHOLD, "sampling": _RANDOM_5},
+                       "gamma document"),
+    "output-mod": (GammaSpec("output_mod", Projection.quantize(3)),
+                   {"kind": "output_mod", "projection": {"kind": "quantize", "levels": 3}},
+                   "gamma document"),
+    "output-mod-sampled": (
+        GammaSpec("output_mod", Projection.threshold(0.5), SamplingSpec.grid(11)),
+        {"kind": "output_mod", "projection": _THRESHOLD,
+         "sampling": {"mode": "grid", "points_per_axis": 11}},
+        "gamma document"),
+    "output-mod-fallback": (
+        GammaSpec("output_mod", Projection.threshold(0.5), fallback=from_dict(_STEP)),
+        {"kind": "output_mod", "projection": _THRESHOLD, "fallback": _STEP},
+        "gamma document"),
+    "output-mod-sampled-fallback": (
+        GammaSpec("output_mod", Projection.threshold(0.5), SamplingSpec.random(5),
+                  from_dict(_STEP)),
+        {"kind": "output_mod", "projection": _THRESHOLD, "sampling": _RANDOM_5,
+         "fallback": _STEP},
+        "gamma document"),
+    "condition-lt": (Condition(0, "lt", 0.5), {"index": 0, "op": "lt", "value": 0.5},
+                     "piecewise condition"),
+    "condition-le": (Condition(1, "le", -_INF), {"index": 1, "op": "le", "value": -_INF},
+                     "piecewise condition"),
+    "condition-gt": (Condition(2, "gt", _INF), {"index": 2, "op": "gt", "value": _INF},
+                     "piecewise condition"),
+    "condition-ge": (Condition(0, "ge", 1.0), {"index": 0, "op": "ge", "value": 1.0},
+                     "piecewise condition"),
+    "table-0": (TruthTable(0, 1, [[1]]), {"n_inputs": 0, "n_outputs": 1, "rows": [[1]]},
+                "truth table document"),
+    "table-1": (TruthTable(1, 2, [[0, 1], [1, 0]]),
+                {"n_inputs": 1, "n_outputs": 2, "rows": [[0, 1], [1, 0]]},
+                "truth table document"),
+    "table-3": (TruthTable(3, 1, [[b] for b in (0, 1, 1, 0, 1, 0, 0, 1)]),
+                {"n_inputs": 3, "n_outputs": 1,
+                 "rows": [[0], [1], [1], [0], [1], [0], [0], [1]]},
+                "truth table document"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SPEC_DOCUMENTS))
+def test_spec_documents_hold_their_set_fields_in_order(case):
+    """A spec's document holds exactly its set fields, in declaration
+    order (the text report of ``check`` prints its repr), reads back to
+    an equal spec, and a stray key in it is refused by name."""
+    spec, doc, what = _SPEC_DOCUMENTS[case]
+    assert repr(spec.to_dict()) == repr(doc)
+    assert type(spec).from_dict(doc) == spec
+    with pytest.raises(SerializationError) as info:
+        type(spec).from_dict({**doc, "bogus": 1})
+    assert str(info.value) == f"{what} has no field 'bogus'"
