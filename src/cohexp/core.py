@@ -800,22 +800,17 @@ class Piecewise(FuzzyExpr):
         return olo, ohi
 
     def to_payload(self) -> dict:
-        return {
-            "regions": [
-                {
-                    "conditions": [c.to_dict() for c in piece.conditions],
-                    "expr": to_dict(piece.expr),
-                }
-                for piece in self.pieces
-            ],
-            "default": to_dict(self.default),
-        }
+        regions = [
+            _set_fields(piece, conditions=lambda cs: [c.to_dict() for c in cs], expr=to_dict)
+            for piece in self.pieces
+        ]
+        return {"regions": regions, "default": to_dict(self.default)}
 
     @classmethod
     def from_payload(cls, doc, decode):
         pieces = []
         for region in doc["regions"]:
-            _fields_only(region, ("conditions", "expr"), "piecewise region")
+            _fields_only(region, _field_names(Piece), "piecewise region")
             conditions = tuple(Condition.from_dict(c) for c in region["conditions"])
             pieces.append(Piece(conditions, decode(region["expr"])))
         return Piecewise(pieces, decode(doc["default"]))

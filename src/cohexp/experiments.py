@@ -44,7 +44,7 @@ from .coherence import _MAX_SAMPLE_POINTS, EVAL_CHUNK, projected_outputs
 # coherence_masks stays importable from here: bench/tracing.py wraps it in this namespace
 from .coherence import coherence_masks  # noqa: F401
 from .core import FuzzyExpr, Projection, TruthTable, to_dict
-from .errors import CapacityError, ValidationError, _checked
+from .errors import CapacityError, ValidationError, _checked, _set_fields
 from .functor import DnfFormula, booleanize, default_var_names, table_to_dnf
 from .gamma import ExtendedExpr, GammaSpec, gamma_extend
 from .nn import MlpExpr, TrainConfig, TrainResult, train
@@ -421,17 +421,7 @@ class ExperimentReport:
             "setting": self.setting,
             "seed": self.seed,
             "sizes": list(self.sizes),
-            "config": {
-                "hidden_sizes": list(self.config.hidden_sizes),
-                "learning_rate": self.config.learning_rate,
-                "weight_decay": self.config.weight_decay,
-                "coherence_lambda": self.config.coherence_lambda,
-                "epochs": self.config.epochs,
-                "batch_size": self.config.batch_size,
-                "seed": self.config.seed,
-                "early_stopping_patience": self.config.early_stopping_patience,
-                "projection": self.config.projection.to_dict(),
-            },
+            "config": _set_fields(self.config, hidden_sizes=list, projection=Projection.to_dict),
             "training": {
                 "epochs_run": self.training.epochs_run,
                 "best_epoch": self.training.best_epoch,

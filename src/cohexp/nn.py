@@ -23,11 +23,11 @@ Backpropagation is hand-written; ``gradient_check`` compares it
 against central finite differences and returns the worst discrepancy,
 scaled by ``max(1, |analytic|, |numeric|)``.
 
-``train`` keeps the parameters in one flat float64 buffer (weights,
-then biases, then slopes, the ``_param_views`` order) with the model's
-arrays as views into it, and the gradients in a second buffer of the
-same layout.  ``loss_and_grads`` writes into such gradient arrays when
-it is given them, so a step allocates no gradient and ends with one
+An ``MlpModel`` keeps its parameters in one flat float64 buffer,
+``params`` (weights, then biases, then slopes), and its ``weights``,
+``biases`` and ``slopes`` are views into it.  ``loss_and_grads``
+returns the gradient as one array of the same layout, so weight decay
+is one update of the weight prefix and a training step ends with one
 ``params -= lr * grads``.  Every value is computed as a per-array loop
 would compute it, so the trained bits are the same.
 """
@@ -75,13 +75,21 @@ _MAX_PARAMETERS = 4_194_304
 
 @dataclass
 class MlpModel:
-    """Mutable parameter container: ``weights[i]`` has shape
-    ``(fan_out, fan_in)``; ``slopes`` holds one PReLU slope per hidden
-    layer (the output layer is always sigmoid)."""
+    """Parameter container: ``weights[i]`` has shape ``(fan_out,
+    fan_in)``; ``slopes`` holds one PReLU slope per hidden layer (the
+    output layer is always sigmoid).
+
+    The constructor copies the given arrays into one flat float64
+    buffer, ``params``, and rebinds ``weights``, ``biases`` and
+    ``slopes`` as views into it, laid out by ``views``.  Write them in
+    place: an array assigned in their stead is not a parameter."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     slopes: np.ndarray
+    params: np.ndarray = field(init=False, repr=False)
+    n_weights: int = field(init=False, repr=False)
+    _layout: list = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.weights) != len(self.biases) or len(self.weights) < 1:
@@ -96,6 +104,23 @@ class MlpModel:
         for w, b in zip(self.weights, self.biases):
             if b.shape != (w.shape[0],):
                 raise ValidationError("bias length must match the layer fan-out")
+        arrays = (*self.weights, *self.biases, self.slopes)
+        self.params = np.concatenate([a.ravel() for a in arrays], dtype=np.float64)
+        self.n_weights = sum(w.size for w in self.weights)
+        # (slice, shape) per array, worked out once, as every training
+        # step lays its gradient out by it
+        self._layout, start = [], 0
+        for a in arrays:
+            self._layout.append((slice(start, start + a.size), a.shape))
+            start += a.size
+        self.weights, self.biases, self.slopes = self.views(self.params)
+
+    def views(self, buffer: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+        """Weights, biases and slopes as views into the flat ``buffer``,
+        laid out as ``params`` is."""
+        views = [buffer[part].reshape(shape) for part, shape in self._layout]
+        n_layers = len(views) // 2
+        return views[:n_layers], views[n_layers:-1], views[-1]
 
     @property
     def in_arity(self) -> int:
@@ -106,11 +131,7 @@ class MlpModel:
         return int(self.weights[-1].shape[0])
 
     def copy(self) -> "MlpModel":
-        return MlpModel(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.slopes.copy(),
-        )
+        return MlpModel(self.weights, self.biases, self.slopes)
 
     def to_dict(self) -> dict:
         layers = []
@@ -267,25 +288,15 @@ def forward(model: MlpModel, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _backward(
-    model: MlpModel, cache: list, d_logits: np.ndarray, out: list[np.ndarray] | None = None
-) -> list[np.ndarray]:
-    """Backpropagate a gradient given at the output-layer logits.
-
-    Returns flat-ordered gradients: per layer dW, db, plus one dslope
-    per hidden layer (same layout as ``_param_views``), written into
-    ``out`` when it is given.
-    """
-    n_layers = len(model.weights)
-    if out is None:
-        out = [np.empty(p.shape) for p in _param_views(model)]
-    dW, db, dslope = out[:n_layers], out[n_layers:-1], out[-1]
-
+def _backward(model: MlpModel, cache: list, d_logits: np.ndarray, grads: np.ndarray) -> None:
+    """Backpropagate a gradient given at the output-layer logits into
+    the flat ``grads``, laid out like ``model.params``."""
+    dW, db, dslope = model.views(grads)
     a_in, _ = cache[-1]
     np.matmul(d_logits.T, a_in, out=dW[-1])
     d_logits.sum(axis=0, out=db[-1])
     da = d_logits @ model.weights[-1]
-    for i in range(n_layers - 2, -1, -1):
+    for i in range(len(dW) - 2, -1, -1):
         a_prev, z = cache[i]
         neg = z <= 0
         dslope[i] = (da * np.where(neg, z, 0.0)).sum()
@@ -294,40 +305,20 @@ def _backward(
         dz.sum(axis=0, out=db[i])
         if i > 0:
             da = dz @ model.weights[i]
-    return out
-
-
-def _param_views(model: MlpModel) -> list[np.ndarray]:
-    return [*model.weights, *model.biases, model.slopes]
-
-
-def _views_into(buffer: np.ndarray, model: MlpModel) -> list[np.ndarray]:
-    """Views into the flat ``buffer`` shaped and ordered like
-    ``_param_views(model)``."""
-    views, start = [], 0
-    for arr in _param_views(model):
-        views.append(buffer[start : start + arr.size].reshape(arr.shape))
-        start += arr.size
-    return views
 
 
 def loss_and_grads(
-    model: MlpModel,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    cfg: TrainConfig,
-    grads: list[np.ndarray] | None = None,
-) -> tuple[float, list[np.ndarray]]:
-    """Loss and its gradient, ordered like ``_param_views``.  The
-    gradient is written into ``grads`` when it is given (arrays laid out
-    like ``_param_views(model)``, such as views into one flat buffer),
-    and returned."""
+    model: MlpModel, xs: np.ndarray, ys: np.ndarray, cfg: TrainConfig
+) -> tuple[float, np.ndarray]:
+    """Loss and its gradient, one array laid out like ``model.params``
+    (``model.views`` reads it per layer)."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if ys.ndim == 1:
         ys = ys.reshape(-1, 1)
     n, n_items = xs.shape[0], ys.size
     penalised = cfg.coherence_lambda > 0.0
+    grads = np.empty_like(model.params)
 
     # divergence shows up as non-finite values that the caller checks;
     # the intermediate overflow itself is expected there, not a bug
@@ -346,12 +337,12 @@ def loss_and_grads(
             d_logits = np.concatenate(
                 [d_logits + s * out * (1.0 - out), -s * out_fix * (1.0 - out_fix)]
             )
-        grads = _backward(model, cache, d_logits, grads)
+        _backward(model, cache, d_logits, grads)
 
         if cfg.weight_decay > 0.0:
-            for i, w in enumerate(model.weights):
-                total += cfg.weight_decay * float((w * w).sum())
-                grads[i] += 2.0 * cfg.weight_decay * w
+            w = model.params[: model.n_weights]
+            total += cfg.weight_decay * float(w @ w)
+            grads[: model.n_weights] += 2.0 * cfg.weight_decay * w
 
     return total, grads
 
@@ -362,22 +353,18 @@ def gradient_check(model: MlpModel, xs: np.ndarray, ys: np.ndarray, cfg: TrainCo
     ``max(1, |analytic|, |numeric|)``."""
     work = model.copy()
     _, grads = loss_and_grads(work, xs, ys, cfg)
-    views = _param_views(work)
+    params = work.params
     worst = 0.0
-    for view, grad in zip(views, grads):
-        flat_v = view.reshape(-1)
-        flat_g = grad.reshape(-1)
-        for j in range(flat_v.size):
-            keep = flat_v[j]
-            flat_v[j] = keep + _FD_STEP
-            up = loss_and_grads(work, xs, ys, cfg)[0]
-            flat_v[j] = keep - _FD_STEP
-            down = loss_and_grads(work, xs, ys, cfg)[0]
-            flat_v[j] = keep
-            numeric = (up - down) / (2.0 * _FD_STEP)
-            analytic = flat_g[j]
-            err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
-            worst = max(worst, err)
+    for j, analytic in enumerate(grads):
+        keep = params[j]
+        params[j] = keep + _FD_STEP
+        up = loss_and_grads(work, xs, ys, cfg)[0]
+        params[j] = keep - _FD_STEP
+        down = loss_and_grads(work, xs, ys, cfg)[0]
+        params[j] = keep
+        numeric = (up - down) / (2.0 * _FD_STEP)
+        err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
+        worst = max(worst, err)
     return worst
 
 
@@ -406,16 +393,8 @@ def train(cfg: TrainConfig, train_set, val_set) -> TrainResult:
     xs, ys = _as_xy(train_set)
     xv, yv = _as_xy(val_set)
     rng = np.random.default_rng(cfg.seed)
-    init = init_model(xs.shape[1], cfg.hidden_sizes, ys.shape[1], rng)
-    # the parameters live in one flat buffer, in _param_views order, and
-    # the model's arrays are views into it; so do the gradients, and a
-    # step updates every parameter in one subtraction
-    params = np.concatenate([p.ravel() for p in _param_views(init)])
-    views = _views_into(params, init)
-    n_layers = len(init.weights)
-    model = MlpModel(views[:n_layers], views[n_layers:-1], views[-1])
-    flat_grads = np.empty_like(params)
-    grads = _views_into(flat_grads, model)
+    model = init_model(xs.shape[1], cfg.hidden_sizes, ys.shape[1], rng)
+    params = model.params
 
     best = model.copy()
     best_acc = _val_accuracy(model, xv, yv, cfg.projection)
@@ -431,10 +410,10 @@ def train(cfg: TrainConfig, train_set, val_set) -> TrainResult:
         xe, ye = xs[perm], ys[perm]
         for lo in range(0, n, cfg.batch_size):
             hi = lo + cfg.batch_size
-            value = loss_and_grads(model, xe[lo:hi], ye[lo:hi], cfg, grads)[0]
+            value, grads = loss_and_grads(model, xe[lo:hi], ye[lo:hi], cfg)
             if not math.isfinite(value):
                 raise TrainingError(f"training diverged at epoch {epoch}: non-finite loss")
-            params -= cfg.learning_rate * flat_grads
+            params -= cfg.learning_rate * grads
         if not np.isfinite(params).all():
             raise TrainingError(f"training diverged at epoch {epoch}: non-finite parameters")
         acc = _val_accuracy(model, xv, yv, cfg.projection)
@@ -475,7 +454,7 @@ class MlpExpr(FuzzyExpr):
 
     def __post_init__(self) -> None:
         frozen = self.model.copy()
-        for arr in _param_views(frozen):
+        for arr in (frozen.params, *frozen.weights, *frozen.biases, frozen.slopes):
             arr.setflags(write=False)
         object.__setattr__(self, "model", frozen)
 

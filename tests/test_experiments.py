@@ -28,6 +28,7 @@ from cohexp import (
     write_artifacts,
 )
 from cohexp import experiments
+from cohexp.errors import _field_names
 from cohexp.experiments import (
     Dataset,
     canonical_setting,
@@ -312,6 +313,15 @@ class TestRunExperiment:
         assert json.dumps(again.to_dict(), sort_keys=True) == json.dumps(
             report.to_dict(), sort_keys=True
         )
+
+    def test_report_config_holds_the_train_config_fields(self, tiny_run):
+        report, _, _ = tiny_run
+        config = report.to_dict()["config"]
+        assert tuple(config) == _field_names(TrainConfig)
+        assert config["hidden_sizes"] == [16, 16]
+        assert config["projection"] == report.config.projection.to_dict()
+        projection = Projection.from_dict(config["projection"])
+        assert TrainConfig(**{**config, "projection": projection}) == report.config
 
     def test_report_carries_all_splits(self, tiny_run):
         report, _, datasets = tiny_run

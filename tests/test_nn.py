@@ -41,6 +41,13 @@ def random_model(rng, in_arity=2, hidden=(4, 3), out_arity=1):
     return model
 
 
+def per_array(model, buffer):
+    """The weight, bias and slope arrays of ``buffer``, a flat array
+    laid out like ``model.params``, in that order."""
+    weights, biases, slopes = model.views(buffer)
+    return [*weights, *biases, slopes]
+
+
 def small_batch(rng, in_arity=2, count=16):
     xs = rng.random((count, in_arity))
     ys = rng.integers(0, 2, (count, 1)).astype(np.float64)
@@ -92,6 +99,54 @@ class TestInit:
         clone = model.copy()
         clone.weights[0][0, 0] += 1.0
         assert model.weights[0][0, 0] != clone.weights[0][0, 0]
+
+
+class TestParameterBuffer:
+    def test_constructor_does_not_alias_the_given_arrays(self):
+        weights = [np.ones((3, 2)), np.full((1, 3), 2.0)]
+        biases = [np.zeros(3), np.zeros(1)]
+        slopes = np.array([0.25])
+        model = MlpModel(weights, biases, slopes)
+        held = [*model.weights, *model.biases, model.slopes]
+        for given, arr in zip([*weights, *biases, slopes], held):
+            assert not np.shares_memory(given, arr)
+            assert np.array_equal(given, arr)
+        model.params[:] = 9.0
+        assert all(np.all(a == v) for a, v in zip(weights, (1.0, 2.0)))
+        assert not biases[0].any() and slopes[0] == 0.25
+
+    def test_one_float64_buffer_weights_then_biases_then_slopes(self):
+        model = random_model(np.random.default_rng(2), 3, (5, 4), 2)
+        assert model.params.dtype == np.float64 and model.params.flags.owndata
+        held = [*model.weights, *model.biases, model.slopes]
+        assert model.params.tobytes() == b"".join(a.tobytes() for a in held)
+        assert model.n_weights == sum(w.size for w in model.weights) == 43
+        for arr in held:
+            assert arr.base is model.params
+
+    def test_integer_arrays_become_float64(self):
+        weights, biases = [np.ones((2, 1), dtype=np.int64)], [np.zeros(2, dtype=np.int32)]
+        model = MlpModel(weights, biases, np.array([]))
+        assert model.params.dtype == np.float64 and model.params.tolist() == [1.0, 1.0, 0.0, 0.0]
+
+    def test_params_and_arrays_are_one_memory(self):
+        model = random_model(np.random.default_rng(3))
+        model.params[0] = 7.0
+        model.params[model.n_weights] = -3.0
+        assert model.weights[0][0, 0] == 7.0 and model.biases[0][0] == -3.0
+        model.weights[-1] *= 0.0
+        model.slopes[:] = 1.5
+        end = model.n_weights
+        assert not model.params[end - model.weights[-1].size : end].any()
+        assert np.all(model.params[-model.slopes.size :] == 1.5)
+
+    def test_views_lay_a_buffer_out_like_params(self):
+        model = random_model(np.random.default_rng(5))
+        buffer = np.arange(model.params.size, dtype=np.float64)
+        arrays = per_array(model, buffer)
+        assert [a.shape for a in arrays] == [a.shape for a in per_array(model, model.params)]
+        assert all(a.base is buffer for a in arrays)
+        assert np.concatenate([a.ravel() for a in arrays]).tolist() == buffer.tolist()
 
 
 class TestForward:
@@ -182,10 +237,32 @@ class TestGradients:
         model = random_model(rng)
         xs, ys = small_batch(rng)
         _, grads = loss_and_grads(model, xs, ys, TrainConfig(hidden_sizes=(4, 3)))
-        shapes = [g.shape for g in grads]
+        assert grads.shape == model.params.shape and grads.dtype == np.float64
+        assert np.all(np.isfinite(grads)) and np.all(grads[model.n_weights :] != 0.0)
+        shapes = [g.shape for g in per_array(model, grads)]
         expected = [w.shape for w in model.weights] + [b.shape for b in model.biases]
         expected.append(model.slopes.shape)
         assert shapes == expected
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    def test_weight_decay_gradient_is_the_per_layer_term(self, lam):
+        """Weight decay adds ``2 * weight_decay * w`` to each layer's
+        weight gradient, bit for bit, and leaves biases and slopes."""
+        rng = np.random.default_rng(16)
+        model = random_model(rng, 3, (5, 4), 2)
+        xs, ys = small_batch(rng, 3)
+        ys = np.concatenate([ys, 1.0 - ys], axis=1)
+        wd = 3e-3
+        _, grads = loss_and_grads(
+            model, xs, ys, TrainConfig(hidden_sizes=(5, 4), weight_decay=0.0, coherence_lambda=lam)
+        )
+        _, got = loss_and_grads(
+            model, xs, ys, TrainConfig(hidden_sizes=(5, 4), weight_decay=wd, coherence_lambda=lam)
+        )
+        weight_grads, _, _ = model.views(grads)
+        for w, g in zip(model.weights, weight_grads):
+            g += 2.0 * wd * w
+        assert got.tobytes() == grads.tobytes()
 
 
 def three_pass_loss_and_grads(model, xs, ys, cfg):
@@ -194,21 +271,23 @@ def three_pass_loss_and_grads(model, xs, ys, cfg):
     at ``x``, penalty at ``d(x)``) summed per parameter.  Kept as the
     reference the one-pass step is checked against."""
     n_items = ys.size
+    grads, g_main, g_fix = (np.empty_like(model.params) for _ in range(3))
     out, cache = nn._forward_cache(model, xs)
     logits = cache[-1][1]
     total = float(np.mean(np.logaddexp(0.0, logits) - ys * logits))
-    grads = nn._backward(model, cache, (out - ys) / n_items)
+    nn._backward(model, cache, (out - ys) / n_items, grads)
     out_fix, cache_fix = nn._forward_cache(model, cfg.projection.apply(xs))
     diff = out - out_fix
     total += cfg.coherence_lambda * float(np.mean(np.abs(diff)))
     s = cfg.coherence_lambda * np.sign(diff) / n_items
-    g_main = nn._backward(model, cache, s * out * (1.0 - out))
-    g_fix = nn._backward(model, cache_fix, -s * out_fix * (1.0 - out_fix))
-    for acc, g1, g2 in zip(grads, g_main, g_fix):
+    nn._backward(model, cache, s * out * (1.0 - out), g_main)
+    nn._backward(model, cache_fix, -s * out_fix * (1.0 - out_fix), g_fix)
+    arrays = per_array(model, grads)
+    for acc, g1, g2 in zip(arrays, per_array(model, g_main), per_array(model, g_fix)):
         acc += g1 + g2
-    for i, w in enumerate(model.weights):
+    for w, g in zip(model.weights, arrays):
         total += cfg.weight_decay * float(np.sum(w * w))
-        grads[i] += 2.0 * cfg.weight_decay * w
+        g += 2.0 * cfg.weight_decay * w
     return total, grads
 
 
@@ -240,8 +319,8 @@ class TestPenalisedStep:
         value, grads = loss_and_grads(model, xs, ys, cfg)
         ref_value, ref_grads = three_pass_loss_and_grads(model, xs, ys, cfg)
         assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
-        assert [g.shape for g in grads] == [g.shape for g in ref_grads]
-        for got, ref in zip(grads, ref_grads):
+        assert grads.shape == ref_grads.shape == model.params.shape
+        for got, ref in zip(per_array(model, grads), per_array(model, ref_grads)):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("out_arity", [1, 2])
@@ -253,10 +332,10 @@ class TestPenalisedStep:
         value, grads = loss_and_grads(model, xs, ys, TrainConfig(weight_decay=0.0))
         out, cache = nn._forward_cache(model, xs)
         logits = cache[-1][1]
-        expected = nn._backward(model, cache, (out - ys) / ys.size)
+        expected = np.empty_like(model.params)
+        nn._backward(model, cache, (out - ys) / ys.size, expected)
         assert value == float(np.mean(np.logaddexp(0.0, logits) - ys * logits))
-        for got, ref in zip(grads, expected):
-            assert got.tobytes() == ref.tobytes()
+        assert grads.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("lam", [0.0, 0.7])
     def test_one_forward_and_one_backward_per_call(self, lam, monkeypatch):
@@ -392,9 +471,10 @@ class TestTrain:
 
 def per_array_train(cfg, train_set, val_set):
     """``train`` as a per-array SGD loop: each step gathers its rows by
-    index, takes the list ``loss_and_grads`` returns and updates every
-    parameter array on its own.  Kept as the reference the flat-buffer
-    loop is checked against bit for bit."""
+    index, reads the flat gradient ``loss_and_grads`` returns through
+    per-array views and updates every parameter array on its own.  Kept
+    as the reference the flat-buffer loop is checked against bit for
+    bit."""
     xs, ys = nn._as_xy(train_set)
     xv, yv = nn._as_xy(val_set)
     rng = np.random.default_rng(cfg.seed)
@@ -410,8 +490,8 @@ def per_array_train(cfg, train_set, val_set):
         for lo in range(0, n, cfg.batch_size):
             idx = perm[lo : lo + cfg.batch_size]
             _, grads = loss_and_grads(model, xs[idx], ys[idx], cfg)
-            for view, grad in zip(nn._param_views(model), grads):
-                view -= cfg.learning_rate * grad
+            for param, grad in zip(per_array(model, model.params), per_array(model, grads)):
+                param -= cfg.learning_rate * grad
         acc = nn._val_accuracy(model, xv, yv, cfg.projection)
         if acc > best_acc:
             best_acc, best, best_epoch = acc, model.copy(), epoch
@@ -462,14 +542,15 @@ class TestFlatBufferTraining:
         val_accuracy = nn._val_accuracy
 
         def recorded(model, *args):
-            seen.append(b"".join(p.tobytes() for p in nn._param_views(model)))
+            seen.append(b"".join(p.tobytes() for p in per_array(model, model.params)))
             return val_accuracy(model, *args)
 
         monkeypatch.setattr(nn, "_val_accuracy", recorded)
         result = train(cfg, train_set, val_set)
         got_seen, seen[:] = seen[:], []
         ref, ref_best_epoch, ref_epochs_run = per_array_train(cfg, train_set, val_set)
-        got_views, ref_views = nn._param_views(result.model), nn._param_views(ref)
+        got_views = per_array(result.model, result.model.params)
+        ref_views = per_array(ref, ref.params)
         assert [v.shape for v in got_views] == [v.shape for v in ref_views]
         for got, want in zip(got_views, ref_views):
             assert got.tobytes() == want.tobytes()
@@ -480,27 +561,24 @@ class TestFlatBufferTraining:
         if cfg.epochs:
             assert seen[-1] != seen[0]  # the parameters moved
 
-    def test_returned_arrays_share_no_memory(self):
+    def test_returned_arrays_share_no_memory(self, monkeypatch):
+        """The returned ``params`` owns its data and shares no memory
+        with the model that training updated."""
+        made = []
+
+        def captured(*args):
+            made.append(init_model(*args))
+            return made[-1]
+
+        monkeypatch.setattr(nn, "init_model", captured)
         train_set = make_dataset("xor", "train", 40, seed=0)
         val_set = make_dataset("xor", "val", 20, seed=0)
         model = train(TrainConfig(hidden_sizes=(4, 3), epochs=3), train_set, val_set).model
-        views = nn._param_views(model)
-        for i, a in enumerate(views):
-            assert a.flags.owndata
-            for b in views[i + 1 :]:
-                assert not np.shares_memory(a, b)
-
-    def test_gradients_written_into_a_given_buffer(self):
-        rng = np.random.default_rng(35)
-        model = random_model(rng)
-        xs, ys = small_batch(rng)
-        cfg = TrainConfig(hidden_sizes=(4, 3), weight_decay=1e-3, coherence_lambda=0.7)
-        value, grads = loss_and_grads(model, xs, ys, cfg)
-        flat = np.full(sum(p.size for p in nn._param_views(model)), np.nan)
-        out = nn._views_into(flat, model)
-        got_value, got = loss_and_grads(model, xs, ys, cfg, out)
-        assert got is out and got_value == value
-        assert flat.tobytes() == np.concatenate([g.ravel() for g in grads]).tobytes()
+        (trained,) = made
+        assert model.params.flags.owndata
+        assert not np.shares_memory(model.params, trained.params)
+        for arr in per_array(trained, trained.params):
+            assert not np.shares_memory(model.params, arr)
 
 
 class TestMlpExpr:
@@ -510,6 +588,11 @@ class TestMlpExpr:
         expr = MlpExpr(model)
         with pytest.raises(ValueError):
             expr.model.weights[0][0, 0] = 1.0
+        with pytest.raises(ValueError):
+            expr.model.params[0] = 1.0
+        for arr in per_array(expr.model, expr.model.params):
+            with pytest.raises(ValueError):
+                arr[...] = 1.0
         # later mutation of the source does not leak into the wrapper
         xs = rng.random((8, 2))
         before = expr.eval_batch(xs)

@@ -464,3 +464,25 @@ def test_spec_documents_hold_their_set_fields_in_order(case):
     with pytest.raises(SerializationError) as info:
         type(spec).from_dict({**doc, "bogus": 1})
     assert str(info.value) == f"{what} has no field 'bogus'"
+
+
+def test_piecewise_regions_hold_the_piece_fields_in_order():
+    """A region's document holds a ``Piece``'s fields, conditions then
+    expression, reads back to the same regions, and a stray key in it
+    is refused by name."""
+    inner = Coord((0,), 1)
+    pieces = (Piece((Condition(0, "lt", 0.5), Condition(0, "ge", 0.25)), inner), Piece((), inner))
+    expr = Piecewise(pieces, Const((0.5,), 1))
+    regions = [
+        {"conditions": [{"index": 0, "op": "lt", "value": 0.5},
+                        {"index": 0, "op": "ge", "value": 0.25}],
+         "expr": to_dict(inner)},
+        {"conditions": [], "expr": to_dict(inner)},
+    ]
+    doc = to_dict(expr)
+    assert repr(doc["regions"]) == repr(regions)
+    assert to_dict(from_dict(doc)) == doc
+    doc["regions"][1]["bogus"] = 1
+    with pytest.raises(SerializationError) as info:
+        from_dict(doc)
+    assert str(info.value) == "invalid 'piecewise' node: piecewise region has no field 'bogus'"
