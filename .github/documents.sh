@@ -1,0 +1,107 @@
+#!/bin/sh
+# Run a fixed corpus of cohexp commands against the package sources in
+# SRC and keep everything they print and write in OUTDIR: per command
+# NAME, its stdout (NAME.out), stderr (NAME.err) and exit code
+# (NAME.status), beside every file it writes.  The corpus writes every
+# node kind, every report kind and both experiment settings, at small
+# sizes, so two source trees that write the same documents leave two
+# OUTDIRs that `diff -r` finds equal.
+#
+# usage: .github/documents.sh SRC OUTDIR
+set -eu
+if [ $# -ne 2 ]; then
+    echo "usage: $0 SRC OUTDIR" >&2
+    exit 2
+fi
+src=$(cd "$1" && pwd)
+mkdir -p "$2"
+cd "$2"
+
+# paths in the corpus are relative to OUTDIR, so that they print alike
+# whichever tree runs it
+run() {
+    name=$1
+    shift
+    status=0
+    PYTHONPATH="$src" python -m cohexp.cli "$@" > "$name.out" 2> "$name.err" || status=$?
+    echo "$status" > "$name.status"
+}
+
+# -- input documents: one of every node kind a user writes ---------------
+mkdir -p in
+echo '{"node": "const", "in_arity": 2, "values": [0.3, 0.8]}' > in/const.json
+echo '{"node": "coord", "in_arity": 3, "indices": [2, 0]}' > in/coord.json
+echo '{"node": "tnorm", "kind": "min"}' > in/tnorm.json
+echo '{"node": "tconorm", "kind": "lukasiewicz"}' > in/luk-or.json
+echo '{"node": "affine", "matrix": [[0.5, 0.5], [0.25, 0.75]], "bias": [0.0, 0.0], "clamp": false}' > in/affine.json
+echo '{"node": "lifted_projection", "in_arity": 2, "projection": {"kind": "quantize", "levels": 3}}' > in/lifted.json
+echo '{"node": "compose", "outer": {"node": "tconorm", "kind": "lukasiewicz"}, "inner": {"node": "parallel", "parts": [{"node": "tnorm", "kind": "product"}, {"node": "tnorm", "kind": "lukasiewicz"}]}}' > in/norms4.json
+echo '{"node": "piecewise", "regions": [{"conditions": [{"index": 0, "op": "ge", "value": 0.5}], "expr": {"node": "const", "in_arity": 1, "values": [1.0]}}], "default": {"node": "const", "in_arity": 1, "values": [0.4]}}' > in/step.json
+echo '{"node": "piecewise", "regions": [{"conditions": [{"index": 0, "op": "le", "value": 0.0}], "expr": {"node": "const", "in_arity": 1, "values": [0.0]}}, {"conditions": [{"index": 0, "op": "ge", "value": 1.0}], "expr": {"node": "const", "in_arity": 1, "values": [1.0]}}], "default": {"node": "const", "in_arity": 1, "values": [0.9]}}' > in/jump.json
+echo '{"node": "compose", "outer": {"node": "tconorm", "kind": "lukasiewicz"}, "inner": {"node": "lifted_projection", "in_arity": 2, "projection": {"kind": "threshold", "alpha": 0.5}}}' > in/canonical.json
+echo '{"node": "const", "in_arity": 2, "values": [1.0]}' > in/one.json
+echo '{"node": "const", "in_arity": 1, "values": [0.2]}' > in/low.json
+echo '{"node": "tconorm", "kind": "lukasiewicz", "clmap": true}' > in/stray.json
+
+# -- experiments: report.json, report.txt, model.json and the CSVs ------
+for setting in xor fuzzy-or; do
+    run "experiment-$setting" experiment --setting "$setting" --seed 1 --train-size 64 \
+        --val-size 32 --test-size 64 --epochs 5 --format structured --outdir "exp-$setting"
+    run "experiment-$setting-text" experiment --setting "$setting" --seed 2 --train-size 48 \
+        --val-size 16 --test-size 48 --epochs 3 --outdir "exp-$setting-text"
+done
+
+# -- expressions written back: a coherent one is written as it is read ---
+for node in const coord tnorm lifted; do
+    run "repair-$node" repair --expr "in/$node.json" --gamma extend --grid 5 \
+        --out-expr "repair-$node.json" --format structured
+done
+run repair-luk-or-extend repair --expr in/luk-or.json --gamma extend --grid 11 \
+    --out-expr repair-luk-or-extend.json --format structured
+run repair-luk-or-output-mod repair --expr in/luk-or.json --gamma output-mod --grid 11 \
+    --out-expr repair-luk-or-output-mod.json
+run repair-luk-or-fallback repair --expr in/luk-or.json --gamma output-mod:in/canonical.json \
+    --grid 11 --out-expr repair-luk-or-fallback.json --format structured
+run repair-affine repair --expr in/affine.json --gamma extend --quantize 3 --grid 7 \
+    --out-expr repair-affine.json --format structured
+run repair-norms4 repair --expr in/norms4.json --gamma extend --quantize 4 --random 2000 \
+    --seed 3 --out-expr repair-norms4.json --format structured
+run repair-step repair --expr in/step.json --gamma output-mod --grid 21 \
+    --out-expr repair-step.json --format structured
+run repair-mlp repair --expr exp-fuzzy-or/model.json --gamma extend --grid 21 \
+    --out-expr repair-mlp.json --format structured
+run repair-mlp-text repair --expr exp-xor/model.json --gamma output-mod --grid 21 \
+    --out-expr repair-mlp-text.json
+# refused: the constant fallback disagrees with the projected baseline
+run repair-refused repair --expr in/luk-or.json --gamma output-mod:in/one.json \
+    --out-expr repair-refused.json
+run stray-key check --expr in/stray.json
+
+# -- coherence reports ---------------------------------------------------
+run check-luk-or check --expr in/luk-or.json --grid 11 --witness-limit 3 --format structured
+run check-luk-or-text check --expr in/luk-or.json --grid 11
+run check-affine check --expr in/affine.json --quantize 3 --random 500 --seed 2 \
+    --format structured --out check-affine.json
+run check-extended check --expr repair-norms4.json --quantize 4 --random 2000 --seed 3 \
+    --format structured
+run check-mlp check --expr exp-xor/model.json --grid 33 --witness-limit 2 --format structured
+
+# -- explanations --------------------------------------------------------
+run explain-luk-or explain --expr in/luk-or.json --format structured
+run explain-extend explain --expr in/luk-or.json --gamma extend --grid 11 --names a,b,c \
+    --format structured
+run explain-fallback explain --expr in/luk-or.json --gamma output-mod:in/canonical.json \
+    --grid 11 --ascii --no-simplify --format structured
+run explain-mlp explain --expr exp-fuzzy-or/model.json --gamma extend --grid 21
+run explain-affine explain --expr in/affine.json --names p,q --ascii
+
+# -- non-compositionality demos and the functor law ------------------------
+run demo-witness demo-noncomp --format structured
+run demo-extend demo-noncomp --gamma extend --format structured
+run demo-fallback demo-noncomp --gamma output-mod:in/low.json --format structured
+run demo-coherent demo-noncomp --g-expr in/step.json --format structured
+run demo-text demo-noncomp
+run law-violated functor-law --inner in/step.json --outer in/jump.json --format structured
+run law-holds functor-law --inner in/canonical.json --outer in/step.json --format structured \
+    --out law-holds.json
+run law-text functor-law --inner in/step.json --outer in/jump.json

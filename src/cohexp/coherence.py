@@ -74,10 +74,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import FuzzyExpr, Point, Projection, _check_batch, _float_points, _place_values
-from .core import fiber_codes, fiber_digits
-from .errors import CapacityError, ValidationError, _checked, _fields_only, malformed
-from .errors import _field_names, _set_fields
+from .core import FuzzyExpr, Point, Projection, _check_batch, _fields, _float_points
+from .core import _place_values, _set_fields, fiber_codes, fiber_digits
+from .errors import CapacityError, ValidationError, _checked, _field_names, _fields_only
+from .errors import malformed
 
 __all__ = [
     "DEFAULT_WITNESS_CAP",
@@ -295,31 +295,7 @@ class CoherenceReport:
         return "incoherent_with_witnesses"
 
     def to_dict(self) -> dict:
-        return {
-            "projection": self.projection.to_dict(),
-            "sampling": self.sampling.to_dict(),
-            "in_arity": self.in_arity,
-            "out_arity": self.out_arity,
-            "n_points": self.n_points,
-            "verdict": self.verdict,
-            "coherent_fraction": self.coherent_fraction,
-            "components": [
-                {
-                    "component": c.component,
-                    "coherent_fraction": c.coherent_fraction,
-                    "witnesses": [
-                        {
-                            "point": list(w.point),
-                            "output": list(w.output),
-                            "projected_direct": w.projected_direct,
-                            "projected_via_projected_inputs": w.projected_via_projected_inputs,
-                        }
-                        for w in c.witnesses
-                    ],
-                }
-                for c in self.components
-            ],
-        }
+        return {"verdict": self.verdict, **_fields(self)}
 
 
 def eval_chunked(

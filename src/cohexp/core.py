@@ -27,14 +27,23 @@ Conventions used throughout the package
 
 The serialisation format is a single JSON object per expression: the
 field ``node`` names the variant, ``in_arity``/``out_arity`` give the
-signature, and the remaining payload fields mirror the constructor
-arguments (see README for the schema).  Expression classes register
-themselves in :data:`NODE_TYPES` via ``__init_subclass__`` so modules
-can contribute new node kinds without import cycles.
+signature, and the remaining payload fields are the node's
+``payload_fields`` (see README for the schema).  Expression classes
+register themselves in :data:`NODE_TYPES` via ``__init_subclass__`` so
+modules can contribute new node kinds without import cycles.
+
+Documents are written from their dataclass fields by the writers
+here: ``_fields`` writes a report's or a node's fields, and
+``_set_fields`` a spec's (a projection, a sampling, a repair, a
+piecewise region or condition, a truth table) without its unset ones.
+Only the documents that are not their fields (a piecewise node's
+regions, a domain extension's fiber digits, a network's layers, a
+scored formula's text) have writers of their own.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, ClassVar, Sequence
@@ -48,7 +57,6 @@ from .errors import (
     _checked,
     _field_names,
     _fields_only,
-    _set_fields,
     malformed,
 )
 
@@ -280,7 +288,9 @@ class FuzzyExpr:
     # -- serialisation ------------------------------------------------
 
     def to_payload(self) -> dict:
-        raise NotImplementedError
+        """The payload of the node's document: each of its
+        ``payload_fields``, written as ``_fields`` writes a field."""
+        return {name: _document(getattr(self, name)) for name in self.payload_fields}
 
     @classmethod
     def from_payload(cls, doc: dict, decode: Callable[[dict], "FuzzyExpr"]) -> "FuzzyExpr":
@@ -316,9 +326,6 @@ class Const(FuzzyExpr):
     def bounds(self, lo, hi):
         out = self._eval(lo)
         return out, out
-
-    def to_payload(self) -> dict:
-        return {"values": list(self.values)}
 
     @classmethod
     def from_payload(cls, doc, decode):
@@ -357,9 +364,6 @@ class Coord(FuzzyExpr):
     def bounds(self, lo, hi):
         return self._eval(lo), self._eval(hi)
 
-    def to_payload(self) -> dict:
-        return {"indices": list(self.indices)}
-
     @classmethod
     def from_payload(cls, doc, decode):
         return Coord(tuple(doc["indices"]), in_arity=doc["in_arity"])
@@ -395,9 +399,6 @@ class _Connective(FuzzyExpr):
         # every kind is non-decreasing in each argument, up to rounding
         olo, ohi = self._eval(lo), self._eval(hi)
         return np.maximum(olo - BOUND_PAD, 0.0), np.minimum(ohi + BOUND_PAD, 1.0)
-
-    def to_payload(self) -> dict:
-        return {"kind": self.kind}
 
     @classmethod
     def from_payload(cls, doc, decode):
@@ -507,13 +508,6 @@ class Affine(FuzzyExpr):
         olo[leaves] = ohi[leaves] = np.nan
         return olo, ohi
 
-    def to_payload(self) -> dict:
-        return {
-            "matrix": [list(row) for row in self.matrix],
-            "bias": list(self.bias),
-            "clamp": self.clamp,
-        }
-
     @classmethod
     def from_payload(cls, doc, decode):
         return Affine(
@@ -552,9 +546,6 @@ class LiftedProjection(FuzzyExpr):
         # a projection is non-decreasing, and the inner bounds hold every
         # value the inner node gives, rounding included
         return self._eval(lo), self._eval(hi)
-
-    def to_payload(self) -> dict:
-        return {"projection": self.projection.to_dict()}
 
     @classmethod
     def from_payload(cls, doc, decode):
@@ -601,9 +592,6 @@ class Compose(FuzzyExpr):
         if out is None:
             return None
         return tuple(np.where(unbounded[:, None], np.nan, b) for b in out)
-
-    def to_payload(self) -> dict:
-        return {"outer": to_dict(self.outer), "inner": to_dict(self.inner)}
 
     @classmethod
     def from_payload(cls, doc, decode):
@@ -652,9 +640,6 @@ class Parallel(FuzzyExpr):
             parts.append(part)
             start = stop
         return tuple(np.concatenate([part[i] for part in parts], axis=1) for i in (0, 1))
-
-    def to_payload(self) -> dict:
-        return {"parts": [to_dict(p) for p in self.parts]}
 
     @classmethod
     def from_payload(cls, doc, decode):
@@ -800,10 +785,7 @@ class Piecewise(FuzzyExpr):
         return olo, ohi
 
     def to_payload(self) -> dict:
-        regions = [
-            _set_fields(piece, conditions=lambda cs: [c.to_dict() for c in cs], expr=to_dict)
-            for piece in self.pieces
-        ]
+        regions = [_set_fields(piece) for piece in self.pieces]
         return {"regions": regions, "default": to_dict(self.default)}
 
     @classmethod
@@ -826,6 +808,49 @@ def to_dict(expr: FuzzyExpr) -> dict:
     doc = {"node": expr.node_name, "in_arity": expr.in_arity, "out_arity": expr.out_arity}
     doc.update(expr.to_payload())
     return doc
+
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _document(value):
+    """``value`` as a document holds it: a scalar as it is (None as
+    null), a tuple, list or array as a list, an expression as its node
+    document, a value with a ``to_dict`` by that, a dict key by key and
+    a dataclass by ``_fields``."""
+    if type(value) in _SCALARS:
+        return value
+    if isinstance(value, (tuple, list)):
+        return [v if type(v) in _SCALARS else _document(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, FuzzyExpr):
+        return to_dict(value)
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if isinstance(value, dict):
+        return {key: _document(v) for key, v in value.items()}
+    if dataclasses.is_dataclass(value):
+        return _fields(value)
+    return value
+
+
+def _fields(obj, **convert) -> dict:
+    """The document of the dataclass instance ``obj``: every field in
+    declaration order, written by ``_document``, or by ``convert[name]``
+    where one is given; a converter given as None leaves its field out."""
+    doc = {}
+    for name in _field_names(type(obj)):
+        write = convert.get(name, _document)
+        if write is not None:
+            doc[name] = write(getattr(obj, name))
+    return doc
+
+
+def _set_fields(spec) -> dict:
+    """The document of the spec ``spec``: its ``_fields`` that are set
+    (not None)."""
+    return {name: value for name, value in _fields(spec).items() if value is not None}
 
 
 def from_dict(doc: dict) -> FuzzyExpr:
@@ -968,7 +993,7 @@ class TruthTable:
         return self.rows[:, _checked(output, int, need, 0, self.n_outputs - 1)]
 
     def to_dict(self) -> dict:
-        return _set_fields(self, rows=np.ndarray.tolist)
+        return _set_fields(self)
 
     @staticmethod
     def from_dict(doc: dict) -> "TruthTable":

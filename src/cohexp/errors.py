@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from contextlib import contextmanager
+from functools import cache
 from typing import Iterator
 
 from numbers import Integral, Real
@@ -89,24 +90,19 @@ def malformed(what: str, *, prefix_invalid: bool = False) -> Iterator[None]:
 def _fields_only(doc, allowed: tuple[str, ...], what: str) -> None:
     """Refuse the first key of the document object ``doc`` that is not
     in ``allowed`` with a ``SerializationError`` naming it.  A ``doc``
-    that is not an object is left to the code that reads it."""
+    that is not an object is left to the code that reads it.  Its
+    writing twins are ``core._fields`` and ``core._set_fields``."""
     if isinstance(doc, dict):
         stray = [key for key in doc if key not in allowed]
         if stray:
             raise SerializationError(f"{what} has no field {stray[0]!r}")
 
 
-def _field_names(cls) -> tuple[str, ...]:
-    """The fields of the dataclass ``cls``: the keys its document holds."""
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    """The fields of the dataclass ``cls``: the keys its document holds.
+    Kept per class, never per instance, which may be unhashable."""
     return tuple(field.name for field in dataclasses.fields(cls))
-
-
-def _set_fields(spec, **convert) -> dict:
-    """The document of the dataclass instance ``spec``, the writing twin
-    of ``_fields_only``: its fields that are not None, in declaration
-    order, each passed through ``convert[name]`` where one is given."""
-    values = ((name, getattr(spec, name)) for name in _field_names(spec))
-    return {k: convert[k](v) if k in convert else v for k, v in values if v is not None}
 
 
 # per field kind: the Python types and the numpy dtype kinds it takes

@@ -43,8 +43,8 @@ from .coherence import _MAX_SAMPLE_POINTS, EVAL_CHUNK, projected_outputs
 
 # coherence_masks stays importable from here: bench/tracing.py wraps it in this namespace
 from .coherence import coherence_masks  # noqa: F401
-from .core import FuzzyExpr, Projection, TruthTable, to_dict
-from .errors import CapacityError, ValidationError, _checked, _set_fields
+from .core import FuzzyExpr, Projection, TruthTable, _fields, to_dict
+from .errors import CapacityError, ValidationError, _checked
 from .functor import DnfFormula, booleanize, default_var_names, table_to_dnf
 from .gamma import ExtendedExpr, GammaSpec, gamma_extend
 from .nn import MlpExpr, TrainConfig, TrainResult, train
@@ -110,7 +110,7 @@ def near_t_mask(xs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable labelled sample of ``[0, 1]^2``."""
+    """Immutable labelled sample of ``[0, 1]^n``."""
 
     setting: str
     split: str
@@ -132,9 +132,11 @@ class Dataset:
         return int(self.features.shape[0])
 
     def csv_text(self) -> str:
-        lines = ["x,y,label"]
-        for row, label in zip(self.features, self.labels):
-            lines.append(f"{float(row[0])!r},{float(row[1])!r},{int(label)}")
+        """One row per point: every feature at full precision, under its
+        default variable name, then the label."""
+        lines = [",".join((*default_var_names(self.features.shape[1]), "label"))]
+        for row, label in zip(self.features.tolist(), self.labels.tolist()):
+            lines.append(",".join((*map(repr, row), str(label))))
         return "\n".join(lines) + "\n"
 
 
@@ -198,7 +200,7 @@ class SplitMetrics:
     coherency: float
 
     def to_dict(self) -> dict:
-        return {"accuracy": self.accuracy, "coherency": self.coherency}
+        return _fields(self)
 
 
 def evaluate(model: FuzzyExpr, dataset: Dataset, projection: Projection) -> SplitMetrics:
@@ -239,11 +241,7 @@ class ExplanationReport:
     scores: tuple[FormulaScore, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "table": self.table.to_dict(),
-            "scores": [s.to_dict() for s in self.scores],
-        }
+        return _fields(self)
 
 
 @dataclass(frozen=True)
@@ -254,12 +252,7 @@ class ExtractionResult:
     n_controls: int
 
     def to_dict(self) -> dict:
-        return {
-            "naive": self.naive.to_dict(),
-            "extended": self.extended.to_dict() if self.extended else None,
-            "coherent_fraction": self.coherent_fraction,
-            "n_controls": self.n_controls,
-        }
+        return _fields(self)
 
 
 def _complement(table: TruthTable) -> TruthTable:
@@ -417,20 +410,9 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
     def to_dict(self) -> dict:
-        return {
-            "setting": self.setting,
-            "seed": self.seed,
-            "sizes": list(self.sizes),
-            "config": _set_fields(self.config, hidden_sizes=list, projection=Projection.to_dict),
-            "training": {
-                "epochs_run": self.training.epochs_run,
-                "best_epoch": self.training.best_epoch,
-                "best_val_accuracy": self.training.best_val_accuracy,
-                "stopped_early": self.training.stopped_early,
-            },
-            "metrics": {split: self.metrics[split].to_dict() for split in SPLITS},
-            "extraction": self.extraction.to_dict(),
-        }
+        """The fields; the trained model is left out of ``training``, as
+        ``model.json`` holds it."""
+        return _fields(self, training=lambda result: _fields(result, model=None))
 
 
 def run_experiment(

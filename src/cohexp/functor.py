@@ -29,6 +29,7 @@ from .core import (
     FuzzyExpr,
     Projection,
     TruthTable,
+    _fields,
     _place_values,
     all_vertices,
     fiber_digits,
@@ -194,15 +195,10 @@ class DnfFormula:
         return [self.render(o, ascii_ops) for o in range(self.n_outputs)]
 
     def to_dict(self) -> dict:
-        return {
-            "n_vars": self.n_vars,
-            "var_names": list(self.names),
-            "outputs": [
-                [[[v, bool(neg)] for v, neg in term] for term in terms]
-                for terms in self.outputs
-            ],
-            "rendered": self.render_all(),
-        }
+        """The fields, with the variable names filled in, and each
+        output ``rendered``."""
+        doc = _fields(self, var_names=lambda _: list(self.names))
+        return {**doc, "rendered": self.render_all()}
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +263,7 @@ class FunctorLawReport:
         return "holds" if self.holds else "violated"
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "composite_row": list(self.composite_row) if self.composite_row else None,
-            "factored_row": list(self.factored_row) if self.factored_row else None,
-            "lhs": self.lhs.to_dict(),
-            "rhs": self.rhs.to_dict(),
-        }
+        return {"verdict": self.verdict, **_fields(self)}
 
 
 def verify_functor_law(f: FuzzyExpr, g: FuzzyExpr, projection: Projection) -> FunctorLawReport:

@@ -76,10 +76,12 @@ from .core import (
     fiber_codes,
     fiber_digits,
     from_dict,
+    _fields,
+    _set_fields,
     to_dict,
 )
-from .errors import ContractError, ValidationError, _checked, _fields_only, malformed
-from .errors import _field_names, _set_fields
+from .errors import ContractError, ValidationError, _checked, _field_names, _fields_only
+from .errors import malformed
 from .functor import DnfFormula, booleanize, default_var_names, table_to_dnf
 
 __all__ = [
@@ -135,9 +137,7 @@ class GammaSpec:
         return self.kind == other.kind and self.projection == other.projection
 
     def to_dict(self) -> dict:
-        return _set_fields(
-            self, projection=Projection.to_dict, sampling=SamplingSpec.to_dict, fallback=to_dict
-        )
+        return _set_fields(self)
 
     @staticmethod
     def from_dict(doc: dict) -> "GammaSpec":
@@ -374,13 +374,6 @@ class OutputModExpr(FuzzyExpr):
         olo[unbounded] = ohi[unbounded] = np.nan
         return olo, ohi
 
-    def to_payload(self) -> dict:
-        return {
-            "base": to_dict(self.base),
-            "fallback": None if self.fallback is None else to_dict(self.fallback),
-            "projection": self.projection.to_dict(),
-        }
-
     @classmethod
     def from_payload(cls, doc, decode):
         base, fb = decode(doc["base"]), doc["fallback"]
@@ -579,16 +572,7 @@ class NoncompDemo:
     rhs: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "gamma": self.gamma.to_dict(),
-            "g": to_dict(self.g),
-            "f": to_dict(self.f) if self.f is not None else None,
-            "point": self.point,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "detail": self.detail,
-        }
+        return _fields(self)
 
 
 def _jump_candidates() -> list[FuzzyExpr]:

@@ -190,12 +190,14 @@ class TrainConfig:
             ("batch_size", int, "batch_size must be an integer >= 1", 1),
             ("seed", int, "seed must be an integer >= 0", 0),
             ("early_stopping_patience", int, "early_stopping_patience must be an integer", None),
-            ("learning_rate", float, "learning_rate must be a number >= 0", 0),
-            ("weight_decay", float, "weight_decay must be a number >= 0", 0),
-            ("coherence_lambda", float, "coherence_lambda must be a number >= 0", 0),
+            ("learning_rate", float, "learning_rate must be a finite number >= 0", 0),
+            ("weight_decay", float, "weight_decay must be a finite number >= 0", 0),
+            ("coherence_lambda", float, "coherence_lambda must be a finite number >= 0", 0),
         )
         for name, kind, need, low in fields:
-            object.__setattr__(self, name, _checked(getattr(self, name), kind, need, low))
+            # an infinite rate or weight would only diverge once the data is drawn
+            high = np.finfo(np.float64).max if kind is float else None
+            object.__setattr__(self, name, _checked(getattr(self, name), kind, need, low, high))
         need = "hidden_sizes must be a non-empty sequence of integers >= 1"
         if not isinstance(self.hidden_sizes, (tuple, list)) or not self.hidden_sizes:
             raise ValidationError(f"{need}, got {self.hidden_sizes!r}")

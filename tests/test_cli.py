@@ -801,6 +801,29 @@ class TestExperiment:
         assert "Traceback" not in captured.err and captured.out == ""
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("flag", ["--learning-rate", "--weight-decay", "--coherence-lambda"])
+    def test_infinite_rate_or_weight_is_refused_before_any_work(self, flag, tmp_path, capsys):
+        """Refused as input, not drawn, trained and reported diverged."""
+        outdir = tmp_path / "inf"
+        argv = ["experiment", "--setting", "xor", "--outdir", str(outdir), flag, "inf"]
+        assert run(argv) == BAD_INPUT
+        captured = capsys.readouterr()
+        name = flag[2:].replace("-", "_")
+        assert captured.err.splitlines() == [
+            f"error[E_INPUT]: {name} must be a finite number >= 0, got inf"
+        ]
+        assert captured.out == ""
+        assert not outdir.exists()
+
+    def test_finite_rate_that_diverges_is_a_training_error(self, tmp_path, capsys):
+        outdir = tmp_path / "huge"
+        assert run(["experiment", "--setting", "xor", "--outdir", str(outdir),
+                    "--learning-rate", "1e308", "--train-size", "64", "--val-size", "32",
+                    "--test-size", "64", "--epochs", "5"]) == BAD_CONTRACT
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[E_TRAINING]: training diverged")
+        assert not outdir.exists()
+
     def test_seed_help_names_what_it_seeds(self, capsys):
         assert run(["experiment", "--help"]) == OK
         help_text = " ".join(capsys.readouterr().out.split())

@@ -21,6 +21,7 @@ from cohexp import (
     TConorm,
     TrainConfig,
     ValidationError,
+    default_var_names,
     evaluate,
     extract_and_score,
     make_dataset,
@@ -164,6 +165,19 @@ class TestDatasets:
         for row, line in zip(ds.features, lines[1:]):
             x, y, _ = line.split(",")
             assert float(x) == row[0] and float(y) == row[1]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_csv_text_writes_every_column(self, n):
+        """A dataset of any width: one named column per feature, then the
+        label."""
+        features = np.random.default_rng(n).random((4, n))
+        ds = Dataset("xor", "train", 0, features, [0, 1, 1, 0])
+        lines = ds.csv_text().splitlines()
+        assert lines[0] == ",".join([*default_var_names(n), "label"])
+        assert len(lines) == 5
+        for row, label, line in zip(features, ds.labels, lines[1:]):
+            *xs, y = line.split(",")
+            assert [float(x) for x in xs] == row.tolist() and int(y) == label
 
 
 def _round_at_once(rng, count, predicate):

@@ -210,7 +210,7 @@ class TestFunctorLaw:
         assert doc["verdict"] == "holds"
         assert doc["witness"] is doc["composite_row"] is doc["factored_row"] is None
         assert doc["lhs"] == doc["rhs"]
-        assert list(doc) == ["verdict", "witness", "composite_row", "factored_row", "lhs", "rhs"]
+        assert list(doc) == ["verdict", "lhs", "rhs", "witness", "composite_row", "factored_row"]
 
 
 # ---------------------------------------------------------------------------

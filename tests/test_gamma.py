@@ -558,4 +558,4 @@ class TestNoncompDemo:
         ).to_dict()
         assert doc["kind"] == "not_applicable"
         assert doc["f"] is doc["point"] is doc["lhs"] is doc["rhs"] is None
-        assert list(doc) == ["kind", "gamma", "g", "f", "point", "lhs", "rhs", "detail"]
+        assert list(doc) == ["kind", "gamma", "g", "detail", "f", "point", "lhs", "rhs"]
