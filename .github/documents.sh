@@ -17,6 +17,9 @@ src=$(cd "$1" && pwd)
 mkdir -p "$2"
 cd "$2"
 
+# A second set of input documents is malformed, one fault each, so that
+# the corpus also records the errors reading them gives.
+#
 # paths in the corpus are relative to OUTDIR, so that they print alike
 # whichever tree runs it
 run() {
@@ -42,6 +45,14 @@ echo '{"node": "compose", "outer": {"node": "tconorm", "kind": "lukasiewicz"}, "
 echo '{"node": "const", "in_arity": 2, "values": [1.0]}' > in/one.json
 echo '{"node": "const", "in_arity": 1, "values": [0.2]}' > in/low.json
 echo '{"node": "tconorm", "kind": "lukasiewicz", "clmap": true}' > in/stray.json
+
+# -- malformed input documents: one fault each ----------------------------
+echo '{"node": "coord", "in_arity": 2}' > in/bad-missing.json
+echo '{"node": "affine", "matrix": [0.5, 0.5], "bias": [0.0]}' > in/bad-flat-matrix.json
+echo '{"node": "compose", "outer": {"node": "tnorm", "kind": "median"}, "inner": {"node": "coord", "in_arity": 1, "indices": [0, 0]}}' > in/bad-nested.json
+echo '{"node": "piecewise", "regions": [{"conditions": [], "expr": {"node": "const", "in_arity": 1, "values": [1.0]}, "exp": null}], "default": {"node": "const", "in_arity": 1, "values": [0.4]}}' > in/bad-region-key.json
+echo '{"node": "output_mod", "base": {"node": "tnorm", "kind": "min"}, "projection": 0.5, "fallback": null}' > in/bad-projection.json
+echo '{"node": "mlp", "in_arity": 2, "out_arity": 1}' > in/bad-mlp.json
 
 # -- experiments: report.json, report.txt, model.json and the CSVs ------
 for setting in xor fuzzy-or; do
@@ -76,6 +87,9 @@ run repair-mlp-text repair --expr exp-xor/model.json --gamma output-mod --grid 2
 run repair-refused repair --expr in/luk-or.json --gamma output-mod:in/one.json \
     --out-expr repair-refused.json
 run stray-key check --expr in/stray.json
+for bad in missing flat-matrix nested region-key projection mlp; do
+    run "bad-$bad" check --expr "in/bad-$bad.json"
+done
 
 # -- coherence reports ---------------------------------------------------
 run check-luk-or check --expr in/luk-or.json --grid 11 --witness-limit 3 --format structured

@@ -75,9 +75,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import FuzzyExpr, Point, Projection, _check_batch, _fields, _float_points
-from .core import _place_values, _set_fields, fiber_codes, fiber_digits
-from .errors import CapacityError, ValidationError, _checked, _field_names, _fields_only
-from .errors import malformed
+from .core import _place_values, _read, _set_fields, fiber_codes, fiber_digits
+from .errors import CapacityError, ValidationError, _checked, malformed
 
 __all__ = [
     "DEFAULT_WITNESS_CAP",
@@ -241,8 +240,7 @@ class SamplingSpec:
     @staticmethod
     def from_dict(doc: dict) -> "SamplingSpec":
         with malformed("sampling document"):
-            _fields_only(doc, _field_names(SamplingSpec), "sampling document")
-            return SamplingSpec(**doc)
+            return _read(SamplingSpec, doc, "sampling document")
 
 
 def default_sampling(arity: int, seed: int = 0) -> SamplingSpec:

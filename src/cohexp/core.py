@@ -28,24 +28,28 @@ Conventions used throughout the package
 The serialisation format is a single JSON object per expression: the
 field ``node`` names the variant, ``in_arity``/``out_arity`` give the
 signature, and the remaining payload fields are the node's
-``payload_fields`` (see README for the schema).  Expression classes
-register themselves in :data:`NODE_TYPES` via ``__init_subclass__`` so
-modules can contribute new node kinds without import cycles.
+``payload_keys()``: its fields less the signature (see README for the
+schema).  Expression classes register themselves in :data:`NODE_TYPES`
+via ``__init_subclass__`` so modules can contribute new node kinds
+without import cycles.
 
-Documents are written from their dataclass fields by the writers
-here: ``_fields`` writes a report's or a node's fields, and
+Documents are written from their dataclass fields, and read back into
+them, here: ``_fields`` writes a report's or a node's fields,
 ``_set_fields`` a spec's (a projection, a sampling, a repair, a
-piecewise region or condition, a truth table) without its unset ones.
-Only the documents that are not their fields (a piecewise node's
-regions, a domain extension's fiber digits, a network's layers, a
-scored formula's text) have writers of their own.
+piecewise region or condition, a truth table) without its unset ones,
+and ``_arguments`` reads either by the fields' declared types.  Only
+the documents that are not their fields (a piecewise node's regions, a
+domain extension's fiber digits, a network's layers) have readers and
+writers of their own.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import types
+import typing
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -189,9 +193,8 @@ class Projection:
     def from_dict(doc: dict) -> "Projection":
         if not isinstance(doc, dict) or "kind" not in doc:
             raise SerializationError(f"projection document needs a 'kind' field: {doc!r}")
-        _fields_only(doc, _field_names(Projection), "projection document")
         with malformed("projection document"):
-            return Projection(doc["kind"], alpha=doc.get("alpha"), levels=doc.get("levels"))
+            return _read(Projection, doc, "projection document")
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +239,6 @@ class FuzzyExpr:
     """
 
     node_name: ClassVar[str] = ""
-    # the payload keys a node document may hold besides "node",
-    # "in_arity" and "out_arity"
-    payload_fields: ClassVar[tuple[str, ...]] = ()
     in_arity: int
     out_arity: int
 
@@ -287,14 +287,24 @@ class FuzzyExpr:
 
     # -- serialisation ------------------------------------------------
 
+    @classmethod
+    def payload_keys(cls) -> tuple[str, ...]:
+        """The keys a node document holds besides ``node``, ``in_arity``
+        and ``out_arity``: the node's fields less those two, or the
+        ``payload_fields`` of a node whose document is not its fields."""
+        return getattr(cls, "payload_fields", None) or tuple(
+            name for name in _field_names(cls) if name not in ("in_arity", "out_arity")
+        )
+
     def to_payload(self) -> dict:
         """The payload of the node's document: each of its
-        ``payload_fields``, written as ``_fields`` writes a field."""
-        return {name: _document(getattr(self, name)) for name in self.payload_fields}
+        ``payload_keys``, written as ``_fields`` writes a field."""
+        return {name: _document(getattr(self, name)) for name in self.payload_keys()}
 
     @classmethod
     def from_payload(cls, doc: dict, decode: Callable[[dict], "FuzzyExpr"]) -> "FuzzyExpr":
-        raise NotImplementedError
+        """The node ``doc`` holds, read by ``_arguments``."""
+        return cls(**_arguments(cls, doc, decode))
 
 
 @dataclass(frozen=True)
@@ -302,7 +312,6 @@ class Const(FuzzyExpr):
     """Constant function; ignores its input."""
 
     node_name: ClassVar[str] = "const"
-    payload_fields: ClassVar[tuple[str, ...]] = ("values",)
 
     values: tuple[float, ...]
     in_arity: int = 0
@@ -327,17 +336,12 @@ class Const(FuzzyExpr):
         out = self._eval(lo)
         return out, out
 
-    @classmethod
-    def from_payload(cls, doc, decode):
-        return Const(tuple(doc["values"]), in_arity=doc.get("in_arity", 0))
-
 
 @dataclass(frozen=True)
 class Coord(FuzzyExpr):
     """Coordinate selection / duplication / permutation."""
 
     node_name: ClassVar[str] = "coord"
-    payload_fields: ClassVar[tuple[str, ...]] = ("indices",)
 
     indices: tuple[int, ...]
     in_arity: int
@@ -364,10 +368,6 @@ class Coord(FuzzyExpr):
     def bounds(self, lo, hi):
         return self._eval(lo), self._eval(hi)
 
-    @classmethod
-    def from_payload(cls, doc, decode):
-        return Coord(tuple(doc["indices"]), in_arity=doc["in_arity"])
-
 
 def identity(n: int) -> Coord:
     """The identity function on ``[0,1]^n``."""
@@ -381,7 +381,6 @@ class _Connective(FuzzyExpr):
 
     label: ClassVar[str] = ""
     functions: ClassVar[dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]]] = {}
-    payload_fields: ClassVar[tuple[str, ...]] = ("kind",)
 
     kind: str
 
@@ -399,10 +398,6 @@ class _Connective(FuzzyExpr):
         # every kind is non-decreasing in each argument, up to rounding
         olo, ohi = self._eval(lo), self._eval(hi)
         return np.maximum(olo - BOUND_PAD, 0.0), np.minimum(ohi + BOUND_PAD, 1.0)
-
-    @classmethod
-    def from_payload(cls, doc, decode):
-        return cls(doc["kind"])
 
 
 class TNorm(_Connective):
@@ -444,7 +439,6 @@ class Affine(FuzzyExpr):
     """
 
     node_name: ClassVar[str] = "affine"
-    payload_fields: ClassVar[tuple[str, ...]] = ("matrix", "bias", "clamp")
 
     matrix: tuple[tuple[float, ...], ...]
     bias: tuple[float, ...]
@@ -508,36 +502,23 @@ class Affine(FuzzyExpr):
         olo[leaves] = ohi[leaves] = np.nan
         return olo, ohi
 
-    @classmethod
-    def from_payload(cls, doc, decode):
-        return Affine(
-            tuple(tuple(row) for row in doc["matrix"]),
-            tuple(doc["bias"]),
-            clamp=doc.get("clamp", True),
-        )
-
 
 @dataclass(frozen=True)
 class LiftedProjection(FuzzyExpr):
     """A projection applied componentwise, viewed as a fuzzy function."""
 
     node_name: ClassVar[str] = "lifted_projection"
-    payload_fields: ClassVar[tuple[str, ...]] = ("projection",)
 
     projection: Projection
-    arity: int
+    in_arity: int
 
     def __post_init__(self) -> None:
         need = "lifted projection needs an integer arity >= 1"
-        object.__setattr__(self, "arity", _checked(self.arity, int, need, 1))
-
-    @property
-    def in_arity(self) -> int:
-        return self.arity
+        object.__setattr__(self, "in_arity", _checked(self.in_arity, int, need, 1))
 
     @property
     def out_arity(self) -> int:
-        return self.arity
+        return self.in_arity
 
     def _eval(self, xs: np.ndarray) -> np.ndarray:
         return self.projection.apply(xs)
@@ -547,17 +528,12 @@ class LiftedProjection(FuzzyExpr):
         # value the inner node gives, rounding included
         return self._eval(lo), self._eval(hi)
 
-    @classmethod
-    def from_payload(cls, doc, decode):
-        return LiftedProjection(Projection.from_dict(doc["projection"]), doc["in_arity"])
-
 
 @dataclass(frozen=True)
 class Compose(FuzzyExpr):
     """Function composition ``outer . inner`` (inner runs first)."""
 
     node_name: ClassVar[str] = "compose"
-    payload_fields: ClassVar[tuple[str, ...]] = ("outer", "inner")
 
     outer: FuzzyExpr
     inner: FuzzyExpr
@@ -593,17 +569,12 @@ class Compose(FuzzyExpr):
             return None
         return tuple(np.where(unbounded[:, None], np.nan, b) for b in out)
 
-    @classmethod
-    def from_payload(cls, doc, decode):
-        return Compose(decode(doc["outer"]), decode(doc["inner"]))
-
 
 @dataclass(frozen=True)
 class Parallel(FuzzyExpr):
     """Juxtaposition: runs each part on its own slice of the input."""
 
     node_name: ClassVar[str] = "parallel"
-    payload_fields: ClassVar[tuple[str, ...]] = ("parts",)
 
     parts: tuple[FuzzyExpr, ...]
 
@@ -640,10 +611,6 @@ class Parallel(FuzzyExpr):
             parts.append(part)
             start = stop
         return tuple(np.concatenate([part[i] for part in parts], axis=1) for i in (0, 1))
-
-    @classmethod
-    def from_payload(cls, doc, decode):
-        return Parallel(tuple(decode(p) for p in doc["parts"]))
 
 
 _CONDITION_OPS = ("lt", "le", "gt", "ge")
@@ -689,8 +656,7 @@ class Condition:
 
     @staticmethod
     def from_dict(doc: dict) -> "Condition":
-        _fields_only(doc, _field_names(Condition), "piecewise condition")
-        return Condition(doc["index"], doc["op"], doc["value"])
+        return _read(Condition, doc, "piecewise condition")
 
 
 @dataclass(frozen=True)
@@ -790,11 +756,7 @@ class Piecewise(FuzzyExpr):
 
     @classmethod
     def from_payload(cls, doc, decode):
-        pieces = []
-        for region in doc["regions"]:
-            _fields_only(region, _field_names(Piece), "piecewise region")
-            conditions = tuple(Condition.from_dict(c) for c in region["conditions"])
-            pieces.append(Piece(conditions, decode(region["expr"])))
+        pieces = [_read(Piece, region, "piecewise region", decode) for region in doc["regions"]]
         return Piecewise(pieces, decode(doc["default"]))
 
 
@@ -871,7 +833,7 @@ def _decode_node(doc: dict) -> FuzzyExpr:
     if not isinstance(name, str) or name not in NODE_TYPES:
         raise SerializationError(f"unknown expression node {name!r}")
     node = NODE_TYPES[name]
-    _fields_only(doc, ("node", "in_arity", "out_arity", *node.payload_fields), f"{name!r} node")
+    _fields_only(doc, ("node", "in_arity", "out_arity", *node.payload_keys()), f"{name!r} node")
     with malformed(f"{name!r} node", prefix_invalid=True):
         expr = node.from_payload(doc, _decode_node)
         keys = [key for key in ("in_arity", "out_arity") if key in doc]
@@ -882,6 +844,54 @@ def _decode_node(doc: dict) -> FuzzyExpr:
                 f"declared {key}={doc[key]} does not match reconstructed {got}"
             )
     return expr
+
+
+def _reader(hint, decode: Callable[[dict], FuzzyExpr]) -> Callable:
+    """How a field declared as ``hint`` is read from its document value:
+    an expression by ``decode`` (itself, so that a nested node costs no
+    stack frame of its own), an optional value as None or as its type,
+    a ``tuple[T, ...]`` item by item, a type with a ``from_dict`` by
+    that, and any other value as it is."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        read = _reader(*(arg for arg in args if arg is not type(None)), decode)
+        return lambda value: None if value is None else read(value)
+    if origin is tuple:
+        read = _reader(args[0], decode)
+        return lambda value: tuple(map(read, value))
+    if hint is FuzzyExpr:
+        return decode
+    return getattr(hint, "from_dict", lambda value: value)
+
+
+@cache
+def _field_readers(cls: type, decode: Callable) -> tuple[tuple[str, bool, Callable], ...]:
+    """Per field of the dataclass ``cls``: its name, whether a document
+    must hold it (it has no default) and its ``_reader``, resolved once
+    per class and node decoder."""
+    hints, missing = typing.get_type_hints(cls), dataclasses.MISSING
+    return tuple(
+        (f.name, f.default is f.default_factory is missing, _reader(hints[f.name], decode))
+        for f in dataclasses.fields(cls)
+    )
+
+
+def _arguments(cls, doc: dict, decode: Callable[[dict], FuzzyExpr] = from_dict) -> dict:
+    """The reading twin of ``_fields``: the keyword arguments of the
+    dataclass ``cls`` that its document ``doc`` holds, each field read
+    by its declared type, a nested node by ``decode``.  A field the
+    document leaves out takes its default; a required one is a
+    ``KeyError``, which ``malformed`` reports by name."""
+    fields = _field_readers(cls, decode)
+    return {name: read(doc[name]) for name, must, read in fields if must or name in doc}
+
+
+def _read(cls, doc: dict, what: str, decode: Callable[[dict], FuzzyExpr] = from_dict):
+    """The instance of the dataclass ``cls`` that its document ``doc``
+    holds, read by ``_arguments``; a key that is not one of its fields
+    is refused by name, as the ``what``."""
+    _fields_only(doc, _field_names(cls), what)
+    return cls(**_arguments(cls, doc, decode))
 
 
 # ---------------------------------------------------------------------------
@@ -998,5 +1008,4 @@ class TruthTable:
     @staticmethod
     def from_dict(doc: dict) -> "TruthTable":
         with malformed("truth table document"):
-            _fields_only(doc, _field_names(TruthTable), "truth table document")
-            return TruthTable(doc["n_inputs"], doc["n_outputs"], doc["rows"])
+            return _read(TruthTable, doc, "truth table document")

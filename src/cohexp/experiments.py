@@ -120,7 +120,9 @@ class Dataset:
 
     def __post_init__(self) -> None:
         feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
-        labs = np.ascontiguousarray(np.asarray(self.labels, dtype=np.uint8))
+        _checked(feats, float, "features must be finite numbers in [0, 1]", 0, 1)
+        labs = _checked(np.asarray(self.labels), int, "labels must be 0 or 1", 0, 1)
+        labs = np.ascontiguousarray(labs, dtype=np.uint8)
         if feats.ndim != 2 or labs.shape != (feats.shape[0],):
             raise ValidationError("features must be (N, n) with one label per row")
         feats.setflags(write=False)
@@ -222,16 +224,16 @@ def evaluate(model: FuzzyExpr, dataset: Dataset, projection: Projection) -> Spli
 @dataclass(frozen=True)
 class FormulaScore:
     target_class: int
-    rendered: str
     fidelity: float
     formula: DnfFormula
 
+    @property
+    def rendered(self) -> str:
+        return self.formula.render()
+
     def to_dict(self) -> dict:
-        return {
-            "target_class": self.target_class,
-            "formula": self.rendered,
-            "fidelity": self.fidelity,
-        }
+        """The fields, the formula written as its rendered text."""
+        return _fields(self, formula=DnfFormula.render)
 
 
 @dataclass(frozen=True)
@@ -272,7 +274,7 @@ def _score_table(
         formula = table_to_dnf(source, var_names=var_names)
         values = formula.evaluate_batch(vertices)[:, 0].astype(bool)
         fidelity = float((values == (model_class == target)).mean())
-        scores.append(FormulaScore(target, formula.render(), fidelity, formula))
+        scores.append(FormulaScore(target, fidelity, formula))
     return ExplanationReport(variant=variant, table=table, scores=tuple(scores))
 
 

@@ -75,13 +75,12 @@ from .core import (
     _place_values,
     fiber_codes,
     fiber_digits,
-    from_dict,
     _fields,
+    _read,
     _set_fields,
     to_dict,
 )
-from .errors import ContractError, ValidationError, _checked, _field_names, _fields_only
-from .errors import malformed
+from .errors import ContractError, ValidationError, _checked, malformed
 from .functor import DnfFormula, booleanize, default_var_names, table_to_dnf
 
 __all__ = [
@@ -142,13 +141,7 @@ class GammaSpec:
     @staticmethod
     def from_dict(doc: dict) -> "GammaSpec":
         with malformed("gamma document"):
-            _fields_only(doc, _field_names(GammaSpec), "gamma document")
-            return GammaSpec(
-                doc["kind"],
-                Projection.from_dict(doc["projection"]),
-                sampling=SamplingSpec.from_dict(doc["sampling"]) if "sampling" in doc else None,
-                fallback=from_dict(doc["fallback"]) if doc.get("fallback") is not None else None,
-            )
+            return _read(GammaSpec, doc, "gamma document")
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +310,6 @@ class OutputModExpr(FuzzyExpr):
     stands for the canonical fallback ``f . d``."""
 
     node_name: ClassVar[str] = "output_mod"
-    payload_fields: ClassVar[tuple[str, ...]] = ("base", "projection", "fallback")
 
     base: FuzzyExpr
     fallback: FuzzyExpr | None
@@ -373,12 +365,6 @@ class OutputModExpr(FuzzyExpr):
         unbounded = ~np.isfinite(np.hstack([*base, *via])).all(axis=1)
         olo[unbounded] = ohi[unbounded] = np.nan
         return olo, ohi
-
-    @classmethod
-    def from_payload(cls, doc, decode):
-        base, fb = decode(doc["base"]), doc["fallback"]
-        fallback = None if fb is None else decode(fb)
-        return OutputModExpr(base, fallback, Projection.from_dict(doc["projection"]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
-"""Every document is written from its dataclass fields.
+"""Every document is written from its dataclass fields, and read back
+into them.
 
 A report writes each of its fields, None as null, plus the keys it
 derives (a verdict, rendered formulas), minus the ones it leaves out (a
 trained model, kept in its own file).  A node writes ``node``, its
-signature and its ``payload_fields``, and reads back as it was.
+signature and its ``payload_keys()``, its fields less the signature,
+and reads back as it was.  Only the nodes whose documents are not
+their fields declare ``payload_fields`` and read and write their own
+payload.
 """
 
 import dataclasses
@@ -133,12 +137,12 @@ def test_experiment_training_block_leaves_the_model_out(experiment_report):
 
 def test_explanation_scores_write_the_rendered_formula(experiment_report):
     """A score's ``formula`` key holds the rendered text, not the formula's
-    fields: its document is not its fields, so it keeps its own writer."""
+    fields: its fields are written with the formula rendered."""
     score = experiment_report.extraction.naive.scores[0]
     assert score.to_dict() == {
         "target_class": score.target_class, "formula": score.rendered, "fidelity": score.fidelity,
     }
-    assert set(_names(FormulaScore)) - set(score.to_dict()) == {"rendered"}
+    assert set(_names(FormulaScore)) - set(score.to_dict()) == set()
 
 
 def test_formula_document_fills_in_default_names():
@@ -206,7 +210,7 @@ def test_node_documents_hold_their_payload_fields(kind):
     written.  The document reads back to an equal node."""
     expr = _nodes()[kind]
     doc = to_dict(expr)
-    payload = [name for name in expr.payload_fields if name != "weights_ref"]
+    payload = [name for name in expr.payload_keys() if name != "weights_ref"]
     assert sorted(doc) == sorted(["node", "in_arity", "out_arity", *payload])
     assert list(doc)[:3] == ["node", "in_arity", "out_arity"]
     again = from_dict(doc)
@@ -215,10 +219,21 @@ def test_node_documents_hold_their_payload_fields(kind):
         assert again == expr
 
 
+def _declaring(name: str) -> set[str]:
+    """The node classes that define ``name`` below ``FuzzyExpr``."""
+    return {cls.__name__ for cls in NODE_TYPES.values() for base in cls.__mro__
+            if base is not FuzzyExpr and name in vars(base)}
+
+
 def test_only_nodes_whose_documents_are_not_their_fields_write_their_own_payload():
     """A region list in place of pieces, fiber digits in place of codes,
-    and a model's layers: every other node writes its ``payload_fields``
-    as they are."""
-    own = {cls.__name__ for cls in NODE_TYPES.values() for base in cls.__mro__
-           if base is not FuzzyExpr and "to_payload" in vars(base)}
-    assert own == {"Piecewise", "ExtendedExpr", "MlpExpr"}
+    and a model's layers: every other node writes its fields as they
+    are."""
+    assert _declaring("to_payload") == {"Piecewise", "ExtendedExpr", "MlpExpr"}
+
+
+@pytest.mark.parametrize("name", ["payload_fields", "from_payload"])
+def test_only_nodes_whose_documents_are_not_their_fields_read_their_own_payload(name):
+    """Every other node's payload keys are its fields, read by their
+    declared types."""
+    assert _declaring(name) == {"Piecewise", "ExtendedExpr", "MlpExpr"}

@@ -179,6 +179,19 @@ class TestDatasets:
             *xs, y = line.split(",")
             assert [float(x) for x in xs] == row.tolist() and int(y) == label
 
+    @pytest.mark.parametrize("features, labels, message", [
+        ([[0.5, 0.5]] * 2, [0, 2], "labels must be 0 or 1, got 0 to 2"),
+        ([[0.5, 0.5]], [0.7], "labels must be 0 or 1, got dtype float64"),
+        ([[0.5, 0.5]] * 2, [-1, 1], "labels must be 0 or 1, got -1 to 1"),
+        ([[1.5, -2.0]], [1], "features must be finite numbers in [0, 1], got -2.0 to 1.5"),
+    ], ids=["label-2", "label-fraction", "label-negative", "features-outside"])
+    def test_refuses_labels_and_features_outside_their_range(self, features, labels, message):
+        """A label is 0 or 1, never cast to one, and a feature lies in
+        the unit interval: anything else is an input error."""
+        with pytest.raises(ValidationError) as info:
+            Dataset("xor", "train", 0, features, labels)
+        assert (info.value.code, str(info.value)) == ("E_INPUT", message)
+
 
 def _round_at_once(rng, count, predicate):
     """The reference rejection sampler: each round of ``max(4 * count,

@@ -357,11 +357,72 @@ def test_node_documents_refuse_fields_their_node_does_not_read(kind):
     default silently taken."""
     doc = _node_documents()[kind]
     assert to_dict(from_dict(doc)) == doc
-    field = type(from_dict(doc)).payload_fields[0]
+    field = type(from_dict(doc)).payload_keys()[0]
     misspelled = field[:-2] + field[-1] + field[-2]
     bad = {misspelled if key == field else key: value for key, value in doc.items()}
     with pytest.raises(SerializationError, match=rf"^'{kind}' node has no field '{misspelled}'$"):
         from_dict(bad)
+
+
+# the fields a document of each node kind read from its fields must hold
+_REQUIRED_FIELDS = {
+    "const": ["values"],
+    "coord": ["indices", "in_arity"],
+    "tnorm": ["kind"],
+    "tconorm": ["kind"],
+    "affine": ["matrix", "bias"],
+    "lifted_projection": ["projection", "in_arity"],
+    "compose": ["outer", "inner"],
+    "parallel": ["parts"],
+    "output_mod": ["base", "fallback", "projection"],
+}
+
+
+def _without(doc: dict, field: str) -> dict:
+    return {key: value for key, value in doc.items() if key != field}
+
+
+def _missing_field_cases() -> list:
+    """(reader, document lacking a required field, message): a spec, a
+    piecewise condition and region, and every node read from its fields."""
+    condition = {"index": 0, "op": "lt", "value": 0.5}
+    region = {"conditions": [condition], "expr": to_dict(TNorm("min"))}
+    piecewise = {"node": "piecewise", "regions": [region], "default": to_dict(TNorm("min"))}
+    cases = {
+        "projection": (Projection.from_dict, {"alpha": 0.5},
+                       "projection document needs a 'kind' field: {'alpha': 0.5}"),
+        "sampling": (SamplingSpec.from_dict, {"points_per_axis": 3},
+                     "malformed sampling document: 'mode'"),
+        "gamma": (GammaSpec.from_dict, {"kind": "extend"}, "malformed gamma document: 'projection'"),
+        "table": (TruthTable.from_dict, {"n_inputs": 0, "n_outputs": 1},
+                  "malformed truth table document: 'rows'"),
+        "condition": (from_dict, {**piecewise, "regions": [{**region, "conditions": [
+            _without(condition, "value")]}]}, "malformed 'piecewise' node: 'value'"),
+        "region": (from_dict, {**piecewise, "regions": [_without(region, "expr")]},
+                   "malformed 'piecewise' node: 'expr'"),
+    }
+    documents = _node_documents()
+    for kind, fields in _REQUIRED_FIELDS.items():
+        for field in fields:
+            cases[f"{kind}-{field}"] = (from_dict, _without(documents[kind], field),
+                                        f"malformed {kind!r} node: {field!r}")
+    return cases
+
+
+def test_required_fields_cover_every_node_read_from_its_fields():
+    own = {"piecewise", "extended", "mlp"}
+    assert set(_REQUIRED_FIELDS) == set(_node_documents()) - own
+
+
+@pytest.mark.parametrize("case", sorted(_missing_field_cases()))
+def test_documents_missing_a_required_field_name_it(case):
+    """A document that lacks a field with no default is malformed, and
+    the message names the field (a projection names its ``kind`` in a
+    message of its own)."""
+    decode, doc, message = _missing_field_cases()[case]
+    with pytest.raises(SerializationError) as info:
+        decode(doc)
+    assert (info.value.code, str(info.value)) == ("E_FORMAT", message)
 
 
 _THRESHOLD = {"kind": "threshold", "alpha": 0.5}
