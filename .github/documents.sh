@@ -4,8 +4,9 @@
 # NAME, its stdout (NAME.out), stderr (NAME.err) and exit code
 # (NAME.status), beside every file it writes.  The corpus writes every
 # node kind, every report kind and both experiment settings, at small
-# sizes, so two source trees that write the same documents leave two
-# OUTDIRs that `diff -r` finds equal.
+# sizes and, for training, at the default sizes too, so two source trees
+# that write the same documents leave two OUTDIRs that `diff -r` finds
+# equal.
 #
 # usage: .github/documents.sh SRC OUTDIR
 set -eu
@@ -60,7 +61,13 @@ for setting in xor fuzzy-or; do
         --val-size 32 --test-size 64 --epochs 5 --format structured --outdir "exp-$setting"
     run "experiment-$setting-text" experiment --setting "$setting" --seed 2 --train-size 48 \
         --val-size 16 --test-size 48 --epochs 3 --outdir "exp-$setting-text"
+    # at the sizes the benchmark trains
+    run "experiment-$setting-default" experiment --setting "$setting" --seed 0 \
+        --format structured --outdir "exp-$setting-default"
 done
+# a last batch shorter than the others (1 000 training points, 13 a batch)
+run experiment-xor-ragged experiment --setting xor --seed 0 --batch-size 13 \
+    --format structured --outdir exp-xor-ragged
 
 # -- expressions written back: a coherent one is written as it is read ---
 for node in const coord tnorm lifted; do

@@ -30,6 +30,16 @@ returns the gradient as one array of the same layout, so weight decay
 is one update of the weight prefix and a training step ends with one
 ``params -= lr * grads``.  Every value is computed as a per-array loop
 would compute it, so the trained bits are the same.
+
+``train`` sets up once per run what every step would otherwise redo:
+the flat gradient buffer with its per-layer views, which each step
+overwrites, and for a penalised run the projected features ``d(x)``.
+Per epoch it draws the order of the points, gathers the features in
+that order (laid out batch by batch as ``[x_b; d(x_b)]`` when
+penalised) and enters the step error state, which leaves the
+validation pass out.  Per step it computes the loss, the gradient and
+the update.  ``loss_and_grads`` called on its own runs the same step
+with a workspace of its own and returns a fresh gradient.
 """
 
 from __future__ import annotations
@@ -71,6 +81,15 @@ _FD_STEP = 1e-5
 # copy, and training holds several (parameters, gradients, the best
 # model).  The default network has 339.
 _MAX_PARAMETERS = 4_194_304
+
+# The keys of a layer in a model document, in the order they are
+# written; the output layer has no slope.
+_LAYER_KEYS = ("weights", "bias", "activation", "slope")
+
+# The error state of a training step: divergence shows up as non-finite
+# values that the caller checks, and the intermediate overflow itself is
+# expected there, not a bug.
+_STEP_ERRSTATE = {"over": "ignore", "invalid": "ignore"}
 
 
 @dataclass
@@ -136,13 +155,11 @@ class MlpModel:
     def to_dict(self) -> dict:
         layers = []
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            layer = {"weights": w.tolist(), "bias": b.tolist()}
-            if i < len(self.weights) - 1:
-                layer["activation"] = "prelu"
-                layer["slope"] = float(self.slopes[i])
+            if i < len(self.slopes):
+                values = (w.tolist(), b.tolist(), "prelu", float(self.slopes[i]))
             else:
-                layer["activation"] = "sigmoid"
-            layers.append(layer)
+                values = (w.tolist(), b.tolist(), "sigmoid")
+            layers.append(dict(zip(_LAYER_KEYS, values)))
         return {"layers": layers}
 
     @staticmethod
@@ -151,7 +168,7 @@ class MlpModel:
             _fields_only(doc, ("layers",), "model document")
             layers = doc["layers"]
             for i, layer in enumerate(layers):
-                _fields_only(layer, ("weights", "bias", "activation", "slope"), f"model layer {i}")
+                _fields_only(layer, _LAYER_KEYS, f"model layer {i}")
             need = "weights, biases and slopes must be numbers"
             weights, biases = (
                 [_checked(np.asarray(l[key]), float, need).astype(np.float64) for l in layers]
@@ -290,10 +307,11 @@ def forward(model: MlpModel, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _backward(model: MlpModel, cache: list, d_logits: np.ndarray, grads: np.ndarray) -> None:
+def _backward(model: MlpModel, cache: list, d_logits: np.ndarray, grads: tuple) -> None:
     """Backpropagate a gradient given at the output-layer logits into
-    the flat ``grads``, laid out like ``model.params``."""
-    dW, db, dslope = model.views(grads)
+    ``grads``, the per-layer views ``model.views`` lays over a flat
+    gradient buffer."""
+    dW, db, dslope = grads
     a_in, _ = cache[-1]
     np.matmul(d_logits.T, a_in, out=dW[-1])
     d_logits.sum(axis=0, out=db[-1])
@@ -309,44 +327,71 @@ def _backward(model: MlpModel, cache: list, d_logits: np.ndarray, grads: np.ndar
             da = dz @ model.weights[i]
 
 
+class _Workspace:
+    """What every step of one training run reuses, made once for a
+    model: the flat gradient buffer and its per-layer views."""
+
+    def __init__(self, model: MlpModel) -> None:
+        self.grads = np.empty_like(model.params)
+        self.views = model.views(self.grads)
+
+
+def _step(
+    model: MlpModel, batch: np.ndarray, ys: np.ndarray, cfg: TrainConfig, work: _Workspace
+) -> float:
+    """The loss on one batch of ``ys.shape[0]`` points, its gradient
+    written into ``work.grads``.  ``batch`` holds the points, stacked
+    over their projections (``[x; d(x)]``) when the step is penalised.
+    The caller enters the error state."""
+    n, n_items = ys.shape[0], ys.size
+    out_all, cache = _forward_cache(model, batch)
+    out, logits = out_all[:n], cache[-1][1][:n]
+    # a mean, as the sum over the count: np.mean's bits at less cost
+    total = float((np.logaddexp(0.0, logits) - ys * logits).sum() / n_items)
+    d_logits = (out - ys) / n_items
+    if cfg.coherence_lambda > 0.0:
+        out_fix = out_all[n:]
+        diff = out - out_fix
+        total += cfg.coherence_lambda * float(np.abs(diff).sum() / n_items)
+        s = cfg.coherence_lambda * np.sign(diff) / n_items
+        d_logits = np.concatenate(
+            [d_logits + s * out * (1.0 - out), -s * out_fix * (1.0 - out_fix)]
+        )
+    _backward(model, cache, d_logits, work.views)
+
+    if cfg.weight_decay > 0.0:
+        w = model.params[: model.n_weights]
+        total += cfg.weight_decay * float(w @ w)
+        work.grads[: model.n_weights] += 2.0 * cfg.weight_decay * w
+    return total
+
+
 def loss_and_grads(
-    model: MlpModel, xs: np.ndarray, ys: np.ndarray, cfg: TrainConfig
+    model: MlpModel,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    cfg: TrainConfig,
+    *,
+    _work: _Workspace | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Loss and its gradient, one array laid out like ``model.params``
-    (``model.views`` reads it per layer)."""
+    """Loss and its gradient, a fresh array laid out like
+    ``model.params`` (``model.views`` reads it per layer).
+
+    ``train`` passes its run's workspace as ``_work``: ``xs`` is then
+    the float64 batch as ``_step`` reads it, the caller holds the error
+    state, and the gradient returned is ``_work.grads``, which the next
+    step overwrites."""
+    if _work is not None:
+        return _step(model, xs, ys, cfg, _work), _work.grads
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if ys.ndim == 1:
         ys = ys.reshape(-1, 1)
-    n, n_items = xs.shape[0], ys.size
-    penalised = cfg.coherence_lambda > 0.0
-    grads = np.empty_like(model.params)
-
-    # divergence shows up as non-finite values that the caller checks;
-    # the intermediate overflow itself is expected there, not a bug
-    with np.errstate(over="ignore", invalid="ignore"):
-        batch = np.concatenate([xs, cfg.projection.apply(xs)]) if penalised else xs
-        out_all, cache = _forward_cache(model, batch)
-        out, logits = out_all[:n], cache[-1][1][:n]
-        # a mean, as the sum over the count: np.mean's bits at less cost
-        total = float((np.logaddexp(0.0, logits) - ys * logits).sum() / n_items)
-        d_logits = (out - ys) / n_items
-        if penalised:
-            out_fix = out_all[n:]
-            diff = out - out_fix
-            total += cfg.coherence_lambda * float(np.abs(diff).sum() / n_items)
-            s = cfg.coherence_lambda * np.sign(diff) / n_items
-            d_logits = np.concatenate(
-                [d_logits + s * out * (1.0 - out), -s * out_fix * (1.0 - out_fix)]
-            )
-        _backward(model, cache, d_logits, grads)
-
-        if cfg.weight_decay > 0.0:
-            w = model.params[: model.n_weights]
-            total += cfg.weight_decay * float(w @ w)
-            grads[: model.n_weights] += 2.0 * cfg.weight_decay * w
-
-    return total, grads
+    work = _Workspace(model)
+    with np.errstate(**_STEP_ERRSTATE):
+        if cfg.coherence_lambda > 0.0:
+            xs = np.concatenate([xs, cfg.projection.apply(xs)])
+        return _step(model, xs, ys, cfg, work), work.grads
 
 
 def gradient_check(model: MlpModel, xs: np.ndarray, ys: np.ndarray, cfg: TrainConfig) -> float:
@@ -387,6 +432,16 @@ def _val_accuracy(model: MlpModel, xs: np.ndarray, ys: np.ndarray, projection: P
     return float((preds == ys).all(axis=1).mean())
 
 
+def _stacked_layout(n: int, size: int) -> np.ndarray:
+    """The order of the ``2 n`` rows ``[x; d(x)]`` that lays out batches
+    of ``size`` points (the last one ragged) one after another, each as
+    ``[x_b; d(x_b)]``."""
+    j = np.arange(n)
+    lo = j // size * size
+    at = lo + j
+    return np.argsort(np.concatenate([at, at + np.minimum(size, n - lo)]))
+
+
 def train(cfg: TrainConfig, train_set, val_set) -> TrainResult:
     """Minibatch gradient descent; returns the parameters with the best
     validation accuracy seen (strict improvements only, so a run that
@@ -405,17 +460,31 @@ def train(cfg: TrainConfig, train_set, val_set) -> TrainResult:
     epochs_run = 0
     stopped_early = False
 
-    n = xs.shape[0]
+    n, size = xs.shape[0], cfg.batch_size
+    work = _Workspace(model)
+    rows, features, layout = 1, xs, None
+    if cfg.coherence_lambda > 0.0:
+        # d is elementwise, so d(xs)[perm] is d(xs[perm]) bit for bit:
+        # project once, and lay each epoch's batches out as [x_b; d(x_b)]
+        # with one gather
+        with np.errstate(**_STEP_ERRSTATE):
+            features = np.concatenate([xs, cfg.projection.apply(xs)])
+        rows, layout = 2, _stacked_layout(n, size)
     for epoch in range(1, cfg.epochs + 1):
         epochs_run = epoch
         perm = rng.permutation(n)
-        xe, ye = xs[perm], ys[perm]
-        for lo in range(0, n, cfg.batch_size):
-            hi = lo + cfg.batch_size
-            value, grads = loss_and_grads(model, xe[lo:hi], ye[lo:hi], cfg)
-            if not math.isfinite(value):
-                raise TrainingError(f"training diverged at epoch {epoch}: non-finite loss")
-            params -= cfg.learning_rate * grads
+        order = perm if layout is None else np.concatenate([perm, perm + n])[layout]
+        xe, ye = features[order], ys[perm]
+        # not around the validation pass: its warnings are the caller's
+        with np.errstate(**_STEP_ERRSTATE):
+            for lo in range(0, n, size):
+                hi = lo + size
+                value, grads = loss_and_grads(
+                    model, xe[rows * lo : rows * hi], ye[lo:hi], cfg, _work=work
+                )
+                if not math.isfinite(value):
+                    raise TrainingError(f"training diverged at epoch {epoch}: non-finite loss")
+                params -= cfg.learning_rate * grads
         if not np.isfinite(params).all():
             raise TrainingError(f"training diverged at epoch {epoch}: non-finite parameters")
         acc = _val_accuracy(model, xv, yv, cfg.projection)

@@ -7,6 +7,7 @@ one-sided slopes and disagree with either of them.  That is a property
 of finite differencing at a non-smooth point, not of the gradients.
 """
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -264,6 +265,30 @@ class TestGradients:
             g += 2.0 * wd * w
         assert got.tobytes() == grads.tobytes()
 
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    def test_each_call_returns_a_fresh_gradient(self, lam):
+        """``gradient_check`` keeps the analytic gradient of its first
+        call while it makes the finite-difference calls."""
+        rng = np.random.default_rng(17)
+        model = random_model(rng)
+        cfg = TrainConfig(hidden_sizes=(4, 3), coherence_lambda=lam)
+        _, first = loss_and_grads(model, *small_batch(rng), cfg)
+        kept = first.copy()
+        _, second = loss_and_grads(model, *small_batch(rng), cfg)
+        assert second is not first and not np.shares_memory(first, second)
+        assert not np.shares_memory(first, model.params)
+        assert first.tobytes() == kept.tobytes() != second.tobytes()
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    def test_overflow_is_a_non_finite_loss_without_warnings(self, lam):
+        """A public call enters its own error state; warnings are errors
+        under this suite's settings."""
+        rng = np.random.default_rng(18)
+        model = random_model(rng)
+        model.params *= 1e200
+        value, _ = loss_and_grads(model, *small_batch(rng), TrainConfig(coherence_lambda=lam))
+        assert not math.isfinite(value)
+
 
 def three_pass_loss_and_grads(model, xs, ys, cfg):
     """The penalised step as it was first written: separate forward
@@ -275,13 +300,13 @@ def three_pass_loss_and_grads(model, xs, ys, cfg):
     out, cache = nn._forward_cache(model, xs)
     logits = cache[-1][1]
     total = float(np.mean(np.logaddexp(0.0, logits) - ys * logits))
-    nn._backward(model, cache, (out - ys) / n_items, grads)
+    nn._backward(model, cache, (out - ys) / n_items, model.views(grads))
     out_fix, cache_fix = nn._forward_cache(model, cfg.projection.apply(xs))
     diff = out - out_fix
     total += cfg.coherence_lambda * float(np.mean(np.abs(diff)))
     s = cfg.coherence_lambda * np.sign(diff) / n_items
-    nn._backward(model, cache, s * out * (1.0 - out), g_main)
-    nn._backward(model, cache_fix, -s * out_fix * (1.0 - out_fix), g_fix)
+    nn._backward(model, cache, s * out * (1.0 - out), model.views(g_main))
+    nn._backward(model, cache_fix, -s * out_fix * (1.0 - out_fix), model.views(g_fix))
     arrays = per_array(model, grads)
     for acc, g1, g2 in zip(arrays, per_array(model, g_main), per_array(model, g_fix)):
         acc += g1 + g2
@@ -333,7 +358,7 @@ class TestPenalisedStep:
         out, cache = nn._forward_cache(model, xs)
         logits = cache[-1][1]
         expected = np.empty_like(model.params)
-        nn._backward(model, cache, (out - ys) / ys.size, expected)
+        nn._backward(model, cache, (out - ys) / ys.size, model.views(expected))
         assert value == float(np.mean(np.logaddexp(0.0, logits) - ys * logits))
         assert grads.tobytes() == expected.tobytes()
 
@@ -405,8 +430,70 @@ class TestTrain:
         train_set = make_dataset("xor", "train", 64, seed=0)
         val_set = make_dataset("xor", "val", 32, seed=0)
         cfg = TrainConfig(hidden_sizes=(4,), learning_rate=0.2, weight_decay=1e3, epochs=50)
-        with pytest.raises(TrainingError, match=r"diverged at epoch \d+"):
+        with pytest.raises(TrainingError, match=r"^training diverged at epoch 5: non-finite loss$"):
             train(cfg, train_set, val_set)
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (dict(coherence_lambda=1.0), "epoch 5: non-finite loss"),
+            (dict(batch_size=13), "epoch 2: non-finite loss"),
+            # one step an epoch, whose update overflows: the overflow is
+            # part of the divergence, and the parameter check reports it
+            (dict(learning_rate=1e306, batch_size=64), "epoch 1: non-finite parameters"),
+            (
+                dict(learning_rate=1e306, batch_size=64, coherence_lambda=1.0),
+                "epoch 1: non-finite parameters",
+            ),
+        ],
+    )
+    def test_divergence_names_the_epoch_and_the_check(self, settings, message):
+        """Training steps raise no warning, which this suite's settings
+        would make an error."""
+        train_set = make_dataset("xor", "train", 64, seed=0)
+        val_set = make_dataset("xor", "val", 32, seed=0)
+        cfg = TrainConfig(**{"hidden_sizes": (4,), "weight_decay": 1e3, "epochs": 50, **settings})
+        with pytest.raises(TrainingError, match=f"^training diverged at {message}$"):
+            train(cfg, train_set, val_set)
+
+    def test_validation_keeps_its_warnings(self):
+        """The error state of the training steps does not cover the
+        validation pass: parameters that overflow only there warn."""
+        train_set = make_dataset("xor", "train", 64, seed=0)
+        val_set = make_dataset("xor", "val", 32, seed=0)
+        cfg = TrainConfig(
+            hidden_sizes=(4,), learning_rate=1e308, weight_decay=0.0, batch_size=64, epochs=50
+        )
+        with pytest.warns(RuntimeWarning, match="encountered in"):
+            with pytest.raises(TrainingError, match=r"^training diverged at epoch 2: non-finite loss$"):
+                train(cfg, train_set, val_set)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize("n, batch_size", [(64, 32), (70, 13), (5, 8)])
+    def test_one_loss_and_grads_call_per_minibatch(self, n, batch_size, lam, monkeypatch):
+        """``train`` calls ``nn.loss_and_grads`` by its module name once
+        a step, the ragged last batch included, so a wrapper around it
+        sees every step."""
+        sizes = []
+        step = nn.loss_and_grads
+
+        def counted(model, xs, ys, cfg, **kwargs):
+            sizes.append(len(ys))
+            return step(model, xs, ys, cfg, **kwargs)
+
+        monkeypatch.setattr(nn, "loss_and_grads", counted)
+        train_set = make_dataset("xor", "train", n, seed=0)
+        val_set = make_dataset("xor", "val", 16, seed=0)
+        cfg = TrainConfig(hidden_sizes=(3,), epochs=4, batch_size=batch_size, coherence_lambda=lam)
+        result = train(cfg, train_set, val_set)
+        assert result.epochs_run == 4
+        assert len(sizes) == result.epochs_run * math.ceil(n / batch_size)
+        assert sizes == [min(batch_size, n - lo) for lo in range(0, n, batch_size)] * 4
+
+    def test_stacked_layout_puts_each_batch_over_its_projections(self):
+        rows = np.concatenate([np.arange(7), 10 + np.arange(7)])  # x_j = j, d(x_j) = 10 + j
+        laid = rows[nn._stacked_layout(7, 3)]
+        assert laid.tolist() == [0, 1, 2, 10, 11, 12, 3, 4, 5, 13, 14, 15, 6, 16]
 
     def test_learns_xor_with_default_config(self):
         from cohexp.experiments import default_train_config
