@@ -46,6 +46,10 @@ echo '{"node": "compose", "outer": {"node": "tconorm", "kind": "lukasiewicz"}, "
 echo '{"node": "const", "in_arity": 2, "values": [1.0]}' > in/one.json
 echo '{"node": "const", "in_arity": 1, "values": [0.2]}' > in/low.json
 echo '{"node": "tconorm", "kind": "lukasiewicz", "clmap": true}' > in/stray.json
+# a network inline (its reference is dropped unopened) and one by reference
+echo '{"node": "mlp", "model": {"layers": [{"weights": [[2.0, -1.0], [-1.0, 2.0]], "bias": [0.0, 0.5], "activation": "prelu", "slope": 0.25}, {"weights": [[1.5, 1.5]], "bias": [-1.0], "activation": "sigmoid"}]}, "weights_ref": "missing.json"}' > in/mlp-both.json
+echo '{"layers": [{"weights": [[2.0, -1.0], [-1.0, 2.0]], "bias": [0.0, 0.5], "activation": "prelu", "slope": 0.25}, {"weights": [[1.5, 1.5]], "bias": [-1.0], "activation": "sigmoid"}]}' > in/weights.json
+echo '{"node": "mlp", "weights_ref": "weights.json"}' > in/mlp-ref.json
 
 # -- malformed input documents: one fault each ----------------------------
 echo '{"node": "coord", "in_arity": 2}' > in/bad-missing.json
@@ -54,6 +58,9 @@ echo '{"node": "compose", "outer": {"node": "tnorm", "kind": "median"}, "inner":
 echo '{"node": "piecewise", "regions": [{"conditions": [], "expr": {"node": "const", "in_arity": 1, "values": [1.0]}, "exp": null}], "default": {"node": "const", "in_arity": 1, "values": [0.4]}}' > in/bad-region-key.json
 echo '{"node": "output_mod", "base": {"node": "tnorm", "kind": "min"}, "projection": 0.5, "fallback": null}' > in/bad-projection.json
 echo '{"node": "mlp", "in_arity": 2, "out_arity": 1}' > in/bad-mlp.json
+echo '{"node": "piecewise", "regions": [{"conditions": [{"index": 0, "op": "lt"}], "expr": {"node": "const", "in_arity": 1, "values": [1.0]}}], "default": {"node": "const", "in_arity": 1, "values": [0.4]}}' > in/bad-condition.json
+echo '{"node": "affine", "matrix": [[1e308, 1e308, -1e308, -1e308]], "bias": [0.25]}' > in/bad-overflow.json
+echo '{"node": "extended", "base": {"node": "tconorm", "kind": "lukasiewicz"}, "projection": {"kind": "threshold", "alpha": 0.5}, "extended_components": [0], "contaminated": [[[[0, 1]], [[1, 0]]]]}' > in/bad-fibers.json
 
 # -- experiments: report.json, report.txt, model.json and the CSVs ------
 for setting in xor fuzzy-or; do
@@ -94,8 +101,11 @@ run repair-mlp-text repair --expr exp-xor/model.json --gamma output-mod --grid 2
 run repair-refused repair --expr in/luk-or.json --gamma output-mod:in/one.json \
     --out-expr repair-refused.json
 run stray-key check --expr in/stray.json
-for bad in missing flat-matrix nested region-key projection mlp; do
+for bad in missing flat-matrix nested region-key projection mlp condition overflow fibers; do
     run "bad-$bad" check --expr "in/bad-$bad.json"
+done
+for mlp in both ref; do
+    run "check-mlp-$mlp" check --expr "in/mlp-$mlp.json" --grid 11 --format structured
 done
 
 # -- coherence reports ---------------------------------------------------

@@ -36,11 +36,11 @@ without import cycles.
 Documents are written from their dataclass fields, and read back into
 them, here: ``_fields`` writes a report's or a node's fields,
 ``_set_fields`` a spec's (a projection, a sampling, a repair, a
-piecewise region or condition, a truth table) without its unset ones,
-and ``_arguments`` reads either by the fields' declared types.  Only
-the documents that are not their fields (a piecewise node's regions, a
-domain extension's fiber digits, a network's layers) have readers and
-writers of their own.
+piecewise condition, a truth table) without its unset ones, and
+``_arguments`` reads either by the fields' declared types.  Only a
+domain extension's document, which holds fiber digits where the node
+holds fiber codes, is not its fields and has a reader and a writer of
+its own.
 """
 
 from __future__ import annotations
@@ -458,6 +458,17 @@ class Affine(FuzzyExpr):
             raise ValidationError("affine bias length must match the row count")
         if not np.all(np.isfinite(mat)) or not np.all(np.isfinite(self.bias)):
             raise ValidationError("affine matrix and bias must be finite")
+        # no partial sum of ``M x + b`` on the unit cube exceeds a row's
+        # absolute sum, so with that doubled finite neither evaluation
+        # nor the pad of its bounds can overflow
+        with np.errstate(over="ignore"):
+            reach = 2.0 * (np.abs(mat).sum(axis=1) + np.abs(self.bias))
+        if not np.all(np.isfinite(reach)):
+            row = int(np.argmin(np.isfinite(reach)))
+            raise ValidationError(
+                f"affine row {row} may overflow on the unit cube: twice the sum of its "
+                "absolute entries and bias must be finite"
+            )
 
     @property
     def in_arity(self) -> int:
@@ -621,6 +632,8 @@ class Condition:
     """Axis-aligned comparison ``x[index] <op> value`` with exact float
     comparison; ``gt``/``ge`` are the exact complements of ``le``/``lt``."""
 
+    document_name: ClassVar[str] = "piecewise condition"
+
     index: int
     op: str
     value: float
@@ -656,12 +669,15 @@ class Condition:
 
     @staticmethod
     def from_dict(doc: dict) -> "Condition":
-        return _read(Condition, doc, "piecewise condition")
+        with malformed(Condition.document_name):
+            return _read(Condition, doc, Condition.document_name)
 
 
 @dataclass(frozen=True)
 class Piece:
     """One region (a conjunction of conditions) with its branch."""
+
+    document_name: ClassVar[str] = "piecewise region"
 
     conditions: tuple[Condition, ...]
     expr: FuzzyExpr
@@ -689,20 +705,19 @@ class Piece:
 class Piecewise(FuzzyExpr):
     """First-match piecewise definition over axis-aligned regions.
 
-    Pieces are tested in order; a point matching no piece falls through
-    to ``default``.  Every branch must share the same signature.
+    Regions are tested in order; a point matching no region falls
+    through to ``default``.  Every branch must share the same signature.
     """
 
     node_name: ClassVar[str] = "piecewise"
-    payload_fields: ClassVar[tuple[str, ...]] = ("regions", "default")
 
-    pieces: tuple[Piece, ...]
+    regions: tuple[Piece, ...]
     default: FuzzyExpr
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pieces", tuple(self.pieces))
+        object.__setattr__(self, "regions", tuple(self.regions))
         sig = (self.default.in_arity, self.default.out_arity)
-        for piece in self.pieces:
+        for piece in self.regions:
             if (piece.expr.in_arity, piece.expr.out_arity) != sig:
                 raise ValidationError("piecewise branches must share one signature")
             for c in piece.conditions:
@@ -723,7 +738,7 @@ class Piecewise(FuzzyExpr):
         n = xs.shape[0]
         out = np.empty((n, self.out_arity), dtype=np.float64)
         remaining = np.ones(n, dtype=bool)
-        for piece in self.pieces:
+        for piece in self.regions:
             m = piece.mask(xs) & remaining
             if m.any():
                 out[m] = piece.expr._eval(xs[m])
@@ -738,7 +753,7 @@ class Piecewise(FuzzyExpr):
         olo = np.full((lo.shape[0], self.out_arity), np.inf)
         ohi = np.full((lo.shape[0], self.out_arity), -np.inf)
         open_ = np.ones(lo.shape[0], dtype=bool)  # not covered by an earlier piece
-        for piece in (*self.pieces, Piece((), self.default)):
+        for piece in (*self.regions, Piece((), self.default)):
             reach = open_ & piece.mask_over(lo, hi, every=False)
             # every branch is bounded, reached or not, so that None does
             # not depend on the boxes
@@ -749,15 +764,6 @@ class Piecewise(FuzzyExpr):
             ohi[reach] = np.maximum(ohi[reach], part[1])
             open_ &= ~piece.mask_over(lo, hi, every=True)
         return olo, ohi
-
-    def to_payload(self) -> dict:
-        regions = [_set_fields(piece) for piece in self.pieces]
-        return {"regions": regions, "default": to_dict(self.default)}
-
-    @classmethod
-    def from_payload(cls, doc, decode):
-        pieces = [_read(Piece, region, "piecewise region", decode) for region in doc["regions"]]
-        return Piecewise(pieces, decode(doc["default"]))
 
 
 # ---------------------------------------------------------------------------
@@ -850,8 +856,10 @@ def _reader(hint, decode: Callable[[dict], FuzzyExpr]) -> Callable:
     """How a field declared as ``hint`` is read from its document value:
     an expression by ``decode`` (itself, so that a nested node costs no
     stack frame of its own), an optional value as None or as its type,
-    a ``tuple[T, ...]`` item by item, a type with a ``from_dict`` by
-    that, and any other value as it is."""
+    a ``tuple[T, ...]`` item by item, a spec that names its document
+    (``document_name``) by ``_read`` with ``decode``, so that its faults
+    are the enclosing node's, a type with a ``from_dict`` by that, and
+    any other value as it is."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         read = _reader(*(arg for arg in args if arg is not type(None)), decode)
@@ -861,6 +869,8 @@ def _reader(hint, decode: Callable[[dict], FuzzyExpr]) -> Callable:
         return lambda value: tuple(map(read, value))
     if hint is FuzzyExpr:
         return decode
+    if hasattr(hint, "document_name"):
+        return lambda value: _read(hint, value, hint.document_name, decode)
     return getattr(hint, "from_dict", lambda value: value)
 
 

@@ -295,9 +295,14 @@ class ExtendedExpr(FuzzyExpr):
         n = base.in_arity
         contaminated = []
         for fiber_set in doc["contaminated"]:
+            digits = np.asarray(fiber_set)
+            # an empty set reads as floats of shape (0,): no fibers
+            if len(fiber_set) and digits.shape != (len(fiber_set), n):
+                raise ValidationError(
+                    f"each contaminated fiber must be a list of {n} level indices"
+                )
             need = f"contaminated fiber digits must be integers in [0, {k})"
-            digits = _checked(np.asarray(fiber_set), int, need, 0, k - 1)
-            # an empty list reads as floats: no digits over no inputs
+            digits = _checked(digits, int, need, 0, k - 1)
             codes = digits.reshape(len(fiber_set), n).astype(np.int64) @ _place_values(k, n)
             contaminated.append(codes)
         return ExtendedExpr(base, projection, tuple(doc["extended_components"]), contaminated)

@@ -518,8 +518,6 @@ class MlpExpr(FuzzyExpr):
     """
 
     node_name: ClassVar[str] = "mlp"
-    # a "weights_ref" is resolved by the file loader; an inline model wins
-    payload_fields: ClassVar[tuple[str, ...]] = ("model", "weights_ref")
 
     model: MlpModel = field(repr=False)
 
@@ -604,15 +602,3 @@ class MlpExpr(FuzzyExpr):
         ohi = np.minimum(_sigmoid(zhi + pad) + BOUND_PAD, 1.0)
         olo[~finite] = ohi[~finite] = np.nan
         return olo, ohi
-
-    def to_payload(self) -> dict:
-        return {"model": self.model.to_dict()}
-
-    @classmethod
-    def from_payload(cls, doc, decode):
-        if "model" not in doc:
-            raise SerializationError(
-                "mlp node needs an inline 'model'; a 'weights_ref' must be resolved "
-                "by the file loader first"
-            )
-        return MlpExpr(MlpModel.from_dict(doc["model"]))

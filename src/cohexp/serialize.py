@@ -3,8 +3,8 @@
 An expression file holds a single node object (see the schema in the
 README).  ``mlp`` nodes may inline their parameters under ``model`` or
 point at a separate parameter file via ``weights_ref``; references are
-resolved here, relative to the referencing file, while it is parsed.
-Files are read as UTF-8.
+consumed here, while the file is parsed, and resolved relative to it
+where no inline model is given.  Files are read as UTF-8.
 
 Every document the package writes is formatted by :func:`dumps`, whose
 text is byte for byte that of ``json.dumps(doc, indent=2,
@@ -151,9 +151,12 @@ def load_expr(path: str | Path) -> FuzzyExpr:
     p = Path(path)
 
     def resolve(obj: dict) -> dict:
-        # an inline model wins; a referenced file is not resolved in turn
-        if obj.get("node") == "mlp" and "weights_ref" in obj and "model" not in obj:
-            obj["model"] = load_json(p.parent / str(obj.pop("weights_ref")))
+        # an inline model wins, and its reference is not opened; a
+        # referenced file is not resolved in turn
+        if obj.get("node") == "mlp" and "weights_ref" in obj:
+            ref = obj.pop("weights_ref")
+            if "model" not in obj:
+                obj["model"] = load_json(p.parent / str(ref))
         return obj
 
     return from_dict(load_json(p, object_hook=resolve))

@@ -78,7 +78,7 @@ def jump_low(after: float = 1.0) -> Piecewise:
     """0 at the left endpoint, ``after`` elsewhere; incoherent on
     (0, 0.5) when ``after >= 0.5``."""
     return Piecewise(
-        pieces=(Piece((Condition(0, "le", 0.0),), Const((0.0,), in_arity=1)),),
+        regions=(Piece((Condition(0, "le", 0.0),), Const((0.0,), in_arity=1)),),
         default=Const((float(after),), in_arity=1),
     )
 
@@ -87,7 +87,7 @@ def jump_high(before: float = 0.2) -> Piecewise:
     """``before`` everywhere except the right endpoint; incoherent on
     [0.5, 1) when ``before < 0.5``."""
     return Piecewise(
-        pieces=(Piece((Condition(0, "ge", 1.0),), Const((1.0,), in_arity=1)),),
+        regions=(Piece((Condition(0, "ge", 1.0),), Const((1.0,), in_arity=1)),),
         default=Const((float(before),), in_arity=1),
     )
 
@@ -95,7 +95,7 @@ def jump_high(before: float = 0.2) -> Piecewise:
 def step_at(alpha: float, low: float, high: float) -> Piecewise:
     """``low`` below alpha, ``high`` from alpha on."""
     return Piecewise(
-        pieces=(Piece((Condition(0, "ge", float(alpha)),), Const((float(high),), in_arity=1)),),
+        regions=(Piece((Condition(0, "ge", float(alpha)),), Const((float(high),), in_arity=1)),),
         default=Const((float(low),), in_arity=1),
     )
 
@@ -107,7 +107,7 @@ def functor_law_violating_pair():
     one is incoherent exactly there."""
     f_step = step_at(0.5, low=0.4, high=1.0)
     g_jump = Piecewise(
-        pieces=(
+        regions=(
             Piece((Condition(0, "le", 0.0),), Const((0.0,), in_arity=1)),
             Piece((Condition(0, "ge", 1.0),), Const((1.0,), in_arity=1)),
         ),

@@ -234,14 +234,31 @@ class TestEvaluation:
         (((1.0, float("inf")),), (0.0,)),
         (((1.0, 0.0),), (float("nan"),)),
         (((1.0, 0.0),), (float("-inf"),)),
+        # evaluated on one row this overflowed to 1.0, where batches of 2
+        # to 7 rows gave 0.25: twice a row's absolute sum must be finite
+        (((1e308, 1e308, -1e308, -1e308),), (0.25,)),
     ])
     def test_affine_rejects_non_finite_parameters(self, matrix, bias):
-        with pytest.raises(ValidationError, match="finite"):
+        with pytest.raises(ValidationError, match="finite") as exc:
             Affine(matrix, bias)
+        assert exc.value.code == "E_INPUT"
         doc = {"node": "affine", "matrix": [list(r) for r in matrix], "bias": list(bias)}
-        with pytest.raises(SerializationError, match="finite") as exc:
+        with pytest.raises(SerializationError, match="^invalid 'affine' node: .*finite") as exc:
             from_dict(doc)
         assert exc.value.code == "E_FORMAT"
+
+    @pytest.mark.parametrize("clamp", [True, False])
+    def test_affine_keeps_a_large_row_that_cannot_overflow(self, clamp):
+        """Twice the row's absolute sum is 1.6e308: accepted, and every
+        batch size evaluates it to the same value without a warning."""
+        f = Affine(((2e307, -2e307, 2e307, -2e307),), (0.25,), clamp=clamp)
+        for rows in range(1, 9):
+            assert f.eval_batch(np.full((rows, 4), 0.5)).tolist() == [[0.25]] * rows
+        lo, hi = f.bounds(np.zeros((1, 4)), np.ones((1, 4)))
+        if clamp:
+            assert (lo.tolist(), hi.tolist()) == ([[0.0]], [[1.0]])
+        else:  # the box leaves the cube, so its row may raise
+            assert np.isnan(lo).all() and np.isnan(hi).all()
 
     def test_lifted_projection(self):
         f = LiftedProjection(Projection.threshold(0.5), 2)
@@ -262,7 +279,7 @@ class TestEvaluation:
 
     def test_piecewise_first_match_wins(self):
         f = Piecewise(
-            pieces=(
+            regions=(
                 Piece((Condition(0, "le", 0.5),), Const((0.1,), in_arity=1)),
                 Piece((Condition(0, "le", 0.8),), Const((0.2,), in_arity=1)),
             ),
@@ -274,7 +291,7 @@ class TestEvaluation:
 
     def test_piecewise_condition_conjunction(self):
         f = Piecewise(
-            pieces=(
+            regions=(
                 Piece(
                     (Condition(0, "ge", 0.5), Condition(1, "lt", 0.5)),
                     Const((1.0,), in_arity=2),
@@ -289,7 +306,7 @@ class TestEvaluation:
     def test_piecewise_signature_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             Piecewise(
-                pieces=(Piece((Condition(0, "le", 0.5),), Const((0.1,), in_arity=2)),),
+                regions=(Piece((Condition(0, "le", 0.5),), Const((0.1,), in_arity=2)),),
                 default=Const((0.2,), in_arity=1),
             )
 
@@ -355,7 +372,7 @@ def _sample_exprs():
         LiftedProjection(Projection.quantize(3), 2),
         Compose(TNorm("min"), Parallel((identity(1), Const((0.4,), in_arity=0)))),
         Piecewise(
-            pieces=(
+            regions=(
                 Piece(
                     (Condition(0, "ge", 0.5), Condition(1, "lt", 0.25)),
                     Const((0.9,), in_arity=2),

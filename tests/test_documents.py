@@ -5,9 +5,9 @@ A report writes each of its fields, None as null, plus the keys it
 derives (a verdict, rendered formulas), minus the ones it leaves out (a
 trained model, kept in its own file).  A node writes ``node``, its
 signature and its ``payload_keys()``, its fields less the signature,
-and reads back as it was.  Only the nodes whose documents are not
-their fields declare ``payload_fields`` and read and write their own
-payload.
+and reads back as it was.  Only ``extended``, whose document holds
+fiber digits where the node holds fiber codes, declares
+``payload_fields`` and reads and writes its own payload.
 """
 
 import dataclasses
@@ -205,13 +205,11 @@ def test_every_node_kind_is_covered():
 
 @pytest.mark.parametrize("kind", sorted(_nodes()))
 def test_node_documents_hold_their_payload_fields(kind):
-    """``node``, the signature, then the payload fields: an ``mlp`` node's
-    ``weights_ref`` is only read (the file loader resolves it), never
-    written.  The document reads back to an equal node."""
+    """``node``, the signature, then the payload fields.  The document
+    reads back to an equal node."""
     expr = _nodes()[kind]
     doc = to_dict(expr)
-    payload = [name for name in expr.payload_keys() if name != "weights_ref"]
-    assert sorted(doc) == sorted(["node", "in_arity", "out_arity", *payload])
+    assert sorted(doc) == sorted(["node", "in_arity", "out_arity", *expr.payload_keys()])
     assert list(doc)[:3] == ["node", "in_arity", "out_arity"]
     again = from_dict(doc)
     assert to_dict(again) == doc
@@ -226,14 +224,13 @@ def _declaring(name: str) -> set[str]:
 
 
 def test_only_nodes_whose_documents_are_not_their_fields_write_their_own_payload():
-    """A region list in place of pieces, fiber digits in place of codes,
-    and a model's layers: every other node writes its fields as they
-    are."""
-    assert _declaring("to_payload") == {"Piecewise", "ExtendedExpr", "MlpExpr"}
+    """Fiber digits in place of codes: every other node writes its
+    fields as they are."""
+    assert _declaring("to_payload") == {"ExtendedExpr"}
 
 
 @pytest.mark.parametrize("name", ["payload_fields", "from_payload"])
 def test_only_nodes_whose_documents_are_not_their_fields_read_their_own_payload(name):
     """Every other node's payload keys are its fields, read by their
     declared types."""
-    assert _declaring(name) == {"Piecewise", "ExtendedExpr", "MlpExpr"}
+    assert _declaring(name) == {"ExtendedExpr"}

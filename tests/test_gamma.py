@@ -224,6 +224,19 @@ class TestDomainExtension:
         with pytest.raises(SerializationError):
             from_dict(doc)
 
+    @pytest.mark.parametrize("contaminated", [[[[[0, 1]], [[1, 0]]]], [[[0, 1, 1]]], [["ab"]]],
+                             ids=["nested", "three-digits", "string"])
+    def test_fibers_that_are_not_lists_of_one_digit_per_input_refused(self, luk_or, contaminated):
+        """Over two inputs each fiber is a list of two level indices: a
+        set of fibers nested one level too deep is not read as the
+        fibers inside it, and a fiber of three digits is named as such."""
+        doc = {**to_dict(gamma_extend(luk_or, extend_spec())), "contaminated": contaminated}
+        with pytest.raises(SerializationError) as info:
+            from_dict(doc)
+        assert str(info.value) == (
+            "invalid 'extended' node: each contaminated fiber must be a list of 2 level indices"
+        )
+
     @pytest.mark.parametrize("case", list(FIBER_SETS))
     def test_contaminated_membership_matches_isin(self, case):
         """A control input is used exactly on the codes ``np.isin`` finds
@@ -439,7 +452,7 @@ class TestQuotient:
 
         f1 = jump_low(after=1.0)  # 0 at the origin, 1 elsewhere
         f2 = Piecewise(  # same, except 0.7 on (0, 0.25)
-            pieces=(
+            regions=(
                 Piece((Condition(0, "le", 0.0),), Const((0.0,), in_arity=1)),
                 Piece((Condition(0, "lt", 0.25),), Const((0.7,), in_arity=1)),
             ),

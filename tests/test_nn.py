@@ -711,8 +711,15 @@ class TestMlpExpr:
             expr.eval_batch(np.array([[0.5, 0.5], [0.9, 0.9]]))
 
     def test_weights_ref_must_be_resolved_first(self):
-        with pytest.raises(SerializationError, match="weights_ref"):
-            from_dict({"node": "mlp", "in_arity": 2, "out_arity": 1, "weights_ref": "w.json"})
+        """Only the file loader reads a reference; the library reader
+        refuses it by name, as any key that is not a field, with or
+        without an inline model."""
+        model = init_model(2, (2,), 1, np.random.default_rng(0)).to_dict()
+        for inline in ({}, {"model": model}):
+            doc = {"node": "mlp", "in_arity": 2, "out_arity": 1, **inline, "weights_ref": "w.json"}
+            with pytest.raises(SerializationError) as info:
+                from_dict(doc)
+            assert str(info.value) == "'mlp' node has no field 'weights_ref'"
 
     @pytest.mark.parametrize(
         "layer, activation",

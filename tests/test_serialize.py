@@ -1,6 +1,7 @@
 """File-level loading and saving of expression documents."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +97,7 @@ class TestExprFiles:
         direct = MlpExpr(model)
         xs = np.random.default_rng(9).random((16, 2))
         assert np.array_equal(loaded.eval_batch(xs), direct.eval_batch(xs))
+        assert dumps(to_dict(loaded)) == dumps(to_dict(direct))
 
     def test_weights_ref_inside_a_composite(self, tmp_path):
         model = init_model(1, (2,), 1, np.random.default_rng(4))
@@ -120,15 +122,25 @@ class TestExprFiles:
         with pytest.raises(SerializationError, match="cannot read"):
             load_expr(tmp_path / "net.json")
 
-    def test_inline_model_wins_over_ref(self, tmp_path):
+    def test_inline_model_wins_over_ref(self, tmp_path, monkeypatch):
+        """The loader drops the reference of a node with an inline model
+        and opens no other file."""
         model = init_model(2, (2,), 1, np.random.default_rng(1))
         doc = {
             "node": "mlp", "in_arity": 2, "out_arity": 1,
             "model": model.to_dict(), "weights_ref": "missing.json",
         }
         save_json(doc, tmp_path / "net.json")
+        opened, read_text = [], Path.read_text
+
+        def spy(path, *args, **kwargs):
+            opened.append(path.name)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", spy)
         loaded = load_expr(tmp_path / "net.json")
-        assert loaded.in_arity == 2
+        assert opened == ["net.json"]
+        assert dumps(to_dict(loaded)) == dumps(to_dict(MlpExpr(model)))
 
     @pytest.mark.parametrize("depth", [600, 3000])
     def test_deeply_nested_expression_rejected(self, tmp_path, depth):
@@ -301,10 +313,11 @@ _LAYER = {"weights": [[0.5, -0.5]], "bias": [0.0]}
     (MlpModel.from_dict, {"layers": [{**_LAYER, "weights": [[0.5], [0.5]], "bias": [0.0, 0.0],
                                       "slope": "q"}, _LAYER]}),
     (from_dict, {"node": [1]}),
+    (Condition.from_dict, [1]),
 ], ids=[
     "table-n_inputs", "table-row", "projection-alpha-str", "projection-alpha-list",
     "gamma-points", "gamma-sampling-list", "sampling-points", "model-weights", "model-slope",
-    "node-list",
+    "node-list", "condition-list",
 ])
 def test_malformed_documents_are_serialization_errors(decode, doc):
     with pytest.raises(SerializationError):
@@ -374,6 +387,8 @@ _REQUIRED_FIELDS = {
     "lifted_projection": ["projection", "in_arity"],
     "compose": ["outer", "inner"],
     "parallel": ["parts"],
+    "piecewise": ["regions", "default"],
+    "mlp": ["model"],
     "output_mod": ["base", "fallback", "projection"],
 }
 
@@ -384,7 +399,8 @@ def _without(doc: dict, field: str) -> dict:
 
 def _missing_field_cases() -> list:
     """(reader, document lacking a required field, message): a spec, a
-    piecewise condition and region, and every node read from its fields."""
+    piecewise condition inside a node and on its own, a region, and
+    every node read from its fields."""
     condition = {"index": 0, "op": "lt", "value": 0.5}
     region = {"conditions": [condition], "expr": to_dict(TNorm("min"))}
     piecewise = {"node": "piecewise", "regions": [region], "default": to_dict(TNorm("min"))}
@@ -398,6 +414,8 @@ def _missing_field_cases() -> list:
                   "malformed truth table document: 'rows'"),
         "condition": (from_dict, {**piecewise, "regions": [{**region, "conditions": [
             _without(condition, "value")]}]}, "malformed 'piecewise' node: 'value'"),
+        "condition-alone": (Condition.from_dict, _without(condition, "value"),
+                            "malformed piecewise condition: 'value'"),
         "region": (from_dict, {**piecewise, "regions": [_without(region, "expr")]},
                    "malformed 'piecewise' node: 'expr'"),
     }
@@ -410,7 +428,7 @@ def _missing_field_cases() -> list:
 
 
 def test_required_fields_cover_every_node_read_from_its_fields():
-    own = {"piecewise", "extended", "mlp"}
+    own = {"extended"}
     assert set(_REQUIRED_FIELDS) == set(_node_documents()) - own
 
 
