@@ -50,6 +50,8 @@ echo '{"node": "tconorm", "kind": "lukasiewicz", "clmap": true}' > in/stray.json
 echo '{"node": "mlp", "model": {"layers": [{"weights": [[2.0, -1.0], [-1.0, 2.0]], "bias": [0.0, 0.5], "activation": "prelu", "slope": 0.25}, {"weights": [[1.5, 1.5]], "bias": [-1.0], "activation": "sigmoid"}]}, "weights_ref": "missing.json"}' > in/mlp-both.json
 echo '{"layers": [{"weights": [[2.0, -1.0], [-1.0, 2.0]], "bias": [0.0, 0.5], "activation": "prelu", "slope": 0.25}, {"weights": [[1.5, 1.5]], "bias": [-1.0], "activation": "sigmoid"}]}' > in/weights.json
 echo '{"node": "mlp", "weights_ref": "weights.json"}' > in/mlp-ref.json
+# a normalised row whose sum rounds to 1 + 2**-52: kept unclamped
+echo '{"node": "affine", "matrix": [[0.1284403669724771, 0.871559633027523]], "bias": [0.0], "clamp": false}' > in/affine-normalised.json
 
 # -- malformed input documents: one fault each ----------------------------
 echo '{"node": "coord", "in_arity": 2}' > in/bad-missing.json
@@ -61,6 +63,7 @@ echo '{"node": "mlp", "in_arity": 2, "out_arity": 1}' > in/bad-mlp.json
 echo '{"node": "piecewise", "regions": [{"conditions": [{"index": 0, "op": "lt"}], "expr": {"node": "const", "in_arity": 1, "values": [1.0]}}], "default": {"node": "const", "in_arity": 1, "values": [0.4]}}' > in/bad-condition.json
 echo '{"node": "affine", "matrix": [[1e308, 1e308, -1e308, -1e308]], "bias": [0.25]}' > in/bad-overflow.json
 echo '{"node": "extended", "base": {"node": "tconorm", "kind": "lukasiewicz"}, "projection": {"kind": "threshold", "alpha": 0.5}, "extended_components": [0], "contaminated": [[[[0, 1]], [[1, 0]]]]}' > in/bad-fibers.json
+echo '{"node": "mlp", "model": {"layers": [{"weights": [[1e308, 1e308, -1e308, -1e308]], "bias": [0.25]}]}}' > in/bad-mlp-overflow.json
 
 # -- experiments: report.json, report.txt, model.json and the CSVs ------
 for setting in xor fuzzy-or; do
@@ -75,6 +78,16 @@ done
 # a last batch shorter than the others (1 000 training points, 13 a batch)
 run experiment-xor-ragged experiment --setting xor --seed 0 --batch-size 13 \
     --format structured --outdir exp-xor-ragged
+# the seeds a change to training is compared on: xor 0-2, fuzzy-or 0-7,
+# at the default sizes (seed 0 of each is above)
+for seed in 1 2; do
+    run "experiment-xor-seed$seed" experiment --setting xor --seed "$seed" \
+        --format structured --outdir "exp-xor-seed$seed"
+done
+for seed in 1 2 3 4 5 6 7; do
+    run "experiment-fuzzy-or-seed$seed" experiment --setting fuzzy-or --seed "$seed" \
+        --format structured --outdir "exp-fuzzy-or-seed$seed"
+done
 
 # -- expressions written back: a coherent one is written as it is read ---
 for node in const coord tnorm lifted; do
@@ -101,7 +114,8 @@ run repair-mlp-text repair --expr exp-xor/model.json --gamma output-mod --grid 2
 run repair-refused repair --expr in/luk-or.json --gamma output-mod:in/one.json \
     --out-expr repair-refused.json
 run stray-key check --expr in/stray.json
-for bad in missing flat-matrix nested region-key projection mlp condition overflow fibers; do
+for bad in missing flat-matrix nested region-key projection mlp condition overflow fibers \
+    mlp-overflow; do
     run "bad-$bad" check --expr "in/bad-$bad.json"
 done
 for mlp in both ref; do
@@ -113,6 +127,7 @@ run check-luk-or check --expr in/luk-or.json --grid 11 --witness-limit 3 --forma
 run check-luk-or-text check --expr in/luk-or.json --grid 11
 run check-affine check --expr in/affine.json --quantize 3 --random 500 --seed 2 \
     --format structured --out check-affine.json
+run check-affine-normalised check --expr in/affine-normalised.json --grid 3
 run check-extended check --expr repair-norms4.json --quantize 4 --random 2000 --seed 3 \
     --format structured
 run check-mlp check --expr exp-xor/model.json --grid 33 --witness-limit 2 --format structured

@@ -43,14 +43,13 @@ decided whole against its fiber's baseline when its bounds project to
 one value in every component (each node pads its own rounding).
 Undecided boxes are bisected down to leaves of at most ``_LEAF_POINTS``
 points (:func:`_decide_boxes`), whose points are evaluated together in
-``EVAL_CHUNK`` batches.  A gathered verdict is kept only where the
-row's box was bounded and every output is ``_GATHER_MARGIN`` clear of
-the projection's boundaries; the slices of other rows are walked too.
-Where the boxes made and the points of undecided leaves come to more
-than ``_MAX_SAMPLE_POINTS`` rows, every slice is walked instead; so too
-where deciding boxes raises, and the walk raises the error, or not.
-Other grids walk every slice: with fewer points, or fewer points per
-fiber, that costs less than bounding boxes.
+``EVAL_CHUNK`` batches.  A gathered verdict is kept only where every
+output of the row is ``_GATHER_MARGIN`` clear of the projection's
+boundaries; the slices of other rows are walked too.  Where the boxes
+made and the points of undecided leaves come to more than
+``_MAX_SAMPLE_POINTS`` rows, every slice is walked instead.  Other
+grids walk every slice: with fewer points, or fewer points per fiber,
+that costs less than bounding boxes.
 
 In both cases a grid's witnesses are the first offenders of each
 component in sample order, from the first slices that hold offenders,
@@ -503,8 +502,8 @@ def _decide_boxes(f: FuzzyExpr, projection: Projection, axis: np.ndarray, table:
     every axis from ``f.bounds``, against ``table``, its fiber table.
 
     The grid is cut into one index box per fiber, and each box carries
-    its fiber's code from then on.  A box is decided when its bounds are
-    finite and project to one value in every component: its points are
+    its fiber's code from then on.  A box is decided when its bounds
+    project to one value in every component: its points are
     all coherent in a component where that value is the fiber's
     baseline, and all incoherent elsewhere.  An undecided box is halved
     along its longest side (:func:`_bisect`) until it holds at most
@@ -514,7 +513,7 @@ def _decide_boxes(f: FuzzyExpr, projection: Projection, axis: np.ndarray, table:
     - ``bad``, the decided boxes with an incoherent component, as
       ``(low corners, high corners, incoherent components, fiber codes)``;
     - ``leaves``, the undecided leaves, as ``(low corners, high corners,
-      whether the bounds were finite, fiber codes)``.
+      fiber codes)``.
 
     ``None`` where ``f`` has no bounds, or where the boxes made and the
     points of undecided leaves come to more than ``_MAX_SAMPLE_POINTS``
@@ -535,23 +534,19 @@ def _decide_boxes(f: FuzzyExpr, projection: Projection, axis: np.ndarray, table:
     held_rows = len(blo)
     while len(blo):
         parts = []  # f.bounds of the boxes, EVAL_CHUNK boxes a call
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, len(blo), EVAL_CHUNK):
-                chunk = slice(lo, lo + EVAL_CHUNK)
-                parts.append(f.bounds(axis[blo[chunk]], axis[bhi[chunk]]))
-                if parts[-1] is None:
-                    return None
-        bounds = _joined(parts)
-        bounded = np.isfinite(bounds[0]).all(axis=1) & np.isfinite(bounds[1]).all(axis=1)
-        same, value = _one_value(projection, *bounds)
-        decided = bounded & same
+        for lo in range(0, len(blo), EVAL_CHUNK):
+            chunk = slice(lo, lo + EVAL_CHUNK)
+            parts.append(f.bounds(axis[blo[chunk]], axis[bhi[chunk]]))
+            if parts[-1] is None:
+                return None
+        decided, value = _one_value(projection, *_joined(parts))
         size = (bhi - blo + 1).prod(axis=1)
         bad = value[decided] != table[codes[decided]]
         hit = bad.any(axis=1)
         tally += _tally(~bad, size[decided])
         bad_boxes.append((blo[decided][hit], bhi[decided][hit], bad[hit], codes[decided][hit]))
         leaf = ~decided & (size <= _LEAF_POINTS)
-        leaves.append((blo[leaf], bhi[leaf], bounded[leaf], codes[leaf]))
+        leaves.append((blo[leaf], bhi[leaf], codes[leaf]))
         split = ~decided & ~leaf
         blo, bhi = _bisect(blo[split], bhi[split])
         codes = np.tile(codes[split], 2)  # both halves of a box lie in its fiber
@@ -587,8 +582,7 @@ def _check_sample(
     decided bad box (a box lies in one fiber), of each bad leaf row and
     of each offender in a walked slice.  Deciding boxes adds the codes
     of its boxes and leaf rows only once it returns a tally: where it
-    cannot, it has walked no slice, and where a slice it walked raises,
-    the walk raises at that slice or before.
+    cannot, it has walked no slice.
 
     The check first frees a block of ``_HEAP_PRIMER_BYTES`` (see there).
     """
@@ -643,37 +637,34 @@ def _check_sample(
     # a floor of 0 decides boxes on every grid
     per = _MIN_BOX_POINTS // 8
     if not random and table is not None and total * per >= _MIN_BOX_POINTS * max(len(table), per):
-        try:
-            boxes = _decide_boxes(f, projection, axis, table)
-            if boxes is not None:
-                tally, (blo, bhi, bad, bad_codes), (llo, lhi, lbounded, lcodes) = boxes
-                strides = _place_values(k, n)
-                # leaf points, in sample order, evaluated in gathered batches
-                flat, box = _box_points(llo, lhi, strides)
-                fx = eval_chunked(f, axis[fiber_digits(flat, k, n)])
-                codes = lcodes[box]
-                ok = projection.apply(fx) == table[codes]
-                clear, _ = _one_value(projection, fx, fx, _GATHER_MARGIN)
-                unsure = np.zeros(slices, dtype=bool)
-                unsure[flat[~(clear & lbounded[box])] // EVAL_CHUNK] = True
-                # per slice and component, whether the slice may hold an offender
-                edges = np.zeros((slices + 1, m), dtype=np.int64)
-                np.add.at(edges, blo @ strides // EVAL_CHUNK, bad)
-                np.subtract.at(edges, bhi @ strides // EVAL_CHUNK + 1, bad)
-                wanted = np.cumsum(edges, axis=0)[:-1] > 0
-                rows, comps = np.nonzero(~ok)
-                wanted[flat[rows] // EVAL_CHUNK, comps] = True
-                for s in range(slices):
-                    if unsure[s] or (wanted[s] & (found[:m] < cap)).any():
-                        # every leaf row of the slice takes the slice's verdict
-                        a, b = np.searchsorted(flat, [s * EVAL_CHUNK, (s + 1) * EVAL_CHUNK])
-                        ok[a:b] = walk(s)[flat[a:b] - s * EVAL_CHUNK]
-                if offender_fibers is not None:
-                    for i in range(m):
-                        hits[i] += [bad_codes[bad[:, i]], codes[~ok[:, i]]]
-                counts = tally + _tally(ok)
-        except ValidationError:
-            pass  # the walk is the reference: it raises the error, or not
+        boxes = _decide_boxes(f, projection, axis, table)
+        if boxes is not None:
+            tally, (blo, bhi, bad, bad_codes), (llo, lhi, lcodes) = boxes
+            strides = _place_values(k, n)
+            # leaf points, in sample order, evaluated in gathered batches
+            flat, box = _box_points(llo, lhi, strides)
+            fx = eval_chunked(f, axis[fiber_digits(flat, k, n)])
+            codes = lcodes[box]
+            ok = projection.apply(fx) == table[codes]
+            clear, _ = _one_value(projection, fx, fx, _GATHER_MARGIN)
+            unsure = np.zeros(slices, dtype=bool)
+            unsure[flat[~clear] // EVAL_CHUNK] = True
+            # per slice and component, whether the slice may hold an offender
+            edges = np.zeros((slices + 1, m), dtype=np.int64)
+            np.add.at(edges, blo @ strides // EVAL_CHUNK, bad)
+            np.subtract.at(edges, bhi @ strides // EVAL_CHUNK + 1, bad)
+            wanted = np.cumsum(edges, axis=0)[:-1] > 0
+            rows, comps = np.nonzero(~ok)
+            wanted[flat[rows] // EVAL_CHUNK, comps] = True
+            for s in range(slices):
+                if unsure[s] or (wanted[s] & (found[:m] < cap)).any():
+                    # every leaf row of the slice takes the slice's verdict
+                    a, b = np.searchsorted(flat, [s * EVAL_CHUNK, (s + 1) * EVAL_CHUNK])
+                    ok[a:b] = walk(s)[flat[a:b] - s * EVAL_CHUNK]
+            if offender_fibers is not None:
+                for i in range(m):
+                    hits[i] += [bad_codes[bad[:, i]], codes[~ok[:, i]]]
+            counts = tally + _tally(ok)
     if counts is None:
         for s in range(slices):
             walk(s)

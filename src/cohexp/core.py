@@ -255,14 +255,8 @@ class FuzzyExpr:
 
     def eval_batch(self, xs: np.ndarray | Sequence[Sequence[float]]) -> np.ndarray:
         """Evaluate on a batch of points; shape ``(N, in_arity)`` in,
-        shape ``(N, out_arity)`` out.  Non-finite outputs (an overflowing
-        network, say) are rejected here, once, rather than in every node."""
-        out = self._eval(_check_batch(xs, self.in_arity))
-        if not np.isfinite(out).all():
-            raise ValidationError(
-                f"{self.node_name or 'expression'} produced non-finite outputs (nan or inf)"
-            )
-        return out
+        shape ``(N, out_arity)`` out."""
+        return self._eval(_check_batch(xs, self.in_arity))
 
     def bounds(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         """Interval bounds over a batch of boxes.
@@ -270,9 +264,8 @@ class FuzzyExpr:
         ``lo`` and ``hi`` have shape ``(B, in_arity)``, with ``lo <= hi``
         inside the unit hypercube.  Returns ``(B, out_arity)`` arrays
         that hold ``_eval`` at every point of each box, rounding
-        included: a node pads its own (see ``BOUND_PAD``).  A non-finite
-        row marks a box on which evaluation may raise.  ``None``: the
-        node has no bounds.
+        included: a node pads its own (see ``BOUND_PAD``).  ``None``:
+        the node has no bounds.
         """
         return None
 
@@ -434,8 +427,11 @@ T_CONORM_KINDS = tuple(TConorm.functions)
 class Affine(FuzzyExpr):
     """Affine map ``x -> M x + b``, clamped into ``[0, 1]`` by default.
 
-    With ``clamp=False`` the caller promises the image stays inside the
-    unit hypercube; evaluation checks the promise and raises otherwise.
+    With ``clamp=False`` the map is refused, rather than clamped, where
+    its range over the unit cube leaves ``[0, 1]`` by more than the pad
+    of its bounds.  Every node maps into the cube, so an affine node's
+    inputs lie in it, and an accepted map is clipped only to remove
+    rounding.
     """
 
     node_name: ClassVar[str] = "affine"
@@ -469,6 +465,19 @@ class Affine(FuzzyExpr):
                 f"affine row {row} may overflow on the unit cube: twice the sum of its "
                 "absolute entries and bias must be finite"
             )
+        if not self.clamp:
+            # row i ranges from b_i plus its negative entries to b_i plus
+            # its positive ones on the cube
+            pos, neg, pad = self._interval_parts
+            low, high = self._b + neg.sum(axis=1), self._b + pos.sum(axis=1)
+            leaves = (low < -pad) | (high > 1.0 + pad)
+            if leaves.any():
+                row = int(np.argmax(leaves))
+                raise ValidationError(
+                    f"unclamped affine row {row} ranges over [{float(low[row])}, "
+                    f"{float(high[row])}] on the unit cube: with clamp false a map that "
+                    "leaves [0, 1] is refused, not clamped"
+                )
 
     @property
     def in_arity(self) -> int:
@@ -495,23 +504,13 @@ class Affine(FuzzyExpr):
         return np.maximum(m, 0.0), np.minimum(m, 0.0), pad
 
     def _eval(self, xs: np.ndarray) -> np.ndarray:
-        out = xs @ self._m.T + self._b
-        if self.clamp:
-            return np.clip(out, 0.0, 1.0)
-        if out.size and (out.min() < 0.0 or out.max() > 1.0):
-            raise ValidationError("unclamped affine output left the unit hypercube")
-        return out
+        return np.clip(xs @ self._m.T + self._b, 0.0, 1.0)
 
     def bounds(self, lo, hi):
         pos, neg, pad = self._interval_parts
         olo = lo @ pos.T + hi @ neg.T + (self._b - pad)
         ohi = hi @ pos.T + lo @ neg.T + (self._b + pad)
-        if self.clamp:
-            return np.clip(olo, 0.0, 1.0), np.clip(ohi, 0.0, 1.0)
-        # a box that may leave the cube may raise: its row is NaN
-        leaves = ((olo < 0.0) | (ohi > 1.0)).any(axis=1)
-        olo[leaves] = ohi[leaves] = np.nan
-        return olo, ohi
+        return np.clip(olo, 0.0, 1.0), np.clip(ohi, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -569,16 +568,7 @@ class Compose(FuzzyExpr):
 
     def bounds(self, lo, hi):
         inner = self.inner.bounds(lo, hi)
-        if inner is None:
-            return None
-        # a box on which the inner node may raise stays marked, whatever
-        # the outer node makes of it (a constant ignores its input)
-        unbounded = ~(np.isfinite(inner[0]).all(axis=1) & np.isfinite(inner[1]).all(axis=1))
-        ilo, ihi = (np.where(unbounded[:, None], 0.0, b) for b in inner)
-        out = self.outer.bounds(ilo, ihi)
-        if out is None:
-            return None
-        return tuple(np.where(unbounded[:, None], np.nan, b) for b in out)
+        return None if inner is None else self.outer.bounds(*inner)
 
 
 @dataclass(frozen=True)

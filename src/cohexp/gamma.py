@@ -256,8 +256,7 @@ class ExtendedExpr(FuzzyExpr):
         """The base's bounds, and for a repaired component on a box in
         one contaminated fiber its control input's interval, exactly; on
         a box across fibers the hull of both, where the component has a
-        contaminated fiber.  The base is evaluated on every row, so a
-        row it may raise on stays non-finite."""
+        contaminated fiber."""
         nb = self.base.in_arity
         base = self.base.bounds(lo[:, :nb], hi[:, :nb])
         if base is None:
@@ -273,8 +272,6 @@ class ExtendedExpr(FuzzyExpr):
             olo[across, comp] = np.minimum(olo[across, comp], clo[across])
             ohi[across, comp] = np.maximum(ohi[across, comp], chi[across])
             olo[inside, comp], ohi[inside, comp] = clo[inside], chi[inside]
-        unbounded = ~np.isfinite(np.hstack(base)).all(axis=1)
-        olo[unbounded] = ohi[unbounded] = np.nan
         return olo, ohi
 
     def to_payload(self) -> dict:
@@ -352,8 +349,7 @@ class OutputModExpr(FuzzyExpr):
         one fiber where the base's bounds project to one value on the
         box and on its projection, the base is coherent at every point
         of it, or at none, so the bound is the base's or the
-        fallback's.  The base is evaluated on every row and its
-        projection, so a row it may raise on stays non-finite."""
+        fallback's."""
         d = self.projection
         plo, phi = d.apply(lo), d.apply(hi)
         base, via = self.base.bounds(lo, hi), self.base.bounds(plo, phi)
@@ -367,8 +363,6 @@ class OutputModExpr(FuzzyExpr):
         coherent = (direct == baseline).all(axis=1)
         for pick, (blo, bhi) in ((settled & coherent, base), (settled & ~coherent, fb)):
             olo[pick], ohi[pick] = blo[pick], bhi[pick]
-        unbounded = ~np.isfinite(np.hstack([*base, *via])).all(axis=1)
-        olo[unbounded] = ohi[unbounded] = np.nan
         return olo, ohi
 
 

@@ -198,7 +198,8 @@ class TestCheck:
 
     def test_overflowing_network(self, tmp_path, capsys):
         """Finite weights near 1e308 overflow to nan inside the network;
-        that used to print a verdict with f(x)=(nan,) and exit 0."""
+        that used to print a verdict with f(x)=(nan,) and exit 0.  Such a
+        network is refused when its document is read."""
         path = tmp_path / "huge.json"
         hidden = {"weights": [[1e308, 1e308], [1e308, -1e308]], "bias": [0.0, 0.0]}
         output = {"weights": [[1e308, -1e308]], "bias": [0.0]}
@@ -206,9 +207,37 @@ class TestCheck:
         assert run(["check", "--expr", str(path)]) == BAD_INPUT
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error[E_INPUT]")
-        assert "non-finite" in lines[0] and "Traceback" not in captured.err
+        assert len(lines) == 1 and lines[0].startswith("error[E_FORMAT]: invalid 'mlp' node: ")
+        assert "overflow" in lines[0] and "Traceback" not in captured.err
         assert captured.out == ""
+
+    def test_network_whose_logit_overflows_on_one_row_is_refused(self, tmp_path, capsys):
+        """This network's logit overflowed at (1, 1, 1, 1) on a one-row
+        batch only, so its output there was 1.0 alone and 0.5622 in a
+        larger batch, and no non-finite value showed it."""
+        path = tmp_path / "huge.json"
+        layer = {"weights": [[1e308, 1e308, -1e308, -1e308]], "bias": [0.25]}
+        path.write_text(json.dumps({"node": "mlp", "model": {"layers": [layer]}}))
+        assert run(["check", "--expr", str(path), "--grid", "3"]) == BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error[E_FORMAT]: invalid 'mlp' node: network layer 0 may overflow on the unit "
+            "cube: its sums of absolute terms must stay below 1e300"
+        ]
+        assert captured.out == ""
+
+    def test_unclamped_affine_that_rounds_past_one_is_kept(self, tmp_path, capsys):
+        """A normalised row sums to 1 + 2.2e-16 in floats: its output at
+        (1, 1) rounds past 1, which is rounding, not a map that leaves
+        the cube, so it is checked."""
+        path = tmp_path / "normalised.json"
+        path.write_text(json.dumps({
+            "node": "affine", "matrix": [[0.1284403669724771, 0.871559633027523]],
+            "bias": [0.0], "clamp": False,
+        }))
+        assert run(["check", "--expr", str(path), "--grid", "3"]) == OK
+        captured = capsys.readouterr()
+        assert captured.err == "" and "verdict: incoherent_with_witnesses" in captured.out
 
     @pytest.mark.parametrize("key", ["in_arity", "out_arity"])
     def test_non_integer_declared_arity(self, key, tmp_path, capsys):
@@ -241,18 +270,17 @@ class TestCheck:
         }
 
 
-# Expressions whose grid check raises: the box-by-box check must raise
-# what evaluating every point raises, with the same exit status.
+# Expressions whose grid check fails: the box-by-box check must fail as
+# walking every slice does, with the same exit status.  All but the last
+# once raised only where they were evaluated, and are now refused when
+# their document is read.
 _OVERFLOWING_MLP = {"node": "mlp", "model": {"layers": [
     {"weights": [[1e308, 1e308], [1e308, -1e308]], "bias": [0.0, 0.0]},
     {"weights": [[1e308, -1e308]], "bias": [0.0]},
 ]}}
 # An unclamped affine map 1.25 y that leaves the cube where y > 0.8,
 # taken only where 0.6 < x < 0.9: every fiber's vertex stays clear of
-# it, and the boxes holding the points that raise project to one value.
-# On these grids no output lies on the threshold, so with no witnesses
-# asked for, no slice is evaluated again: only the bounds can surface
-# the error.
+# it, and the boxes holding those points project to one value.
 _BAND = [{"index": 0, "op": "gt", "value": 0.6}, {"index": 0, "op": "lt", "value": 0.9}]
 _ERROR_EXPRS = {
     "overflowing-mlp": _OVERFLOWING_MLP,
@@ -286,8 +314,10 @@ _ERROR_EXPRS["affine-under-coord"] = {
 
 
 class TestGridBoxErrorParity:
-    """Deciding grid boxes from bounds raises the error, message and exit
-    status of walking every slice (the check without boxes)."""
+    """Deciding grid boxes from bounds gives the error, message and exit
+    status of walking every slice (the check without boxes).  A network
+    or an unclamped affine map that could overflow or leave the cube is
+    refused as it is read, before either."""
 
     @pytest.mark.parametrize("name", _ERROR_EXPRS)
     @pytest.mark.parametrize("grid", ["33", "65"])
@@ -305,7 +335,7 @@ class TestGridBoxErrorParity:
         monkeypatch.setattr(cohexp.coherence, "_MIN_BOX_POINTS", 1 << 62)
         assert run(argv) == status == BAD_INPUT
         assert capsys.readouterr() == boxed
-        code = "E_CAPACITY" if name == "grid-over-cap" else "E_INPUT"
+        code = "E_CAPACITY" if name == "grid-over-cap" else "E_FORMAT"
         assert boxed.out == "" and boxed.err.startswith(f"error[{code}]")
         assert len(boxed.err.splitlines()) == 1
 
@@ -822,6 +852,21 @@ class TestExperiment:
                     "--test-size", "64", "--epochs", "5"]) == BAD_CONTRACT
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error[E_TRAINING]: training diverged")
+        assert not outdir.exists()
+
+    def test_divergence_seen_first_by_validation_prints_one_line(self, tmp_path, capsys):
+        """Parameters that overflow first in the validation pass after
+        epoch 1 are reported diverged by the next step, with no
+        RuntimeWarning printed before the error."""
+        outdir = tmp_path / "huge"
+        assert run(["experiment", "--setting", "xor", "--seed", "0", "--outdir", str(outdir),
+                    "--learning-rate", "1e308", "--weight-decay", "0",
+                    "--batch-size", "1000"]) == BAD_CONTRACT
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error[E_TRAINING]: training diverged at epoch 2: non-finite loss"
+        ]
+        assert captured.out == ""
         assert not outdir.exists()
 
     def test_seed_help_names_what_it_seeds(self, capsys):

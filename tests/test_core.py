@@ -224,10 +224,19 @@ class TestEvaluation:
         assert f((0.3,)) == (0.6,)
 
     def test_affine_unclamped_rejects_escape(self):
-        f = Affine(((2.0,),), (0.0,), clamp=False)
-        assert f((0.4,)) == (0.8,)
-        with pytest.raises(ValidationError):
-            f((0.7,))
+        """An unclamped map is refused when built where its range over
+        the unit cube leaves [0, 1], though it would stay inside at some
+        points; one inside it is evaluated as it is."""
+        with pytest.raises(ValidationError, match=r"^unclamped affine row 0 ranges over "
+                           r"\[0\.0, 2\.0\] on the unit cube: .* refused, not clamped$") as exc:
+            Affine(((2.0,),), (0.0,), clamp=False)
+        assert exc.value.code == "E_INPUT"
+        doc = {"node": "affine", "matrix": [[2.0]], "bias": [0.0], "clamp": False}
+        with pytest.raises(SerializationError, match="^invalid 'affine' node: unclamped") as exc:
+            from_dict(doc)
+        assert exc.value.code == "E_FORMAT"
+        f = Affine(((0.5,),), (0.25,), clamp=False)
+        assert f((0.4,)) == (0.45,)
 
     @pytest.mark.parametrize("matrix, bias", [
         (((float("nan"), 0.0),), (0.0,)),
@@ -249,16 +258,20 @@ class TestEvaluation:
 
     @pytest.mark.parametrize("clamp", [True, False])
     def test_affine_keeps_a_large_row_that_cannot_overflow(self, clamp):
-        """Twice the row's absolute sum is 1.6e308: accepted, and every
-        batch size evaluates it to the same value without a warning."""
-        f = Affine(((2e307, -2e307, 2e307, -2e307),), (0.25,), clamp=clamp)
+        """Twice the row's absolute sum is 1.6e308: the overflow check
+        keeps it, and clamped, every batch size evaluates it to the same
+        value without a warning.  Unclamped, its range leaves the cube,
+        and it is refused for that, not as overflowing."""
+        row = ((2e307, -2e307, 2e307, -2e307),)
+        if not clamp:
+            with pytest.raises(ValidationError, match="^unclamped affine row 0 ranges over"):
+                Affine(row, (0.25,), clamp=False)
+            return
+        f = Affine(row, (0.25,))
         for rows in range(1, 9):
             assert f.eval_batch(np.full((rows, 4), 0.5)).tolist() == [[0.25]] * rows
         lo, hi = f.bounds(np.zeros((1, 4)), np.ones((1, 4)))
-        if clamp:
-            assert (lo.tolist(), hi.tolist()) == ([[0.0]], [[1.0]])
-        else:  # the box leaves the cube, so its row may raise
-            assert np.isnan(lo).all() and np.isnan(hi).all()
+        assert (lo.tolist(), hi.tolist()) == ([[0.0]], [[1.0]])
 
     def test_lifted_projection(self):
         f = LiftedProjection(Projection.threshold(0.5), 2)

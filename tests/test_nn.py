@@ -8,6 +8,7 @@ of finite differencing at a non-smooth point, not of the gradients.
 """
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -456,15 +457,17 @@ class TestTrain:
         with pytest.raises(TrainingError, match=f"^training diverged at {message}$"):
             train(cfg, train_set, val_set)
 
-    def test_validation_keeps_its_warnings(self):
-        """The error state of the training steps does not cover the
-        validation pass: parameters that overflow only there warn."""
+    def test_validation_pass_does_not_warn(self):
+        """The validation pass runs in the error state of the training
+        steps: parameters that overflow first there are reported
+        diverged by the next step, with no warning."""
         train_set = make_dataset("xor", "train", 64, seed=0)
         val_set = make_dataset("xor", "val", 32, seed=0)
         cfg = TrainConfig(
             hidden_sizes=(4,), learning_rate=1e308, weight_decay=0.0, batch_size=64, epochs=50
         )
-        with pytest.warns(RuntimeWarning, match="encountered in"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(TrainingError, match=r"^training diverged at epoch 2: non-finite loss$"):
                 train(cfg, train_set, val_set)
 
@@ -699,16 +702,41 @@ class TestMlpExpr:
         assert np.array_equal(clone.eval_batch(xs), expr.eval_batch(xs))
 
     def test_overflow_is_a_coded_error_without_warnings(self):
-        """The network overflows silently; ``eval_batch`` refuses the
-        non-finite outputs (RuntimeWarnings fail the suite)."""
+        """A network whose evaluation could overflow is refused when it is
+        wrapped, without a warning (RuntimeWarnings fail the suite)."""
         model = nn.MlpModel(
             [np.array([[1e308, 1e308], [1e308, -1e308]]), np.array([[1e308, -1e308]])],
             [np.zeros(2), np.zeros(1)],
             np.array([0.25]),
         )
-        expr = MlpExpr(model)
-        with pytest.raises(ValidationError, match="non-finite"):
-            expr.eval_batch(np.array([[0.5, 0.5], [0.9, 0.9]]))
+        with pytest.raises(ValidationError, match="^network layer 0 may overflow") as exc:
+            MlpExpr(model)
+        assert exc.value.code == "E_INPUT"
+
+    def test_logit_that_overflows_on_one_row_only_is_refused(self):
+        """This network's logit overflowed at (1, 1, 1, 1) only on a
+        one-row batch: it gave 1.0 there and sigmoid(0.25) = 0.5622 on 2
+        or 4 rows, and its output was finite either way."""
+        model = nn.MlpModel([np.array([[1e308, 1e308, -1e308, -1e308]])], [np.array([0.25])],
+                            np.array([]))
+        with pytest.raises(ValidationError, match="^network layer 0 may overflow"):
+            MlpExpr(model)
+        doc = {"node": "mlp", "model": model.to_dict()}
+        with pytest.raises(SerializationError, match="^invalid 'mlp' node: network layer 0") as exc:
+            from_dict(doc)
+        assert exc.value.code == "E_FORMAT"
+
+    @pytest.mark.parametrize("slope", [float("nan"), float("inf"), 1e300])
+    def test_slope_that_could_overflow_is_refused(self, slope):
+        """A slope scales what the next layer sums (here twice the
+        slope), so one that is not a number, or too large, is refused
+        with the layer after it; 1e299 leaves that sum at 2e299."""
+        def network(s):
+            return MlpModel([-np.ones((1, 2)), np.ones((1, 1))], [np.zeros(1)] * 2, np.array([s]))
+
+        with pytest.raises(ValidationError, match="^network layer 1 may overflow"):
+            MlpExpr(network(slope))
+        assert MlpExpr(network(1e299))((1.0, 1.0)) == (0.0,)
 
     def test_weights_ref_must_be_resolved_first(self):
         """Only the file loader reads a reference; the library reader

@@ -352,7 +352,7 @@ def _node_documents() -> dict:
         Coord((1, 0), 2),
         TNorm("min"),
         luk_or,
-        Affine(((2.0,),), (0.0,), clamp=False),
+        Affine(((0.5,),), (0.25,), clamp=False),
         LiftedProjection(Projection.threshold(0.5), 1),
         Compose(luk_or, Coord((0, 0), 1)),
         Parallel((luk_or, TNorm("product"))),
