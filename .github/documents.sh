@@ -52,6 +52,9 @@ echo '{"layers": [{"weights": [[2.0, -1.0], [-1.0, 2.0]], "bias": [0.0, 0.5], "a
 echo '{"node": "mlp", "weights_ref": "weights.json"}' > in/mlp-ref.json
 # a normalised row whose sum rounds to 1 + 2**-52: kept unclamped
 echo '{"node": "affine", "matrix": [[0.1284403669724771, 0.871559633027523]], "bias": [0.0], "clamp": false}' > in/affine-normalised.json
+# a 12-input law with two output columns: its tables have 4 096 rows of two
+echo '{"node": "coord", "in_arity": 12, "indices": [0, 5, 11]}' > in/coord12.json
+echo '{"node": "coord", "in_arity": 3, "indices": [2, 0]}' > in/coord3.json
 
 # -- malformed input documents: one fault each ----------------------------
 echo '{"node": "coord", "in_arity": 2}' > in/bad-missing.json
@@ -151,3 +154,5 @@ run law-violated functor-law --inner in/step.json --outer in/jump.json --format 
 run law-holds functor-law --inner in/canonical.json --outer in/step.json --format structured \
     --out law-holds.json
 run law-text functor-law --inner in/step.json --outer in/jump.json
+run law-coord12 functor-law --inner in/coord12.json --outer in/coord3.json --format structured
+run law-coord12-text functor-law --inner in/coord12.json --outer in/coord3.json

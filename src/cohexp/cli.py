@@ -24,6 +24,7 @@ import dataclasses
 import functools
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import experiments
 from .coherence import DEFAULT_WITNESS_CAP, SamplingSpec, check_coherence, default_sampling
@@ -232,8 +233,10 @@ def _gamma_from(args, projection: Projection, sampling: SamplingSpec | None) -> 
     )
 
 
-def _emit(args, text: str, document: dict) -> None:
-    payload = text if args.format == "text" else dumps(document)
+def _emit(args, text: str, document: Callable[[], dict]) -> None:
+    """Write ``text``, or with ``--format structured`` the document that
+    ``document()`` builds: a text report builds none."""
+    payload = text if args.format == "text" else dumps(document())
     if args.out:
         Path(args.out).write_text(payload)
     else:
@@ -268,7 +271,7 @@ def _cmd_check(args) -> int:
                 f"direct={w.projected_direct:g} via-projection={w.projected_via_projected_inputs:g}"
             )
     lines.append(f"incoherent components: {incoherent_components(report)}")
-    _emit(args, "\n".join(lines) + "\n", report.to_dict())
+    _emit(args, "\n".join(lines) + "\n", report.to_dict)
     return _EXIT_OK
 
 
@@ -283,7 +286,7 @@ def _cmd_explain(args) -> int:
     text = "".join(
         f"output {o}: {line}\n" for o, line in enumerate(rendered)
     )
-    _emit(args, text, {"gamma": gamma.to_dict(), "formula": formula.to_dict()})
+    _emit(args, text, lambda: {"gamma": gamma.to_dict(), "formula": formula.to_dict()})
     return _EXIT_OK
 
 
@@ -306,7 +309,7 @@ def _cmd_repair(args) -> int:
         f"(fraction {verification.coherent_fraction:.6f})\n"
         f"written: {args.out_expr}\n"
     )
-    _emit(args, text, {
+    _emit(args, text, lambda: {
         "gamma": gamma.to_dict(),
         "already_coherent": not changed,
         "expr": repaired_doc,
@@ -329,7 +332,7 @@ def _cmd_demo(args) -> int:
             f"(repair(g) . repair(f))(a) = {demo.rhs}",
         ]
     lines.append(f"detail: {demo.detail}")
-    _emit(args, "\n".join(lines) + "\n", demo.to_dict())
+    _emit(args, "\n".join(lines) + "\n", demo.to_dict)
     return _EXIT_OK
 
 
@@ -345,7 +348,7 @@ def _cmd_law(args) -> int:
             f"verdict: violated at vertex {report.witness}; composite row "
             f"{report.composite_row}, factored row {report.factored_row}\n"
         )
-    _emit(args, text, report.to_dict())
+    _emit(args, text, report.to_dict)
     return _EXIT_OK
 
 
@@ -367,10 +370,8 @@ def _cmd_experiment(args) -> int:
         sizes=(args.train_size, args.val_size, args.test_size),
     )
     written = experiments.write_artifacts(report, model, datasets, args.outdir)
-    doc = report.to_dict()
-    doc["artifacts"] = [str(p) for p in written]
     text = report.render_text() + "".join(f"wrote {p}\n" for p in written)
-    _emit(args, text, doc)
+    _emit(args, text, lambda: {**report.to_dict(), "artifacts": [str(p) for p in written]})
     return _EXIT_OK
 
 

@@ -805,10 +805,10 @@ def _fields(obj, **convert) -> dict:
     return doc
 
 
-def _set_fields(spec) -> dict:
-    """The document of the spec ``spec``: its ``_fields`` that are set
-    (not None)."""
-    return {name: value for name, value in _fields(spec).items() if value is not None}
+def _set_fields(spec, **convert) -> dict:
+    """The document of the spec ``spec``: its ``_fields`` (with
+    ``convert``) that are set (not None)."""
+    return {name: value for name, value in _fields(spec, **convert).items() if value is not None}
 
 
 def from_dict(doc: dict) -> FuzzyExpr:
@@ -927,7 +927,11 @@ def fiber_digits(codes: np.ndarray, k: int, n: int) -> np.ndarray:
     codes = _checked(np.asarray(codes).reshape(-1), int, need, 0, _fiber_count(k, n) - 1)
     if n == 0:  # np.unravel_index takes no shape ()
         return np.zeros((len(codes), 0), dtype=np.int64)
-    return np.column_stack(np.unravel_index(codes.astype(np.int64, copy=False), (k,) * n))
+    codes = codes.astype(np.int64, copy=False)
+    if k & (k - 1) == 0:  # a power of two: each digit is a field of bits
+        width = int(k).bit_length() - 1
+        return (codes[:, None] >> width * np.arange(n - 1, -1, -1)) & (k - 1)
+    return np.column_stack(np.unravel_index(codes, (k,) * n))
 
 
 def all_vertices(n: int) -> np.ndarray:
@@ -947,6 +951,20 @@ def vertex_index(bits: Sequence[int]) -> int:
     if any(b not in (0, 1) for b in bits):
         raise ValidationError(f"vertex components must be 0 or 1, got {bits!r}")
     return int(np.asarray(bits, dtype=np.int64) @ _place_values(2, len(bits)))
+
+
+class _ArrayRows(list):
+    """The rows of a 2-D array as a list of lists, as ``tolist`` gives
+    them, that holds the array too: ``serialize.dumps`` writes rows of
+    one-digit entries from the array in one pass.  The list is what the
+    document compares, prints and encodes by elsewhere; the array is
+    its source, so the list is read, never changed."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        super().__init__(array.tolist())
+        self.array = array
 
 
 @dataclass(frozen=True, eq=False)
@@ -1003,7 +1021,7 @@ class TruthTable:
         return self.rows[:, _checked(output, int, need, 0, self.n_outputs - 1)]
 
     def to_dict(self) -> dict:
-        return _set_fields(self)
+        return _set_fields(self, rows=_ArrayRows)
 
     @staticmethod
     def from_dict(doc: dict) -> "TruthTable":

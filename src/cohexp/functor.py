@@ -5,7 +5,10 @@ its domain and projects the outputs, yielding a :class:`TruthTable`.
 On functions that are coherent under the projection this operation is
 structure preserving: it maps identities to identities and commutes
 with composition (``verify_functor_law`` checks the latter on concrete
-pairs and reports the first violating vertex otherwise).
+pairs and reports the first violating vertex otherwise).  The check
+tabulates the inner function once: both sides of the law read its
+outputs at the vertices, the composite side raw and the factored side
+projected.
 
 ``table_to_dnf`` turns a truth table into a disjunctive normal form,
 either verbatim (one conjunction per true row) or minimised exactly:
@@ -22,7 +25,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .coherence import fiber_table
+from .coherence import eval_chunked
 from .core import (
     MAX_TABLE_INPUTS,
     Compose,
@@ -206,8 +209,9 @@ class DnfFormula:
 # ---------------------------------------------------------------------------
 
 
-def booleanize(f: FuzzyExpr, projection: Projection) -> TruthTable:
-    """Restrict ``f`` to Boolean vertices and project the outputs.
+def _vertex_outputs(f: FuzzyExpr, projection: Projection) -> np.ndarray:
+    """``f`` at every Boolean vertex of its domain, one row per vertex in
+    truth-table order, before projection.
 
     Requires a projection with Boolean image and at most
     ``MAX_TABLE_INPUTS`` inputs.
@@ -219,8 +223,22 @@ def booleanize(f: FuzzyExpr, projection: Projection) -> TruthTable:
         raise CapacityError(
             f"booleanize capped at {MAX_TABLE_INPUTS} inputs, got {n}"
         )
-    rows = fiber_table(f, projection, np.arange(2**n)).astype(np.uint8)
-    return TruthTable(n, f.out_arity, rows)
+    return eval_chunked(f, np.arange(2**n), lambda c: fiber_digits(c, 2, n).astype(np.float64))
+
+
+def booleanize(f: FuzzyExpr, projection: Projection) -> TruthTable:
+    """Restrict ``f`` to Boolean vertices and project the outputs.
+
+    Requires a projection with Boolean image and at most
+    ``MAX_TABLE_INPUTS`` inputs.
+    """
+    return _projected_table(f.in_arity, _vertex_outputs(f, projection), projection)
+
+
+def _projected_table(n: int, outputs: np.ndarray, projection: Projection) -> TruthTable:
+    """The truth table over ``n`` inputs whose rows are the projected
+    ``outputs``, one row per vertex."""
+    return TruthTable(n, outputs.shape[1], projection.apply(outputs).astype(np.uint8))
 
 
 def identity_table(n: int) -> TruthTable:
@@ -268,9 +286,16 @@ class FunctorLawReport:
 
 def verify_functor_law(f: FuzzyExpr, g: FuzzyExpr, projection: Projection) -> FunctorLawReport:
     """Compare the booleanization of ``g . f`` against the composition
-    of the separate booleanizations (``f`` runs first)."""
-    lhs = booleanize(Compose(g, f), projection)
-    rhs = bool_compose(booleanize(g, projection), booleanize(f, projection))
+    of the separate booleanizations (``f`` runs first).
+
+    ``f`` is evaluated once at the vertices, and both sides read its
+    outputs: the composite side evaluates ``g`` at them raw, slice by
+    slice as ``Compose`` would, the factored side projects them."""
+    Compose(g, f)  # refuses a pair whose arities do not chain
+    fx = _vertex_outputs(f, projection)
+    n = f.in_arity
+    rhs = bool_compose(booleanize(g, projection), _projected_table(n, fx, projection))
+    lhs = _projected_table(n, eval_chunked(g, fx), projection)
     diff = np.flatnonzero((lhs.rows != rhs.rows).any(axis=1))
     if diff.size == 0:
         return FunctorLawReport(lhs, rhs)

@@ -14,7 +14,13 @@ same bytes with the C encoder instead.  It walks dicts and lists of dicts
 or strings itself, but hands each list of numbers (or of non-empty lists
 of numbers) to the C encoder whole and re-indents that compact text with
 ``str.replace``, which is exact because the text holds no string: every
-``", "``, ``"["`` and ``"]"`` in it is a separator or a bracket.
+``", "``, ``"["`` and ``"]"`` in it is a separator or a bracket.  The
+rows of a truth table document hold their array too, and a table of
+one-digit entries is written from it in one numpy pass: every row's
+text then has the same width, so one row's template, repeated, takes
+the digits at fixed offsets.  A scalar is written as the C encoder
+writes it, without building an encoder: ``repr`` for a number, with
+the standard library's ``NaN``, ``Infinity`` and ``-Infinity``.
 """
 
 from __future__ import annotations
@@ -24,7 +30,9 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Callable
 
-from .core import FuzzyExpr, from_dict, to_dict
+import numpy as np
+
+from .core import FuzzyExpr, _ArrayRows, from_dict, to_dict
 from .errors import SerializationError
 
 __all__ = ["dumps", "load_json", "save_json", "load_expr", "save_expr"]
@@ -32,6 +40,7 @@ __all__ = ["dumps", "load_json", "save_json", "load_expr", "save_expr"]
 
 _encode = json.JSONEncoder(sort_keys=True).encode  # the C encoder, compact
 _ARRAY = (list, tuple)
+_INFINITY = float("inf")
 
 
 def dumps(doc: dict) -> str:
@@ -62,7 +71,7 @@ def _write(value, newline: str, out: list[str]) -> None:
                     raise TypeError(
                         f"keys must be str, int, float, bool or None, not {type(key).__name__}"
                     )
-                key = _encode(key)
+                key = _scalar(key)
             out.append(sep + _quote(key) + ": ")
             _write(item, inner, out)
             sep = "," + inner
@@ -71,7 +80,9 @@ def _write(value, newline: str, out: list[str]) -> None:
         if not value:
             out.append("[]")
             return
-        text = _number_array(value, newline, inner)
+        text = _digit_rows(value.array, newline) if type(value) is _ArrayRows else None
+        if text is None:
+            text = _number_array(value, newline, inner)
         if text is not None:
             out.append(text)
             return
@@ -82,7 +93,54 @@ def _write(value, newline: str, out: list[str]) -> None:
             sep = "," + inner
         out.append(newline + "]")
     else:
-        out.append(_encode(value))
+        out.append(_scalar(value))
+
+
+def _scalar(value) -> str:
+    """The text of a value other than a dict or a list, as the C encoder
+    writes it; a value JSON cannot hold raises ``TypeError``.  A numpy
+    float is a float; a numpy integer or Boolean is not an int."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INFINITY:
+            return "Infinity"
+        if value == -_INFINITY:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _digit_rows(rows: np.ndarray, newline: str) -> str | None:
+    """The indented text of ``rows.tolist()``, as ``_number_array``
+    writes it, for an ``(N, m)`` integer array with ``N, m >= 1`` and
+    every entry in ``[0, 9]``; ``None`` for any other array.
+
+    Each row is written as ``inner + "[" + row + d + "," + row + d ...
+    + inner + "],"`` with one digit ``d`` per entry, so the text is one
+    row template repeated, with the digits set every ``len(row) + 2``
+    bytes from the first; the last row's comma is dropped.
+    """
+    if rows.ndim != 2 or 0 in rows.shape or rows.dtype.kind not in "iu":
+        return None
+    if rows.min() < 0 or rows.max() > 9:
+        return None
+    inner = newline + "  "
+    row = inner + "  "
+    unit = inner + "[" + ",".join([row + "0"] * rows.shape[1]) + inner + "],"
+    text = np.tile(np.frombuffer(unit.encode("ascii"), dtype=np.uint8), (rows.shape[0], 1))
+    text[:, len(inner) + 1 + len(row) :: len(row) + 2] = rows + ord("0")
+    return "[" + str(memoryview(text.reshape(-1)[:-1]), "ascii") + newline + "]"
 
 
 def _number_array(value, newline: str, inner: str) -> str | None:

@@ -29,6 +29,7 @@ from cohexp import (
     Condition,
     Const,
     Coord,
+    FunctorLawReport,
     GammaSpec,
     LiftedProjection,
     MlpExpr,
@@ -716,6 +717,21 @@ class TestFunctorLaw:
                    "projection": {"kind": "threshold", "alpha": 0.5}}, path)
         assert run(["functor-law", "--inner", str(path), "--outer", str(path)]) == OK
         assert capsys.readouterr().out == "verdict: holds\n"
+
+    def test_text_report_builds_no_document(self, tmp_path, capsys, monkeypatch):
+        """Only ``--format structured`` builds the report's document."""
+        path = tmp_path / "id.json"
+        save_json(to_dict(Coord((0,), 1)), path)
+
+        def unbuilt(report):
+            raise AssertionError("a text report built the structured document")
+
+        monkeypatch.setattr(FunctorLawReport, "to_dict", unbuilt)
+        assert run(["functor-law", "--inner", str(path), "--outer", str(path)]) == OK
+        assert capsys.readouterr().out == "verdict: holds\n"
+        with pytest.raises(AssertionError, match="built the structured document"):
+            run(["functor-law", "--inner", str(path), "--outer", str(path),
+                 "--format", "structured"])
 
 
 class TestSeedScope:

@@ -14,12 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohexp import (
+    Affine,
     CapacityError,
+    CohexpError,
     Compose,
     Const,
     Coord,
     DnfFormula,
     LiftedProjection,
+    MlpExpr,
     Parallel,
     Projection,
     TConorm,
@@ -32,13 +35,15 @@ from cohexp import (
     default_var_names,
     identity,
     identity_table,
+    init_model,
     table_to_dnf,
     vertex_index,
     verify_functor_law,
 )
-from cohexp.core import fiber_codes
+from cohexp.coherence import EVAL_CHUNK
+from cohexp.core import MAX_TABLE_INPUTS, T_CONORM_KINDS, T_NORM_KINDS, fiber_codes
 from cohexp.functor import _prime_cubes
-from conftest import jump_low, step_at
+from conftest import BatchRecorder, jump_low, step_at
 
 D = Projection.threshold(0.5)
 
@@ -429,3 +434,103 @@ def test_functor_law_uses_raw_intermediate_values():
     report = verify_functor_law(f, g, D)
     assert not report.holds
     assert report.witness == (1,)
+
+
+# ---------------------------------------------------------------------------
+# the law tabulates the inner function once, with the definition's result
+# ---------------------------------------------------------------------------
+
+
+def _law_by_definition(f, g, projection):
+    """``(lhs, rhs)`` as the law states them: ``booleanize(g . f)`` and
+    ``booleanize(g) . booleanize(f)``, evaluating ``f`` on both sides."""
+    lhs = booleanize(Compose(g, f), projection)
+    return lhs, bool_compose(booleanize(g, projection), booleanize(f, projection))
+
+
+_NORMS = [TNorm(k) for k in T_NORM_KINDS] + [TConorm(k) for k in T_CONORM_KINDS]
+
+
+def _norms(rng, arity: int, count: int):
+    """``count`` binary norms, each of two random coordinates of ``arity``
+    inputs squeezed into a random subinterval of [0, 1], so that the
+    outputs at the vertices need not be Boolean."""
+    picks = Coord(tuple(int(i) for i in rng.integers(0, arity, 2 * count)), arity)
+    scale = rng.uniform(0.2, 1.0, 2 * count)
+    squeeze = Affine(np.diag(scale).tolist(), (rng.uniform(0.0, 1.0) * (1 - scale)).tolist())
+    parts = tuple(_NORMS[int(i)] for i in rng.integers(0, len(_NORMS), count))
+    return Compose(Parallel(parts), Compose(squeeze, picks))
+
+
+def _random_pair(kind: str, seed: int):
+    rng = np.random.default_rng(seed)
+    n, m, k = int(rng.integers(1, 13)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    if kind == "mlp":
+        return MlpExpr(init_model(n, (6,), m, rng)), MlpExpr(init_model(m, (4,), k, rng))
+    return _norms(rng, n, m), _norms(rng, m, k)
+
+
+@pytest.mark.parametrize("kind", ["mlp", "norms"])
+def test_law_report_is_the_definition(kind):
+    """On random pairs of 1-12 inputs and 1-3 outputs the report holds,
+    bit for bit, the two sides the law defines and the first vertex
+    where they differ; both verdicts occur."""
+    verdicts = set()
+    for seed in range(60):
+        f, g = _random_pair(kind, seed)
+        report = verify_functor_law(f, g, D)
+        lhs, rhs = _law_by_definition(f, g, D)
+        assert (report.lhs, report.rhs) == (lhs, rhs)
+        diff = np.flatnonzero((lhs.rows != rhs.rows).any(axis=1))
+        if diff.size:
+            i = int(diff[0])
+            bits = tuple(int(b) for b in all_vertices(f.in_arity)[i])
+            assert (report.witness, report.composite_row, report.factored_row) == (
+                bits, lhs.row(bits), rhs.row(bits))
+        else:
+            assert report.witness is report.composite_row is report.factored_row is None
+        verdicts.add(report.verdict)
+    assert verdicts == {"holds", "violated"}
+
+
+@pytest.mark.parametrize("n", [14, 16])
+def test_law_report_is_the_definition_across_slices(n):
+    """Inputs enough for several evaluation slices give the same sides."""
+    rng = np.random.default_rng(n)
+    f = MlpExpr(init_model(n, (8,), 2, rng))
+    g = MlpExpr(init_model(2, (4,), 2, rng))
+    report = verify_functor_law(f, g, D)
+    assert (report.lhs, report.rhs) == _law_by_definition(f, g, D)
+
+
+@pytest.mark.parametrize("n", [3, 14])
+def test_law_evaluates_the_inner_function_once(n):
+    """``f`` sees its 2**n vertices once, in evaluation slices, and ``g``
+    its 2**m vertices and f's 2**n outputs."""
+    rng = np.random.default_rng(n)
+    f = BatchRecorder(MlpExpr(init_model(n, (4,), 2, rng)))
+    g = BatchRecorder(TConorm("lukasiewicz"))
+    verify_functor_law(f, g, D)
+    assert sum(f.sizes) == 2**n and max(f.sizes) <= EVAL_CHUNK
+    slices = [min(EVAL_CHUNK, 2**n)] * -(-(2**n) // EVAL_CHUNK)
+    assert sorted(g.sizes) == sorted([2**g.in_arity] + slices)
+
+
+@pytest.mark.parametrize("case", ["arity", "projection", "inner-inputs", "outer-inputs"])
+def test_law_refuses_as_the_definition(case):
+    """Mismatched arities, a projection that is not Boolean and more than
+    ``MAX_TABLE_INPUTS`` inputs on either side give the definition's
+    error."""
+    wide = MAX_TABLE_INPUTS + 1
+    f, g, projection = {
+        "arity": (Coord((0, 1, 0), 2), TConorm("max"), D),
+        "projection": (Coord((0, 1), 2), TConorm("max"), Projection.quantize(3)),
+        "inner-inputs": (Coord((0, 1), wide), TConorm("max"), D),
+        "outer-inputs": (Coord(tuple(i % 2 for i in range(wide)), 2), Coord((0,), wide), D),
+    }[case]
+    with pytest.raises(CohexpError) as got:
+        verify_functor_law(f, g, projection)
+    with pytest.raises(CohexpError) as want:
+        _law_by_definition(f, g, projection)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)

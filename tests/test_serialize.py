@@ -1,5 +1,6 @@
 """File-level loading and saving of expression documents."""
 
+import enum
 import json
 from pathlib import Path
 
@@ -38,7 +39,8 @@ from cohexp import (
     to_dict,
     verify_functor_law,
 )
-from cohexp.serialize import dumps
+from cohexp.core import _ArrayRows
+from cohexp.serialize import _digit_rows, dumps
 
 
 class TestJsonFiles:
@@ -286,6 +288,63 @@ class TestDumps:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.dictionaries(st.text(max_size=4), _documents(), max_size=5))
     def test_generated_documents(self, doc):
+        assert dumps(doc) == self._stdlib(doc)
+
+    def test_scalars_as_the_c_encoder_writes_them(self):
+        class Level(enum.IntEnum):
+            LOW = 1
+
+        class Ratio(float):
+            pass
+
+        class Name(str):
+            pass
+
+        doc = {
+            "enum": Level.LOW, "ratio": Ratio(0.25), "name": Name("a\u00e9"), "big": 2**200,
+            "floats": [-0.0, 5e-324, 1e16, 0.1 + 0.2, np.float64(1 / 3)],
+            "specials": {"nan": float("nan"), "inf": float("inf"), "minus": -float("inf")},
+            "float_keys": {float("nan"): 1, float("inf"): 2, -float("inf"): 3, np.float64(0.5): 4},
+            "other_keys": {True: "t", False: "f"}, "int_keys": {2**70: 0, -3: 1},
+            "none_key": {None: [None, True, False]},
+        }
+        assert dumps(doc) == self._stdlib(doc)
+
+    def test_numpy_integers_and_booleans_raise_type_error(self):
+        for doc in ({"x": np.bool_(True)}, {"x": [np.int64(1)]}, {"x": np.uint8(0)},
+                    {np.int64(1): 0}, {np.bool_(False): 0}):
+            with pytest.raises(TypeError):
+                self._stdlib(doc)
+            with pytest.raises(TypeError):
+                dumps(doc)
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_truth_tables_at_every_depth(self, n):
+        """A table's rows, written from their array, have the stdlib's
+        bytes at every indent they can be written at."""
+        rng = np.random.default_rng(n)
+        for m in range(1, 5):
+            table = TruthTable(n, m, rng.integers(0, 2, (2**n, m))).to_dict()
+            for doc in (table, {"t": table}, {"a": [{"t": table}, 1]},
+                        {"a": [[{"b": {"t": table}}]], "rows": table["rows"]},
+                        {"tables": [table["rows"], table["rows"]]}):
+                assert dumps(doc) == self._stdlib(doc)
+
+    def test_table_rows_are_their_plain_list(self):
+        table = TruthTable(3, 2, np.random.default_rng(3).integers(0, 2, (8, 2)))
+        rows, plain = table.to_dict()["rows"], table.rows.tolist()
+        assert rows == plain and repr(rows) == repr(plain)
+        assert json.dumps(rows) == json.dumps(plain)
+        assert all(type(row) is list and all(type(v) is int for v in row) for row in rows)
+
+    @pytest.mark.parametrize("array", [
+        np.array([[10, 1], [0, 1]]), np.array([[-1], [2]]), np.array([[True], [False]]),
+        np.zeros((2, 0), dtype=np.uint8), np.array([[0.0, 1.0]]), np.arange(8).reshape(2, 2, 2),
+        np.array([3, 4]), np.array([["0", "1"]]),
+    ], ids=["two-digits", "negative", "bool", "no-columns", "float", "three-deep", "flat", "str"])
+    def test_rows_the_digit_writer_refuses_are_written_as_lists(self, array):
+        assert _digit_rows(array, "\n  ") is None
+        doc = {"rows": _ArrayRows(array), "nested": [{"rows": _ArrayRows(array)}]}
         assert dumps(doc) == self._stdlib(doc)
 
     def test_unencodable_values_and_keys_raise_type_error(self):
