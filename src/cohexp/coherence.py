@@ -85,6 +85,7 @@ __all__ = [
     "CoherenceReport",
     "default_sampling",
     "eval_chunked",
+    "fiber_outputs",
     "fiber_table",
     "projected_outputs",
     "coherence_masks",
@@ -309,12 +310,17 @@ def eval_chunked(
     return out
 
 
+def fiber_outputs(f: FuzzyExpr, k: int, codes: np.ndarray) -> np.ndarray:
+    """``f(r)`` at the point ``r`` of each code of a fiber of ``k``
+    levels per axis, one row per code."""
+    n = f.in_arity
+    return eval_chunked(f, codes, lambda c: fiber_digits(c, k, n) / (k - 1))
+
+
 def fiber_table(f: FuzzyExpr, projection: Projection, codes: np.ndarray) -> np.ndarray:
     """``d(f(r))`` at the point ``r`` of each fiber code, one row per
     code."""
-    k = len(projection.level_values)
-    n = f.in_arity
-    return projection.apply(eval_chunked(f, codes, lambda c: fiber_digits(c, k, n) / (k - 1)))
+    return projection.apply(fiber_outputs(f, len(projection.level_values), codes))
 
 
 def _baseline_table(

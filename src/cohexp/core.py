@@ -927,11 +927,7 @@ def fiber_digits(codes: np.ndarray, k: int, n: int) -> np.ndarray:
     codes = _checked(np.asarray(codes).reshape(-1), int, need, 0, _fiber_count(k, n) - 1)
     if n == 0:  # np.unravel_index takes no shape ()
         return np.zeros((len(codes), 0), dtype=np.int64)
-    codes = codes.astype(np.int64, copy=False)
-    if k & (k - 1) == 0:  # a power of two: each digit is a field of bits
-        width = int(k).bit_length() - 1
-        return (codes[:, None] >> width * np.arange(n - 1, -1, -1)) & (k - 1)
-    return np.column_stack(np.unravel_index(codes, (k,) * n))
+    return np.column_stack(np.unravel_index(codes.astype(np.int64, copy=False), (k,) * n))
 
 
 def all_vertices(n: int) -> np.ndarray:
@@ -953,18 +949,31 @@ def vertex_index(bits: Sequence[int]) -> int:
     return int(np.asarray(bits, dtype=np.int64) @ _place_values(2, len(bits)))
 
 
-class _ArrayRows(list):
-    """The rows of a 2-D array as a list of lists, as ``tolist`` gives
-    them, that holds the array too: ``serialize.dumps`` writes rows of
-    one-digit entries from the array in one pass.  The list is what the
-    document compares, prints and encodes by elsewhere; the array is
-    its source, so the list is read, never changed."""
+class _TableRows(list):
+    """The rows of a validated :class:`TruthTable` as ``tolist`` gives
+    them, holding the table's ``uint8`` array too: ``serialize.dumps``
+    writes the rows from the array in one pass, so the list refuses
+    every change, and its rows must not be changed either.
+    ``[list(r) for r in rows]`` is a copy to edit; a copy or pickle of
+    the list is a plain list."""
 
     __slots__ = ("array",)
 
     def __init__(self, array: np.ndarray) -> None:
         super().__init__(array.tolist())
         self.array = array
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(
+            "the rows of a truth table document are read-only: "
+            "edit a copy, [list(r) for r in rows]"
+        )
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    append = extend = insert = pop = remove = clear = sort = reverse = _refuse
+
+    def __reduce_ex__(self, protocol):
+        return list, (list(self),)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1021,7 +1030,11 @@ class TruthTable:
         return self.rows[:, _checked(output, int, need, 0, self.n_outputs - 1)]
 
     def to_dict(self) -> dict:
-        return _set_fields(self, rows=_ArrayRows)
+        """The table's document.  Its ``rows`` are read-only, as
+        ``serialize.dumps`` writes them from the table's array: the list
+        refuses changes and its rows must not be changed; edit a copy,
+        ``[list(r) for r in doc["rows"]]``."""
+        return _set_fields(self, rows=_TableRows)
 
     @staticmethod
     def from_dict(doc: dict) -> "TruthTable":

@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .coherence import eval_chunked
+from .coherence import eval_chunked, fiber_outputs
 from .core import (
     MAX_TABLE_INPUTS,
     Compose,
@@ -223,7 +223,7 @@ def _vertex_outputs(f: FuzzyExpr, projection: Projection) -> np.ndarray:
         raise CapacityError(
             f"booleanize capped at {MAX_TABLE_INPUTS} inputs, got {n}"
         )
-    return eval_chunked(f, np.arange(2**n), lambda c: fiber_digits(c, 2, n).astype(np.float64))
+    return fiber_outputs(f, 2, np.arange(2**n))
 
 
 def booleanize(f: FuzzyExpr, projection: Projection) -> TruthTable:

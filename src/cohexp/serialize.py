@@ -15,12 +15,13 @@ or strings itself, but hands each list of numbers (or of non-empty lists
 of numbers) to the C encoder whole and re-indents that compact text with
 ``str.replace``, which is exact because the text holds no string: every
 ``", "``, ``"["`` and ``"]"`` in it is a separator or a bracket.  The
-rows of a truth table document hold their array too, and a table of
-one-digit entries is written from it in one numpy pass: every row's
-text then has the same width, so one row's template, repeated, takes
-the digits at fixed offsets.  A scalar is written as the C encoder
-writes it, without building an encoder: ``repr`` for a number, with
-the standard library's ``NaN``, ``Infinity`` and ``-Infinity``.
+rows of a truth table document hold the table's array too and refuse
+changes (``TruthTable.to_dict``), and they are written from the array
+in one numpy pass: every entry is one digit, so every row's text has
+the same width, and one row's template, repeated, takes the digits at
+fixed offsets.  A scalar is written as the C encoder writes it,
+without building an encoder: ``repr`` for a number, with the standard
+library's ``NaN``, ``Infinity`` and ``-Infinity``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import FuzzyExpr, _ArrayRows, from_dict, to_dict
+from .core import FuzzyExpr, _TableRows, from_dict, to_dict
 from .errors import SerializationError
 
 __all__ = ["dumps", "load_json", "save_json", "load_expr", "save_expr"]
@@ -80,9 +81,10 @@ def _write(value, newline: str, out: list[str]) -> None:
         if not value:
             out.append("[]")
             return
-        text = _digit_rows(value.array, newline) if type(value) is _ArrayRows else None
-        if text is None:
-            text = _number_array(value, newline, inner)
+        if type(value) is _TableRows:
+            out.append(_table_rows(value.array, newline))
+            return
+        text = _number_array(value, newline, inner)
         if text is not None:
             out.append(text)
             return
@@ -121,20 +123,15 @@ def _scalar(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _digit_rows(rows: np.ndarray, newline: str) -> str | None:
+def _table_rows(rows: np.ndarray, newline: str) -> str:
     """The indented text of ``rows.tolist()``, as ``_number_array``
-    writes it, for an ``(N, m)`` integer array with ``N, m >= 1`` and
-    every entry in ``[0, 9]``; ``None`` for any other array.
+    writes it, for the ``(N, m)`` array of 0s and 1s of a truth table.
 
     Each row is written as ``inner + "[" + row + d + "," + row + d ...
     + inner + "],"`` with one digit ``d`` per entry, so the text is one
     row template repeated, with the digits set every ``len(row) + 2``
     bytes from the first; the last row's comma is dropped.
     """
-    if rows.ndim != 2 or 0 in rows.shape or rows.dtype.kind not in "iu":
-        return None
-    if rows.min() < 0 or rows.max() > 9:
-        return None
     inner = newline + "  "
     row = inner + "  "
     unit = inner + "[" + ",".join([row + "0"] * rows.shape[1]) + inner + "],"

@@ -1,7 +1,9 @@
 """File-level loading and saving of expression documents."""
 
+import copy
 import enum
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +41,7 @@ from cohexp import (
     to_dict,
     verify_functor_law,
 )
-from cohexp.core import _ArrayRows
-from cohexp.serialize import _digit_rows, dumps
+from cohexp.serialize import dumps
 
 
 class TestJsonFiles:
@@ -337,15 +338,36 @@ class TestDumps:
         assert json.dumps(rows) == json.dumps(plain)
         assert all(type(row) is list and all(type(v) is int for v in row) for row in rows)
 
-    @pytest.mark.parametrize("array", [
-        np.array([[10, 1], [0, 1]]), np.array([[-1], [2]]), np.array([[True], [False]]),
-        np.zeros((2, 0), dtype=np.uint8), np.array([[0.0, 1.0]]), np.arange(8).reshape(2, 2, 2),
-        np.array([3, 4]), np.array([["0", "1"]]),
-    ], ids=["two-digits", "negative", "bool", "no-columns", "float", "three-deep", "flat", "str"])
-    def test_rows_the_digit_writer_refuses_are_written_as_lists(self, array):
-        assert _digit_rows(array, "\n  ") is None
-        doc = {"rows": _ArrayRows(array), "nested": [{"rows": _ArrayRows(array)}]}
-        assert dumps(doc) == self._stdlib(doc)
+    @pytest.mark.parametrize("edit", [
+        lambda rows: rows.__setitem__(0, [1]), lambda rows: rows.__delitem__(slice(0, 1)),
+        lambda rows: rows.append([1]), lambda rows: rows.extend([[1]]),
+        lambda rows: rows.insert(0, [1]), lambda rows: rows.pop(), lambda rows: rows.remove([0]),
+        lambda rows: rows.clear(), lambda rows: rows.sort(), lambda rows: rows.reverse(),
+        lambda rows: rows.__iadd__([[1]]), lambda rows: rows.__imul__(2),
+    ])
+    def test_table_rows_refuse_changes(self, edit):
+        """The rows ``dumps`` writes from the table's array cannot drift
+        from it."""
+        doc = TruthTable(1, 1, [[0], [1]]).to_dict()
+        with pytest.raises(TypeError, match="read-only"):
+            edit(doc["rows"])
+        assert doc["rows"] == [[0], [1]] and dumps(doc) == self._stdlib(doc)
+
+    def test_table_rows_copy_as_plain_lists(self):
+        rows = TruthTable(2, 2, [[0, 1], [1, 0], [1, 1], [0, 0]]).to_dict()["rows"]
+        for twin in (list(rows), rows.copy(), rows[:], copy.copy(rows), copy.deepcopy(rows),
+                     pickle.loads(pickle.dumps(rows))):
+            assert type(twin) is list and twin == rows
+
+    def test_edited_copies_of_table_rows_are_written_as_lists(self):
+        """A copy of a table's rows, edited so that no table holds it, is
+        written by the general path."""
+        doc = TruthTable(2, 2, [[0, 1], [1, 0], [1, 1], [0, 0]]).to_dict()
+        for value in (10, -1, True, 1.0, "1", None):
+            rows = [list(r) for r in doc["rows"]]
+            rows[2][1] = value
+            edited = {**doc, "rows": rows, "nested": [{"rows": rows[1:]}]}
+            assert dumps(edited) == self._stdlib(edited)
 
     def test_unencodable_values_and_keys_raise_type_error(self):
         for doc in ({"x": np.int64(1)}, {"x": [1, {2}]}, {(1, 2): 0}, {"x": [[1], [object()]]}):
