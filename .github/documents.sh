@@ -55,6 +55,10 @@ echo '{"node": "affine", "matrix": [[0.1284403669724771, 0.871559633027523]], "b
 # a 12-input law with two output columns: its tables have 4 096 rows of two
 echo '{"node": "coord", "in_arity": 12, "indices": [0, 5, 11]}' > in/coord12.json
 echo '{"node": "coord", "in_arity": 3, "indices": [2, 0]}' > in/coord3.json
+# extensions as a user writes them: fibers out of code order, a fiber
+# named twice, and a component with no fibers
+echo '{"node": "extended", "base": {"node": "tconorm", "kind": "lukasiewicz"}, "projection": {"kind": "quantize", "levels": 3}, "extended_components": [0], "contaminated": [[[2, 1], [0, 0], [2, 1]]]}' > in/extended-q3.json
+echo '{"node": "extended", "base": {"node": "coord", "in_arity": 2, "indices": [0, 1]}, "projection": {"kind": "threshold", "alpha": 0.5}, "extended_components": [0, 1], "contaminated": [[], [[1, 0], [0, 1], [1, 0]]]}' > in/extended-coord.json
 
 # -- malformed input documents: one fault each ----------------------------
 echo '{"node": "coord", "in_arity": 2}' > in/bad-missing.json
@@ -113,6 +117,11 @@ run repair-mlp repair --expr exp-fuzzy-or/model.json --gamma extend --grid 21 \
     --out-expr repair-mlp.json --format structured
 run repair-mlp-text repair --expr exp-xor/model.json --gamma output-mod --grid 21 \
     --out-expr repair-mlp-text.json
+# written back in canonical order, duplicates and empty sets kept
+for ext in extended-q3 extended-coord; do
+    run "repair-$ext" repair --expr "in/$ext.json" --gamma output-mod --grid 5 \
+        --out-expr "repair-$ext.json"
+done
 # refused: the constant fallback disagrees with the projected baseline
 run repair-refused repair --expr in/luk-or.json --gamma output-mod:in/one.json \
     --out-expr repair-refused.json

@@ -37,10 +37,9 @@ Documents are written from their dataclass fields, and read back into
 them, here: ``_fields`` writes a report's or a node's fields,
 ``_set_fields`` a spec's (a projection, a sampling, a repair, a
 piecewise condition, a truth table) without its unset ones, and
-``_arguments`` reads either by the fields' declared types.  Only a
-domain extension's document, which holds fiber digits where the node
-holds fiber codes, is not its fields and has a reader and a writer of
-its own.
+``_arguments`` reads either by the fields' declared types.  Every node
+document is its fields, read by that one reader and written by that
+one writer.
 """
 
 from __future__ import annotations
@@ -283,21 +282,8 @@ class FuzzyExpr:
     @classmethod
     def payload_keys(cls) -> tuple[str, ...]:
         """The keys a node document holds besides ``node``, ``in_arity``
-        and ``out_arity``: the node's fields less those two, or the
-        ``payload_fields`` of a node whose document is not its fields."""
-        return getattr(cls, "payload_fields", None) or tuple(
-            name for name in _field_names(cls) if name not in ("in_arity", "out_arity")
-        )
-
-    def to_payload(self) -> dict:
-        """The payload of the node's document: each of its
-        ``payload_keys``, written as ``_fields`` writes a field."""
-        return {name: _document(getattr(self, name)) for name in self.payload_keys()}
-
-    @classmethod
-    def from_payload(cls, doc: dict, decode: Callable[[dict], "FuzzyExpr"]) -> "FuzzyExpr":
-        """The node ``doc`` holds, read by ``_arguments``."""
-        return cls(**_arguments(cls, doc, decode))
+        and ``out_arity``: the node's fields less those two."""
+        return tuple(name for name in _field_names(cls) if name not in ("in_arity", "out_arity"))
 
 
 @dataclass(frozen=True)
@@ -764,7 +750,7 @@ class Piecewise(FuzzyExpr):
 def to_dict(expr: FuzzyExpr) -> dict:
     """Serialise an expression to a plain JSON-compatible dict."""
     doc = {"node": expr.node_name, "in_arity": expr.in_arity, "out_arity": expr.out_arity}
-    doc.update(expr.to_payload())
+    doc.update(_fields(expr, in_arity=None, out_arity=None))
     return doc
 
 
@@ -831,7 +817,7 @@ def _decode_node(doc: dict) -> FuzzyExpr:
     node = NODE_TYPES[name]
     _fields_only(doc, ("node", "in_arity", "out_arity", *node.payload_keys()), f"{name!r} node")
     with malformed(f"{name!r} node", prefix_invalid=True):
-        expr = node.from_payload(doc, _decode_node)
+        expr = node(**_arguments(node, doc, _decode_node))
         keys = [key for key in ("in_arity", "out_arity") if key in doc]
         declared = {key: _checked(doc[key], int, f"{key} must be an integer") for key in keys}
     for key, got in (("in_arity", expr.in_arity), ("out_arity", expr.out_arity)):
@@ -949,19 +935,11 @@ def vertex_index(bits: Sequence[int]) -> int:
     return int(np.asarray(bits, dtype=np.int64) @ _place_values(2, len(bits)))
 
 
-class _TableRows(list):
-    """The rows of a validated :class:`TruthTable` as ``tolist`` gives
-    them, holding the table's ``uint8`` array too: ``serialize.dumps``
-    writes the rows from the array in one pass, so the list refuses
-    every change, and its rows must not be changed either.
-    ``[list(r) for r in rows]`` is a copy to edit; a copy or pickle of
-    the list is a plain list."""
+class _ReadOnlyList(list):
+    """A list that refuses every change; a copy or pickle of it is a
+    plain list."""
 
-    __slots__ = ("array",)
-
-    def __init__(self, array: np.ndarray) -> None:
-        super().__init__(array.tolist())
-        self.array = array
+    __slots__ = ()
 
     def _refuse(self, *args, **kwargs):
         raise TypeError(
@@ -974,6 +952,32 @@ class _TableRows(list):
 
     def __reduce_ex__(self, protocol):
         return list, (list(self),)
+
+
+class _TableRows(_ReadOnlyList):
+    """The rows of a validated :class:`TruthTable` as ``tolist`` gives
+    them, holding the table's ``uint8`` array too: ``serialize.dumps``
+    writes the rows from the array in one pass, so neither the list nor
+    a row takes a change.  Equal rows are one shared read-only list.
+    ``[list(r) for r in rows]`` is a copy to edit; a copy or pickle of
+    the rows is plain lists."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        # equal rows are adjacent in lexicographic order, and each run of
+        # them is one list: fewer objects to build than ``tolist`` makes
+        order = np.lexsort(array.T)
+        ranked = array[order]
+        first = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
+        run = np.empty(len(array), dtype=np.int64)
+        run[order] = np.cumsum(first) - 1
+        shared = [_ReadOnlyList(row) for row in ranked[first].tolist()]
+        super().__init__(map(shared.__getitem__, run.tolist()))
+        self.array = array
+
+    def __reduce_ex__(self, protocol):
+        return list, (self.array.tolist(),)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1032,8 +1036,8 @@ class TruthTable:
     def to_dict(self) -> dict:
         """The table's document.  Its ``rows`` are read-only, as
         ``serialize.dumps`` writes them from the table's array: the list
-        refuses changes and its rows must not be changed; edit a copy,
-        ``[list(r) for r in doc["rows"]]``."""
+        and each row refuse changes; edit a copy, ``[list(r) for r in
+        doc["rows"]]``."""
         return _set_fields(self, rows=_TableRows)
 
     @staticmethod

@@ -312,8 +312,8 @@ def extract_and_score(
     if gamma is not None:
         repaired = gamma_extend(model, gamma)
         if isinstance(repaired, ExtendedExpr):
-            n_controls = len(repaired.components)
-            controls = proj_out[:, list(repaired.components)]
+            n_controls = len(repaired.extended_components)
+            controls = proj_out[:, list(repaired.extended_components)]
             ext_vertices = np.concatenate([proj_feats, controls], axis=1)
             ext_table = booleanize(repaired, projection)
             extended = _score_table(

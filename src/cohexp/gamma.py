@@ -78,7 +78,6 @@ from .core import (
     _fields,
     _read,
     _set_fields,
-    to_dict,
 )
 from .errors import ContractError, ValidationError, _checked, malformed
 from .functor import DnfFormula, booleanize, default_var_names, table_to_dnf
@@ -172,52 +171,77 @@ def _fiber_filter(fibers: np.ndarray) -> tuple[np.ndarray, int]:
     return words, bits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtendedExpr(FuzzyExpr):
     """Domain-extension repair: original inputs plus one control input
     per repaired component, appended in component order.
 
-    ``contaminated[j]`` holds the fiber codes (see ``fiber_codes``) on
-    which component ``components[j]`` defers to its control input.
+    ``contaminated[j]`` holds the fibers on which component
+    ``extended_components[j]`` defers to its control input, one row of
+    level digits (one in ``[0, K)`` per base input) a fiber, in the
+    order of their codes (see ``fiber_codes``); the arrays are
+    read-only.
     """
 
     node_name: ClassVar[str] = "extended"
-    payload_fields: ClassVar[tuple[str, ...]] = (
-        "base", "projection", "extended_components", "contaminated"
-    )
 
     base: FuzzyExpr
     projection: Projection
-    components: tuple[int, ...]
-    contaminated: tuple[tuple[int, ...], ...]
+    extended_components: tuple[int, ...]
+    contaminated: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        need = "extended components must be output indices of the base"
-        components = _checked(np.asarray(self.components), int, need, 0, self.base.out_arity - 1)
-        object.__setattr__(self, "components", tuple(components.tolist()))
         k, n = len(self.projection.level_values), self.base.in_arity
-        need = f"contaminated fiber codes must be integers in [0, {k}**{n})"
-        # sorted, so the codes a filter passes are looked up by bisection
-        arrays = tuple(
-            np.sort(_checked(np.asarray(s), int, need, 0, k**n - 1)).astype(np.int64)
-            for s in self.contaminated
+        need = f"contaminated fiber digits must be integers in [0, {k})"
+        digits, codes = [], []
+        for fibers in self.contaminated:
+            fiber_set = np.asarray(fibers)
+            # an empty set reads as floats of shape (0,): no fibers
+            if len(fibers) and fiber_set.shape != (len(fibers), n):
+                raise ValidationError(
+                    f"each contaminated fiber must be a list of {n} level indices"
+                )
+            fiber_set = _checked(fiber_set, int, need, 0, k - 1)
+            fiber_set = fiber_set.reshape(len(fibers), n).astype(np.int64)
+            set_codes = fiber_set @ _place_values(k, n)
+            # sorted, so the codes a filter passes are looked up by bisection
+            order = np.argsort(set_codes)
+            digits.append(fiber_set[order])
+            digits[-1].setflags(write=False)
+            codes.append(set_codes[order])
+        object.__setattr__(self, "contaminated", tuple(digits))
+        need = "extended components must be output indices of the base"
+        components = _checked(
+            np.asarray(self.extended_components), int, need, 0, self.base.out_arity - 1
         )
-        object.__setattr__(self, "contaminated", tuple(tuple(a.tolist()) for a in arrays))
-        if len(self.components) != len(self.contaminated):
+        object.__setattr__(self, "extended_components", tuple(components.tolist()))
+        if len(self.extended_components) != len(self.contaminated):
             raise ValidationError("one contaminated fiber set per extended component")
-        if not self.components:
+        if not self.extended_components:
             raise ValidationError("domain extension must repair at least one component")
-        if list(self.components) != sorted(set(self.components)):
+        if list(self.extended_components) != sorted(set(self.extended_components)):
             raise ValidationError("extended components must be strictly ascending")
         # built here, not on the first batch: built among a walk's slice
         # temporaries, the filters left glibc's heap fragmented and raised
         # the peak RSS of some 500 000-point checks by 12 MiB
-        object.__setattr__(self, "_contaminated_arrays", arrays)
-        object.__setattr__(self, "_contaminated_filters", tuple(map(_fiber_filter, arrays)))
+        object.__setattr__(self, "_contaminated_arrays", tuple(codes))
+        object.__setattr__(self, "_contaminated_filters", tuple(map(_fiber_filter, codes)))
+
+    def _key(self) -> tuple:
+        """The fields, each fiber set by its bytes: equal bases have equal
+        arities, so equal bytes are equal digits."""
+        fibers = tuple(s.tobytes() for s in self.contaminated)
+        return self.base, self.projection, self.extended_components, fibers
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if isinstance(other, ExtendedExpr) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def in_arity(self) -> int:
-        return self.base.in_arity + len(self.components)
+        return self.base.in_arity + len(self.extended_components)
 
     @property
     def out_arity(self) -> int:
@@ -226,13 +250,13 @@ class ExtendedExpr(FuzzyExpr):
     @property
     def var_names(self) -> tuple[str, ...]:
         """Default input names: the base's, then ``nc`` or ``nc1``, ``nc2``, ..."""
-        p = len(self.components)
+        p = len(self.extended_components)
         controls = ("nc",) if p == 1 else tuple(f"nc{j + 1}" for j in range(p))
         return default_var_names(self.base.in_arity) + controls
 
     def _marked(self, j: int, codes: np.ndarray) -> np.ndarray:
-        """Per fiber code, whether component ``components[j]`` defers to
-        its control input there."""
+        """Per fiber code, whether component ``extended_components[j]``
+        defers to its control input there."""
         words, bits = self._contaminated_filters[j]
         h = _fiber_hash(codes, bits)
         hit = (words[h >> np.uint64(6)] >> (h & np.uint64(63)) & np.uint64(1)).astype(bool)
@@ -247,7 +271,7 @@ class ExtendedExpr(FuzzyExpr):
         x = xs[:, :nb]
         out = self.base._eval(x).copy()
         codes = fiber_codes(self.projection, x)
-        for j, comp in enumerate(self.components):
+        for j, comp in enumerate(self.extended_components):
             hit = self._marked(j, codes)
             out[hit, comp] = xs[hit, nb + j]
         return out
@@ -264,8 +288,8 @@ class ExtendedExpr(FuzzyExpr):
         olo, ohi = base[0].copy(), base[1].copy()
         codes = fiber_codes(self.projection, lo[:, :nb])
         across = codes != fiber_codes(self.projection, hi[:, :nb])
-        for j, comp in enumerate(self.components):
-            if not self.contaminated[j]:
+        for j, comp in enumerate(self.extended_components):
+            if not len(self.contaminated[j]):
                 continue
             inside = ~across & self._marked(j, codes)
             clo, chi = lo[:, nb + j], hi[:, nb + j]
@@ -273,36 +297,6 @@ class ExtendedExpr(FuzzyExpr):
             ohi[across, comp] = np.maximum(ohi[across, comp], chi[across])
             olo[inside, comp], ohi[inside, comp] = clo[inside], chi[inside]
         return olo, ohi
-
-    def to_payload(self) -> dict:
-        k = len(self.projection.level_values)
-        n = self.base.in_arity
-        return {
-            "base": to_dict(self.base),
-            "projection": self.projection.to_dict(),
-            "extended_components": list(self.components),
-            "contaminated": [fiber_digits(s, k, n).tolist() for s in self.contaminated],
-        }
-
-    @classmethod
-    def from_payload(cls, doc, decode):
-        base = decode(doc["base"])
-        projection = Projection.from_dict(doc["projection"])
-        k = len(projection.level_values)
-        n = base.in_arity
-        contaminated = []
-        for fiber_set in doc["contaminated"]:
-            digits = np.asarray(fiber_set)
-            # an empty set reads as floats of shape (0,): no fibers
-            if len(fiber_set) and digits.shape != (len(fiber_set), n):
-                raise ValidationError(
-                    f"each contaminated fiber must be a list of {n} level indices"
-                )
-            need = f"contaminated fiber digits must be integers in [0, {k})"
-            digits = _checked(digits, int, need, 0, k - 1)
-            codes = digits.reshape(len(fiber_set), n).astype(np.int64) @ _place_values(k, n)
-            contaminated.append(codes)
-        return ExtendedExpr(base, projection, tuple(doc["extended_components"]), contaminated)
 
 
 @dataclass(frozen=True)
@@ -389,7 +383,8 @@ def gamma_extend(f: FuzzyExpr, spec: GammaSpec) -> FuzzyExpr:
     bad_components = incoherent_components(report)
     if not bad_components:
         return f
-    contaminated = [fibers[i] for i in bad_components]
+    k = len(spec.projection.level_values)
+    contaminated = [fiber_digits(fibers[i], k, f.in_arity) for i in bad_components]
     return ExtendedExpr(f, spec.projection, tuple(bad_components), contaminated)
 
 

@@ -226,11 +226,11 @@ def test_criterion_4_repair_guarantees():
         # the extension agrees after projection once its controls are
         # bound to the fiber baseline of the component they repair
         baseline = D.apply(expr.eval_batch(D.apply(xs)))
-        controls = baseline[:, list(extended.components)]
+        controls = baseline[:, list(extended.extended_components)]
         got = D.apply(extended.eval_batch(np.concatenate([xs, controls], axis=1)))
         want = D.apply(expr.eval_batch(xs))
         assert np.array_equal(got[coherent], want[coherent])
-        assert slot in extended.components
+        assert slot in extended.extended_components
 
 
 @pytest.mark.criterion(

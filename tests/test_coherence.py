@@ -377,7 +377,9 @@ CHUNK_EXPRS = {
     "affine": Affine(((0.3, 0.5, -0.2), (0.1, 0.1, 0.7)), (0.2, -0.1)),
     "piecewise": _piecewise(2),
     "norms": Compose(TConorm("lukasiewicz"), Parallel((TNorm("product"), TConorm("prob_sum")))),
-    "extended": ExtendedExpr(TConorm("lukasiewicz"), Projection.quantize(3), (0,), ((0, 1, 4),)),
+    "extended": ExtendedExpr(
+        TConorm("lukasiewicz"), Projection.quantize(3), (0,), (fiber_digits([0, 1, 4], 3, 2),)
+    ),
 }
 
 CHUNK_ROWS = {
@@ -529,8 +531,10 @@ def _assert_repaired(f, fibers, kind: str, repaired) -> None:
         assert repaired is f
     elif kind == "extend":
         assert isinstance(repaired, ExtendedExpr) and repaired.base is f
-        assert repaired.components == tuple(bad)
-        assert repaired.contaminated == tuple(tuple(fibers[i].tolist()) for i in bad)
+        assert repaired.extended_components == tuple(bad)
+        k = len(repaired.projection.level_values)
+        want = [fiber_digits(fibers[i], k, f.in_arity).tolist() for i in bad]
+        assert [s.tolist() for s in repaired.contaminated] == want
     else:
         assert isinstance(repaired, OutputModExpr) and repaired.base is f
         assert repaired.fallback is None
@@ -649,9 +653,10 @@ def repairs_of(draw, f: FuzzyExpr):
         return repaired
     if kind != "extend":
         return OutputModExpr(f, fallback, projection)
-    fibers = len(projection.level_values) ** n
-    contaminated = [draw(st.lists(st.integers(0, fibers - 1), max_size=4)) for _ in range(m)]
-    return ExtendedExpr(f, projection, tuple(range(m)), contaminated)
+    k = len(projection.level_values)
+    contaminated = [draw(st.lists(st.integers(0, k**n - 1), max_size=4)) for _ in range(m)]
+    digits = [fiber_digits(codes, k, n) for codes in contaminated]
+    return ExtendedExpr(f, projection, tuple(range(m)), digits)
 
 
 @st.composite

@@ -569,6 +569,10 @@ class TestTruthTable:
         t = TruthTable(1, 1, [[0], [1]])
         with pytest.raises(ValueError):
             t.rows[0, 0] = 1
+        rows = t.to_dict()["rows"]
+        with pytest.raises(TypeError, match="read-only"):
+            rows[1][0] = 0
+        assert rows == [[0], [1]] and t.rows.tolist() == [[0], [1]]
 
     def test_shape_validated(self):
         with pytest.raises(ValidationError):

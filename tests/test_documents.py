@@ -5,9 +5,7 @@ A report writes each of its fields, None as null, plus the keys it
 derives (a verdict, rendered formulas), minus the ones it leaves out (a
 trained model, kept in its own file).  A node writes ``node``, its
 signature and its ``payload_keys()``, its fields less the signature,
-and reads back as it was.  Only ``extended``, whose document holds
-fiber digits where the node holds fiber codes, declares
-``payload_fields`` and reads and writes its own payload.
+and reads back as it was.  No node reads or writes its own document.
 """
 
 import dataclasses
@@ -217,20 +215,11 @@ def test_node_documents_hold_their_payload_fields(kind):
         assert again == expr
 
 
-def _declaring(name: str) -> set[str]:
-    """The node classes that define ``name`` below ``FuzzyExpr``."""
-    return {cls.__name__ for cls in NODE_TYPES.values() for base in cls.__mro__
-            if base is not FuzzyExpr and name in vars(base)}
-
-
-def test_only_nodes_whose_documents_are_not_their_fields_write_their_own_payload():
-    """Fiber digits in place of codes: every other node writes its
-    fields as they are."""
-    assert _declaring("to_payload") == {"ExtendedExpr"}
-
-
-@pytest.mark.parametrize("name", ["payload_fields", "from_payload"])
-def test_only_nodes_whose_documents_are_not_their_fields_read_their_own_payload(name):
-    """Every other node's payload keys are its fields, read by their
-    declared types."""
-    assert _declaring(name) == {"ExtendedExpr"}
+@pytest.mark.parametrize("hook", ["to_payload", "from_payload", "payload_fields"])
+def test_no_node_reads_or_writes_its_own_document(hook):
+    """Every node document is its fields, written by ``core._fields``
+    and read by ``core._arguments``: neither ``FuzzyExpr`` nor any node
+    class defines a document hook of its own."""
+    classes = {base for cls in NODE_TYPES.values() for base in cls.__mro__}
+    assert FuzzyExpr in classes
+    assert [cls.__name__ for cls in classes if hook in vars(cls)] == []

@@ -14,6 +14,7 @@ from cohexp import (
     Condition,
     Const,
     ContractError,
+    Coord,
     ExtendedExpr,
     GammaSpec,
     LiftedProjection,
@@ -123,8 +124,8 @@ class TestDomainExtension:
     def test_contaminated_fiber_is_the_origin_class(self, luk_or):
         ext = gamma_extend(luk_or, extend_spec())
         assert isinstance(ext, ExtendedExpr)
-        assert ext.components == (0,)
-        assert ext.contaminated == ((0,),)  # fiber code of d(x) = (0, 0)
+        assert ext.extended_components == (0,)
+        assert [s.tolist() for s in ext.contaminated] == [[[0, 0]]]  # d(x) = (0, 0)
         assert ext.in_arity == 3 and ext.out_arity == 1
 
     def test_control_input_decides_contaminated_fibers(self, luk_or):
@@ -158,7 +159,7 @@ class TestDomainExtension:
         block = (Condition(0, "ge", 0.5), Condition(0, "lt", 0.8), Condition(1, "lt", 0.5))
         f = Piecewise((Piece(sliver, one), Piece(block, one)), Const((0.0,), in_arity=2))
         ext = gamma_extend(f, extend_spec())
-        assert ext.contaminated == ((2,),)  # fiber code of (1, 0)
+        assert [s.tolist() for s in ext.contaminated] == [[[1, 0]]]  # fiber code 2
         xs = GRID.sample(2)
         for c in (0.0, 1.0, 0.3):
             points = np.column_stack([xs, np.full(len(xs), c)])
@@ -167,7 +168,8 @@ class TestDomainExtension:
 
     def test_var_names_name_the_controls(self, luk_or, luk_and):
         assert gamma_extend(luk_or, extend_spec()).var_names == ("x", "y", "nc")
-        ext = ExtendedExpr(Parallel((luk_or, luk_and)), D, (0, 1), ((0,), (3,)))
+        contaminated = (fiber_digits([0], 2, 4), fiber_digits([3], 2, 4))
+        ext = ExtendedExpr(Parallel((luk_or, luk_and)), D, (0, 1), contaminated)
         assert ext.var_names == ("x", "y", "z", "x4", "nc1", "nc2")
 
     def test_idempotent(self, luk_or):
@@ -189,15 +191,13 @@ class TestDomainExtension:
         assert np.array_equal(got[coherent], want[coherent])
 
     def test_multi_component_extension(self, luk_or, luk_and):
-        from cohexp import Coord
-
         f = Compose(Parallel((luk_or, luk_and)), Coord((0, 1, 0, 1), 2))
         ext = gamma_extend(f, extend_spec())
         assert isinstance(ext, ExtendedExpr)
-        assert ext.components == (0, 1)
+        assert ext.extended_components == (0, 1)
         assert ext.in_arity == 4
         # or-component contaminated at fiber (0,0); and-component at (1,1)
-        assert ext.contaminated == ((0,), (3,))
+        assert [s.tolist() for s in ext.contaminated] == [[[0, 0]], [[1, 1]]]
         report = check_coherence(ext, D, SamplingSpec.random(20_000, seed=7))
         assert report.coherent_fraction == 1.0
 
@@ -213,16 +213,38 @@ class TestDomainExtension:
             assert doc["node"] == "extended"
             assert doc["contaminated"] == digits
             clone = from_dict(doc)
-            assert clone.contaminated == ext.contaminated
+            assert clone == ext
+            assert [s.tolist() for s in clone.contaminated] == digits
             xs = SamplingSpec.random(500, seed=3).sample(3)
             assert np.array_equal(clone.eval_batch(xs), ext.eval_batch(xs))
 
-    @pytest.mark.parametrize("digits", [[[0, 2]], [[0, -1]], [[0]], [[0, 0, 0]]])
+    @pytest.mark.parametrize("digits", [[[0, 2]], [[0, -1]], [[0]], [[0, 0, 0]], "ab", [[[0, 1]]]])
     def test_malformed_fiber_digits_rejected(self, luk_or, digits):
         doc = to_dict(gamma_extend(luk_or, extend_spec()))
         doc["contaminated"] = [digits]
-        with pytest.raises(SerializationError):
+        with pytest.raises(SerializationError) as info:
             from_dict(doc)
+        if isinstance(digits, str) or np.ndim(digits) == 3:
+            assert str(info.value) == (
+                "invalid 'extended' node: each contaminated fiber must be a list of 2 level indices"
+            )
+
+    def test_fiber_sets_read_back_in_code_order(self):
+        """An empty set stays empty, and a set's fibers read back sorted
+        by their codes, a fiber named twice kept twice; the document
+        written again is the one read."""
+        doc = {"node": "extended", "base": to_dict(Coord((0, 1), 2)), "projection": D.to_dict(),
+               "extended_components": [0, 1], "contaminated": [[], [[1, 0], [0, 1], [1, 0]]]}
+        ext = from_dict(doc)
+        assert [s.tolist() for s in ext.contaminated] == [[], [[0, 1], [1, 0], [1, 0]]]
+        assert all(not s.flags.writeable and s.dtype == np.int64 for s in ext.contaminated)
+        assert ext.contaminated[0].shape == (0, 2)
+        again = to_dict(ext)
+        assert again["contaminated"] == [[], [[0, 1], [1, 0], [1, 0]]]
+        assert from_dict(again) == ext and to_dict(from_dict(again)) == again
+        assert hash(from_dict(again)) == hash(ext)
+        other = {**doc, "contaminated": [[], [[0, 1], [1, 0], [1, 1]]]}
+        assert from_dict(other) != ext and from_dict({**doc, "contaminated": [[], []]}) != ext
 
     @pytest.mark.parametrize("contaminated", [[[[[0, 1]], [[1, 0]]]], [[[0, 1, 1]]], [["ab"]]],
                              ids=["nested", "three-digits", "string"])
@@ -249,7 +271,8 @@ class TestDomainExtension:
         rng = np.random.default_rng(len(case))
         total = k**n
         fibers = np.asarray(draw(rng, total), dtype=np.int64)
-        ext = ExtendedExpr(Const((0.25,), in_arity=n), Projection.quantize(k), (0,), (fibers.tolist(),))
+        digits = fiber_digits(fibers, k, n)
+        ext = ExtendedExpr(Const((0.25,), in_arity=n), Projection.quantize(k), (0,), (digits,))
         doc = to_dict(ext)
         assert len(doc["contaminated"]) == 1
         clone = from_dict(doc)
@@ -274,19 +297,19 @@ class TestDomainExtension:
         with pytest.raises(ValidationError):
             ExtendedExpr(luk_or, D, (), ())
         with pytest.raises(ValidationError):
-            ExtendedExpr(luk_or, D, (1,), ((0,),))
+            ExtendedExpr(luk_or, D, (1,), (fiber_digits([0], 2, 2),))
         with pytest.raises(ValidationError):
-            ExtendedExpr(luk_or, D, (0,), ((0,), (1,)))
-        doc = to_dict(ExtendedExpr(luk_or, D, (0,), ((0,),)))
+            ExtendedExpr(luk_or, D, (0,), (fiber_digits([0], 2, 2), fiber_digits([1], 2, 2)))
+        doc = to_dict(ExtendedExpr(luk_or, D, (0,), (fiber_digits([0], 2, 2),)))
         with pytest.raises(SerializationError, match="unknown projection kind 'identity'"):
             from_dict({**doc, "projection": {"kind": "identity"}})
         with pytest.raises(ValidationError):
             gamma_extend(luk_or, output_mod_spec())
 
     @pytest.mark.parametrize("components, contaminated", [
-        ((0.9,), ((0,),)),
-        ((0,), ((0.5, 1),)),
-        (("0",), ((0,),)),
+        ((0.9,), (fiber_digits([0], 2, 2),)),
+        ((0,), (fiber_digits([0, 1], 2, 2) / 2,)),
+        (("0",), (fiber_digits([0], 2, 2),)),
     ], ids=["component-float", "code-float", "component-string"])
     def test_fractional_fields_refused(self, luk_or, components, contaminated):
         with pytest.raises(ValidationError):
@@ -294,11 +317,15 @@ class TestDomainExtension:
 
     @pytest.mark.parametrize("code", [-5, 4, 7])
     def test_codes_outside_the_fibers_refused(self, luk_or, code):
-        """A stored code names one of the ``2**2`` fibers: another one
-        would be saved as some fiber's digits and read back as that
-        fiber, a different repair."""
+        """A stored fiber is one of the ``2**2`` fibers: a code outside
+        them has no digits, and its base-2 digits with the leading one
+        unbounded (``code // 2``, ``code % 2``) name no fiber either, so
+        no other fiber can be saved and read back as one of them."""
         with pytest.raises(ValidationError, match=r"in \[0, 2\*\*2\), got") as info:
-            ExtendedExpr(luk_or, D, (0,), ((code,),))
+            fiber_digits([code], 2, 2)
+        assert info.value.code == "E_INPUT"
+        with pytest.raises(ValidationError, match=r"in \[0, 2\), got") as info:
+            ExtendedExpr(luk_or, D, (0,), ([[code // 2, code % 2]],))
         assert info.value.code == "E_INPUT"
 
 

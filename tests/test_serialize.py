@@ -332,11 +332,16 @@ class TestDumps:
                 assert dumps(doc) == self._stdlib(doc)
 
     def test_table_rows_are_their_plain_list(self):
+        """Each row is a list that compares, prints and encodes as the
+        plain row does; only its type differs, since it refuses
+        changes."""
         table = TruthTable(3, 2, np.random.default_rng(3).integers(0, 2, (8, 2)))
         rows, plain = table.to_dict()["rows"], table.rows.tolist()
         assert rows == plain and repr(rows) == repr(plain)
         assert json.dumps(rows) == json.dumps(plain)
-        assert all(type(row) is list and all(type(v) is int for v in row) for row in rows)
+        for row, want in zip(rows, plain):
+            assert isinstance(row, list) and row == want and repr(row) == repr(want)
+            assert all(type(v) is int for v in row) and type(list(row)) is list
 
     @pytest.mark.parametrize("edit", [
         lambda rows: rows.__setitem__(0, [1]), lambda rows: rows.__delitem__(slice(0, 1)),
@@ -344,10 +349,13 @@ class TestDumps:
         lambda rows: rows.insert(0, [1]), lambda rows: rows.pop(), lambda rows: rows.remove([0]),
         lambda rows: rows.clear(), lambda rows: rows.sort(), lambda rows: rows.reverse(),
         lambda rows: rows.__iadd__([[1]]), lambda rows: rows.__imul__(2),
+        lambda rows: rows[1].__setitem__(0, 0), lambda rows: rows[0].append(1),
+        lambda rows: rows[0].__iadd__([1]), lambda rows: rows[1].pop(),
+        lambda rows: rows[0].clear(), lambda rows: rows[1].__delitem__(0),
     ])
     def test_table_rows_refuse_changes(self, edit):
         """The rows ``dumps`` writes from the table's array cannot drift
-        from it."""
+        from it: neither the list nor a row takes a change."""
         doc = TruthTable(1, 1, [[0], [1]]).to_dict()
         with pytest.raises(TypeError, match="read-only"):
             edit(doc["rows"])
@@ -358,6 +366,10 @@ class TestDumps:
         for twin in (list(rows), rows.copy(), rows[:], copy.copy(rows), copy.deepcopy(rows),
                      pickle.loads(pickle.dumps(rows))):
             assert type(twin) is list and twin == rows
+        for twin in (copy.copy(rows), copy.deepcopy(rows), pickle.loads(pickle.dumps(rows)),
+                     copy.deepcopy(list(rows)), [list(r) for r in rows],
+                     [copy.copy(r) for r in rows]):
+            assert all(type(row) is list for row in twin) and twin == rows
 
     def test_edited_copies_of_table_rows_are_written_as_lists(self):
         """A copy of a table's rows, edited so that no table holds it, is
