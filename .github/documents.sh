@@ -143,6 +143,15 @@ run check-affine-normalised check --expr in/affine-normalised.json --grid 3
 run check-extended check --expr repair-norms4.json --quantize 4 --random 2000 --seed 3 \
     --format structured
 run check-mlp check --expr exp-xor/model.json --grid 33 --witness-limit 2 --format structured
+# random samples of several 8 192-point slices, with a ragged last one:
+# the table path (9 fibers, 2 components), the per-point path (64**4
+# fibers), and a domain extension's scan and verification
+run check-affine-slices check --expr in/affine.json --quantize 3 --random 20001 --seed 5 \
+    --witness-limit 5 --format structured
+run check-norms4-slices check --expr in/norms4.json --quantize 64 --random 20001 --seed 5 \
+    --witness-limit 5 --format structured
+run repair-norms4-slices repair --expr in/norms4.json --gamma extend --quantize 4 \
+    --random 20001 --seed 5 --out-expr repair-norms4-slices.json --format structured
 
 # -- explanations --------------------------------------------------------
 run explain-luk-or explain --expr in/luk-or.json --format structured

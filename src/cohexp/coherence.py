@@ -29,11 +29,12 @@ every fiber the sample meets (:func:`_baseline_table`); with more,
 
 Every check walks its sample in those slices, one at a time
 (:func:`_check_sample`), so the report equals evaluating every point
-at once byte for byte.  A random sample is drawn once; a grid is never
-materialised: its points follow from their indices (``core.fiber_digits``),
-and only its work is capped (``_MAX_GRID_POINTS``).  A grid with no
-more projection levels than points per axis meets every fiber, so its
-table is over all of them.
+at once byte for byte.  No check materialises its sample: each slice
+is read when it is walked (``SamplingSpec._rows``), a grid's points
+from their indices (``core.fiber_digits``) and a random sample's from
+their place in the generator's stream.  Only a grid's work is capped
+(``_MAX_GRID_POINTS``).  A grid with no more projection levels than
+points per axis meets every fiber, so its table is over all of them.
 
 Such a grid is not evaluated point by point when it has at least
 ``_MIN_BOX_POINTS`` points, its fibers average at least 8 points each,
@@ -69,6 +70,7 @@ slices' temporaries from its heap whatever the process freed before
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -99,9 +101,11 @@ __all__ = [
 DEFAULT_WITNESS_CAP = 100
 
 # Sampling refuses more points, or more coordinates (points times arity:
-# 512 MiB), than these, before anything is drawn: they cap what a drawn
-# sample holds, and the fiber table, offender fibers and box decisions
-# of a grid.
+# 512 MiB), than these, before anything is drawn: they cap what
+# SamplingSpec.sample holds, the per-point arrays a random check keeps
+# for its witnesses (it reads its sample a slice at a time, and refuses
+# what sample() would), and the fiber table, offender fibers and box
+# decisions of a grid.
 _MAX_SAMPLE_POINTS = 4_194_304
 _MAX_SAMPLE_COORDS = 16 * _MAX_SAMPLE_POINTS
 
@@ -196,28 +200,36 @@ class SamplingSpec:
         """Materialise the sample as a ``(N, arity)`` float64 array.
 
         Grid points are emitted in lexicographic order with axis 0
-        slowest; random points in generator order.
+        slowest; random points in generator order.  A sample over no
+        inputs is its one point.
         """
         if arity < 0:
             raise ValidationError("arity must be >= 0")
-        if arity == 0:
-            return np.zeros((1, 0), dtype=np.float64)
         total = self._size(arity)
-        if self.mode == "random":
-            return np.random.default_rng(self.seed).random((total, arity))
-        k = self.points_per_axis
-        axis = np.linspace(0.0, 1.0, k)
         out = np.empty((total, arity))
         for lo in range(0, total, EVAL_CHUNK):
-            codes = np.arange(lo, min(lo + EVAL_CHUNK, total))
-            out[lo : lo + EVAL_CHUNK] = axis[fiber_digits(codes, k, arity)]
+            out[lo : lo + EVAL_CHUNK] = self._rows(arity, lo, min(lo + EVAL_CHUNK, total))
         return out
 
+    def _rows(self, arity: int, lo: int, hi: int) -> np.ndarray:
+        """Rows ``lo:hi`` of the sample over ``arity`` inputs, in any
+        order of calls.  A grid point follows from its index
+        (``core.fiber_digits``); a random one from its place in the
+        generator's stream, which PCG64 jumps to: each float64 takes
+        one 64-bit draw."""
+        if self.mode == "random":
+            rng = np.random.default_rng(self.seed)
+            rng.bit_generator.advance(int(lo) * arity)  # numpy integers overflow there
+            return rng.random((hi - lo, arity))
+        k = self.points_per_axis
+        return np.linspace(0.0, 1.0, k)[fiber_digits(np.arange(lo, hi), k, arity)]
+
     def _size(self, arity: int, walked: bool = False) -> int:
-        """The number of points over ``arity >= 1`` inputs; a sample over
-        the caps is a ``CapacityError``.  A ``walked`` grid is never
-        drawn: it is capped at ``_MAX_GRID_POINTS`` points and no
-        coordinates."""
+        """The number of points over ``arity`` inputs (one over none); a
+        sample over the caps is a ``CapacityError``.  A ``walked`` grid
+        is capped at ``_MAX_GRID_POINTS`` points and no coordinates."""
+        if arity == 0:
+            return 1
         k = self.points_per_axis or 0
         cap = _MAX_GRID_POINTS if walked else _MAX_SAMPLE_POINTS
         # k >= 2, so a grid over cap.bit_length() or more axes is over the
@@ -324,22 +336,25 @@ def fiber_table(f: FuzzyExpr, projection: Projection, codes: np.ndarray) -> np.n
 
 
 def _baseline_table(
-    f: FuzzyExpr, projection: Projection, total: int, held: np.ndarray | None = None
+    f: FuzzyExpr,
+    projection: Projection,
+    total: int,
+    rows: Callable[[int, int], np.ndarray] | None = None,
 ) -> np.ndarray | None:
     """The fiber table of every fiber a sample of ``total`` points meets,
     one row per fiber code (the rows of fibers it misses are unset), or
     ``None`` where fibers outnumber ``min(total, _MAX_SAMPLE_POINTS)``.
-    A grid (``held`` is ``None``) then has no more levels than points
-    per axis, so it meets every fiber; the fibers of a ``held`` sample
-    are found a slice at a time."""
+    A grid (``rows`` is ``None``) then has no more levels than points
+    per axis, so it meets every fiber; the fibers of another sample are
+    found a slice at a time, ``rows(lo, hi)`` giving rows ``lo:hi``."""
     fibers = len(projection.level_values) ** f.in_arity
     if fibers > min(total, _MAX_SAMPLE_POINTS):
         return None
     present = np.arange(fibers)
-    if held is not None:
+    if rows is not None:
         seen = np.zeros(fibers, dtype=bool)
         for lo in range(0, total, EVAL_CHUNK):
-            seen[fiber_codes(projection, held[lo : lo + EVAL_CHUNK])] = True
+            seen[fiber_codes(projection, rows(lo, min(lo + EVAL_CHUNK, total)))] = True
         present = np.flatnonzero(seen)
     table = np.empty((fibers, f.out_arity), dtype=np.float64)
     table[present] = fiber_table(f, projection, present)
@@ -367,7 +382,7 @@ def projected_outputs(
     of the fibers present in ``xs`` where a check's would be
     (:func:`_baseline_table`)."""
     xs = _check_batch(xs, f.in_arity)  # its fibers are found before it is evaluated
-    table = _baseline_table(f, projection, len(xs), xs)
+    table = _baseline_table(f, projection, len(xs), lambda lo, hi: xs[lo:hi])
     out = np.empty((3, len(xs), f.out_arity), dtype=np.float64)
     for lo in range(0, len(xs), EVAL_CHUNK):
         rows = xs[lo : lo + EVAL_CHUNK]
@@ -571,9 +586,10 @@ def _check_sample(
 ) -> CoherenceReport:
     """A check one ``EVAL_CHUNK`` slice at a time (see the module
     docstring): the walk, a grid's box decisions (:func:`_decide_boxes`)
-    and the choice of witnesses.  A random sample is drawn once; the
-    points of a grid follow from their indices, so a grid is capped at
-    ``_MAX_GRID_POINTS`` points, unless ``offender_fibers`` is given.
+    and the choice of witnesses.  Every slice is read when it is walked
+    (``SamplingSpec._rows``), so no sample is held whole; a grid is
+    capped at ``_MAX_GRID_POINTS`` points, unless ``offender_fibers`` is
+    given, and a random sample at the caps of a drawn one.
 
     A walked grid slice keeps the rows of its offenders in the
     components that have found fewer than ``witness_cap`` so far, and a
@@ -581,7 +597,8 @@ def _check_sample(
     sample order.  A random sample takes the seeded subset of its
     offenders once their count is known, so with a cap above 0 it keeps
     ``f(x)``, the baseline and the verdicts of every point, in arrays
-    whose size does not depend on how many offend.
+    whose size does not depend on how many offend, and reads the points
+    of the witnesses it chose back from the sample.
 
     Given ``offender_fibers``, the check appends to it, per component,
     the sorted fiber codes that hold an offender: the fiber of each
@@ -595,11 +612,10 @@ def _check_sample(
     np.empty(_HEAP_PRIMER_BYTES, dtype=np.uint8)
     n, m = f.in_arity, f.out_arity
     random = sampling.mode == "random"
-    held = sampling.sample(n) if random else None
     # a grid is walked, and so capped by its work, unless the walk keeps
     # offender fibers, whose lists grow with the offenders
-    total = sampling._size(n, offender_fibers is None) if held is None else len(held)
-    table = _baseline_table(f, projection, total, held)
+    total = sampling._size(n, not random and offender_fibers is None)
+    table = _baseline_table(f, projection, total, partial(sampling._rows, n) if random else None)
     slices = -(-total // EVAL_CHUNK)
     cap = min(witness_cap, total)
     # (x, f(x), baseline, bad) of grid offenders that may be witnesses
@@ -613,15 +629,12 @@ def _check_sample(
     found = np.zeros(m + 1, dtype=np.int64)  # the _tally of the walked slices
     # per component, the fiber codes of offenders, for offender_fibers
     hits = [[np.empty(0, dtype=np.int64)] for _ in range(m)]
-    if held is None:
-        k = sampling.points_per_axis
-        axis = np.linspace(0.0, 1.0, k)
 
     def walk(s: int) -> np.ndarray:
         """Evaluate slice ``s`` whole, keep what its witnesses may need,
         add its tally to ``found`` and return its verdicts."""
         lo, hi = s * EVAL_CHUNK, min((s + 1) * EVAL_CHUNK, total)
-        xs = axis[fiber_digits(np.arange(lo, hi), k, n)] if held is None else held[lo:hi]
+        xs = sampling._rows(n, lo, hi)
         fx, direct, baseline = _slice_outputs(f, projection, xs, table)
         ok = direct == baseline
         if keep_all:
@@ -643,6 +656,8 @@ def _check_sample(
     # a floor of 0 decides boxes on every grid
     per = _MIN_BOX_POINTS // 8
     if not random and table is not None and total * per >= _MIN_BOX_POINTS * max(len(table), per):
+        k = sampling.points_per_axis
+        axis = np.linspace(0.0, 1.0, k)
         boxes = _decide_boxes(f, projection, axis, table)
         if boxes is not None:
             tally, (blo, bhi, bad, bad_codes), (llo, lhi, lcodes) = boxes
@@ -678,15 +693,23 @@ def _check_sample(
 
     if offender_fibers is not None:
         offender_fibers.extend(np.unique(np.concatenate(h)) for h in hits)
-    xs, fx, baseline, bad = (held, outs, bases, bads) if keep_all else _joined(kept)
+    if keep_all:
+        fx, baseline, bad = outs, bases, bads
+    else:
+        xs, fx, baseline, bad = _joined(kept)
     components = []
     for i in range(m):
         at = np.flatnonzero(bad[:, i])
         if at.size > cap and random:
             rng = np.random.default_rng([sampling.seed, 0x5EED, i])
             at = at[np.sort(rng.choice(at.size, size=cap, replace=False))]
-        witnesses = tuple(_witness(projection, xs[j], fx[j], i, baseline[j]) for j in at[:cap])
-        components.append(ComponentReport(i, float(1.0 - int(counts[i]) / total), witnesses))
+        witnesses = []
+        for j in at[:cap]:
+            # a random sample's witness points are read back once chosen
+            x = sampling._rows(n, j, j + 1)[0] if keep_all else xs[j]
+            witnesses.append(_witness(projection, x, fx[j], i, baseline[j]))
+        fraction = float(1.0 - int(counts[i]) / total)
+        components.append(ComponentReport(i, fraction, tuple(witnesses)))
     return CoherenceReport(
         projection=projection,
         sampling=sampling,

@@ -101,6 +101,53 @@ class TestSamplingSpec:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 3 * EVAL_CHUNK + 5),
+        st.integers(1, 6),
+        st.integers(0, 2**64),
+        st.sampled_from(["row", "last", "across", "any"]),
+        st.data(),
+    )
+    def test_random_rows_are_the_direct_draw(self, count, arity, seed, kind, data):
+        """Rows ``lo:hi`` of a random sample are those rows of one
+        ``default_rng(seed).random((count, arity))`` draw, byte for byte:
+        a single row at any offset, the ragged last slice, a range
+        across a slice boundary or any range."""
+        lo = data.draw(st.integers(0, count - 1))
+        hi = lo + 1
+        if kind == "last":
+            lo, hi = (count - 1) // EVAL_CHUNK * EVAL_CHUNK, count
+        elif kind == "across" and count > EVAL_CHUNK:
+            edge = EVAL_CHUNK * data.draw(st.integers(1, (count - 1) // EVAL_CHUNK))
+            lo, hi = data.draw(st.integers(0, edge - 1)), data.draw(st.integers(edge + 1, count))
+        elif kind == "any":
+            hi = data.draw(st.integers(lo + 1, count))
+        expected = np.random.default_rng(seed).random((count, arity))[lo:hi]
+        rows = SamplingSpec.random(count, seed)._rows(arity, lo, hi)
+        assert rows.shape == expected.shape and rows.dtype == expected.dtype
+        assert rows.tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(2, 40), st.integers(1, 4), st.data())
+    def test_grid_rows_are_the_lattice(self, k, arity, data):
+        """Rows ``lo:hi`` of a grid are those rows of the meshgrid
+        lattice, byte for byte."""
+        assume(k**arity <= 3 * EVAL_CHUNK + 5)
+        axis = np.linspace(0.0, 1.0, k)
+        lattice = np.stack(np.meshgrid(*([axis] * arity), indexing="ij"), -1).reshape(-1, arity)
+        lo = data.draw(st.integers(0, k**arity - 1))
+        hi = data.draw(st.integers(lo + 1, k**arity))
+        rows = SamplingSpec.grid(k)._rows(arity, lo, hi)
+        assert rows.shape == (hi - lo, arity) and rows.tobytes() == lattice[lo:hi].tobytes()
+
+    @pytest.mark.parametrize(
+        "spec", [SamplingSpec.grid(5), SamplingSpec.random(50, seed=3)], ids=["grid", "random"]
+    )
+    def test_rows_over_no_inputs_are_one_point(self, spec):
+        assert spec._size(0) == 1
+        assert spec._rows(0, 0, 1).shape == spec.sample(0).shape == (1, 0)
+
     def test_grid_capacity_cap(self):
         with pytest.raises(CapacityError):
             SamplingSpec.grid(101).sample(4)
@@ -822,6 +869,28 @@ def test_random_checks_match_every_point_evaluated(case, cap):
     assert dumps(report.to_dict()) == dumps(expected)
 
 
+@pytest.mark.parametrize(
+    "projection", [Projection.threshold(0.5), Projection.quantize(64)], ids=["table", "per-point"]
+)
+def test_random_checks_hold_no_whole_sample(projection, monkeypatch):
+    """A random check reads its sample a slice at a time, on the table
+    path (whose fibers it finds by reading the sample once more) and the
+    per-point path: with no witnesses to keep, the traced peak of a
+    check of 300 000 points over 6 inputs stays below half of the
+    14.4 MB the sample takes."""
+    monkeypatch.setattr(coherence_module, "_HEAP_PRIMER_BYTES", 0)
+    f = Affine(((1 / 6,) * 6,), (0.0,))
+    sampling = SamplingSpec.random(300_000, seed=11)
+    tracemalloc.start()
+    try:
+        report = check_coherence(f, projection, sampling, witness_cap=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_points == 300_000
+    assert peak < 300_000 * 6 * 8 / 2
+
+
 @st.composite
 def bounded_exprs(draw, n: int):
     """A scalar tree or a network over ``n`` inputs, or a repair of one."""
@@ -1133,15 +1202,10 @@ def test_grid_boxes_need_bounds_everywhere(threshold, monkeypatch):
 @contextmanager
 def nothing_materialised():
     """Inside this context a check or a repair may not evaluate its
-    whole sample at once, and may draw only a random sample, once."""
-    drawn = []
-    sample = SamplingSpec.sample
+    whole sample at once, nor draw it."""
 
     def draw(spec, arity):
-        if spec.mode == "grid" or drawn:
-            raise AssertionError("a check drew a grid, or a random sample twice")
-        drawn.append(arity)
-        return sample(spec, arity)
+        raise AssertionError("a check drew its whole sample")
 
     def refuse(*args, **kwargs):
         raise AssertionError("a check evaluated its whole sample at once")
@@ -1201,8 +1265,8 @@ MATERIALISED_CASES = {
 def test_grid_checks_never_materialise(name, mode, run, monkeypatch):
     """A grid check equals the materialised report without drawing the
     sample or calling ``projected_outputs``, whether it walks every
-    slice or decides boxes.  A random check of as many points draws its
-    sample once, and does not call ``projected_outputs`` either.  ``run``
+    slice or decides boxes.  A random check of as many points does
+    neither: it reads its sample a slice at a time too.  ``run``
     is the check's witness cap, or names a repair: both repairs scan the
     sample the same way, with no whole-sample scan of ``f``, and decide
     what the materialised scan decides."""
@@ -1239,8 +1303,8 @@ def test_grid_checks_never_materialise(name, mode, run, monkeypatch):
 @pytest.mark.parametrize("values", [(0.3,), (0.7, 0.5)], ids=["one-output", "two-outputs"])
 def test_checks_over_no_inputs_take_one_point(values, sampling, cap):
     """A sample over no inputs is its one point, for grids and random
-    samples alike, as evaluating the drawn sample at once reports; a
-    grid is walked, not drawn, as over one or more inputs.  Both
+    samples alike, as evaluating the drawn sample at once reports; the
+    sample is walked, not drawn, as over one or more inputs.  Both
     repairs find the constant coherent there."""
     f = BatchRecorder(Const(values))
     projection = Projection.threshold(0.5)
