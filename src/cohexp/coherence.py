@@ -27,12 +27,18 @@ points, and at most ``_MAX_SAMPLE_POINTS``, the baseline
 every fiber the sample meets (:func:`_baseline_table`); with more,
 ``f`` is evaluated at every projected point of the slice.
 
-Every check walks its sample in those slices, one at a time
-(:func:`_check_sample`), so the report equals evaluating every point
-at once byte for byte.  No check materialises its sample: each slice
-is read when it is walked (``SamplingSpec._rows``), a grid's points
-from their indices (``core.fiber_digits``) and a random sample's from
-their place in the generator's stream.  Only a grid's work is capped
+Every check walks its sample in those slices (:func:`_check_sample`),
+so the report equals evaluating every point at once byte for byte.  A
+grid's slices are walked one at a time, in order.  A random sample's
+are shared by the calling thread and, where the process may run on two
+CPUs or more, one helper thread (at most one in the process), each
+taking the next slice until none is left (:func:`_walk_every`); each
+slice writes only its own rows and its own tally, so the report has the
+same bytes whichever walker takes which slice.  No check materialises
+its sample: each slice is read when it is walked
+(``SamplingSpec._rows``), a grid's points from their indices
+(``core.fiber_digits``) and a random sample's from their place in the
+generator's stream.  Only a grid's work is capped
 (``_MAX_GRID_POINTS``).  A grid with no more projection levels than
 points per axis meets every fiber, so its table is over all of them.
 
@@ -64,11 +70,16 @@ bad boxes, bad leaf rows and offenders in walked slices), and the
 canonical output modification reads the check's coherent fraction.
 Every check first frees a 16 MiB block, so that glibc serves the
 slices' temporaries from its heap whatever the process freed before
-(``_HEAP_PRIMER_BYTES``).
+(``_HEAP_PRIMER_BYTES``).  Each walker holds one slice of temporaries,
+in its own glibc arena.  Beyond them a random check that chooses
+witnesses keeps 11 bytes a point and component: ``f(x)``, the
+baseline's level index (``uint16``) and the verdict.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -153,6 +164,16 @@ _GATHER_MARGIN = 1e-12
 # larger block leaves the threshold as it was.  np.empty touches none of
 # its pages.
 _HEAP_PRIMER_BYTES = 16 << 20
+
+# A random sample's slices are walked by this many threads: the caller
+# and, with two, one helper.  Each walker holds one slice of temporaries
+# (in its own glibc arena), and more than two were not measured.
+_WALKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+# held by a walk while its helper thread runs, so that at most one helper
+# exists: a walk that finds it held, by a check on another thread, walks
+# alone
+_helper_busy = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -447,12 +468,12 @@ def check_coherence(
     return _check_sample(f, projection, sampling, witness_cap)
 
 
-def _witness(projection: Projection, point, output, i: int, baseline) -> Witness:
+def _witness(projection: Projection, point, output, i: int, via: float) -> Witness:
     return Witness(
         point=tuple(float(v) for v in point),
         output=tuple(float(v) for v in output),
         projected_direct=float(projection.apply(output[i])),
-        projected_via_projected_inputs=float(baseline[i]),
+        projected_via_projected_inputs=float(via),
     )
 
 
@@ -577,6 +598,53 @@ def _decide_boxes(f: FuzzyExpr, projection: Projection, axis: np.ndarray, table:
     return tally, _joined(bad_boxes), _joined(leaves)
 
 
+def _walk_every(walk: Callable[[int], object], slices: int) -> None:
+    """``walk(s)`` for every ``s`` in ``range(slices)``, in no set order:
+    the caller and, with ``_WALKERS`` at 2, one helper thread each pull
+    the next slice until none is left.  The helper runs under the
+    caller's numpy error state, which numpy keeps per thread.  An error
+    in either walker stops the other at its next pull, and the call
+    returns or raises only once the helper has ended: the caller's own
+    error first, else the helper's."""
+    if _WALKERS < 2 or slices < 2 or not _helper_busy.acquire(blocking=False):
+        for s in range(slices):
+            walk(s)
+        return
+    pulls, lock, failed = iter(range(slices)), threading.Lock(), threading.Event()
+    errors: list[BaseException] = []
+
+    def pull() -> None:
+        while not failed.is_set():
+            with lock:
+                s = next(pulls, None)
+            if s is None:
+                return
+            try:
+                walk(s)
+            except BaseException:
+                failed.set()
+                raise
+
+    def helped(err: dict) -> None:
+        with np.errstate(**err):
+            try:
+                pull()
+            except BaseException as exc:  # the caller raises it
+                errors.append(exc)
+
+    try:
+        helper = threading.Thread(target=helped, args=(np.geterr(),), name="cohexp-walk")
+        helper.start()
+        try:
+            pull()
+        finally:
+            helper.join()
+    finally:
+        _helper_busy.release()
+    if errors:
+        raise errors[0]
+
+
 def _check_sample(
     f: FuzzyExpr,
     projection: Projection,
@@ -596,9 +664,11 @@ def _check_sample(
     grid's witnesses are the first ``witness_cap`` of each component, in
     sample order.  A random sample takes the seeded subset of its
     offenders once their count is known, so with a cap above 0 it keeps
-    ``f(x)``, the baseline and the verdicts of every point, in arrays
-    whose size does not depend on how many offend, and reads the points
-    of the witnesses it chose back from the sample.
+    ``f(x)``, the baseline's level index and the verdicts of every
+    point, in arrays whose size does not depend on how many offend, and
+    reads the points of the witnesses it chose back from the sample.  Its
+    slices are walked on two threads where it may (:func:`_walk_every`);
+    a grid's in order, on the calling thread.
 
     Given ``offender_fibers``, the check appends to it, per component,
     the sorted fiber codes that hold an offender: the fiber of each
@@ -621,29 +691,42 @@ def _check_sample(
     # (x, f(x), baseline, bad) of grid offenders that may be witnesses
     kept = [(np.empty((0, n)), *[np.empty((0, m))] * 2, np.empty((0, m), dtype=bool))]
     # which offenders of a random sample are witnesses depends on their
-    # count, so it keeps every point's: arrays of one size whatever that
-    # count (a list of offenders made the heap, and peak memory, vary)
+    # count, so it keeps every point's f(x), baseline and verdicts: arrays
+    # of one size whatever that count (a list of offenders made the heap,
+    # and peak memory, vary).  The baseline is kept as its level index,
+    # which a uint16 holds (at most _MAX_LEVELS levels): 11 bytes a point
+    # and component in all
     keep_all = random and cap > 0
     if keep_all:
-        outs, bases, bads = *np.empty((2, total, m)), np.empty((total, m), dtype=bool)
-    found = np.zeros(m + 1, dtype=np.int64)  # the _tally of the walked slices
-    # per component, the fiber codes of offenders, for offender_fibers
+        outs, bads = np.empty((total, m)), np.empty((total, m), dtype=bool)
+        levels = np.empty((total, m), dtype=np.uint16)
+        top = len(projection.level_values) - 1
+    # the _tally of each walked slice, and a grid's running sum of them,
+    # which picks what it keeps and walks
+    tallies = np.zeros((slices, m + 1), dtype=np.int64)
+    found = np.zeros(m + 1, dtype=np.int64)
+    # per component, the fiber codes of offenders, for offender_fibers, in
+    # any order: np.unique sorts them
     hits = [[np.empty(0, dtype=np.int64)] for _ in range(m)]
 
     def walk(s: int) -> np.ndarray:
         """Evaluate slice ``s`` whole, keep what its witnesses may need,
-        add its tally to ``found`` and return its verdicts."""
+        write its tally to ``tallies[s]`` (on a grid, add it to
+        ``found``) and return its verdicts.  A random sample's slices
+        write only their own rows and slots, so they may be walked in any
+        order, on two threads."""
         lo, hi = s * EVAL_CHUNK, min((s + 1) * EVAL_CHUNK, total)
         xs = sampling._rows(n, lo, hi)
         fx, direct, baseline = _slice_outputs(f, projection, xs, table)
         ok = direct == baseline
         if keep_all:
-            outs[lo:hi], bases[lo:hi], bads[lo:hi] = fx, baseline, ~ok
-        else:
+            outs[lo:hi], levels[lo:hi], bads[lo:hi] = fx, np.round(baseline * top), ~ok
+        elif not random:
             rows = np.flatnonzero(~ok[:, found[:m] < cap].all(axis=1))
             kept.append((xs[rows], fx[rows], baseline[rows], ~ok[rows]))
-        counted = _tally(ok)
-        found[:] += counted
+        counted = tallies[s] = _tally(ok)
+        if not random:
+            found[:] += counted
         if offender_fibers is not None:
             for i in np.flatnonzero(counted[:m]):
                 hits[i].append(fiber_codes(projection, xs[~ok[:, i]]))
@@ -687,14 +770,18 @@ def _check_sample(
                     hits[i] += [bad_codes[bad[:, i]], codes[~ok[:, i]]]
             counts = tally + _tally(ok)
     if counts is None:
-        for s in range(slices):
-            walk(s)
-        counts = found
+        if random:
+            _walk_every(walk, slices)
+        else:
+            # a grid keeps its first offenders: its slices go in order
+            for s in range(slices):
+                walk(s)
+        counts = tallies.sum(axis=0)
 
     if offender_fibers is not None:
         offender_fibers.extend(np.unique(np.concatenate(h)) for h in hits)
     if keep_all:
-        fx, baseline, bad = outs, bases, bads
+        fx, bad = outs, bads
     else:
         xs, fx, baseline, bad = _joined(kept)
     components = []
@@ -705,9 +792,12 @@ def _check_sample(
             at = at[np.sort(rng.choice(at.size, size=cap, replace=False))]
         witnesses = []
         for j in at[:cap]:
-            # a random sample's witness points are read back once chosen
-            x = sampling._rows(n, j, j + 1)[0] if keep_all else xs[j]
-            witnesses.append(_witness(projection, x, fx[j], i, baseline[j]))
+            if keep_all:
+                # a random sample's witness points are read back once chosen
+                x, via = sampling._rows(n, j, j + 1)[0], projection.level_values[levels[j, i]]
+            else:
+                x, via = xs[j], baseline[j, i]
+            witnesses.append(_witness(projection, x, fx[j], i, via))
         fraction = float(1.0 - int(counts[i]) / total)
         components.append(ComponentReport(i, fraction, tuple(witnesses)))
     return CoherenceReport(

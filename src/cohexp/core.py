@@ -959,8 +959,9 @@ class _TableRows(_ReadOnlyList):
     them, holding the table's ``uint8`` array too: ``serialize.dumps``
     writes the rows from the array in one pass, so neither the list nor
     a row takes a change.  Equal rows are one shared read-only list.
-    ``[list(r) for r in rows]`` is a copy to edit; a copy or pickle of
-    the rows is plain lists."""
+    ``[list(r) for r in rows]`` or ``copy.deepcopy(rows)`` is a copy to
+    edit; a copy or pickle of the rows is plain lists, but
+    ``copy.deepcopy(list(rows))`` keeps equal rows one shared list."""
 
     __slots__ = ("array",)
 
@@ -1037,7 +1038,9 @@ class TruthTable:
         """The table's document.  Its ``rows`` are read-only, as
         ``serialize.dumps`` writes them from the table's array: the list
         and each row refuse changes; edit a copy, ``[list(r) for r in
-        doc["rows"]]``."""
+        doc["rows"]]``.  Equal rows are one shared list, and
+        ``copy.deepcopy(list(doc["rows"]))`` keeps them shared, so
+        editing one row of it edits every equal row."""
         return _set_fields(self, rows=_TableRows)
 
     @staticmethod

@@ -287,24 +287,34 @@ def _prelu(z: np.ndarray, slope: float) -> np.ndarray:
     return np.where(z > 0, z, a)
 
 
+def _logits(model: MlpModel, xs: np.ndarray, cache: list | None = None) -> np.ndarray:
+    """The output layer's pre-activations on a batch.  Given a ``cache``,
+    appends each layer's (input, pre-activation) to it for the backward
+    pass; without one, a layer's input is freed before its activation is
+    made, and its pre-activation before the next layer's, so at most two
+    of a layer's arrays are held at once."""
+    a = xs
+    for i, (weights, bias) in enumerate(zip(model.weights, model.biases)):
+        z = a @ weights.T
+        z += bias
+        if cache is not None:
+            cache.append((a, z))
+        if i == len(model.slopes):
+            return z
+        del a
+        a = _prelu(z, model.slopes[i])
+        del z
+
+
 def _forward_cache(model: MlpModel, xs: np.ndarray) -> tuple[np.ndarray, list]:
     """Forward pass keeping (input, pre-activation) per layer."""
-    cache = []
-    a = xs
-    n_hidden = len(model.weights) - 1
-    for i in range(n_hidden + 1):
-        z = a @ model.weights[i].T
-        z += model.biases[i]
-        cache.append((a, z))
-        if i < n_hidden:
-            a = _prelu(z, model.slopes[i])
-    return _sigmoid(z), cache
+    cache: list = []
+    return _sigmoid(_logits(model, xs, cache)), cache
 
 
 def forward(model: MlpModel, xs: np.ndarray) -> np.ndarray:
     """Network output on a ``(N, in_arity)`` batch."""
-    out, _ = _forward_cache(model, np.asarray(xs, dtype=np.float64))
-    return out
+    return _sigmoid(_logits(model, np.asarray(xs, dtype=np.float64)))
 
 
 def _backward(model: MlpModel, cache: list, d_logits: np.ndarray, grads: tuple) -> None:

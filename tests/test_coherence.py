@@ -9,6 +9,8 @@ the 0.5 threshold, which pins the expected grid fractions exactly:
   ``{x >= 0.5, y >= 0.5, x+y < 1.5}``.
 """
 
+import sys
+import threading
 import tracemalloc
 from contextlib import contextmanager
 
@@ -833,14 +835,17 @@ RANDOM_PROJECTIONS = {
     **GRID_PROJECTIONS,
     # more fibers than points on most samples: the per-point baseline
     "q64": Projection.quantize(64),
+    # some level value times 23 is not its index: (i / 23) * 23 < i
+    "q24": Projection.quantize(24),
 }
 
 
 @st.composite
 def random_cases(draw):
     """A scalar tree over 1-4 inputs or a 1- or 2-output network, and a
-    random sample of it: from one point to three slices, with fibers the
-    sample misses where it is just large enough for a fiber table."""
+    random sample of it: from one point to four slices, the last one
+    ragged, with fibers the sample misses where it is just large enough
+    for a fiber table."""
     n = draw(st.integers(1, 4))
     if draw(st.booleans()):
         f = draw(scalar_exprs(n, 3))
@@ -849,8 +854,9 @@ def random_cases(draw):
     f = RowShifted(f) if draw(st.booleans()) else f
     name = draw(st.sampled_from(sorted(RANDOM_PROJECTIONS)))
     fibers = len(RANDOM_PROJECTIONS[name].level_values) ** n
-    count = draw(st.sampled_from([1, 7, fibers, fibers + 3, 2 * fibers, 3 * EVAL_CHUNK - 5]))
-    sampling = SamplingSpec.random(min(count, 3 * EVAL_CHUNK), seed=draw(st.integers(0, 2**32)))
+    count = draw(st.sampled_from(
+        [1, 7, fibers, fibers + 3, 2 * fibers, 3 * EVAL_CHUNK - 5, 3 * EVAL_CHUNK + 5]))
+    sampling = SamplingSpec.random(min(count, 4 * EVAL_CHUNK), seed=draw(st.integers(0, 2**32)))
     return f, name, sampling
 
 
@@ -889,6 +895,218 @@ def test_random_checks_hold_no_whole_sample(projection, monkeypatch):
         tracemalloc.stop()
     assert report.n_points == 300_000
     assert peak < 300_000 * 6 * 8 / 2
+
+
+@contextmanager
+def walkers(count: int):
+    """Inside this context a random sample's slices are walked by the
+    caller alone (1) or by the caller and the helper thread (2)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coherence_module, "_WALKERS", count)
+        yield
+
+
+@st.composite
+def walked_cases(draw):
+    """A function of 1-4 inputs and 1-3 outputs, a network or a tree per
+    output, and a random sample of it of two to five slices, most of
+    them ragged."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        parts = tuple(draw(scalar_exprs(n, 2)) for _ in range(m))
+        f = Compose(Parallel(parts), Coord(tuple(range(n)) * m, n))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        f = MlpExpr(init_model(n, (8,), m, rng))
+    name = draw(st.sampled_from(sorted(RANDOM_PROJECTIONS)))
+    count = draw(st.sampled_from(
+        [3 * EVAL_CHUNK + 5, EVAL_CHUNK + 1, 2 * EVAL_CHUNK, 5 * EVAL_CHUNK - 3]))
+    return f, RANDOM_PROJECTIONS[name], SamplingSpec.random(count, seed=draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(walked_cases(), st.sampled_from([0, 1, 100]))
+def test_one_walker_or_two_report_the_same(case, cap):
+    """A random check reports the same bytes whether the caller walks
+    every slice or shares them with the helper thread, and a domain
+    extension marks the same contaminated fibers."""
+    f, projection, sampling = case
+    reports, digits = [], []
+    for count in (1, 2):
+        with walkers(count):
+            reports.append(dumps(check_coherence(f, projection, sampling, cap).to_dict()))
+            repaired = apply_gamma(f, GammaSpec("extend", projection, sampling))
+        digits.append([d.tolist() for d in getattr(repaired, "contaminated", ())])
+    assert reports[0] == reports[1]
+    assert digits[0] == digits[1]
+
+
+def test_two_walkers_lose_no_update_under_rapid_switching(monkeypatch):
+    """With the interpreter switching threads every microsecond, a walk
+    of 2 000 slices of 16 rows on two threads counts every offender,
+    keeps the same witnesses and collects every offender fiber, as the
+    caller alone does."""
+    monkeypatch.setattr(coherence_module, "EVAL_CHUNK", 16)
+    f, projection = TConorm("lukasiewicz"), Projection.quantize(8)
+    sampling = SamplingSpec.random(2000 * 16, seed=6)
+    spec = GammaSpec("extend", projection, sampling)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for count in (1, 2):
+            with walkers(count):
+                report = check_coherence(f, projection, sampling)
+                repaired = apply_gamma(f, spec)
+            results.append((dumps(report.to_dict()), [d.tolist() for d in repaired.contaminated]))
+    finally:
+        sys.setswitchinterval(interval)
+    assert 0 < report.coherent_fraction < 1
+    assert results[0] == results[1]
+
+
+class _FailsIn(FuzzyExpr):
+    """The 4-input mean, which raises whenever it is evaluated in one
+    walker of a check (the calling thread or the helper); in the other
+    a call waits until that has happened, so that the failing walker
+    surely pulls a slice.  It counts the calls in flight and those that
+    returned."""
+
+    def __init__(self, walker: str) -> None:
+        self.inner = Affine(((0.25,) * 4,), (0.0,))
+        self.walker = walker
+        self.failed = threading.Event()
+        self.in_flight: set[int] = set()  # the threads in a call
+        self.returned = 0
+
+    @property
+    def in_arity(self) -> int:
+        return 4
+
+    @property
+    def out_arity(self) -> int:
+        return 1
+
+    def _eval(self, xs: np.ndarray) -> np.ndarray:
+        self.in_flight.add(threading.get_ident())
+        try:
+            in_caller = threading.current_thread() is threading.main_thread()
+            if in_caller == (self.walker == "caller"):
+                self.failed.set()
+                raise RuntimeError(f"failed in the {self.walker}")
+            self.failed.wait(timeout=2.0)
+            self.returned += 1
+            return self.inner._eval(xs)
+        finally:
+            self.in_flight.discard(threading.get_ident())
+
+
+@pytest.mark.parametrize("walker", ["caller", "helper"])
+def test_an_error_in_either_walker_reaches_the_caller(walker):
+    """An error raised in either walker stops the other at its next
+    pull, and the check raises it once no slice is being walked; the
+    next check runs as usual."""
+    assert threading.current_thread() is threading.main_thread()
+    f = _FailsIn(walker)
+    # 64**4 fibers, more than the points: each slice calls f twice, at x
+    # and at d(x)
+    projection, sampling = Projection.quantize(64), SamplingSpec.random(8 * EVAL_CHUNK, seed=3)
+    with walkers(2):
+        with pytest.raises(RuntimeError, match=f"failed in the {walker}"):
+            check_coherence(f, projection, sampling)
+        assert not f.in_flight
+        # the other walker finished at most the slice it was walking
+        assert f.returned <= 2
+        report = check_coherence(f.inner, projection, sampling)
+    with walkers(1):
+        assert report == check_coherence(f.inner, projection, sampling)
+
+
+class _CountsHelpers(FuzzyExpr):
+    """The mean of 4 inputs, recording at every call how many helper
+    walkers are alive."""
+
+    in_arity, out_arity = 4, 1
+
+    def __init__(self) -> None:
+        self.seen: list[int] = []
+
+    def _eval(self, xs: np.ndarray) -> np.ndarray:
+        self.seen.append(sum(t.name == "cohexp-walk" for t in threading.enumerate()))
+        return xs.mean(axis=1, keepdims=True)
+
+
+def test_checks_on_three_threads_share_one_helper():
+    """Three random checks run at once, each from its own thread: at
+    most one helper walker is alive at any time (a check that finds it
+    taken walks alone), and each check reports what one walker
+    reports."""
+    f, projection = _CountsHelpers(), Projection.quantize(64)
+    sampling = SamplingSpec.random(6 * EVAL_CHUNK, seed=8)
+    with walkers(1):
+        want = check_coherence(f, projection, sampling)
+    reports = [None] * 3
+
+    def run(i: int) -> None:
+        reports[i] = check_coherence(f, projection, sampling)
+
+    with walkers(2):
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert reports == [want] * 3
+    assert max(f.seen) == 1
+
+
+class _Overflows(FuzzyExpr):
+    """``min(1, exp(1000 x))``, whose exponential overflows above
+    ``x = 0.71``."""
+
+    in_arity = out_arity = 1
+
+    def _eval(self, xs: np.ndarray) -> np.ndarray:
+        return np.minimum(np.exp(xs * 1000.0), 1.0)
+
+
+def test_the_helper_walks_under_the_callers_error_state():
+    """numpy keeps its error state per thread: a slice the helper walks
+    raises under the caller's ``errstate`` as one the caller walks, and
+    does not under an ``errstate`` that ignores the overflow."""
+    f = _Overflows()
+    sampling = SamplingSpec.random(4 * EVAL_CHUNK, seed=5)
+    with walkers(2):
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                check_coherence(f, Projection.quantize(64), sampling)
+        with np.errstate(over="ignore"):
+            report = check_coherence(f, Projection.quantize(64), sampling)
+    assert report.n_points == 4 * EVAL_CHUNK
+
+
+def test_random_check_witness_arrays_take_11_bytes_a_point(monkeypatch):
+    """With witnesses to choose, a random check keeps ``f(x)`` (8 bytes),
+    the baseline's level index (2) and the verdict (1) of every point
+    and component: its traced peak on 500 000 points of two outputs
+    stays within 11 bytes a point and component, and 2 MiB for the
+    slices in flight and the witnesses.  Kept as a float64, the
+    baseline took 17 bytes."""
+    monkeypatch.setattr(coherence_module, "_HEAP_PRIMER_BYTES", 0)
+    # offends where x_i is in [0.5, 0.51): about 1% of points a component
+    f = Affine(((0.1, 0.0), (0.0, 0.1)), (0.449, 0.449))
+    points, m = 500_000, 2
+    sampling = SamplingSpec.random(points, seed=17)
+    tracemalloc.start()
+    try:
+        report = check_coherence(f, Projection.threshold(0.5), sampling)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cap = coherence_module.DEFAULT_WITNESS_CAP
+    assert all(len(c.witnesses) == cap for c in report.components)
+    assert peak <= 11 * points * m + (2 << 20)
 
 
 @st.composite

@@ -197,6 +197,21 @@ class TestForward:
         assert forward(model, xs).tobytes() == expected.tobytes()
 
 
+    @pytest.mark.parametrize("hidden", [(), (5,), (5, 4, 3)])
+    def test_forward_is_the_cached_pass_without_its_cache(self, hidden):
+        """``forward`` and training's cached pass run one layer loop: the
+        same output bits, and the cache holds every layer's input and
+        pre-activation, which ``forward`` frees as it goes."""
+        rng = np.random.default_rng(9)
+        model = random_model(rng, 3, hidden, 2)
+        xs = rng.random((300, 3))
+        out, cache = nn._forward_cache(model, xs)
+        assert forward(model, xs).tobytes() == out.tobytes()
+        assert len(cache) == len(hidden) + 1 and cache[0][0] is xs
+        for (a, z), w, b in zip(cache, model.weights, model.biases):
+            assert z.tobytes() == (a @ w.T + b).tobytes()
+
+
 class TestGradients:
     def test_plain_loss_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)

@@ -371,6 +371,21 @@ class TestDumps:
                      [copy.copy(r) for r in rows]):
             assert all(type(row) is list for row in twin) and twin == rows
 
+    def test_deep_copied_table_rows_are_independent(self):
+        """``copy.deepcopy(rows)`` gives every row its own plain list, so
+        editing one leaves the equal rows as they are, and so does the
+        documented ``[list(r) for r in rows]``.  ``copy.deepcopy`` of
+        ``list(rows)`` keeps the sharing of equal rows (deepcopy's memo):
+        editing one row of it edits every equal row."""
+        rows = TruthTable(2, 1, [[0], [1], [0], [1]]).to_dict()["rows"]
+        for twin in (copy.deepcopy(rows), [list(r) for r in rows]):
+            twin[0].append(1)
+            assert twin == [[0, 1], [1], [0], [1]]
+        shared = copy.deepcopy(list(rows))
+        shared[0].append(1)
+        assert shared == [[0, 1], [1], [0, 1], [1]]
+        assert rows == [[0], [1], [0], [1]]
+
     def test_edited_copies_of_table_rows_are_written_as_lists(self):
         """A copy of a table's rows, edited so that no table holds it, is
         written by the general path."""
